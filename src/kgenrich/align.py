@@ -6,6 +6,16 @@ property sequences (length <= L) whose composition connects mapped known
 connect. The top candidates are then reranked by gestalt string similarity
 between the target property label and the path label, with a threshold
 deciding whether the lexical winner overrides the frequency winner.
+
+Enumeration walks forward from each sampled subject by node id. For an
+item-valued target and L >= 2 the walk stops one hop short, at depth L-1,
+and takes the last hop backwards: each node it reaches is looked up in the
+target's predecessor map, read once per distinct target from the graph's
+object index (``Graph.in_edges``) and memoised for one ``enumerate_paths``
+call. A pair then costs about degree^(L-1) edge visits instead of
+degree^L, and the predecessor maps of one call together cost at most one
+pass over the edge set, however many pairs share a hub target. Literal
+targets, and L = 1, keep the plain forward walk.
 """
 
 from __future__ import annotations
@@ -130,37 +140,91 @@ def _target_sort_key(target: str | Literal):
     return (0, target, "", 0, 0, 0, 0.0) if isinstance(target, str) else value_sort_key(target)
 
 
-def _pair_paths(graph: Graph, start_id: str, target: str | Literal,
-                max_len: int) -> set[tuple[str, ...]]:
+def _predecessors(graph: Graph, target_id: str) -> dict[str, list[str]]:
+    """{predecessor id: [props with an edge into target]} from the object index."""
+    preds: dict[str, list[str]] = {}
+    for prop, subjects in graph.in_edges(target_id).items():
+        for subj in subjects:
+            preds.setdefault(subj.id, []).append(prop)
+    return preds
+
+
+def _pair_paths(graph: Graph, start_id: str, target: str | Literal, max_len: int,
+                into: dict[str, dict[str, list[str]]]) -> set[tuple[str, ...]]:
     """All property sequences realized by a simple path start -> target.
 
     Cycle avoidance is per traversal: a branch never revisits a node, so a
     sequence counts once per pair no matter how many node instantiations
-    realize it. Intermediate literals end their branch.
-    """
-    start = graph.node(start_id)
-    if start is None:
-        return set()
-    found: set[tuple[str, ...]] = set()
+    realize it. Intermediate literals end their branch, and no path passes
+    through the target.
 
-    def walk(node: Node, seq: tuple[str, ...], visited: set[Node]) -> None:
-        depth = len(seq) + 1
-        for prop, objs in graph.out_edges(node).items():
+    Item targets at L >= 2: the forward walk, keyed by node id, stops at
+    depth L-1; at every node it reaches (the start included) the last hop is
+    a lookup in the target's predecessor map ``{predecessor id: [props]}``,
+    built once per distinct target from ``Graph.in_edges`` and kept in
+    ``into`` for the whole ``enumerate_paths`` call. A pair costs the
+    out-edges of the nodes within L-2 hops of the start instead of within
+    L-1 (about degree^(L-1) rather than degree^L edge visits), and every
+    target costs its in-degree once, so building all the maps of one call
+    takes at most one pass over the edge set.
+
+    Literal targets, and item targets at L = 1, take the full-depth forward
+    walk and test each object at the frontier: literals with
+    ``values_match``, because date-precision folding has no exact index key;
+    nodes by id. At L = 1 the start is the only node a walk reaches, so a
+    predecessor map (the target's whole in-degree) would not be repaid.
+    """
+    found: set[tuple[str, ...]] = set()
+    out_edges = graph.out_edges
+
+    if isinstance(target, str) and max_len > 1:
+        if target == start_id:
+            return found
+        preds = into.get(target)
+        if preds is None:
+            preds = into[target] = _predecessors(graph, target)
+        if not preds:
+            return found
+
+        def reach(node_id: str, seq: tuple[str, ...], visited: set[str]) -> None:
+            for prop in preds.get(node_id, ()):
+                found.add(seq + (prop,))
+            if len(seq) + 1 >= max_len:
+                return
+            for prop, objs in out_edges(node_id).items():
+                step = seq + (prop,)
+                for obj in objs:
+                    if isinstance(obj, Node):
+                        obj_id = obj.id
+                        if obj_id not in visited and obj_id != target:
+                            visited.add(obj_id)
+                            reach(obj_id, step, visited)
+                            visited.remove(obj_id)
+
+        reach(start_id, (), {start_id})
+        return found
+
+    target_id = target if isinstance(target, str) else None
+
+    def walk(node_id: str, seq: tuple[str, ...], visited: set[str]) -> None:
+        deeper = len(seq) + 1 < max_len
+        for prop, objs in out_edges(node_id).items():
+            step = seq + (prop,)
             for obj in objs:
                 if isinstance(obj, Node):
-                    if obj in visited:
+                    obj_id = obj.id
+                    if obj_id in visited:
                         continue
-                    if values_match(obj, target):
-                        found.add(seq + (prop,))
-                        continue  # no simple path re-reaches the target
-                    if depth < max_len:
-                        visited.add(obj)
-                        walk(obj, seq + (prop,), visited)
-                        visited.remove(obj)
-                elif values_match(obj, target):
-                    found.add(seq + (prop,))
+                    if obj_id == target_id:
+                        found.add(step)  # no simple path re-reaches the target
+                    elif deeper:
+                        visited.add(obj_id)
+                        walk(obj_id, step, visited)
+                        visited.remove(obj_id)
+                elif target_id is None and values_match(obj, target):
+                    found.add(step)
 
-    walk(start, (), {start})
+    walk(start_id, (), {start_id})
     return found
 
 
@@ -173,9 +237,9 @@ def enumerate_paths(graph: Graph, pairs: Iterable[tuple], cfg: AlignConfig) -> l
     """
     normalized = {( _as_subject_id(s), _as_target(o)) for s, o in pairs}
     support: Counter[tuple[str, ...]] = Counter()
+    into: dict[str, dict[str, list[str]]] = {}
     for subject_id, target in _sample_pairs(normalized, cfg):
-        for seq in _pair_paths(graph, subject_id, target, cfg.max_path_length):
-            support[seq] += 1
+        support.update(_pair_paths(graph, subject_id, target, cfg.max_path_length, into))
     ranked = [PropertyPath(steps=seq, support=count) for seq, count in support.items()]
     ranked.sort(key=lambda p: (-p.support, p.steps))
     return ranked

@@ -36,9 +36,6 @@ class EntityMapping:
     inverse: Mapping[str, frozenset[Node]]
     skipped: int = 0
 
-    def external_ids(self, node: Node) -> frozenset[str]:
-        return self.forward.get(node, frozenset())
-
 
 @dataclass(frozen=True)
 class Resolution:

@@ -14,6 +14,7 @@ are classified by their explicit datatype.
 
 from __future__ import annotations
 
+import calendar
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -186,6 +187,13 @@ class LoadStats:
     first_bad_lineno: int = 0
     first_bad_text: str = ""
 
+    def skip(self, lineno: int, text: str) -> None:
+        """Count one malformed line, remembering the first."""
+        self.skipped += 1
+        if self.first_bad_lineno == 0:
+            self.first_bad_lineno = lineno
+            self.first_bad_text = text
+
 
 class Graph:
     """Indexed, deduplicated edge set over interned nodes.
@@ -260,6 +268,12 @@ class Graph:
         sid = subject.id if isinstance(subject, Node) else subject
         return self._spo.get(sid, {})
 
+    def in_edges(self, obj: Value | str) -> Mapping[str, set[Node]]:
+        """Property -> subjects with an edge into ``obj``; a string names a node."""
+        if isinstance(obj, str):
+            obj = self._nodes.get(obj)
+        return self._osp.get(obj, {})
+
     def subjects(self) -> Iterator[Node]:
         """All nodes appearing as subject of at least one edge."""
         for sid in self._spo:
@@ -322,7 +336,16 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
             '"': '"', "'": "'", "\\": "\\"}
 
 
+_HEX_DIGITS = re.compile(r"[0-9A-Fa-f]*")
+
+
 def _unescape(text: str) -> str:
+    """Decode backslash escapes; ValueError on a malformed one.
+
+    Malformed: a backslash ending the text, a \\u or \\U escape without
+    exactly 4 or 8 hex digits, or one naming a surrogate or a code point
+    beyond U+10FFFF (neither can be written back out as UTF-8).
+    """
     if "\\" not in text:
         return text
     out = []
@@ -333,26 +356,45 @@ def _unescape(text: str) -> str:
             out.append(ch)
             i += 1
             continue
+        if i + 1 == len(text):
+            raise ValueError(f"dangling backslash at the end of {text!r}")
         esc = text[i + 1]
-        if esc == "u":
-            out.append(chr(int(text[i + 2:i + 6], 16)))
-            i += 6
-        elif esc == "U":
-            out.append(chr(int(text[i + 2:i + 10], 16)))
-            i += 10
+        if esc in "uU":
+            width = 4 if esc == "u" else 8
+            digits = text[i + 2:i + 2 + width]
+            if len(digits) != width or not _HEX_DIGITS.fullmatch(digits):
+                raise ValueError(f"malformed \\{esc} escape in {text!r}")
+            code = int(digits, 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise ValueError(f"escape \\{esc}{digits} is not a character")
+            out.append(chr(code))
+            i += 2 + width
         else:
             out.append(_ESCAPES.get(esc, esc))
             i += 2
     return "".join(out)
 
 
+def _days_in_month(year: int, month: int) -> int:
+    if month == 2:
+        return 29 if calendar.isleap(year) else 28
+    return 30 if month in (4, 6, 9, 11) else 31
+
+
 def _parse_date_lexical(lex: str) -> Literal | None:
+    """Day, month or year precision date; None for other text or an impossible date."""
     m = _DATE_DAY.match(lex)
     if m:
-        return Literal.date(int(m.group(1)), int(m.group(2)), int(m.group(3)), raw=lex)
+        year, month, day = int(m.group(1)), int(m.group(2)), int(m.group(3))
+        if not (1 <= month <= 12 and 1 <= day <= _days_in_month(year, month)):
+            return None
+        return Literal.date(year, month, day, raw=lex)
     m = _DATE_MONTH.match(lex)
     if m:
-        return Literal.date(int(m.group(1)), int(m.group(2)), raw=lex)
+        month = int(m.group(2))
+        if not 1 <= month <= 12:
+            return None
+        return Literal.date(int(m.group(1)), month, raw=lex)
     m = _DATE_YEAR.match(lex)
     if m:
         return Literal.date(int(m.group(1)), raw=lex)
@@ -412,17 +454,18 @@ def load_ntriples(path: str | Path, graph_tag: str, *,
             considered += 1
             m = _NT_LINE.match(line)
             if m is None:
-                graph.stats.skipped += 1
-                if graph.stats.first_bad_lineno == 0:
-                    graph.stats.first_bad_lineno = lineno
-                    graph.stats.first_bad_text = stripped
+                graph.stats.skip(lineno, stripped)
                 continue
             subj = _nt_term_id(m.group("s"), table)
             prop = _nt_term_id(m.group("p"), table)
             raw_obj = m.group("o")
             if raw_obj.startswith('"'):
                 lm = _NT_LITERAL.match(raw_obj)
-                obj: Value = _nt_literal(lm.group("lex"), lm.group("lang"), lm.group("dt"))
+                try:
+                    obj: Value = _nt_literal(lm.group("lex"), lm.group("lang"), lm.group("dt"))
+                except ValueError:
+                    graph.stats.skip(lineno, stripped)
+                    continue
             else:
                 obj = graph.intern(_nt_term_id(raw_obj, table))
             if graph.add_edge(subj, prop, obj):
@@ -496,14 +539,15 @@ def load_edge_tsv(path: str | Path, graph_tag: str, *,
             considered += 1
             fields = stripped.split("\t")
             if len(fields) < width or not fields[col["node1"]] or not fields[col["label"]]:
-                graph.stats.skipped += 1
-                if graph.stats.first_bad_lineno == 0:
-                    graph.stats.first_bad_lineno = lineno
-                    graph.stats.first_bad_text = stripped
+                graph.stats.skip(lineno, stripped)
+                continue
+            try:
+                obj = parse_tsv_value(fields[col["node2"]], graph)
+            except ValueError:
+                graph.stats.skip(lineno, stripped)
                 continue
             subj = table.shorten(fields[col["node1"]])
             prop = table.shorten(fields[col["label"]])
-            obj = parse_tsv_value(fields[col["node2"]], graph)
             if isinstance(obj, Node):
                 shortened = table.shorten(obj.id)
                 if shortened != obj.id:

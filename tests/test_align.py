@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgenrich.align import (AlignConfig, AlignMode, PropertyPath, enumerate_paths,
-                            gestalt_similarity, normalize_label, select_path)
+                            gestalt_similarity, normalize_label, select_path,
+                            values_match)
 from kgenrich.store import Graph, Literal
 
 from conftest import graph_from_edges
@@ -150,19 +151,34 @@ def _random_graph(rng, n_nodes, n_edges, n_props, acyclic):
     return sorted(edges)
 
 
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed,acyclic", [(1, True), (2, False), (3, False)])
-def test_enumerate_matches_exhaustive_oracle(seed, acyclic):
+def test_enumerate_matches_exhaustive_oracle(seed, acyclic, max_len):
     rng = random.Random(seed)
     edges = _random_graph(rng, n_nodes=30, n_edges=150, n_props=6, acyclic=acyclic)
     g = graph_from_edges("x", edges)
     nodes = sorted({e[0] for e in edges} | {e[2] for e in edges})
     pairs = {(rng.choice(nodes), rng.choice(nodes)) for _ in range(6)}
-    got = {p.steps: p.support for p in enumerate_paths(g, pairs, _cfg(4))}
+    pairs |= {(nodes[0], "ABSENT"), ("ABSENT", nodes[2]), (nodes[1], nodes[1])}
+    got = {p.steps: p.support for p in enumerate_paths(g, pairs, _cfg(max_len))}
     want = {}
     for subj, obj in pairs:
-        for seq in simple_path_sequences(edges, subj, obj, 4):
+        for seq in simple_path_sequences(edges, subj, obj, max_len):
             want[seq] = want.get(seq, 0) + 1
     assert got == want
+
+
+def test_literal_terminal_two_hops_matches_by_value():
+    day = Literal.date(1885, 1, 1)
+    g = graph_from_edges("dbp", [
+        ("dbr:A", "dbp:parent", "dbr:M"), ("dbr:M", "dbp:founded", day),
+        ("dbr:A", "dbp:sibling", "dbr:N"), ("dbr:N", "dbp:founded", Literal.date(1886, 1, 1)),
+        ("dbr:N", "dbp:next", "dbr:M"),  # reaches the date only in three hops
+    ])
+    target = Literal.date(1885)
+    assert values_match(day, target)
+    paths = enumerate_paths(g, {("dbr:A", target)}, _cfg(2))
+    assert paths == [PropertyPath(steps=("dbp:parent", "dbp:founded"), support=1)]
 
 
 # -- selection ------------------------------------------------------------------

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kgenrich
 from kgenrich.cli import main
 from kgenrich.store import write_edge_tsv
 
@@ -192,3 +197,33 @@ def test_missing_mapping_is_config_error(workspace, capsys):
                  "--out-dir", str(workspace / "x")])
     assert code == 1
     assert "mappings.dbp" in capsys.readouterr().err
+
+
+def test_load_check_malformed_escape_is_skipped(workspace, capsys):
+    path = workspace / "escapes.tsv"
+    rows = "".join(f"Q{i}\tP1\tQ{i + 1}\n" for i in range(20))
+    path.write_text('node1\tlabel\tnode2\n' + rows + 'Q1\tP2\t"abc\\"\nQ1\tP3\t"\\uZZZZ"\n')
+    assert main(["load-check", "--graph", str(path)]) == 0
+    assert "2 malformed lines skipped" in capsys.readouterr().out
+
+
+def test_batch_bytes_independent_of_hash_seed(workspace):
+    # L=2 so the id-keyed walk over string-keyed sets runs
+    (workspace / "config.yaml").write_text(
+        CONFIG.replace("max_path_length: 1", "max_path_length: 2"))
+    src = str(Path(kgenrich.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        out_dir = workspace / f"seed{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "kgenrich.cli", "batch",
+             "--config", str(workspace / "config.yaml"),
+             "--properties", f"{INDUSTRY_PROP},P571,P17", "--class", COMPANY_CLASS,
+             "--out-dir", str(out_dir), "--no-timings"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out_dir / name).read_bytes()
+                        for name in ("statements.tsv", "report.tsv")])
+    assert outputs[0] == outputs[1]

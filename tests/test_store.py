@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from kgenrich.errors import DataFormatError
 from kgenrich.store import (Graph, Literal, Node, PrefixTable, Provenance,
                             Statement, ValueKind, load_edge_tsv, load_ntriples,
-                            local_name, serialize_value, value_kind,
-                            write_edge_tsv)
+                            local_name, parse_tsv_value, serialize_value,
+                            value_kind, write_edge_tsv)
 
 
 def test_single_wellformed_triple(tmp_path):
@@ -169,6 +169,10 @@ def test_index_consistency_full_scan(company_fixture):
         assert obj in g.objects(subj, prop)
         assert (subj, obj) in g.statements_for(prop)
         assert subj in g.subjects_with(prop, obj)
+        assert subj in g.in_edges(obj)[prop]
+        if isinstance(obj, Node):
+            assert g.in_edges(obj.id) is g.in_edges(obj)
+    assert g.in_edges("no-such-node") == {}
     assert len(edges) == g.edge_count
     assert sum(len(pairs) for pairs in
                (g.statements_for(p) for p in g.properties())) == g.edge_count
@@ -255,3 +259,56 @@ def test_string_literal_serialization_roundtrip(text):
     value = Literal.string(text)
     from kgenrich.store import parse_tsv_value
     assert parse_tsv_value(serialize_value(value), g) == value
+
+
+@pytest.mark.parametrize("node2", [
+    '"abc\\"',            # backslash ending the string
+    '"\\uZZZZ"',          # non-hex \u digits
+    '"x\\u00"',           # too few \u digits
+    '"\\u+123"',          # int() would accept the sign
+    "'x\\uD800'@en",      # lone surrogate
+    '"\\U00110000"',      # beyond U+10FFFF
+    "1e999",              # quantity overflowing to inf
+])
+def test_tsv_malformed_value_is_counted_skip(tmp_path, node2):
+    path = tmp_path / "g.tsv"
+    path.write_text("node1\tlabel\tnode2\nQ1\tP1\tQ2\nQ1\tP2\t" + node2
+                    + '\nQ1\tP3\t"ok \\u00e9"\n')
+    g = load_edge_tsv(path, "t", malformed_threshold=0.5)
+    assert g.edge_count == 2
+    assert (g.stats.skipped, g.stats.first_bad_lineno) == (1, 3)
+    assert {o.text for o in g.objects("Q1", "P3")} == {"ok \u00e9"}
+
+
+@pytest.mark.parametrize("lex", ["x\\u00", "\\uZZZZ", "\\U0000004"])
+def test_nt_malformed_escape_is_counted_skip(tmp_path, lex):
+    path = tmp_path / "g.nt"
+    path.write_text("<http://ex/a> <http://ex/p> <http://ex/b> .\n"
+                    f'<http://ex/a> <http://ex/q> "{lex}" .\n'
+                    '<http://ex/a> <http://ex/r> "\\u0041\\U00000042" .\n')
+    g = load_ntriples(path, "t", malformed_threshold=0.5)
+    assert g.edge_count == 2
+    assert (g.stats.skipped, g.stats.first_bad_lineno) == (1, 2)
+    assert g.objects("http://ex/a", "http://ex/q") == set()
+    assert {o.text for o in g.objects("http://ex/a", "http://ex/r")} == {"AB"}
+
+
+def test_malformed_escapes_count_toward_threshold(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text('node1\tlabel\tnode2\nQ1\tP1\t"a\\"\nQ1\tP2\t"\\uZZZZ"\nQ1\tP3\tQ2\n')
+    with pytest.raises(DataFormatError) as err:
+        load_edge_tsv(path, "t")
+    assert "2 of 3 lines malformed" in str(err.value) and "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("lex,kind", [
+    ("2020-13-45", ValueKind.OTHER), ("2020-00-10", ValueKind.OTHER),
+    ("2021-02-29", ValueKind.OTHER), ("2021-04-31", ValueKind.OTHER),
+    ("2020-13", ValueKind.OTHER), ("2020-02-29", ValueKind.DATE),
+    ("2021-12-31", ValueKind.DATE), ("2021-12", ValueKind.DATE),
+])
+def test_impossible_dates_fall_back_to_other(lex, kind):
+    value = parse_tsv_value(lex, Graph("t"))
+    assert value.kind is kind
+    if kind is ValueKind.OTHER:
+        assert value.text == lex
