@@ -15,26 +15,19 @@ from pathlib import Path
 
 from . import pipeline
 from .align import enumerate_paths, score_candidates, select_path
-from .config import PipelineConfig, load_config, load_graph
+from .config import GraphSpec, PipelineConfig, load_config, load_graph
 from .consistency import Granularity, write_scatter_csv
 from .errors import ConfigError, DataFormatError, UsageError
 from .gaps import detect_gaps
 from .resolve import build_mapping, inverse_resolve, resolve
 from .retrieve import read_candidates, retrieve, write_candidates
-from .store import Graph, load_edge_tsv, load_ntriples
+from .store import Graph
 from .validate import validate_detailed, write_verdicts
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
-
-
-def _load_graph_arg(path: str, fmt: str, tag: str, cfg: PipelineConfig | None) -> Graph:
-    prefixes = cfg.prefixes if cfg else None
-    if fmt == "nt" or (not fmt and path.endswith(".nt")):
-        return load_ntriples(path, tag, prefixes=prefixes)
-    return load_edge_tsv(path, tag, prefixes=prefixes)
 
 
 def _config(args) -> PipelineConfig:
@@ -69,7 +62,8 @@ def _out(args, default_name: str) -> Path:
 
 def _cmd_load_check(args) -> int:
     cfg = load_config(args.config) if args.config else None
-    graph = _load_graph_arg(args.graph, args.format, args.tag, cfg)
+    graph = load_graph(GraphSpec(args.graph, args.tag, args.format),
+                       cfg.prefixes if cfg else None)
     print(f"graph {graph.tag}: {graph.edge_count} edges, {graph.node_count} nodes, "
           f"{graph.stats.skipped} malformed lines skipped")
     return 0
@@ -77,7 +71,8 @@ def _cmd_load_check(args) -> int:
 
 def _cmd_detect_gaps(args) -> int:
     cfg = load_config(args.config) if args.config else None
-    graph = _load_graph_arg(args.graph, args.format, args.tag, cfg)
+    graph = load_graph(GraphSpec(args.graph, args.tag, args.format),
+                       cfg.prefixes if cfg else None)
     entity_filter = (args.entity_class, args.type_prop) if args.entity_class else None
     sentinel = cfg.gaps.no_value_sentinel if cfg else None
     partition = detect_gaps(graph, args.property, entity_filter,

@@ -7,6 +7,7 @@ except the graph paths and the per-external-graph link mapping.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -98,60 +99,86 @@ def _require(section: Mapping, key: str, where: str):
     return section[key]
 
 
-def _graph_spec(raw: Mapping, where: str) -> GraphSpec:
-    return GraphSpec(
-        path=str(_require(raw, "path", where)),
-        tag=str(_require(raw, "tag", where)),
-        format=str(raw.get("format", "")),
-        label_properties=tuple(raw.get("label_properties", DEFAULT_LABEL_PROPERTIES)),
-        malformed_threshold=float(raw.get("malformed_threshold",
-                                          DEFAULT_MALFORMED_THRESHOLD)),
-    )
+def _mapping(raw, where: str) -> Mapping:
+    """A config section: absent (None) reads as {}; anything but a mapping is an error."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{where} must be a mapping, not {type(raw).__name__}")
+    return raw
+
+
+@contextmanager
+def _values_of(where: str):
+    """Turn a bad value met while building section ``where`` into a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _graph_spec(raw, where: str) -> GraphSpec:
+    raw = _mapping(raw, where)
+    with _values_of(where):
+        return GraphSpec(
+            path=str(_require(raw, "path", where)),
+            tag=str(_require(raw, "tag", where)),
+            format=str(raw.get("format", "")),
+            label_properties=tuple(raw.get("label_properties", DEFAULT_LABEL_PROPERTIES)),
+            malformed_threshold=float(raw.get("malformed_threshold",
+                                              DEFAULT_MALFORMED_THRESHOLD)),
+        )
 
 
 def config_from_dict(data: Mapping) -> PipelineConfig:
-    graphs = _require(data, "graphs", "<root>")
+    graphs = _mapping(_require(data, "graphs", "<root>"), "graphs")
     target = _graph_spec(_require(graphs, "target", "graphs"), "graphs.target")
+    raw_externals = graphs.get("externals") or []
+    if not isinstance(raw_externals, list):
+        raise ConfigError("graphs.externals must be a list")
     externals = [_graph_spec(raw, f"graphs.externals[{i}]")
-                 for i, raw in enumerate(graphs.get("externals", []))]
+                 for i, raw in enumerate(raw_externals)]
 
     mappings = {}
-    for tag, raw in (data.get("mappings") or {}).items():
-        transform = raw.get("transform") or {}
+    for tag, raw in _mapping(data.get("mappings"), "mappings").items():
+        raw = _mapping(raw, f"mappings.{tag}")
+        transform = _mapping(raw.get("transform"), f"mappings.{tag}.transform")
         mappings[tag] = MappingSpec(
             link_property=str(_require(raw, "link_property", f"mappings.{tag}")),
             prefix=str(raw.get("prefix", transform.get("prefix", ""))),
             suffix=str(raw.get("suffix", transform.get("suffix", ""))),
         )
 
-    align_raw = data.get("alignment") or {}
+    align_raw = _mapping(data.get("alignment"), "alignment")
     mode_name = str(align_raw.get("mode", "hybrid")).lower()
     if mode_name not in MODE_ALIASES:
         raise ConfigError(f"alignment.mode must be one of {sorted(MODE_ALIASES)}")
-    alignment = AlignConfig(
-        max_path_length=int(align_raw.get("max_path_length", 1)),
-        sample_cap=int(align_raw.get("sample_cap", 200_000)),
-        top_k=int(align_raw.get("top_k", 10)),
-        similarity_threshold=float(align_raw.get("similarity_threshold", 0.9)),
-        mode=MODE_ALIASES[mode_name],
-        sample_seed=align_raw.get("sample_seed"),
-    )
+    with _values_of("alignment"):
+        alignment = AlignConfig(
+            max_path_length=int(align_raw.get("max_path_length", 1)),
+            sample_cap=int(align_raw.get("sample_cap", 200_000)),
+            top_k=int(align_raw.get("top_k", 10)),
+            similarity_threshold=float(align_raw.get("similarity_threshold", 0.9)),
+            mode=MODE_ALIASES[mode_name],
+            sample_seed=align_raw.get("sample_seed"),
+        )
 
-    val_raw = data.get("validation") or {}
-    validation = ValidationSettings(
-        cutoff_year=int(val_raw.get("cutoff_year", 2022)),
-        depth_cap=int(val_raw.get("depth_cap", 20)),
-        instance_of=str(val_raw.get("instance_of", "P31")),
-        subclass_of=str(val_raw.get("subclass_of", "P279")),
-    )
+    val_raw = _mapping(data.get("validation"), "validation")
+    with _values_of("validation"):
+        validation = ValidationSettings(
+            cutoff_year=int(val_raw.get("cutoff_year", 2022)),
+            depth_cap=int(val_raw.get("depth_cap", 20)),
+            instance_of=str(val_raw.get("instance_of", "P31")),
+            subclass_of=str(val_raw.get("subclass_of", "P279")),
+        )
 
-    gaps_raw = data.get("gaps") or {}
+    gaps_raw = _mapping(data.get("gaps"), "gaps")
     gap_settings = GapSettings(
         type_property=str(gaps_raw.get("type_property", "P31")),
         no_value_sentinel=gaps_raw.get("no_value_sentinel"),
     )
 
-    out_raw = data.get("output") or {}
+    out_raw = _mapping(data.get("output"), "output")
     output = OutputSettings(
         directory=str(out_raw.get("directory", "out")),
         format=str(out_raw.get("format", "tsv")),
@@ -160,7 +187,7 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
 
     return PipelineConfig(
         target=target, externals=externals,
-        prefixes=dict(data.get("prefixes") or {}),
+        prefixes=dict(_mapping(data.get("prefixes"), "prefixes")),
         mappings=mappings, alignment=alignment, validation=validation,
         constraints_path=val_raw.get("constraints"),
         gaps=gap_settings, output=output,

@@ -10,6 +10,14 @@ IRIs are shortened through a configurable prefix table (unknown namespaces
 keep the full IRI). Edge-TSV carries no datatypes, so literal kinds are
 inferred from the lexical shape of the ``node2`` field; N-Triples literals
 are classified by their explicit datatype.
+
+Each load call keeps term tables that map the raw text of a term to its
+parsed form: a subject or IRI token to its shortened, interned ``Node``, a
+property token to its shortened id, an object field to its ``Value``. The
+prefix scan and the lexical classification therefore run once per distinct
+term, and equal literals share one ``Literal``. Property ids go through
+``sys.intern``, so every index key of one property is one shared string
+rather than a copy per edge. The tables are dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -17,10 +25,11 @@ from __future__ import annotations
 import calendar
 import math
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import DataFormatError
 
@@ -233,14 +242,32 @@ class Graph:
             obj = self.intern(obj)
         if not prop:
             raise ValueError("property must be non-empty")
-        by_prop = self._spo.setdefault(subj.id, {})
-        objs = by_prop.setdefault(prop, set())
-        if obj in objs:
+        # get-then-insert: an edge allocates only the containers it keeps
+        by_prop = self._spo.get(subj.id)
+        if by_prop is None:
+            by_prop = self._spo[subj.id] = {}
+        objs = by_prop.get(prop)
+        if objs is None:
+            by_prop[prop] = {obj}
+        elif obj in objs:
             self.stats.duplicates += 1
             return False
-        objs.add(obj)
-        self._pso.setdefault(prop, set()).add((subj, obj))
-        self._osp.setdefault(obj, {}).setdefault(prop, set()).add(subj)
+        else:
+            objs.add(obj)
+        pairs = self._pso.get(prop)
+        if pairs is None:
+            self._pso[prop] = {(subj, obj)}
+        else:
+            pairs.add((subj, obj))
+        into = self._osp.get(obj)
+        if into is None:
+            self._osp[obj] = {prop: {subj}}
+        else:
+            subjs = into.get(prop)
+            if subjs is None:
+                into[prop] = {subj}
+            else:
+                subjs.add(subj)
         self._edge_count += 1
         if prop in self.label_properties and isinstance(obj, Literal) and obj.text:
             self._labels.setdefault(subj.id, obj.text)
@@ -401,7 +428,10 @@ def _parse_date_lexical(lex: str) -> Literal | None:
     return None
 
 
-def _nt_literal(lex: str, lang: str | None, datatype: str | None) -> Literal:
+def _nt_literal(token: str) -> Literal:
+    """The literal an N-Triples object token denotes, classified by its datatype."""
+    m = _NT_LITERAL.match(token)
+    lex, lang, datatype = m.group("lex"), m.group("lang"), m.group("dt")
     text = _unescape(lex)
     if lang:
         return Literal.monolingual(text, lang, raw=lex)
@@ -420,6 +450,22 @@ def _nt_literal(lex: str, lang: str | None, datatype: str | None) -> Literal:
             except ValueError:
                 return Literal.other(text)
     return Literal.other(text)
+
+
+class _Terms(dict):
+    """Raw term text -> its parsed form, parsed on first sight only.
+
+    A parse that raises is not stored, so every line carrying the bad text
+    raises (and is skipped) on its own.
+    """
+
+    def __init__(self, parse: Callable[[str], object]):
+        super().__init__()
+        self._parse = parse
+
+    def __missing__(self, text: str):
+        parsed = self[text] = self._parse(text)
+        return parsed
 
 
 def _check_threshold(path: str | Path, stats: LoadStats, considered: int,
@@ -444,33 +490,30 @@ def load_ntriples(path: str | Path, graph_tag: str, *,
     """
     table = prefixes if isinstance(prefixes, PrefixTable) else PrefixTable(prefixes)
     graph = Graph(graph_tag, label_properties)
+    stats = graph.stats
+    nodes = _Terms(lambda token: graph.intern(_nt_term_id(token, table)))
+    props = _Terms(lambda token: sys.intern(table.shorten(token[1:-1])))
+    values = _Terms(lambda token: _nt_literal(token) if token[0] == '"' else nodes[token])
     considered = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            graph.stats.lines += 1
+            stats.lines += 1
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             considered += 1
             m = _NT_LINE.match(line)
             if m is None:
-                graph.stats.skip(lineno, stripped)
+                stats.skip(lineno, stripped)
                 continue
-            subj = _nt_term_id(m.group("s"), table)
-            prop = _nt_term_id(m.group("p"), table)
-            raw_obj = m.group("o")
-            if raw_obj.startswith('"'):
-                lm = _NT_LITERAL.match(raw_obj)
-                try:
-                    obj: Value = _nt_literal(lm.group("lex"), lm.group("lang"), lm.group("dt"))
-                except ValueError:
-                    graph.stats.skip(lineno, stripped)
-                    continue
-            else:
-                obj = graph.intern(_nt_term_id(raw_obj, table))
-            if graph.add_edge(subj, prop, obj):
-                graph.stats.edges += 1
-    _check_threshold(path, graph.stats, considered, malformed_threshold)
+            try:
+                obj = values[m.group("o")]
+            except ValueError:
+                stats.skip(lineno, stripped)
+                continue
+            if graph.add_edge(nodes[m.group("s")], props[m.group("p")], obj):
+                stats.edges += 1
+    _check_threshold(path, stats, considered, malformed_threshold)
     return graph
 
 
@@ -488,11 +531,11 @@ _TSV_NUMBER = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 _TSV_MONOLINGUAL = re.compile(r"^'(?P<text>(?:[^'\\]|\\.)*)'@(?P<lang>[A-Za-z][A-Za-z0-9-]*)$")
 
 
-def parse_tsv_value(text: str, graph: Graph) -> Value:
-    """Classify a ``node2`` field by lexical shape.
+def _tsv_literal(text: str) -> Literal | None:
+    """Classify a ``node2`` field by lexical shape; None when it names a node.
 
     Quoted -> string, 'x'@lang -> monolingual, ISO date -> date, numeric ->
-    quantity, id-shaped -> node; anything else becomes an Other literal.
+    quantity, id-shaped -> None; anything else becomes an Other literal.
     """
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
         return Literal.string(_unescape(text[1:-1]), raw=text)
@@ -506,17 +549,37 @@ def parse_tsv_value(text: str, graph: Graph) -> Value:
     if _TSV_NUMBER.match(text):
         return Literal.quantity(float(text), raw=text)
     if _TSV_NODE_ID.match(text) or "://" in text:
-        return graph.intern(text)
+        return None
     return Literal.other(text)
+
+
+def parse_tsv_value(text: str, graph: Graph) -> Value:
+    """The value a ``node2`` field denotes; an id-shaped field is interned as is."""
+    literal = _tsv_literal(text)
+    return graph.intern(text) if literal is None else literal
 
 
 def load_edge_tsv(path: str | Path, graph_tag: str, *,
                   prefixes: Mapping[str, str] | PrefixTable | None = None,
                   label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES,
                   malformed_threshold: float = DEFAULT_MALFORMED_THRESHOLD) -> Graph:
-    """Load a header-first edge TSV (columns node1, label, node2, id optional)."""
+    """Load a header-first edge TSV (columns node1, label, node2, id optional).
+
+    A ``node2`` field is classified on its raw text, so an IRI whose
+    shortened form looks like a date is still a node; only the shortened id
+    is interned.
+    """
     table = prefixes if isinstance(prefixes, PrefixTable) else PrefixTable(prefixes)
     graph = Graph(graph_tag, label_properties)
+    stats = graph.stats
+    nodes = _Terms(lambda text: graph.intern(table.shorten(text)))
+    props = _Terms(lambda text: sys.intern(table.shorten(text)))
+
+    def value(text: str) -> Value:
+        literal = _tsv_literal(text)
+        return nodes[text] if literal is None else literal
+
+    values = _Terms(value)
     considered = 0
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -524,37 +587,32 @@ def load_edge_tsv(path: str | Path, graph_tag: str, *,
             return graph
         header = header_line.rstrip("\n").split("\t")
         try:
-            col = {name: header.index(name) for name in ("node1", "label", "node2")}
+            subj_col, prop_col, obj_col = (header.index(name)
+                                           for name in ("node1", "label", "node2"))
         except ValueError:
             raise DataFormatError(
                 f"{path}: required columns node1/label/node2 missing; found {header}"
             ) from None
-        width = max(col.values()) + 1
-        graph.stats.lines += 1
+        width = max(subj_col, prop_col, obj_col) + 1
+        stats.lines += 1
         for lineno, line in enumerate(fh, 2):
-            graph.stats.lines += 1
+            stats.lines += 1
             stripped = line.rstrip("\n")
             if not stripped or stripped.startswith("#"):
                 continue
             considered += 1
             fields = stripped.split("\t")
-            if len(fields) < width or not fields[col["node1"]] or not fields[col["label"]]:
-                graph.stats.skip(lineno, stripped)
+            if len(fields) < width or not fields[subj_col] or not fields[prop_col]:
+                stats.skip(lineno, stripped)
                 continue
             try:
-                obj = parse_tsv_value(fields[col["node2"]], graph)
+                obj = values[fields[obj_col]]
             except ValueError:
-                graph.stats.skip(lineno, stripped)
+                stats.skip(lineno, stripped)
                 continue
-            subj = table.shorten(fields[col["node1"]])
-            prop = table.shorten(fields[col["label"]])
-            if isinstance(obj, Node):
-                shortened = table.shorten(obj.id)
-                if shortened != obj.id:
-                    obj = graph.intern(shortened)
-            if graph.add_edge(subj, prop, obj):
-                graph.stats.edges += 1
-    _check_threshold(path, graph.stats, considered, malformed_threshold)
+            if graph.add_edge(nodes[fields[subj_col]], props[fields[prop_col]], obj):
+                stats.edges += 1
+    _check_threshold(path, stats, considered, malformed_threshold)
     return graph
 
 

@@ -62,6 +62,25 @@ def test_load_check_data_error(workspace, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_load_check_ntriples_suffix(workspace, capsys):
+    path = workspace / "g.ntriples"
+    path.write_text("<http://ex/a> <http://ex/p> <http://ex/b> .\n"
+                    '<http://ex/a> <http://ex/q> "x"@en .\n')
+    assert main(["load-check", "--graph", str(path)]) == 0
+    assert "2 edges, 2 nodes, 0 malformed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alignment", ["[1]", "{max_path_length: 9}"])
+def test_bad_alignment_section_is_config_error(workspace, capsys, alignment):
+    (workspace / "config.yaml").write_text(
+        CONFIG.replace("alignment: {max_path_length: 1}", f"alignment: {alignment}"))
+    code = main(["batch", "--config", str(workspace / "config.yaml"),
+                 "--properties", INDUSTRY_PROP, "--out-dir", str(workspace / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: alignment") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["load-check"]) == 1
     assert "usage error" in capsys.readouterr().err

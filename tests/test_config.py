@@ -86,3 +86,30 @@ def test_config_must_be_mapping(tmp_path):
     bad.write_text("- just\n- a list\n")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+@pytest.mark.parametrize("section,value,named", [
+    ("alignment", [1], "alignment"),
+    ("alignment", {"max_path_length": 9}, "max_path_length"),
+    ("alignment", {"max_path_length": "two"}, "alignment"),
+    ("alignment", {"top_k": [3]}, "alignment"),
+    ("alignment", {"similarity_threshold": "high"}, "alignment"),
+    ("validation", {"cutoff_year": "soon"}, "validation"),
+    ("validation", "strict", "validation"),
+    ("gaps", 3, "gaps"),
+    ("output", ["tsv"], "output"),
+    ("prefixes", ["dbr"], "prefixes"),
+    ("mappings", {"dbp": ["sitelink"]}, "mappings.dbp"),
+    ("graphs", {"target": "t.tsv"}, "graphs.target"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": "x"}},
+     "graphs.target"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"}, "externals": {"a": 1}},
+     "graphs.externals"),
+])
+def test_bad_section_or_value_is_config_error(section, value, named):
+    data = _minimal()
+    data[section] = value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(data)
+    message = str(err.value)
+    assert named in message and "\n" not in message

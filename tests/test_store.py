@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kgenrich.errors import DataFormatError
-from kgenrich.store import (Graph, Literal, Node, PrefixTable, Provenance,
-                            Statement, ValueKind, load_edge_tsv, load_ntriples,
-                            local_name, parse_tsv_value, serialize_value,
-                            value_kind, write_edge_tsv)
+from kgenrich.store import (_NT_LINE, Graph, Literal, Node, PrefixTable, Provenance,
+                            Statement, ValueKind, _nt_literal, _nt_term_id,
+                            load_edge_tsv, load_ntriples, local_name,
+                            parse_tsv_value, serialize_value, value_kind,
+                            write_edge_tsv)
 
 
 def test_single_wellformed_triple(tmp_path):
@@ -312,3 +316,134 @@ def test_impossible_dates_fall_back_to_other(lex, kind):
     assert value.kind is kind
     if kind is ValueKind.OTHER:
         assert value.text == lex
+
+
+def test_tsv_interns_only_the_shortened_object_id(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("node1\tlabel\tnode2\n"
+                    "http://dbpedia.org/resource/A\thttp://dbpedia.org/property/p\t"
+                    "http://dbpedia.org/resource/B\n"
+                    "http://dbpedia.org/resource/A\thttp://dbpedia.org/property/p\t"
+                    "http://dbpedia.org/resource/2020\n")
+    g = load_edge_tsv(path, "dbp", prefixes={"dbr": "http://dbpedia.org/resource/"})
+    assert g.node_count == 3
+    assert g.node("http://dbpedia.org/resource/B") is None
+    assert g.node("http://dbpedia.org/resource/2020") is None
+    # classified on the raw IRI: "dbr:2020" is a node even though "2020" is a year
+    assert g.objects("dbr:A", "http://dbpedia.org/property/p") == {
+        g.node("dbr:B"), g.node("dbr:2020")}
+
+
+# -- loaders against a line-by-line reference ------------------------------------
+
+_PREFIXES = {"dbr": "http://dbpedia.org/resource/", "dbp": "http://dbpedia.org/property/",
+             "rdfs": "http://www.w3.org/2000/01/rdf-schema#", "": "http://ex.org/y/"}
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+
+# full IRIs next to their shortened forms, so two raw texts name one term
+_TSV_SUBJECTS = ["Q1", "Q2", "dbr:A", "http://dbpedia.org/resource/A",
+                 "http://dbpedia.org/resource/B"]
+_TSV_PROPS = ["P1", "label", "dbp:p", "http://dbpedia.org/property/p"]
+_TSV_OBJECTS = ["Q2", "dbr:B", "http://dbpedia.org/resource/B", "http://ex.org/y/2020",
+                '"x"', "'x'@en", "'x'@fr", "2020", "2020-01-02", "2020-13-45", "1.5",
+                "1.50", "an other value", '"bad\\"', "1e999", '"\\uZZZZ"']
+_TSV_LINES = st.one_of(
+    st.tuples(st.sampled_from(_TSV_SUBJECTS), st.sampled_from(_TSV_PROPS),
+              st.sampled_from(_TSV_OBJECTS)).map("\t".join),
+    st.sampled_from(["", "# comment", "Q1\tP1", "\tP1\tQ2", "Q1\t\tQ2"]))
+
+_NT_NODES = ["<http://dbpedia.org/resource/A>", "<http://dbpedia.org/resource/B>",
+             "<http://ex.org/y/C>", "<http://other.org/D>", "_:b1"]
+_NT_PROPS = ["<http://dbpedia.org/property/p>", "<http://www.w3.org/2000/01/rdf-schema#label>",
+             "<http://other.org/q>"]
+_NT_OBJECTS = _NT_NODES + [
+    '"x"', '"x"@en', '"x"@fr', f'"2020-01-02"^^<{_XSD}date>', f'"2020-13-45"^^<{_XSD}date>',
+    f'"1.5"^^<{_XSD}decimal>', f'"1.50"^^<{_XSD}decimal>', f'"abc"^^<{_XSD}integer>',
+    '"\\uZZZZ"', '"x\\u00"@en']
+_NT_LINES = st.one_of(
+    st.tuples(st.sampled_from(_NT_NODES), st.sampled_from(_NT_PROPS),
+              st.sampled_from(_NT_OBJECTS)).map(lambda t: " ".join(t) + " ."),
+    st.sampled_from(["", "# comment", "garbage", "<http://ex.org/a> <http://ex.org/p> ."]))
+
+
+def _reference_tsv(rows: list[str], table: PrefixTable) -> Graph:
+    """Load edge-TSV rows one by one, with a fresh parse of every field."""
+    g = Graph("t")
+    g.stats.lines = len(rows)
+    for lineno, row in enumerate(rows[1:], 2):
+        if not row or row.startswith("#"):
+            continue
+        fields = row.split("\t")
+        if len(fields) < 3 or not fields[0] or not fields[1]:
+            g.stats.skip(lineno, row)
+            continue
+        try:
+            obj = parse_tsv_value(fields[2], Graph("scratch"))
+        except ValueError:
+            g.stats.skip(lineno, row)
+            continue
+        if isinstance(obj, Node):
+            obj = table.shorten(obj.id)
+        if g.add_edge(table.shorten(fields[0]), table.shorten(fields[1]), obj):
+            g.stats.edges += 1
+    return g
+
+
+def _reference_nt(rows: list[str], table: PrefixTable) -> Graph:
+    """Load N-Triples rows one by one, with a fresh parse of every term."""
+    g = Graph("t")
+    g.stats.lines = len(rows)
+    for lineno, row in enumerate(rows, 1):
+        stripped = row.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        m = _NT_LINE.match(row)
+        if m is None:
+            g.stats.skip(lineno, stripped)
+            continue
+        token = m.group("o")
+        try:
+            obj = _nt_literal(token) if token.startswith('"') else _nt_term_id(token, table)
+        except ValueError:
+            g.stats.skip(lineno, stripped)
+            continue
+        if g.add_edge(_nt_term_id(m.group("s"), table), _nt_term_id(m.group("p"), table), obj):
+            g.stats.edges += 1
+    return g
+
+
+def _snapshot(g: Graph):
+    # the other two indexes agree up to value equality (a Literal's raw text aside)
+    by_property = {(s, p, o) for p in g.properties() for s, o in g.statements_for(p)}
+    by_object = {(s, p, o) for o in g._osp for p, subjects in g.in_edges(o).items()
+                 for s in subjects}
+    assert set(g.edges()) == by_property == by_object
+    edges = sorted((s.id, p, repr(o)) for s, p, o in g.edges())
+    return edges, sorted(g._nodes), g._labels, vars(g.stats)
+
+
+def _assert_one_string_per_property(g: Graph) -> None:
+    keys = list(g._pso)
+    keys += [p for by_prop in g._spo.values() for p in by_prop]
+    keys += [p for by_prop in g._osp.values() for p in by_prop]
+    objects: dict[str, set[int]] = {}
+    for key in keys:
+        objects.setdefault(key, set()).add(id(key))
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "nt"])
+@given(data=st.data())
+def test_loaders_match_line_by_line_reference(fmt, data):
+    rows = data.draw(st.lists(_TSV_LINES if fmt == "tsv" else _NT_LINES, max_size=30))
+    if fmt == "tsv":
+        rows = ["node1\tlabel\tnode2"] + rows
+    table = PrefixTable(_PREFIXES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"g.{fmt}"
+        path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        loader = load_edge_tsv if fmt == "tsv" else load_ntriples
+        g = loader(path, "t", prefixes=table, malformed_threshold=1.0)
+    reference = _reference_tsv(rows, table) if fmt == "tsv" else _reference_nt(rows, table)
+    assert _snapshot(g) == _snapshot(reference)
+    _assert_one_string_per_property(g)
