@@ -4,7 +4,8 @@
 Builds a target graph with one company missing its industry value and an
 external graph that knows it, writes everything to a workspace directory,
 then drives the CLI: align -> enrich -> consistency. Inspect the workspace
-afterwards to see every intermediate file.
+afterwards to see every intermediate file. Exits with the first failing
+command's exit code.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ mappings:
 alignment: {max_path_length: 1, similarity_threshold: 0.9, top_k: 10}
 validation: {constraints: constraints.tsv, cutoff_year: 2022}
 gaps: {type_property: P31}
-output: {directory: out, format: tsv}
+output: {format: tsv}
 """
 
 CONSTRAINTS = (
@@ -79,21 +80,21 @@ def main() -> int:
     (ws / "constraints.tsv").write_text(CONSTRAINTS)
     (ws / "config.yaml").write_text(CONFIG)
     cfg = str(ws / "config.yaml")
+    out = str(ws / "out")
 
-    print("== candidate property paths for P452 (industry) ==")
-    cli_main(["align", "--config", cfg, "--property", "P452"])
+    def run(title: str, *argv: str) -> None:
+        print(f"== {title} ==")
+        code = cli_main([argv[0], "--config", cfg, *argv[1:]])
+        if code != 0:
+            raise SystemExit(code)
 
-    print("\n== enrich P452 for companies (Q783794) ==")
-    code = cli_main(["enrich", "--config", cfg, "--property", "P452",
-                     "--class", "Q783794", "--out-dir", str(ws / "out")])
-    if code != 0:
-        return code
+    run("candidate property paths for P452 (industry)", "align", "--property", "P452")
+    run("enrich P452 for companies (Q783794)", "enrich", "--property", "P452",
+        "--class", "Q783794", "--out-dir", out)
     print("\nvalidated statements:")
     print((ws / "out" / "statements.tsv").read_text())
-
-    print("== agreement with existing values (overlap mode) ==")
-    cli_main(["consistency", "--config", cfg, "--property", "P452",
-              "--class", "Q783794", "--out-dir", str(ws / "out")])
+    run("agreement with existing values (overlap mode)", "consistency",
+        "--property", "P452", "--class", "Q783794", "--out-dir", out)
 
     print(f"\nworkspace written to {ws}/ (see out/ for reports)")
     return 0

@@ -23,7 +23,7 @@ from .store import (Graph, Literal, Node, PrefixTable, Provenance, Statement,
 from .validate import (RejectReason, RelationMode, ValidationSettings,
                        ValidationVerdict, ValueTypeConstraint, check_datatype,
                        check_literal_range, check_value_type,
-                       infer_expected_datatype, load_constraints, validate)
+                       infer_expected_datatype, load_constraints)
 
 __version__ = "0.1.0"
 
@@ -43,5 +43,5 @@ __all__ = [
     "ValueKind", "load_edge_tsv", "load_ntriples", "value_kind", "write_edge_tsv",
     "RejectReason", "RelationMode", "ValidationSettings", "ValidationVerdict",
     "ValueTypeConstraint", "check_datatype", "check_literal_range",
-    "check_value_type", "infer_expected_datatype", "load_constraints", "validate",
+    "check_value_type", "infer_expected_datatype", "load_constraints",
 ]

@@ -126,18 +126,14 @@ def values_match(found: Value, wanted: str | Literal) -> bool:
 
 def _sample_pairs(pairs: set[tuple[str, str | Literal]],
                   cfg: AlignConfig) -> list[tuple[str, str | Literal]]:
-    ordered = sorted(pairs, key=lambda p: (p[0], _target_sort_key(p[1])))
+    ordered = sorted(pairs, key=lambda p: (p[0], value_sort_key(p[1])))
     if len(ordered) <= cfg.sample_cap:
         return ordered
     if cfg.sample_seed is not None:
         rng = random.Random(cfg.sample_seed)
         picked = rng.sample(ordered, cfg.sample_cap)
-        return sorted(picked, key=lambda p: (p[0], _target_sort_key(p[1])))
+        return sorted(picked, key=lambda p: (p[0], value_sort_key(p[1])))
     return ordered[:cfg.sample_cap]
-
-
-def _target_sort_key(target: str | Literal):
-    return (0, target, "", 0, 0, 0, 0.0) if isinstance(target, str) else value_sort_key(target)
 
 
 def _predecessors(graph: Graph, target_id: str) -> dict[str, list[str]]:

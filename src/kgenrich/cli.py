@@ -11,18 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
-from .align import enumerate_paths, score_candidates, select_path
-from .config import GraphSpec, PipelineConfig, load_config, load_graph
+from .align import PropertyPath, score_candidates
+from .config import MODE_ALIASES, GraphSpec, PipelineConfig, load_config, load_graph
 from .consistency import Granularity, write_scatter_csv
 from .errors import ConfigError, DataFormatError, UsageError
 from .gaps import detect_gaps
-from .resolve import build_mapping, inverse_resolve, resolve
+from .resolve import inverse_resolve, resolve
 from .retrieve import read_candidates, retrieve, write_candidates
-from .store import Graph
-from .validate import validate_detailed, write_verdicts
+from .store import Graph, Node
+from .validate import load_constraints, validate_detailed, write_verdicts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,7 +74,8 @@ def _cmd_detect_gaps(args) -> int:
     cfg = load_config(args.config) if args.config else None
     graph = load_graph(GraphSpec(args.graph, args.tag, args.format),
                        cfg.prefixes if cfg else None)
-    entity_filter = (args.entity_class, args.type_prop) if args.entity_class else None
+    type_prop = args.type_prop or (cfg.gaps.type_property if cfg else "P31")
+    entity_filter = (args.entity_class, type_prop) if args.entity_class else None
     sentinel = cfg.gaps.no_value_sentinel if cfg else None
     partition = detect_gaps(graph, args.property, entity_filter,
                             no_value_sentinel=sentinel)
@@ -87,8 +89,7 @@ def _cmd_detect_gaps(args) -> int:
 def _cmd_resolve(args) -> int:
     cfg = _config(args)
     target = _target_graph(cfg)
-    spec = cfg.mapping_for(args.graph_tag)
-    mapping = build_mapping(target, spec.link_property, spec.transform())
+    mapping = pipeline.external_mapping(target, args.graph_tag, cfg)
     ids = [line.strip() for line in Path(args.nodes).read_text(encoding="utf-8").splitlines()
            if line.strip()]
     if args.inverse:
@@ -99,7 +100,6 @@ def _cmd_resolve(args) -> int:
         body = "\n".join("\t".join(r) for r in rows)
         _write_or_print(args.out, "external\ttargets\tflags\n" + body + ("\n" if body else ""))
     else:
-        from .store import Node
         nodes = {target.node(i) or Node(i, target.tag) for i in ids}
         res = resolve(mapping, nodes)
         rows = [(node.id, ",".join(sorted(exts)))
@@ -111,9 +111,6 @@ def _cmd_resolve(args) -> int:
 
 
 def _align_config(cfg: PipelineConfig, args):
-    from dataclasses import replace
-
-    from .config import MODE_ALIASES
     align = cfg.alignment
     if args.max_len is not None:
         align = replace(align, max_path_length=args.max_len)
@@ -131,14 +128,11 @@ def _cmd_align(args) -> int:
     cfg.alignment = _align_config(cfg, args)
     target = _target_graph(cfg)
     external = _external_graph(cfg, args.external)
-    spec = cfg.mapping_for(external.tag)
-    mapping = build_mapping(target, spec.link_property, spec.transform())
-    sentinel = cfg.gaps.no_value_sentinel
-    partition = detect_gaps(target, args.property, None, no_value_sentinel=sentinel)
-    pairs = pipeline.alignment_pairs(partition, mapping)
-    candidates = enumerate_paths(external, pairs, cfg.alignment)
-    selected = select_path(candidates, target.label(args.property), external, cfg.alignment)
-    scored = score_candidates(external, target.label(args.property), candidates)
+    mapping = pipeline.external_mapping(target, external.tag, cfg)
+    partition = pipeline.property_gaps(target, args.property, cfg)
+    ranked, selected = pipeline.align_property(target, external, args.property,
+                                               partition, mapping, cfg)
+    scored = score_candidates(external, target.label(args.property), ranked)
     lines = ["path\tsupport\tsimilarity\tselected"]
     for cand in scored:
         flag = "true" if selected and cand.steps == selected.steps else "false"
@@ -147,8 +141,7 @@ def _cmd_align(args) -> int:
     return 0
 
 
-def _parse_path_arg(path_arg: str) -> "pipeline.PropertyPath":
-    from .align import PropertyPath
+def _parse_path_arg(path_arg: str) -> PropertyPath:
     candidate = Path(path_arg)
     if candidate.exists():
         with open(candidate, encoding="utf-8") as fh:
@@ -166,10 +159,8 @@ def _cmd_retrieve(args) -> int:
     cfg = _config(args)
     target = _target_graph(cfg)
     external = _external_graph(cfg, args.external)
-    spec = cfg.mapping_for(external.tag)
-    mapping = build_mapping(target, spec.link_property, spec.transform())
-    partition = detect_gaps(target, args.property, None,
-                            no_value_sentinel=cfg.gaps.no_value_sentinel)
+    mapping = pipeline.external_mapping(target, external.tag, cfg)
+    partition = pipeline.property_gaps(target, args.property, cfg)
     unknown_map = resolve(mapping, partition.unknown_subjects).mapped
     path = _parse_path_arg(args.path)
     candidates = retrieve(external, unknown_map, args.property, path, mapping)
@@ -181,17 +172,13 @@ def _cmd_retrieve(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = _config(args)
     if args.cutoff_year is not None:
-        from dataclasses import replace
         cfg.validation = replace(cfg.validation, cutoff_year=args.cutoff_year)
     target = _target_graph(cfg)
     external_tag = args.external or (cfg.externals[0].tag if cfg.externals else "external")
     candidates = read_candidates(args.candidates, cfg.target.tag, external_tag)
-    partition = detect_gaps(target, args.property, None,
-                            no_value_sentinel=cfg.gaps.no_value_sentinel)
-    constraints = cfg.load_constraint_table()
-    if args.constraints:
-        from .validate import load_constraints
-        constraints = load_constraints(args.constraints)
+    partition = pipeline.property_gaps(target, args.property, cfg)
+    constraints = (load_constraints(args.constraints) if args.constraints
+                   else cfg.load_constraint_table())
     outcome = validate_detailed(target, candidates, partition.known,
                                 constraints.get(args.property), cfg.validation)
     write_verdicts(outcome.verdicts, args.out or "verdicts.tsv")
@@ -203,10 +190,8 @@ def _cmd_enrich(args) -> int:
     cfg = _config(args)
     target = _target_graph(cfg)
     external = _external_graph(cfg, args.external)
-    constraints = cfg.load_constraint_table()
     result = pipeline.enrich_property(target, external, args.property, cfg,
-                                      entity_class=args.entity_class,
-                                      constraints=constraints)
+                                      entity_class=args.entity_class)
     include_timings = cfg.output.include_timings and not args.no_timings
     fmt = cfg.output.format
     pipeline.write_statements(result.statements, _out(args, "statements.tsv"))
@@ -268,7 +253,6 @@ def _cmd_report(args) -> int:
         doc = json.load(fh)
     rows = []
     for raw in doc.get("results", []):
-        from .align import PropertyPath
         path = PropertyPath(steps=tuple(raw["path"].split("/"))) if raw.get("path") else None
         rows.append(pipeline.EnrichmentResult(
             property=raw["property"], graph=raw["graph"], status=raw.get("status", "ok"),
@@ -314,7 +298,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tag", default="graph")
     p.add_argument("--property", required=True)
     p.add_argument("--class", dest="entity_class")
-    p.add_argument("--type-prop", default="P31")
+    p.add_argument("--type-prop", help="type property (default: the config's, else P31)")
     p.add_argument("--config")
     p.add_argument("--out")
 

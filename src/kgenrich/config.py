@@ -64,7 +64,6 @@ class GapSettings:
 
 @dataclass
 class OutputSettings:
-    directory: str = "out"
     format: str = "tsv"  # "tsv" | "json"
     include_timings: bool = True
 
@@ -180,7 +179,6 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
 
     out_raw = _mapping(data.get("output"), "output")
     output = OutputSettings(
-        directory=str(out_raw.get("directory", "out")),
         format=str(out_raw.get("format", "tsv")),
         include_timings=bool(out_raw.get("include_timings", True)),
     )

@@ -4,6 +4,10 @@ Stage order per property: gap detection -> entity alignment -> property
 alignment -> retrieval -> validation. Everything downstream of gap detection
 only ever proposes values for gap subjects; that safety property is enforced
 here with hard checks, not just asserted in tests.
+
+The stages are wired once, in ``property_gaps``, ``external_mapping``,
+``align_property`` and ``retrieve_validated``; ``enrich_property``,
+``run_consistency`` and the CLI's stage commands all compose these.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .resolve import EntityMapping, build_mapping, resolve
 from .retrieve import CandidateStatement, retrieve
 from .store import (Graph, Node, Provenance, Statement, Value, ValueKind,
                     serialize_value, value_sort_key)
-from .validate import ValueTypeConstraint, validate_detailed
+from .validate import ValidationOutcome, ValueTypeConstraint, validate_detailed
 
 TIMING_KEYS = ("entity_align", "property_align", "retrieval",
                "datatype_validation", "valuetype_validation", "total")
@@ -81,6 +85,10 @@ def _statement_key(subject: Node, prop: str, obj: Value) -> tuple[str, str, str]
     return (subject.id, prop, serialize_value(obj))
 
 
+def _statement_order(stmt: Statement) -> tuple:
+    return (stmt.property, stmt.subject.id, value_sort_key(stmt.object))
+
+
 def alignment_pairs(partition: GapPartition, mapping: EntityMapping) -> set[tuple]:
     """Map known (subject, object) pairs into external-id space.
 
@@ -105,8 +113,6 @@ def alignment_pairs(partition: GapPartition, mapping: EntityMapping) -> set[tupl
 
 def _check_safety(partition: GapPartition, accepted: Sequence[CandidateStatement],
                   candidates: Sequence[CandidateStatement]) -> None:
-    if partition.known_subjects & partition.unknown_subjects:
-        raise PipelineInvariantError("gap partition is not disjoint")
     candidate_set = set(candidates)
     for cand in accepted:
         if cand not in candidate_set:
@@ -119,19 +125,60 @@ def _check_safety(partition: GapPartition, accepted: Sequence[CandidateStatement
                 f"validated statement subject {cand.subject.id} outside the gap set")
 
 
+# -- shared stage wiring --------------------------------------------------------
+
+
+def property_gaps(target: Graph, prop: str, cfg: PipelineConfig,
+                  entity_class: str | None = None) -> GapPartition:
+    """Gap partition for ``prop``, limited to ``entity_class`` when one is given."""
+    entity_filter = (entity_class, cfg.gaps.type_property) if entity_class else None
+    return detect_gaps(target, prop, entity_filter,
+                       no_value_sentinel=cfg.gaps.no_value_sentinel)
+
+
+def external_mapping(target: Graph, tag: str, cfg: PipelineConfig) -> EntityMapping:
+    """The configured target -> external entity mapping for the external graph ``tag``."""
+    spec = cfg.mapping_for(tag)
+    return build_mapping(target, spec.link_property, spec.transform())
+
+
+def align_property(target: Graph, external: Graph, prop: str, partition: GapPartition,
+                   mapping: EntityMapping, cfg: PipelineConfig,
+                   ) -> tuple[list[PropertyPath], PropertyPath | None]:
+    """Ranked candidate paths for ``prop`` and the selected one.
+
+    ``([], None)`` when no known pair maps into the external graph.
+    """
+    pairs = alignment_pairs(partition, mapping)
+    if not pairs:
+        return [], None
+    ranked = enumerate_paths(external, pairs, cfg.alignment)
+    return ranked, select_path(ranked, target.label(prop), external, cfg.alignment)
+
+
+def retrieve_validated(target: Graph, external: Graph, prop: str, partition: GapPartition,
+                       mapping: EntityMapping, path: PropertyPath, subjects: Iterable[Node],
+                       constraints: Mapping[str, ValueTypeConstraint], cfg: PipelineConfig,
+                       ) -> tuple[list[CandidateStatement], ValidationOutcome]:
+    """Candidates for ``subjects`` along ``path``, validated against the known side."""
+    candidates = retrieve(external, resolve(mapping, subjects).mapped, prop, path, mapping)
+    return candidates, validate_detailed(target, candidates, partition.known,
+                                         constraints.get(prop), cfg.validation)
+
+
 def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConfig, *,
                     entity_class: str | None = None,
                     mapping: EntityMapping | None = None,
                     constraints: Mapping[str, ValueTypeConstraint] | None = None,
                     ) -> EnrichmentResult:
-    """Run the five enrichment stages for one property against one external graph."""
+    """Run the five enrichment stages for one property against one external graph.
+
+    Without ``constraints`` the config's constraint table is loaded.
+    """
     t_start = time.monotonic()
-    timings: dict[str, float] = {}
-
-    entity_filter = (entity_class, cfg.gaps.type_property) if entity_class else None
-    partition = detect_gaps(target, prop, entity_filter,
-                            no_value_sentinel=cfg.gaps.no_value_sentinel)
-
+    if constraints is None:
+        constraints = cfg.load_constraint_table()
+    partition = property_gaps(target, prop, cfg, entity_class)
     result = EnrichmentResult(
         property=prop, graph=external.tag,
         s_w=len(partition.known),
@@ -139,63 +186,50 @@ def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConf
         known_ids=frozenset(n.id for n in partition.known_subjects),
         unknown_ids=frozenset(n.id for n in partition.unknown_subjects),
     )
+    timings = result.timings
 
     t0 = time.monotonic()
     if mapping is None:
-        spec = cfg.mapping_for(external.tag)
-        mapping = build_mapping(target, spec.link_property, spec.transform())
-    pairs = alignment_pairs(partition, mapping)
-    unknown_map = resolve(mapping, partition.unknown_subjects).mapped
+        mapping = external_mapping(target, external.tag, cfg)
     timings["entity_align"] = time.monotonic() - t0
 
-    if not pairs:
-        result.status = NO_ALIGNMENT
-        timings["total"] = time.monotonic() - t_start
-        result.timings = timings
-        return result
-
     t0 = time.monotonic()
-    candidates_paths = enumerate_paths(external, pairs, cfg.alignment)
-    selected = select_path(candidates_paths, target.label(prop), external, cfg.alignment)
+    _, selected = align_property(target, external, prop, partition, mapping, cfg)
     timings["property_align"] = time.monotonic() - t0
-
     if selected is None:
         result.status = NO_ALIGNMENT
         timings["total"] = time.monotonic() - t_start
-        result.timings = timings
         return result
     result.selected_path = selected
 
+    # retrieval time is the helper's time less the two timed validation passes
     t0 = time.monotonic()
-    candidates = retrieve(external, unknown_map, prop, selected, mapping)
-    timings["retrieval"] = time.monotonic() - t0
+    candidates, outcome = retrieve_validated(target, external, prop, partition, mapping,
+                                             selected, partition.unknown_subjects,
+                                             constraints, cfg)
+    timings["datatype_validation"] = outcome.datatype_seconds
+    timings["valuetype_validation"] = outcome.valuetype_seconds
+    timings["retrieval"] = (time.monotonic() - t0 - outcome.datatype_seconds
+                            - outcome.valuetype_seconds)
     result.s_g = len(candidates)
-    result.n_f = len({c.subject for c in candidates})
     result.found_ids = frozenset(c.subject.id for c in candidates)
+    result.n_f = len(result.found_ids)
     result.candidate_keys = frozenset(
         _statement_key(c.subject, prop, c.object) for c in candidates)
 
-    constraint = (constraints or {}).get(prop)
-    outcome = validate_detailed(target, candidates, partition.known, constraint,
-                                cfg.validation)
-    timings["datatype_validation"] = outcome.datatype_seconds
-    timings["valuetype_validation"] = outcome.valuetype_seconds
-
     _check_safety(partition, outcome.accepted, candidates)
 
-    statements = sorted(
+    result.statements = tuple(sorted(
         (Statement(c.subject, prop, c.object, Provenance.EXTERNAL_CANDIDATE,
                    external.tag).as_validated() for c in outcome.accepted),
-        key=lambda s: (s.property, s.subject.id, value_sort_key(s.object)))
-    result.statements = tuple(statements)
+        key=_statement_order))
     result.s_e = len(outcome.accepted)
-    result.n_c = len({c.subject for c in outcome.accepted})
     result.compatible_ids = frozenset(c.subject.id for c in outcome.accepted)
+    result.n_c = len(result.compatible_ids)
     result.statement_keys = frozenset(
         _statement_key(c.subject, prop, c.object) for c in outcome.accepted)
 
     timings["total"] = time.monotonic() - t_start
-    result.timings = timings
     return result
 
 
@@ -214,16 +248,11 @@ class BatchResult:
 
     def statements(self) -> tuple[Statement, ...]:
         """Union of validated statements, deduplicated across graphs."""
-        seen: set[tuple[str, str, str]] = set()
-        merged: list[Statement] = []
+        merged: dict[tuple[str, str, str], Statement] = {}
         for row in self.rows:
             for stmt in row.statements:
-                key = _statement_key(stmt.subject, stmt.property, stmt.object)
-                if key not in seen:
-                    seen.add(key)
-                    merged.append(stmt)
-        merged.sort(key=lambda s: (s.property, s.subject.id, value_sort_key(s.object)))
-        return tuple(merged)
+                merged.setdefault(_statement_key(stmt.subject, stmt.property, stmt.object), stmt)
+        return tuple(sorted(merged.values(), key=_statement_order))
 
 
 def _aggregate_rows(rows: Sequence[EnrichmentResult], label: str, graph: str,
@@ -271,8 +300,7 @@ def batch_enrich(target: Graph, externals: Sequence[Graph], properties: Sequence
         constraints = cfg.load_constraint_table()
     rows: list[EnrichmentResult] = []
     for external in externals:
-        spec = cfg.mapping_for(external.tag)
-        mapping = build_mapping(target, spec.link_property, spec.transform())
+        mapping = external_mapping(target, external.tag, cfg)
         for prop in properties:
             try:
                 rows.append(enrich_property(
@@ -332,28 +360,17 @@ def run_consistency(target: Graph, external: Graph, prop: str, cfg: PipelineConf
     """
     if constraints is None:
         constraints = cfg.load_constraint_table()
-    entity_filter = (entity_class, cfg.gaps.type_property) if entity_class else None
-    partition = detect_gaps(target, prop, entity_filter,
-                            no_value_sentinel=cfg.gaps.no_value_sentinel)
-    spec = cfg.mapping_for(external.tag)
-    mapping = build_mapping(target, spec.link_property, spec.transform())
-
-    pairs = alignment_pairs(partition, mapping)
-    selected = select_path(enumerate_paths(external, pairs, cfg.alignment),
-                           target.label(prop), external, cfg.alignment)
-    constraint = (constraints or {}).get(prop)
+    partition = property_gaps(target, prop, cfg, entity_class)
+    mapping = external_mapping(target, external.tag, cfg)
+    _, selected = align_property(target, external, prop, partition, mapping, cfg)
     if selected is None:
         raise ConfigError(f"property {prop} has no alignable path in {external.tag}")
-
-    known_map = resolve(mapping, partition.known_subjects).mapped
-    overlap_candidates = retrieve(external, known_map, prop, selected, mapping)
-    overlap_outcome = validate_detailed(target, overlap_candidates, partition.known,
-                                        constraint, cfg.validation)
-
-    unknown_map = resolve(mapping, partition.unknown_subjects).mapped
-    novel_candidates = retrieve(external, unknown_map, prop, selected, mapping)
-    novel_outcome = validate_detailed(target, novel_candidates, partition.known,
-                                      constraint, cfg.validation)
+    _, overlap_outcome = retrieve_validated(target, external, prop, partition, mapping,
+                                            selected, partition.known_subjects,
+                                            constraints, cfg)
+    _, novel_outcome = retrieve_validated(target, external, prop, partition, mapping,
+                                          selected, partition.unknown_subjects,
+                                          constraints, cfg)
 
     outcome = ConsistencyOutcome(property=prop, expected_kind=overlap_outcome.expected,
                                  s_w=len(partition.known), s_e=len(novel_outcome.accepted))

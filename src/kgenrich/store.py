@@ -131,11 +131,16 @@ def value_kind(value: Value) -> ValueKind:
     return ValueKind.ITEM if isinstance(value, Node) else value.kind
 
 
-def value_sort_key(value: Value) -> tuple:
-    if isinstance(value, Node):
-        return (0, value.id, "", 0, 0, 0, 0.0)
+def value_sort_key(value: Value | str) -> tuple:
+    """Sort and identity key of a value (a bare string is a node id); nodes sort first.
+
+    A literal's key holds every field ``Literal`` equality compares, not ``raw``.
+    """
+    if not isinstance(value, Literal):
+        return (0, value if isinstance(value, str) else value.id)
     return (1, value.kind.value, value.text or "", value.year or 0,
-            value.month or 0, value.day or 0, value.magnitude or 0.0)
+            value.month or 0, value.day or 0, value.magnitude or 0.0,
+            value.language or "", value.precision or "", value.unit or "")
 
 
 @dataclass(frozen=True)

@@ -227,15 +227,6 @@ def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
                              datatype_seconds=t1 - t0, valuetype_seconds=t2 - t1)
 
 
-def validate(graph: Graph, candidates: Sequence[CandidateStatement],
-             known: Iterable[tuple[Node, Value]],
-             constraint: ValueTypeConstraint | None = None,
-             settings: ValidationSettings | None = None,
-             ) -> tuple[list[CandidateStatement], list[ValidationVerdict]]:
-    outcome = validate_detailed(graph, candidates, known, constraint, settings)
-    return outcome.accepted, outcome.verdicts
-
-
 # -- constraint files ---------------------------------------------------------
 
 

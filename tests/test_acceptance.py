@@ -20,7 +20,7 @@ from kgenrich.pipeline import batch_enrich, enrich_property
 from kgenrich.retrieve import CandidateStatement
 from kgenrich.store import Literal, Node, ValueKind, value_kind, write_edge_tsv
 from kgenrich.validate import (RejectReason, RelationMode, ValidationSettings,
-                               ValueTypeConstraint, validate)
+                               ValueTypeConstraint, validate_detailed)
 
 from conftest import (COMPANY_CLASS, INDUSTRY_PROP, graph_from_edges,
                       industry_constraints, make_company_config)
@@ -65,8 +65,9 @@ def test_criterion_02_candidate_assessment_rows():
         cand = CandidateStatement(subject=Node(subject, "wd"), property=prop,
                                   object=obj, external_object=obj,
                                   path=PropertyPath(steps=("p",)))
-        accepted, verdicts = validate(g, [cand], path_known,
-                                      ValueTypeConstraint(prop, frozenset(allowed)))
+        outcome = validate_detailed(g, [cand], path_known,
+                                    ValueTypeConstraint(prop, frozenset(allowed)))
+        accepted, verdicts = outcome.accepted, outcome.verdicts
         return bool(accepted), verdicts[0].reject_reason
 
     correct = run("Q6530279", "P136", Node("Q217117", "wd"), {"Q483394"})
@@ -333,7 +334,8 @@ def test_criterion_07_intersection_law_randomized():
             batch.append(CandidateStatement(subject=subject, property=prop,
                                             object=obj, external_object=obj,
                                             path=path, unresolved=unresolved))
-        accepted, verdicts = validate(graph, batch, known, constraint, settings)
+        outcome = validate_detailed(graph, batch, known, constraint, settings)
+        accepted, verdicts = outcome.accepted, outcome.verdicts
         total += len(batch)
         accepted_total += len(accepted)
 

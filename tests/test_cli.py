@@ -35,7 +35,7 @@ mappings:
 alignment: {max_path_length: 1}
 validation: {constraints: constraints.tsv}
 gaps: {type_property: P31}
-output: {directory: out, format: tsv}
+output: {format: tsv}
 """
 
 
@@ -97,6 +97,21 @@ def test_detect_gaps_tsv(workspace, capsys):
     assert sum(1 for v in rows.values() if v == "known") == 5
 
 
+def test_detect_gaps_reads_type_property_from_config(workspace, capsys):
+    graph = workspace / "typed.tsv"
+    graph.write_text("node1\tlabel\tnode2\n"
+                     "Q1\tP1\tC\nQ2\tP1\tC\nQ3\tP1\tD\nQ3\tP2\tC\nQ1\tP452\tQ9\n")
+    cfg = workspace / "typed.yaml"
+    cfg.write_text(CONFIG.replace("type_property: P31", "type_property: P1"))
+    base = ["detect-gaps", "--graph", str(graph), "--property", INDUSTRY_PROP,
+            "--class", "C", "--config", str(cfg)]
+    assert main(base) == 0
+    assert capsys.readouterr().out == "subject\tstatus\nQ1\tknown\nQ2\tunknown\n"
+    # an explicit --type-prop still wins over the config
+    assert main(base + ["--type-prop", "P2"]) == 0
+    assert capsys.readouterr().out == "subject\tstatus\nQ3\tunknown\n"
+
+
 def test_align_table(workspace, capsys):
     cfg = str(workspace / "config.yaml")
     assert main(["align", "--config", cfg, "--property", INDUSTRY_PROP]) == 0
@@ -126,6 +141,30 @@ def test_retrieve_validate_chain(workspace, capsys):
     assert main(["validate", "--config", cfg, "--property", INDUSTRY_PROP,
                  "--candidates", str(cands), "--out", str(verdicts)]) == 0
     assert "reject_reason" in verdicts.read_text().splitlines()[0]
+
+
+def test_stage_chain_equals_enrich(workspace):
+    # align -> retrieve -> validate covers the whole entity universe, as enrich without --class
+    cfg = str(workspace / "config.yaml")
+
+    def rows(path, keep):
+        lines = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+        return sorted(tuple(cells[:3]) for cells in lines if keep(cells))
+
+    for prop in (INDUSTRY_PROP, "P571"):
+        aligned, cands, verdicts, out_dir = (workspace / f"{prop}-{name}"
+                                             for name in ("aligned.tsv", "cands.tsv",
+                                                          "verdicts.tsv", "out"))
+        assert main(["align", "--config", cfg, "--property", prop,
+                     "--out", str(aligned)]) == 0
+        assert main(["retrieve", "--config", cfg, "--property", prop,
+                     "--path", str(aligned), "--out", str(cands)]) == 0
+        assert main(["validate", "--config", cfg, "--property", prop,
+                     "--candidates", str(cands), "--out", str(verdicts)]) == 0
+        assert main(["enrich", "--config", cfg, "--property", prop,
+                     "--out-dir", str(out_dir), "--no-timings"]) == 0
+        chain = rows(verdicts, lambda cells: cells[6] == "true")
+        assert chain and chain == rows(out_dir / "statements.tsv", lambda cells: True)
 
 
 def test_enrich_end_to_end(workspace, capsys):

@@ -69,6 +69,27 @@ def test_unalignable_object_property_yields_no_alignment(company_fixture):
     assert result.status == NO_ALIGNMENT
 
 
+def test_enrich_loads_config_constraints_when_none_given(tmp_path, company_fixture):
+    fx = company_fixture
+    # a second candidate for the gap company resolves to a company, not an industry
+    fx.external.add_edge("dbr:CompanyF", "dbp:industry", "dbr:CompanyA")
+    (tmp_path / "constraints.tsv").write_text(
+        "#mode=both\nproperty\tallowed_class\n"
+        + "".join(f"{INDUSTRY_PROP}\t{c}\n"
+                  for c in sorted(fx.constraints[INDUSTRY_PROP].allowed_classes)))
+    fx.cfg.constraints_path = str(tmp_path / "constraints.tsv")
+
+    def run(**kwargs):
+        result = enrich_property(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
+                                 entity_class=COMPANY_CLASS, **kwargs)
+        return result.s_g, result.s_e, result.statements
+
+    loaded = run()
+    assert loaded == run(constraints=fx.cfg.load_constraint_table())
+    assert loaded[:2] == (2, 1)
+    assert run(constraints={})[:2] == (2, 2)
+
+
 def test_half_validated_fixture_rates():
     # five gap subjects, ten candidates, five pass validation
     target_edges = []

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kgenrich
 from kgenrich.align import PropertyPath
 from kgenrich.resolve import IdTransform, build_mapping
 from kgenrich.retrieve import (follow_path, read_candidates, retrieve,
@@ -130,6 +136,39 @@ def test_retrieve_literal_terminal_kept():
                           "P571", PropertyPath(steps=("dbp:founded",)), mapping)
     assert len(candidates) == 1
     assert candidates[0].object.kind.value == "date"
+
+
+LANGUAGE_VARIANTS = """
+from kgenrich.align import PropertyPath
+from kgenrich.resolve import IdTransform, build_mapping
+from kgenrich.retrieve import retrieve
+from kgenrich.store import Graph, Literal, serialize_value
+
+target = Graph("wd")
+target.add_edge("Q90", "sitelink", Literal.string("Paris"))
+external = Graph("dbp")
+for language in ("nl", "en", "fr"):
+    external.add_edge("dbr:Paris", "dbp:name", Literal.monolingual("Paris", language))
+mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
+candidates = retrieve(external, {target.node("Q90"): {"dbr:Paris"}}, "P1448",
+                      PropertyPath(steps=("dbp:name",)), mapping)
+print("|".join(serialize_value(c.object) for c in candidates))
+"""
+
+
+def test_retrieve_keeps_language_variants_independent_of_hash_seed():
+    # set order of the reached terminals follows the hash seed; the candidates must not
+    src = str(Path(kgenrich.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", LANGUAGE_VARIANTS], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.strip().split("|"))
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_candidate_file_roundtrip(tmp_path):

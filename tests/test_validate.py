@@ -9,7 +9,8 @@ from kgenrich.store import Literal, Node, ValueKind
 from kgenrich.validate import (RejectReason, RelationMode, ValidationSettings,
                                ValueTypeConstraint, check_datatype,
                                check_literal_range, check_value_type,
-                               infer_expected_datatype, load_constraints, validate)
+                               infer_expected_datatype, load_constraints,
+                               validate_detailed)
 
 from conftest import graph_from_edges
 
@@ -182,7 +183,8 @@ def test_table1_fixture_two_accepted_two_rejected():
     ]
     accepted_total = 0
     for candidate, known, constraint, reason in runs:
-        accepted, verdicts = validate(g, [candidate], known, constraint)
+        outcome = validate_detailed(g, [candidate], known, constraint)
+        accepted, verdicts = outcome.accepted, outcome.verdicts
         accepted_total += len(accepted)
         assert verdicts[0].reject_reason is reason
     assert accepted_total == 2
@@ -191,8 +193,9 @@ def test_table1_fixture_two_accepted_two_rejected():
 def test_all_passing_batch():
     g = _table1_graph()
     batch = [cand(f"Q{i}", "P136", "Q217117") for i in range(5)]
-    accepted, verdicts = validate(g, batch, pairs(Node("Q483", "wd")),
-                                  ValueTypeConstraint("P136", frozenset({"Q483394"})))
+    outcome = validate_detailed(g, batch, pairs(Node("Q483", "wd")),
+                                ValueTypeConstraint("P136", frozenset({"Q483394"})))
+    accepted, verdicts = outcome.accepted, outcome.verdicts
     assert accepted == batch
     assert all(v.accepted for v in verdicts)
 
@@ -201,16 +204,18 @@ def test_half_passing_batch_compatibility():
     g = _table1_graph()
     good = [cand(f"Q{i}", "P136", "Q217117") for i in range(5)]
     bad = [cand(f"Q{i+5}", "P136", Literal.string("nope")) for i in range(5)]
-    accepted, _ = validate(g, good + bad, pairs(Node("Q483", "wd")),
-                           ValueTypeConstraint("P136", frozenset({"Q483394"})))
+    outcome = validate_detailed(g, good + bad, pairs(Node("Q483", "wd")),
+                                ValueTypeConstraint("P136", frozenset({"Q483394"})))
+    accepted = outcome.accepted
     assert len(accepted) / 10 == 0.5
 
 
 def test_unresolved_reason_dominates():
     g = _table1_graph()
     unresolved = cand("Q1", "P136", "dbr:Mystery", unresolved=True)
-    _, verdicts = validate(g, [unresolved], pairs(Node("Q483", "wd")),
-                           ValueTypeConstraint("P136", frozenset({"Q483394"})))
+    outcome = validate_detailed(g, [unresolved], pairs(Node("Q483", "wd")),
+                                ValueTypeConstraint("P136", frozenset({"Q483394"})))
+    verdicts = outcome.verdicts
     assert verdicts[0].reject_reason is RejectReason.UNRESOLVABLE
     assert not verdicts[0].accepted
 
@@ -218,7 +223,8 @@ def test_unresolved_reason_dominates():
 def test_out_of_range_reason():
     g = _table1_graph()
     late = cand("Q1", "P570", Literal.date(2023))
-    accepted, verdicts = validate(g, [late], pairs(Literal.date(1990)))
+    outcome = validate_detailed(g, [late], pairs(Literal.date(1990)))
+    accepted, verdicts = outcome.accepted, outcome.verdicts
     assert not accepted
     assert verdicts[0].reject_reason is RejectReason.OUT_OF_RANGE
     assert verdicts[0].range_ok is False
@@ -227,7 +233,8 @@ def test_out_of_range_reason():
 def test_no_constraint_skips_value_type():
     g = _table1_graph()
     candidate = cand("Q1", "P136", "Q217117")
-    accepted, verdicts = validate(g, [candidate], pairs(Node("Q483", "wd")), None)
+    outcome = validate_detailed(g, [candidate], pairs(Node("Q483", "wd")), None)
+    accepted, verdicts = outcome.accepted, outcome.verdicts
     assert accepted == [candidate]
     assert verdicts[0].value_type_ok is None
 
@@ -236,7 +243,8 @@ def test_expected_datatype_override():
     g = _table1_graph()
     settings = ValidationSettings(expected_datatype=ValueKind.DATE)
     candidate = cand("Q1", "P571", Literal.date(1999))
-    accepted, _ = validate(g, [candidate], [], None, settings)
+    outcome = validate_detailed(g, [candidate], [], None, settings)
+    accepted = outcome.accepted
     assert accepted == [candidate]
 
 
@@ -252,7 +260,8 @@ def test_intersection_law_small():
         cand("Qx", "P136", "Q9764"),          # exception subject bypasses value type
         cand("Q4", "P136", "dbr:M", unresolved=True),
     ]
-    accepted, verdicts = validate(g, batch, known, constraint)
+    outcome = validate_detailed(g, batch, known, constraint)
+    accepted, verdicts = outcome.accepted, outcome.verdicts
     datatype_pass = {v.statement for v in verdicts if v.datatype_ok}
     valuetype_pass = {v.statement for v in verdicts if v.value_type_ok in (None, True)}
     range_pass = {v.statement for v in verdicts if v.range_ok in (None, True)}
