@@ -142,16 +142,22 @@ def _cmd_align(args) -> int:
 
 
 def _parse_path_arg(path_arg: str) -> PropertyPath:
+    """The selected path of an align output file, else slash-joined steps."""
     candidate = Path(path_arg)
     if candidate.exists():
         with open(candidate, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split("\t")
+            if "path" not in header or "selected" not in header:
+                raise DataFormatError(f"{path_arg}: align file needs path and selected "
+                                      f"columns; found {header}")
             col = {name: header.index(name) for name in ("path", "selected")}
             for line in fh:
                 fields = line.rstrip("\n").split("\t")
                 if len(fields) > col["selected"] and fields[col["selected"]] == "true":
                     return PropertyPath(steps=tuple(fields[col["path"]].split("/")))
         raise DataFormatError(f"{path_arg}: no selected path row")
+    if candidate.suffix.lower() == ".tsv":
+        raise UsageError(f"--path {path_arg}: no such align file")
     return PropertyPath(steps=tuple(path_arg.split("/")))
 
 
@@ -177,6 +183,9 @@ def _cmd_validate(args) -> int:
     external_tag = args.external or (cfg.externals[0].tag if cfg.externals else "external")
     candidates = read_candidates(args.candidates, cfg.target.tag, external_tag)
     partition = pipeline.property_gaps(target, args.property, cfg)
+    if not partition.known:
+        raise ConfigError(f"property {args.property} has no known values in "
+                          f"{target.tag} to infer a datatype from")
     constraints = (load_constraints(args.constraints) if args.constraints
                    else cfg.load_constraint_table())
     outcome = validate_detailed(target, candidates, partition.known,

@@ -7,6 +7,7 @@ except the graph paths and the per-external-graph link mapping.
 
 from __future__ import annotations
 
+import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -209,7 +210,25 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def load_graph(spec: GraphSpec, prefixes: Mapping[str, str] | None = None) -> Graph:
+    """Load the graph ``spec`` names and freeze it out of the cyclic GC.
+
+    The loader runs with the cyclic collector paused, and a graph that loads
+    is then moved to the collector's permanent generation with
+    ``gc.freeze()``, so later collections never rescan it. The freeze is
+    process-wide: it also covers every other object alive at that moment.
+    It is safe because a ``Graph`` holds no reference cycles, so a graph
+    that is dropped is still freed by refcounting. The caller's
+    ``gc.isenabled()`` state is restored whether or not the load succeeds.
+    """
     loader = load_ntriples if spec.resolved_format() == "nt" else load_edge_tsv
-    return loader(spec.path, spec.tag, prefixes=prefixes,
-                  label_properties=spec.label_properties,
-                  malformed_threshold=spec.malformed_threshold)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        graph = loader(spec.path, spec.tag, prefixes=prefixes,
+                       label_properties=spec.label_properties,
+                       malformed_threshold=spec.malformed_threshold)
+        gc.freeze()
+    finally:
+        if was_enabled:
+            gc.enable()
+    return graph

@@ -18,6 +18,12 @@ prefix scan and the lexical classification therefore run once per distinct
 term, and equal literals share one ``Literal``. Property ids go through
 ``sys.intern``, so every index key of one property is one shared string
 rather than a copy per edge. The tables are dropped when the call returns.
+
+``Node`` and ``Literal`` are frozen, slotted dataclasses: no per-instance
+``__dict__``. A ``Node`` hashes by its id alone: the nodes of one graph
+share their tag, and equality still compares it, so every index insert and
+lookup hashes one string (whose hash is cached) rather than a fresh
+``(id, graph_tag)`` tuple.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ class Provenance(Enum):
     VALIDATED = "validated"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     graph_tag: str
@@ -61,12 +67,16 @@ class Node:
         if not self.id:
             raise ValueError("node id must be non-empty")
 
+    def __hash__(self) -> int:
+        # equal nodes have equal ids, so hashing the id alone is consistent
+        return hash(self.id)
+
     @property
     def local_name(self) -> str:
         return local_name(self.id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A typed literal value.
 

@@ -143,6 +143,46 @@ def test_retrieve_validate_chain(workspace, capsys):
     assert "reject_reason" in verdicts.read_text().splitlines()[0]
 
 
+def test_retrieve_missing_align_file_is_usage_error(workspace, capsys):
+    # a mistyped align file name used to be read as one property step
+    cands = workspace / "cands.tsv"
+    assert main(["retrieve", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--path", "aligned_typo.tsv",
+                 "--out", str(cands)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "aligned_typo.tsv" in err
+    assert len(err.splitlines()) == 1
+    assert not cands.exists()
+
+
+def test_retrieve_align_file_without_columns_is_one_line_data_error(workspace, capsys):
+    aligned = workspace / "aligned.tsv"
+    aligned.write_text("steps\tchosen\ndbp:industry\ttrue\n")
+    assert main(["retrieve", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--path", str(aligned),
+                 "--out", str(workspace / "cands.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "path and selected columns" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_property_without_known_values_is_config_error(workspace, capsys):
+    cfg = str(workspace / "config.yaml")
+    cands = workspace / "cands.tsv"
+    assert main(["retrieve", "--config", cfg, "--property", INDUSTRY_PROP,
+                 "--path", "dbp:industry", "--out", str(cands)]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg, "--property", "P9999",
+                 "--candidates", str(cands), "--out", str(workspace / "v.tsv")]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("config error") and "P9999" in err
+    assert "expected_datatype" not in err
+    # consistency reports the same property with the same exit code
+    assert main(["consistency", "--config", cfg, "--property", "P9999",
+                 "--out-dir", str(workspace / "cons")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("config error")
+
+
 def test_stage_chain_equals_enrich(workspace):
     # align -> retrieve -> validate covers the whole entity universe, as enrich without --class
     cfg = str(workspace / "config.yaml")

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import gc
+import weakref
+from contextlib import contextmanager
+
 import pytest
 
 from kgenrich.align import AlignMode
-from kgenrich.config import config_from_dict, load_config
-from kgenrich.errors import ConfigError
+from kgenrich.config import GraphSpec, config_from_dict, load_config, load_graph
+from kgenrich.errors import ConfigError, DataFormatError
 
 
 def _minimal():
@@ -113,3 +117,58 @@ def test_bad_section_or_value_is_config_error(section, value, named):
         config_from_dict(data)
     message = str(err.value)
     assert named in message and "\n" not in message
+
+
+# -- load_graph and the cyclic GC ----------------------------------------------
+
+
+@contextmanager
+def _gc_state(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _edge_file(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text('node1\tlabel\tnode2\nQ1\tP31\tQ2\nQ2\tlabel\t"two"\nQ1\tP571\t1990\n')
+    return GraphSpec(str(path), "wd")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_graph_keeps_the_callers_gc_state(tmp_path, enabled):
+    spec = _edge_file(tmp_path)
+    with _gc_state(enabled):
+        assert load_graph(spec).edge_count == 3
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_graph_keeps_the_callers_gc_state_on_data_error(tmp_path, enabled):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("node1\tnode2\nQ1\tQ2\n")
+    with _gc_state(enabled):
+        with pytest.raises(DataFormatError):
+            load_graph(GraphSpec(str(bad), "wd"))
+        assert gc.isenabled() is enabled
+
+
+def test_load_graph_freezes_the_graph(tmp_path):
+    spec = _edge_file(tmp_path)
+    before = gc.get_freeze_count()
+    graph = load_graph(spec)
+    assert gc.get_freeze_count() > before
+    # frozen objects are in no collectable generation
+    assert not any(obj is graph._spo for obj in gc.get_objects())
+
+
+def test_dropped_graph_is_freed_by_refcount(tmp_path):
+    spec = _edge_file(tmp_path)
+    graph = load_graph(spec)
+    ref = weakref.ref(graph)
+    with _gc_state(False):
+        del graph
+        assert ref() is None

@@ -447,3 +447,34 @@ def test_loaders_match_line_by_line_reference(fmt, data):
     reference = _reference_tsv(rows, table) if fmt == "tsv" else _reference_nt(rows, table)
     assert _snapshot(g) == _snapshot(reference)
     _assert_one_string_per_property(g)
+
+
+# -- slotted values and the id-only node hash ----------------------------------
+
+
+def test_node_and_literal_have_no_instance_dict():
+    assert not hasattr(Node("Q1", "wd"), "__dict__")
+    assert not hasattr(Literal.string("x"), "__dict__")
+    assert not hasattr(Literal.date(1990), "__dict__")
+
+
+def test_nodes_of_different_graphs_stay_distinct():
+    wd, dbp = Node("Q1", "wd"), Node("Q1", "dbp")
+    assert wd != dbp
+    assert len({wd, dbp}) == 2
+    assert {wd: 1, dbp: 2}[dbp] == 2
+
+
+@given(st.text(min_size=1), st.sampled_from(["wd", "dbp", "getty"]))
+def test_equal_nodes_hash_equal(node_id, tag):
+    a, b = Node(node_id, tag), Node("".join(node_id), tag)  # equal ids, often two objects
+    assert a == b and hash(a) == hash(b)
+
+
+def test_literal_equality_ignores_raw():
+    a = Literal.date(1990, raw="1990")
+    b = Literal.date(1990, raw='"1990"^^<http://www.w3.org/2001/XMLSchema#gYear>')
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert Literal.string("x", raw='"x"') == Literal.string("x")
+    assert Literal.date(1990) != Literal.date(1991, raw="1990")
