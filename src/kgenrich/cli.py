@@ -222,12 +222,13 @@ def _cmd_batch(args) -> int:
                                   entity_class=args.entity_class)
     include_timings = cfg.output.include_timings and not args.no_timings
     fmt = cfg.output.format
-    pipeline.write_statements(batch.statements(), _out(args, "statements.tsv"))
+    statements = batch.statements()
+    pipeline.write_statements(statements, _out(args, "statements.tsv"))
     summary = {"median_novel_statements": batch.median_novel,
                "properties": len(properties)}
     pipeline.emit_report(batch.all_rows, fmt, _out(args, f"report.{fmt}"),
                          include_timings=include_timings, summary=summary)
-    print(f"batch: {len(batch.rows)} rows, {len(batch.statements())} validated statements")
+    print(f"batch: {len(batch.rows)} rows, {len(statements)} validated statements")
     return 0
 
 

@@ -61,8 +61,6 @@ class EnrichmentResult:
     statement_keys: frozenset[tuple[str, str, str]] = frozenset()
     known_ids: frozenset[str] = frozenset()
     unknown_ids: frozenset[str] = frozenset()
-    found_ids: frozenset[str] = frozenset()
-    compatible_ids: frozenset[str] = frozenset()
 
     @property
     def s_total(self) -> int:
@@ -83,6 +81,10 @@ class EnrichmentResult:
 
 def _statement_key(subject: Node, prop: str, obj: Value) -> tuple[str, str, str]:
     return (subject.id, prop, serialize_value(obj))
+
+
+def _subject_ids(keys: Iterable[tuple[str, str, str]]) -> set[str]:
+    return {key[0] for key in keys}
 
 
 def _statement_order(stmt: Statement) -> tuple:
@@ -212,10 +214,9 @@ def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConf
     timings["retrieval"] = (time.monotonic() - t0 - outcome.datatype_seconds
                             - outcome.valuetype_seconds)
     result.s_g = len(candidates)
-    result.found_ids = frozenset(c.subject.id for c in candidates)
-    result.n_f = len(result.found_ids)
     result.candidate_keys = frozenset(
         _statement_key(c.subject, prop, c.object) for c in candidates)
+    result.n_f = len(_subject_ids(result.candidate_keys))
 
     _check_safety(partition, outcome.accepted, candidates)
 
@@ -224,10 +225,9 @@ def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConf
                    external.tag).as_validated() for c in outcome.accepted),
         key=_statement_order))
     result.s_e = len(outcome.accepted)
-    result.compatible_ids = frozenset(c.subject.id for c in outcome.accepted)
-    result.n_c = len(result.compatible_ids)
     result.statement_keys = frozenset(
         _statement_key(c.subject, prop, c.object) for c in outcome.accepted)
+    result.n_c = len(_subject_ids(result.statement_keys))
 
     timings["total"] = time.monotonic() - t_start
     return result
@@ -260,28 +260,27 @@ def _aggregate_rows(rows: Sequence[EnrichmentResult], label: str, graph: str,
     s_w_per_property: dict[str, int] = {}
     for row in rows:
         s_w_per_property.setdefault(row.property, row.s_w)
-    candidate_keys = frozenset().union(*(r.candidate_keys for r in rows)) if rows else frozenset()
-    statement_keys = frozenset().union(*(r.statement_keys for r in rows)) if rows else frozenset()
     timings: dict[str, float] = {}
     for row in rows:
         for key, seconds in row.timings.items():
             timings[key] = timings.get(key, 0.0) + seconds
 
-    def union(attr: str) -> frozenset[str]:
+    def union(attr: str) -> frozenset:
         return frozenset().union(*(getattr(r, attr) for r in rows)) if rows else frozenset()
 
+    candidate_keys = union("candidate_keys")
+    statement_keys = union("statement_keys")
     known = union("known_ids")
     unknown = union("unknown_ids")
-    found = union("found_ids")
-    compatible = union("compatible_ids")
     return EnrichmentResult(
         property=label, graph=graph, status="aggregate",
         s_w=sum(s_w_per_property.values()),
         s_g=len(candidate_keys), s_e=len(statement_keys),
-        n_k=len(known), n_u=len(unknown), n_f=len(found), n_c=len(compatible),
+        n_k=len(known), n_u=len(unknown),
+        n_f=len(_subject_ids(candidate_keys)), n_c=len(_subject_ids(statement_keys)),
         timings=timings,
         candidate_keys=candidate_keys, statement_keys=statement_keys,
-        known_ids=known, unknown_ids=unknown, found_ids=found, compatible_ids=compatible,
+        known_ids=known, unknown_ids=unknown,
     )
 
 
@@ -386,29 +385,9 @@ def run_consistency(target: Graph, external: Graph, prop: str, cfg: PipelineConf
 
 # -- reporting ----------------------------------------------------------------
 
-_REPORT_COLUMNS = ("graph", "property", "status", "path",
-                   "s_w", "s_g", "s_e", "s_total", "n_k", "n_u", "n_f", "n_c",
-                   "r_e", "r_c", "r_r")
-_TIMING_COLUMNS = tuple(f"t_{key}" for key in TIMING_KEYS)
-
-
-def _row_cells(result: EnrichmentResult, include_timings: bool) -> list[str]:
-    cells = [
-        result.graph, result.property, result.status,
-        result.selected_path.path_str if result.selected_path else "-",
-        str(result.s_w), str(result.s_g), str(result.s_e), str(result.s_total),
-        str(result.n_k), str(result.n_u), str(result.n_f), str(result.n_c),
-        format_rate(result.s_e, result.s_w),
-        format_rate(result.s_e, result.s_g),
-        format_rate(result.n_c, result.n_u),
-    ]
-    if include_timings:
-        cells.extend(f"{result.timings.get(key, 0.0):.2f}" for key in TIMING_KEYS)
-    return cells
-
-
-def _result_json(result: EnrichmentResult, include_timings: bool) -> dict:
-    out = {
+def _report_fields(result: EnrichmentResult) -> dict:
+    """One report row in column order: counts, rates rendered, ``None`` for no path."""
+    return {
         "graph": result.graph, "property": result.property, "status": result.status,
         "path": result.selected_path.path_str if result.selected_path else None,
         "s_w": result.s_w, "s_g": result.s_g, "s_e": result.s_e,
@@ -418,10 +397,10 @@ def _result_json(result: EnrichmentResult, include_timings: bool) -> dict:
         "r_c": format_rate(result.s_e, result.s_g),
         "r_r": format_rate(result.n_c, result.n_u),
     }
-    if include_timings:
-        out["timings"] = {key: round(result.timings.get(key, 0.0), 2)
-                          for key in TIMING_KEYS}
-    return out
+
+
+def _timings(result: EnrichmentResult) -> dict[str, float]:
+    return {key: result.timings.get(key, 0.0) for key in TIMING_KEYS}
 
 
 def emit_report(results: Sequence[EnrichmentResult], fmt: str, path: str | Path, *,
@@ -434,16 +413,24 @@ def emit_report(results: Sequence[EnrichmentResult], fmt: str, path: str | Path,
     if not results:
         raise ValueError("emit_report needs at least one result")
     path = Path(path)
+    rows = [_report_fields(r) for r in results]
     if fmt == "json":
-        doc = {"results": [_result_json(r, include_timings) for r in results]}
+        if include_timings:
+            for row, result in zip(rows, results):
+                row["timings"] = {key: round(t, 2) for key, t in _timings(result).items()}
+        doc = {"results": rows}
         if summary:
             doc["summary"] = dict(sorted(summary.items()))
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
     elif fmt == "tsv":
-        columns = _REPORT_COLUMNS + (_TIMING_COLUMNS if include_timings else ())
+        columns = list(rows[0]) + ([f"t_{key}" for key in TIMING_KEYS] if include_timings else [])
         lines = ["\t".join(columns)]
-        lines += ["\t".join(_row_cells(r, include_timings)) for r in results]
+        for row, result in zip(rows, results):
+            cells = ["-" if cell is None else str(cell) for cell in row.values()]
+            if include_timings:
+                cells += [f"{t:.2f}" for t in _timings(result).values()]
+            lines.append("\t".join(cells))
         for key, value in sorted((summary or {}).items()):
             lines.append(f"#{key}={value}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -13,8 +13,9 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .align import PropertyPath
+from .errors import DataFormatError
 from .resolve import EntityMapping
-from .store import Graph, Node, Value, serialize_value, value_sort_key
+from .store import Graph, Node, Value, parse_tsv_value, serialize_value, value_sort_key
 
 
 @dataclass(frozen=True)
@@ -105,13 +106,14 @@ def write_candidates(candidates: Iterable[CandidateStatement], path: str | Path)
 def read_candidates(path: str | Path, target_tag: str,
                     external_tag: str) -> list[CandidateStatement]:
     """Parse a candidate TSV written by write_candidates."""
-    from .store import Graph, parse_tsv_value
-
     target_scratch = Graph(target_tag)
     external_scratch = Graph(external_tag)
     out = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
+        if not set(CANDIDATE_COLUMNS) <= set(header):
+            raise DataFormatError(f"{path}: candidate file needs columns "
+                                  f"{'/'.join(CANDIDATE_COLUMNS)}; found {header}")
         col = {name: header.index(name) for name in CANDIDATE_COLUMNS}
         for line in fh:
             fields = line.rstrip("\n").split("\t")

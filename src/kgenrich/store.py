@@ -1,10 +1,11 @@
 """Immutable in-memory knowledge graphs loaded from N-Triples or edge-TSV.
 
-A graph holds interned nodes, a deduplicated edge set, and three indexes
-(subject->property->objects, property->(subject, object) pairs,
-object->property->subjects) that are kept in lockstep by ``add_edge``.
-Graphs are treated as immutable once a loader returns them; pipeline stages
-only ever read them and emit separate statement sets.
+A graph holds interned nodes and a deduplicated edge set, stored once in
+each of two indexes kept in lockstep by ``add_edge``: subject->property->
+objects and object->property->subjects. ``statements_for`` (all pairs of one
+property) is a scan over the subject index, and the edge counter is the one
+in ``Graph.stats``. Graphs are treated as immutable once a loader returns
+them; pipeline stages only ever read them and emit separate statement sets.
 
 IRIs are shortened through a configurable prefix table (unknown namespaces
 keep the full IRI). Edge-TSV carries no datatypes, so literal kinds are
@@ -232,10 +233,8 @@ class Graph:
         self.stats = LoadStats()
         self._nodes: dict[str, Node] = {}
         self._spo: dict[str, dict[str, set[Value]]] = {}
-        self._pso: dict[str, set[tuple[Node, Value]]] = {}
         self._osp: dict[Value, dict[str, set[Node]]] = {}
         self._labels: dict[str, str] = {}
-        self._edge_count = 0
 
     # -- construction ------------------------------------------------------
 
@@ -247,16 +246,17 @@ class Graph:
         return node
 
     def add_edge(self, subject: str | Node, prop: str, obj: Value | str) -> bool:
-        """Insert one edge, keeping all three indexes in agreement.
+        """Insert one edge into both indexes and count it in ``stats.edges``.
 
-        Returns False when the edge was already present. String objects are
-        interned as nodes; pass a ``Literal`` for literal values.
+        Returns False when the edge was already present. Nodes, given by id
+        or as a ``Node`` of any graph, are interned here by id; pass a
+        ``Literal`` for literal values.
         """
-        subj = subject if isinstance(subject, Node) else self.intern(subject)
-        if isinstance(obj, str):
-            obj = self.intern(obj)
         if not prop:
             raise ValueError("property must be non-empty")
+        subj = self.intern(subject if isinstance(subject, str) else subject.id)
+        if not isinstance(obj, Literal):
+            obj = self.intern(obj if isinstance(obj, str) else obj.id)
         # get-then-insert: an edge allocates only the containers it keeps
         by_prop = self._spo.get(subj.id)
         if by_prop is None:
@@ -269,11 +269,6 @@ class Graph:
             return False
         else:
             objs.add(obj)
-        pairs = self._pso.get(prop)
-        if pairs is None:
-            self._pso[prop] = {(subj, obj)}
-        else:
-            pairs.add((subj, obj))
         into = self._osp.get(obj)
         if into is None:
             self._osp[obj] = {prop: {subj}}
@@ -283,7 +278,7 @@ class Graph:
                 into[prop] = {subj}
             else:
                 subjs.add(subj)
-        self._edge_count += 1
+        self.stats.edges += 1
         if prop in self.label_properties and isinstance(obj, Literal) and obj.text:
             self._labels.setdefault(subj.id, obj.text)
         return True
@@ -292,7 +287,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return self.stats.edges
 
     @property
     def node_count(self) -> int:
@@ -321,14 +316,14 @@ class Graph:
         for sid in self._spo:
             yield self._nodes[sid]
 
-    def statements_for(self, prop: str) -> set[tuple[Node, Value]]:
-        return self._pso.get(prop, set())
+    def statements_for(self, prop: str) -> list[tuple[Node, Value]]:
+        """Every (subject, object) pair of ``prop``, by one scan of the subject index."""
+        nodes = self._nodes
+        return [(nodes[sid], obj) for sid, by_prop in self._spo.items()
+                for obj in by_prop.get(prop, ())]
 
     def has_property(self, prop: str) -> bool:
-        return prop in self._pso
-
-    def properties(self) -> Iterator[str]:
-        return iter(self._pso)
+        return any(prop in by_prop for by_prop in self._spo.values())
 
     def subjects_with(self, prop: str, obj: Value) -> set[Node]:
         return self._osp.get(obj, {}).get(prop, set())
@@ -526,8 +521,7 @@ def load_ntriples(path: str | Path, graph_tag: str, *,
             except ValueError:
                 stats.skip(lineno, stripped)
                 continue
-            if graph.add_edge(nodes[m.group("s")], props[m.group("p")], obj):
-                stats.edges += 1
+            graph.add_edge(nodes[m.group("s")], props[m.group("p")], obj)
     _check_threshold(path, stats, considered, malformed_threshold)
     return graph
 
@@ -625,8 +619,7 @@ def load_edge_tsv(path: str | Path, graph_tag: str, *,
             except ValueError:
                 stats.skip(lineno, stripped)
                 continue
-            if graph.add_edge(nodes[fields[subj_col]], props[fields[prop_col]], obj):
-                stats.edges += 1
+            graph.add_edge(nodes[fields[subj_col]], props[fields[prop_col]], obj)
     _check_threshold(path, stats, considered, malformed_threshold)
     return graph
 

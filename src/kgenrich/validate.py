@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import DataFormatError
 from .retrieve import CandidateStatement
-from .store import Graph, Node, Value, ValueKind, value_kind
+from .store import Graph, Node, Value, ValueKind, serialize_value, value_kind
 
 # modal-kind tie break, most specific first
 KIND_PRECEDENCE = (ValueKind.ITEM, ValueKind.DATE, ValueKind.QUANTITY,
@@ -87,7 +87,8 @@ def infer_expected_datatype(known: Iterable[tuple[Node, Value]]) -> ValueKind:
     counts = Counter(value_kind(obj) for _, obj in known)
     if not counts:
         raise ValueError("no known statements to infer a datatype from; "
-                         "supply expected_datatype in the validation config")
+                         "set the pipeline config's validation to "
+                         "ValidationSettings(expected_datatype=...)")
     best = max(counts.values())
     for kind in KIND_PRECEDENCE:
         if counts.get(kind) == best:
@@ -268,18 +269,18 @@ def load_constraints(path: str | Path) -> dict[str, ValueTypeConstraint]:
     }
 
 
-def write_verdicts(verdicts: Iterable[ValidationVerdict], path: str | Path) -> None:
-    from .store import serialize_value
+def _flag_cell(flag: bool | None) -> str:
+    return "-" if flag is None else str(flag).lower()
 
+
+def write_verdicts(verdicts: Iterable[ValidationVerdict], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("subject\tproperty\tobject\tdatatype_ok\tvalue_type_ok\trange_ok"
                  "\taccepted\treject_reason\n")
         for v in verdicts:
-            def cell(flag: bool | None) -> str:
-                return "-" if flag is None else str(flag).lower()
             fh.write("\t".join((
                 v.statement.subject.id, v.statement.property,
                 serialize_value(v.statement.object),
-                cell(v.datatype_ok), cell(v.value_type_ok), cell(v.range_ok),
+                *map(_flag_cell, (v.datatype_ok, v.value_type_ok, v.range_ok)),
                 str(v.accepted).lower(),
                 v.reject_reason.value if v.reject_reason else "-")) + "\n")

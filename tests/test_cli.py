@@ -166,6 +166,18 @@ def test_retrieve_align_file_without_columns_is_one_line_data_error(workspace, c
     assert len(err.splitlines()) == 1
 
 
+def test_candidate_file_without_columns_is_one_line_data_error(workspace, capsys):
+    cands = workspace / "cands.tsv"
+    cands.write_text("subject\tproperty\tobject\tpath\tflags\nQ1006\tP452\tQ2002\tx\t-\n")
+    assert main(["validate", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--candidates", str(cands),
+                 "--out", str(workspace / "v.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("data error") and str(cands) in err
+    assert "external_object" in err and "found ['subject'," in err
+
+
 def test_property_without_known_values_is_config_error(workspace, capsys):
     cfg = str(workspace / "config.yaml")
     cands = workspace / "cands.tsv"
@@ -286,6 +298,29 @@ def test_report_rerender(workspace, tmp_path):
     assert main(["report", "--results", str(out_dir / "report.json"),
                  "--format", "tsv", "--out", str(rendered), "--no-timings"]) == 0
     assert "dbp:industry" in rendered.read_text()
+
+
+def test_report_rerender_of_json_equals_batch_tsv(workspace):
+    # two externals, so the rows, the per-graph aggregates and the combined row all render
+    two = CONFIG.replace("    - {path: external.tsv, tag: dbp}\n",
+                         "    - {path: external.tsv, tag: dbp}\n"
+                         "    - {path: external.tsv, tag: dbp2}\n")
+    two = two.replace("mappings:\n",
+                      "mappings:\n  dbp2: {link_property: sitelink, prefix: \"dbr:\"}\n")
+    reports = {}
+    for fmt in ("json", "tsv"):
+        config = workspace / f"config_{fmt}.yaml"
+        config.write_text(two.replace("format: tsv", f"format: {fmt}"))
+        assert main(["batch", "--config", str(config),
+                     "--properties", f"{INDUSTRY_PROP},P571,P17", "--class", COMPANY_CLASS,
+                     "--out-dir", str(workspace / fmt), "--no-timings"]) == 0
+        reports[fmt] = workspace / fmt / f"report.{fmt}"
+    rendered = workspace / "again.tsv"
+    assert main(["report", "--results", str(reports["json"]), "--format", "tsv",
+                 "--no-timings", "--out", str(rendered)]) == 0
+    batch_tsv = reports["tsv"].read_text()
+    assert "(both)" in batch_tsv and "#median_novel_statements=" in batch_tsv
+    assert rendered.read_bytes() == reports["tsv"].read_bytes()
 
 
 def test_missing_mapping_is_config_error(workspace, capsys):

@@ -158,6 +158,19 @@ def test_interning_identity():
     assert g.node("Q1") is g.intern("Q1")
 
 
+def test_add_edge_interns_nodes_of_another_graph():
+    g = Graph("wd")
+    assert g.add_edge(Node("Q1", "dbp"), "P1", Node("Q2", "dbp"))
+    subj, obj = g.node("Q1"), g.node("Q2")
+    assert (subj, obj) == (Node("Q1", "wd"), Node("Q2", "wd"))
+    assert g.in_edges("Q2") == {"P1": {subj}}
+    assert list(g.subjects()) == [subj]
+    assert list(g.edges()) == [(subj, "P1", obj)]
+    assert g.statements_for("P1") == [(subj, obj)]
+    assert not g.add_edge(Node("Q1", "dbp"), "P1", "Q2")
+    assert g.edge_count == 1 and g.stats.duplicates == 1
+
+
 def test_duplicate_edges_collapse():
     g = Graph("t")
     assert g.add_edge("Q1", "P1", "Q2")
@@ -178,8 +191,7 @@ def test_index_consistency_full_scan(company_fixture):
             assert g.in_edges(obj.id) is g.in_edges(obj)
     assert g.in_edges("no-such-node") == {}
     assert len(edges) == g.edge_count
-    assert sum(len(pairs) for pairs in
-               (g.statements_for(p) for p in g.properties())) == g.edge_count
+    assert sum(len(g.statements_for(p)) for p in {p for _, p, _ in edges}) == g.edge_count
 
 
 def test_roundtrip_tsv(tmp_path, company_fixture):
@@ -384,8 +396,7 @@ def _reference_tsv(rows: list[str], table: PrefixTable) -> Graph:
             continue
         if isinstance(obj, Node):
             obj = table.shorten(obj.id)
-        if g.add_edge(table.shorten(fields[0]), table.shorten(fields[1]), obj):
-            g.stats.edges += 1
+        g.add_edge(table.shorten(fields[0]), table.shorten(fields[1]), obj)
     return g
 
 
@@ -407,14 +418,15 @@ def _reference_nt(rows: list[str], table: PrefixTable) -> Graph:
         except ValueError:
             g.stats.skip(lineno, stripped)
             continue
-        if g.add_edge(_nt_term_id(m.group("s"), table), _nt_term_id(m.group("p"), table), obj):
-            g.stats.edges += 1
+        g.add_edge(_nt_term_id(m.group("s"), table), _nt_term_id(m.group("p"), table), obj)
     return g
 
 
 def _snapshot(g: Graph):
-    # the other two indexes agree up to value equality (a Literal's raw text aside)
-    by_property = {(s, p, o) for p in g.properties() for s, o in g.statements_for(p)}
+    # the per-property scan and the object index agree up to value equality
+    # (a Literal's raw text aside)
+    by_property = {(s, p, o) for p in {p for _, p, _ in g.edges()}
+                   for s, o in g.statements_for(p)}
     by_object = {(s, p, o) for o in g._osp for p, subjects in g.in_edges(o).items()
                  for s in subjects}
     assert set(g.edges()) == by_property == by_object
@@ -423,8 +435,7 @@ def _snapshot(g: Graph):
 
 
 def _assert_one_string_per_property(g: Graph) -> None:
-    keys = list(g._pso)
-    keys += [p for by_prop in g._spo.values() for p in by_prop]
+    keys = [p for by_prop in g._spo.values() for p in by_prop]
     keys += [p for by_prop in g._osp.values() for p in by_prop]
     objects: dict[str, set[int]] = {}
     for key in keys:

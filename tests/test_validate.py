@@ -54,6 +54,9 @@ def test_infer_empty_errors_pointing_at_config():
     with pytest.raises(ValueError) as err:
         infer_expected_datatype([])
     assert "config" in str(err.value)
+    # the YAML config has no expected_datatype key; only code can set one
+    assert "ValidationSettings(expected_datatype=...)" in str(err.value)
+    assert "validation config" not in str(err.value)
 
 
 # -- datatype check -------------------------------------------------------------
