@@ -17,9 +17,8 @@ from .pipeline import (BatchResult, EnrichmentResult, batch_enrich, emit_report,
 from .resolve import (EntityMapping, IdTransform, build_mapping, inverse_resolve,
                       resolve)
 from .retrieve import CandidateStatement, follow_path, retrieve
-from .store import (Graph, Literal, Node, PrefixTable, Provenance, Statement,
-                    ValueKind, load_edge_tsv, load_ntriples, value_kind,
-                    write_edge_tsv)
+from .store import (Graph, Literal, PrefixTable, Provenance, Statement, ValueKind,
+                    load_edge_tsv, load_ntriples, value_kind, write_edge_tsv)
 from .validate import (RejectReason, RelationMode, ValidationSettings,
                        ValidationVerdict, ValueTypeConstraint, check_datatype,
                        check_literal_range, check_value_type,
@@ -39,7 +38,7 @@ __all__ = [
     "enrich_property", "run_consistency", "write_statements",
     "EntityMapping", "IdTransform", "build_mapping", "inverse_resolve", "resolve",
     "CandidateStatement", "follow_path", "retrieve",
-    "Graph", "Literal", "Node", "PrefixTable", "Provenance", "Statement",
+    "Graph", "Literal", "PrefixTable", "Provenance", "Statement",
     "ValueKind", "load_edge_tsv", "load_ntriples", "value_kind", "write_edge_tsv",
     "RejectReason", "RelationMode", "ValidationSettings", "ValidationVerdict",
     "ValueTypeConstraint", "check_datatype", "check_literal_range",

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .store import Graph, Literal, Node, Value, ValueKind, value_sort_key
+from .store import Graph, Value, ValueKind, value_sort_key
 
 MAX_PATH_LENGTH_CAP = 6
 
@@ -91,23 +91,15 @@ def normalize_label(raw: str) -> str:
 # -- path enumeration ---------------------------------------------------------
 
 
-def _as_subject_id(subject) -> str:
-    return subject.id if isinstance(subject, Node) else subject
-
-
-def _as_target(obj) -> str | Literal:
-    return obj.id if isinstance(obj, Node) else obj
-
-
-def values_match(found: Value, wanted: str | Literal) -> bool:
+def values_match(found: Value, wanted: Value) -> bool:
     """Terminal match for path search: node ids exactly, literals by value.
 
     Dates compare at the coarser of the two precisions; plain and
     language-tagged strings match on their text.
     """
     if isinstance(wanted, str):
-        return isinstance(found, Node) and found.id == wanted
-    if isinstance(found, Node):
+        return found == wanted
+    if isinstance(found, str):
         return False
     a, b = found, wanted
     if a.kind is ValueKind.DATE and b.kind is ValueKind.DATE:
@@ -124,8 +116,7 @@ def values_match(found: Value, wanted: str | Literal) -> bool:
     return a == b
 
 
-def _sample_pairs(pairs: set[tuple[str, str | Literal]],
-                  cfg: AlignConfig) -> list[tuple[str, str | Literal]]:
+def _sample_pairs(pairs: set[tuple[str, Value]], cfg: AlignConfig) -> list[tuple[str, Value]]:
     ordered = sorted(pairs, key=lambda p: (p[0], value_sort_key(p[1])))
     if len(ordered) <= cfg.sample_cap:
         return ordered
@@ -141,11 +132,11 @@ def _predecessors(graph: Graph, target_id: str) -> dict[str, list[str]]:
     preds: dict[str, list[str]] = {}
     for prop, subjects in graph.in_edges(target_id).items():
         for subj in subjects:
-            preds.setdefault(subj.id, []).append(prop)
+            preds.setdefault(subj, []).append(prop)
     return preds
 
 
-def _pair_paths(graph: Graph, start_id: str, target: str | Literal, max_len: int,
+def _pair_paths(graph: Graph, start_id: str, target: Value, max_len: int,
                 into: dict[str, dict[str, list[str]]]) -> set[tuple[str, ...]]:
     """All property sequences realized by a simple path start -> target.
 
@@ -190,12 +181,10 @@ def _pair_paths(graph: Graph, start_id: str, target: str | Literal, max_len: int
             for prop, objs in out_edges(node_id).items():
                 step = seq + (prop,)
                 for obj in objs:
-                    if isinstance(obj, Node):
-                        obj_id = obj.id
-                        if obj_id not in visited and obj_id != target:
-                            visited.add(obj_id)
-                            reach(obj_id, step, visited)
-                            visited.remove(obj_id)
+                    if isinstance(obj, str) and obj not in visited and obj != target:
+                        visited.add(obj)
+                        reach(obj, step, visited)
+                        visited.remove(obj)
 
         reach(start_id, (), {start_id})
         return found
@@ -207,16 +196,15 @@ def _pair_paths(graph: Graph, start_id: str, target: str | Literal, max_len: int
         for prop, objs in out_edges(node_id).items():
             step = seq + (prop,)
             for obj in objs:
-                if isinstance(obj, Node):
-                    obj_id = obj.id
-                    if obj_id in visited:
+                if isinstance(obj, str):
+                    if obj in visited:
                         continue
-                    if obj_id == target_id:
+                    if obj == target_id:
                         found.add(step)  # no simple path re-reaches the target
                     elif deeper:
-                        visited.add(obj_id)
-                        walk(obj_id, step, visited)
-                        visited.remove(obj_id)
+                        visited.add(obj)
+                        walk(obj, step, visited)
+                        visited.remove(obj)
                 elif target_id is None and values_match(obj, target):
                     found.add(step)
 
@@ -224,17 +212,17 @@ def _pair_paths(graph: Graph, start_id: str, target: str | Literal, max_len: int
     return found
 
 
-def enumerate_paths(graph: Graph, pairs: Iterable[tuple], cfg: AlignConfig) -> list[PropertyPath]:
+def enumerate_paths(graph: Graph, pairs: Iterable[tuple[str, Value]],
+                    cfg: AlignConfig) -> list[PropertyPath]:
     """Rank property paths by the number of known pairs they connect.
 
     Pairs beyond ``sample_cap`` are dropped deterministically (sorted by
     subject id, first N; or a seeded random sample when configured). Output
     is sorted by (support desc, steps asc).
     """
-    normalized = {( _as_subject_id(s), _as_target(o)) for s, o in pairs}
     support: Counter[tuple[str, ...]] = Counter()
     into: dict[str, dict[str, list[str]]] = {}
-    for subject_id, target in _sample_pairs(normalized, cfg):
+    for subject_id, target in _sample_pairs(set(pairs), cfg):
         support.update(_pair_paths(graph, subject_id, target, cfg.max_path_length, into))
     ranked = [PropertyPath(steps=seq, support=count) for seq, count in support.items()]
     ranked.sort(key=lambda p: (-p.support, p.steps))

@@ -22,7 +22,7 @@ from .errors import ConfigError, DataFormatError, UsageError
 from .gaps import detect_gaps
 from .resolve import inverse_resolve, resolve
 from .retrieve import read_candidates, retrieve, write_candidates
-from .store import Graph, Node
+from .store import Graph
 from .validate import load_constraints, validate_detailed, write_verdicts
 
 
@@ -79,8 +79,8 @@ def _cmd_detect_gaps(args) -> int:
     sentinel = cfg.gaps.no_value_sentinel if cfg else None
     partition = detect_gaps(graph, args.property, entity_filter,
                             no_value_sentinel=sentinel)
-    lines = [(node.id, "known") for node in partition.known_subjects]
-    lines += [(node.id, "unknown") for node in partition.unknown_subjects]
+    lines = [(node, "known") for node in partition.known_subjects]
+    lines += [(node, "unknown") for node in partition.unknown_subjects]
     out = "\n".join(f"{nid}\t{status}" for nid, status in sorted(lines))
     _write_or_print(args.out, "subject\tstatus\n" + out + ("\n" if out else ""))
     return 0
@@ -89,21 +89,19 @@ def _cmd_detect_gaps(args) -> int:
 def _cmd_resolve(args) -> int:
     cfg = _config(args)
     target = _target_graph(cfg)
-    mapping = pipeline.external_mapping(target, args.graph_tag, cfg)
+    mapping = pipeline.external_mapping(target, args.external_tag, cfg)
     ids = [line.strip() for line in Path(args.nodes).read_text(encoding="utf-8").splitlines()
            if line.strip()]
     if args.inverse:
         inv = inverse_resolve(mapping, ids)
-        rows = [(ext, ",".join(sorted(n.id for n in nodes)),
+        rows = [(ext, ",".join(sorted(nodes)),
                  "ambiguous" if ext in inv.ambiguous else "-")
                 for ext, nodes in sorted(inv.mapped.items())]
         body = "\n".join("\t".join(r) for r in rows)
         _write_or_print(args.out, "external\ttargets\tflags\n" + body + ("\n" if body else ""))
     else:
-        nodes = {target.node(i) or Node(i, target.tag) for i in ids}
-        res = resolve(mapping, nodes)
-        rows = [(node.id, ",".join(sorted(exts)))
-                for node, exts in sorted(res.mapped.items(), key=lambda kv: kv[0].id)]
+        res = resolve(mapping, ids)
+        rows = [(node, ",".join(sorted(exts))) for node, exts in sorted(res.mapped.items())]
         body = "\n".join("\t".join(r) for r in rows)
         _write_or_print(args.out, "node\texternals\n" + body + ("\n" if body else "")
                         + f"#coverage={res.coverage:.4f}\n")
@@ -180,8 +178,7 @@ def _cmd_validate(args) -> int:
     if args.cutoff_year is not None:
         cfg.validation = replace(cfg.validation, cutoff_year=args.cutoff_year)
     target = _target_graph(cfg)
-    external_tag = args.external or (cfg.externals[0].tag if cfg.externals else "external")
-    candidates = read_candidates(args.candidates, cfg.target.tag, external_tag)
+    candidates = read_candidates(args.candidates)
     partition = pipeline.property_gaps(target, args.property, cfg)
     if not partition.known:
         raise ConfigError(f"property {args.property} has no known values in "
@@ -261,8 +258,14 @@ def _cmd_consistency(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.results, encoding="utf-8") as fh:
         doc = json.load(fh)
+    results = doc.get("results", []) if isinstance(doc, dict) else None
+    if not isinstance(results, list):
+        raise DataFormatError(f"{args.results}: expected an object with a results list")
     rows = []
-    for raw in doc.get("results", []):
+    for i, raw in enumerate(results):
+        if not isinstance(raw, dict) or "property" not in raw or "graph" not in raw:
+            raise DataFormatError(f"{args.results}: results[{i}] is not an object "
+                                  f"with property and graph")
         path = PropertyPath(steps=tuple(raw["path"].split("/"))) if raw.get("path") else None
         rows.append(pipeline.EnrichmentResult(
             property=raw["property"], graph=raw["graph"], status=raw.get("status", "ok"),
@@ -314,7 +317,7 @@ def build_parser() -> _Parser:
 
     p = add("resolve", _cmd_resolve, help="map node ids through an entity mapping")
     p.add_argument("--config", required=True)
-    p.add_argument("--graph-tag", required=True)
+    p.add_argument("--graph-tag", dest="external_tag", required=True)
     p.add_argument("--nodes", required=True, help="file with one node id per line")
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--out")
@@ -343,7 +346,6 @@ def build_parser() -> _Parser:
     p.add_argument("--candidates", required=True)
     p.add_argument("--constraints")
     p.add_argument("--cutoff-year", type=int)
-    p.add_argument("--external")
     p.add_argument("--out")
 
     p = add("enrich", _cmd_enrich, help="run the full pipeline for one property")

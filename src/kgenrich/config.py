@@ -81,11 +81,11 @@ class PipelineConfig:
     gaps: GapSettings = field(default_factory=GapSettings)
     output: OutputSettings = field(default_factory=OutputSettings)
 
-    def mapping_for(self, graph_tag: str) -> MappingSpec:
+    def mapping_for(self, tag: str) -> MappingSpec:
         try:
-            return self.mappings[graph_tag]
+            return self.mappings[tag]
         except KeyError:
-            raise ConfigError(f"missing config key: mappings.{graph_tag}") from None
+            raise ConfigError(f"missing config key: mappings.{tag}") from None
 
     def load_constraint_table(self) -> dict[str, ValueTypeConstraint]:
         if not self.constraints_path:

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .retrieve import CandidateStatement
-from .store import Graph, Literal, Node, Value, ValueKind
+from .store import Graph, Literal, Value, ValueKind, value_kind
 
 
 def format_rate(numerator: float | int | None, denominator: float | int | None) -> str:
@@ -69,8 +69,8 @@ class LiteralAgreementReport:
         return format_rate(self.s_agree, self.s_overlap)
 
 
-def _by_subject(candidates: Iterable[CandidateStatement]) -> dict[Node, list[Value]]:
-    grouped: dict[Node, list[Value]] = {}
+def _by_subject(candidates: Iterable[CandidateStatement]) -> dict[str, list[Value]]:
+    grouped: dict[str, list[Value]] = {}
     for cand in candidates:
         grouped.setdefault(cand.subject, []).append(cand.object)
     return grouped
@@ -124,8 +124,8 @@ def literal_agreement(target: Graph, overlap_candidates: Sequence[CandidateState
             continue
         for wanted in target_values:
             for got in external_values:
-                if isinstance(wanted, Node) or wanted.kind is not ValueKind.DATE \
-                        or isinstance(got, Node) or got.kind is not ValueKind.DATE:
+                if value_kind(wanted) is not ValueKind.DATE \
+                        or value_kind(got) is not ValueKind.DATE:
                     skipped += 1
                     continue
                 scatter.append((wanted, got))

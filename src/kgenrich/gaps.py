@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .store import Graph, Node, Value
+from .store import Graph, Value
 
 logger = logging.getLogger(__name__)
 
@@ -20,12 +20,12 @@ class GapPartition:
     """
 
     property: str
-    known: frozenset[tuple[Node, Value]]
-    known_subjects: frozenset[Node]
-    unknown_subjects: frozenset[Node]
+    known: frozenset[tuple[str, Value]]
+    known_subjects: frozenset[str]
+    unknown_subjects: frozenset[str]
 
     @property
-    def entities(self) -> frozenset[Node]:
+    def entities(self) -> frozenset[str]:
         return self.known_subjects | self.unknown_subjects
 
     def __post_init__(self) -> None:
@@ -47,8 +47,7 @@ def detect_gaps(graph: Graph, prop: str,
         class_id, type_prop = entity_filter
         if not graph.has_property(type_prop):
             raise ValueError(f"type property {type_prop!r} not present in graph {graph.tag!r}")
-        class_node = graph.node(class_id)
-        entities = set(graph.subjects_with(type_prop, class_node)) if class_node else set()
+        entities = set(graph.subjects_with(type_prop, class_id))
     else:
         entities = set(graph.subjects())
 
@@ -58,7 +57,7 @@ def detect_gaps(graph: Graph, prop: str,
         if subj not in entities:
             continue
         known_subjects.add(subj)
-        if no_value_sentinel is not None and isinstance(obj, Node) and obj.id == no_value_sentinel:
+        if obj == no_value_sentinel:
             continue
         known_pairs.add((subj, obj))
 

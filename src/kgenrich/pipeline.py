@@ -27,8 +27,8 @@ from .errors import ConfigError
 from .gaps import GapPartition, detect_gaps
 from .resolve import EntityMapping, build_mapping, resolve
 from .retrieve import CandidateStatement, retrieve
-from .store import (Graph, Node, Provenance, Statement, Value, ValueKind,
-                    serialize_value, value_sort_key)
+from .store import (Graph, Provenance, Statement, Value, ValueKind, serialize_value,
+                    value_sort_key)
 from .validate import ValidationOutcome, ValueTypeConstraint, validate_detailed
 
 TIMING_KEYS = ("entity_align", "property_align", "retrieval",
@@ -79,8 +79,8 @@ class EnrichmentResult:
         return self.n_c / self.n_u if self.n_u else None
 
 
-def _statement_key(subject: Node, prop: str, obj: Value) -> tuple[str, str, str]:
-    return (subject.id, prop, serialize_value(obj))
+def _statement_key(subject: str, prop: str, obj: Value) -> tuple[str, str, str]:
+    return (subject, prop, serialize_value(obj))
 
 
 def _subject_ids(keys: Iterable[tuple[str, str, str]]) -> set[str]:
@@ -88,7 +88,7 @@ def _subject_ids(keys: Iterable[tuple[str, str, str]]) -> set[str]:
 
 
 def _statement_order(stmt: Statement) -> tuple:
-    return (stmt.property, stmt.subject.id, value_sort_key(stmt.object))
+    return (stmt.property, stmt.subject, value_sort_key(stmt.object))
 
 
 def alignment_pairs(partition: GapPartition, mapping: EntityMapping) -> set[tuple]:
@@ -103,7 +103,7 @@ def alignment_pairs(partition: GapPartition, mapping: EntityMapping) -> set[tupl
         subject_exts = subject_map.get(subj)
         if not subject_exts:
             continue
-        if isinstance(obj, Node):
+        if isinstance(obj, str):
             object_exts = mapping.forward.get(obj)
             if not object_exts:
                 continue
@@ -121,10 +121,10 @@ def _check_safety(partition: GapPartition, accepted: Sequence[CandidateStatement
             raise PipelineInvariantError("validated statement not among retrieved candidates")
         if cand.subject in partition.known_subjects:
             raise PipelineInvariantError(
-                f"validated statement targets known subject {cand.subject.id}")
+                f"validated statement targets known subject {cand.subject}")
         if cand.subject not in partition.unknown_subjects:
             raise PipelineInvariantError(
-                f"validated statement subject {cand.subject.id} outside the gap set")
+                f"validated statement subject {cand.subject} outside the gap set")
 
 
 # -- shared stage wiring --------------------------------------------------------
@@ -159,7 +159,7 @@ def align_property(target: Graph, external: Graph, prop: str, partition: GapPart
 
 
 def retrieve_validated(target: Graph, external: Graph, prop: str, partition: GapPartition,
-                       mapping: EntityMapping, path: PropertyPath, subjects: Iterable[Node],
+                       mapping: EntityMapping, path: PropertyPath, subjects: Iterable[str],
                        constraints: Mapping[str, ValueTypeConstraint], cfg: PipelineConfig,
                        ) -> tuple[list[CandidateStatement], ValidationOutcome]:
     """Candidates for ``subjects`` along ``path``, validated against the known side."""
@@ -185,8 +185,8 @@ def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConf
         property=prop, graph=external.tag,
         s_w=len(partition.known),
         n_k=len(partition.known_subjects), n_u=len(partition.unknown_subjects),
-        known_ids=frozenset(n.id for n in partition.known_subjects),
-        unknown_ids=frozenset(n.id for n in partition.unknown_subjects),
+        known_ids=partition.known_subjects,
+        unknown_ids=partition.unknown_subjects,
     )
     timings = result.timings
 
@@ -445,5 +445,5 @@ def write_statements(statements: Iterable[Statement], path: str | Path) -> None:
         fh.write("node1\tlabel\tnode2\tsource\tprovenance\n")
         for stmt in statements:
             fh.write("\t".join((
-                stmt.subject.id, stmt.property, serialize_value(stmt.object),
+                stmt.subject, stmt.property, serialize_value(stmt.object),
                 stmt.source_graph, stmt.provenance.value)) + "\n")

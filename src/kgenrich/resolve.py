@@ -3,8 +3,8 @@
 Mappings are built from identifier-link edges in the target graph (an
 external-id property or a sitelink pseudo-property). Link values are turned
 into external node ids by a literal prefix/suffix rewrite with
-percent-encoded spaces; the external side of a mapping is therefore a plain
-id string, resolved against the external graph only at query time.
+percent-encoded spaces. Both sides of a mapping are node ids; the external
+side is resolved against the external graph only at query time.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .store import Graph, Literal, Node, ValueKind
+from .store import Graph, Value, ValueKind
 
 
 @dataclass(frozen=True)
@@ -32,42 +32,41 @@ class IdTransform:
 @dataclass(frozen=True)
 class EntityMapping:
     link_property: str
-    forward: Mapping[Node, frozenset[str]]
-    inverse: Mapping[str, frozenset[Node]]
+    forward: Mapping[str, frozenset[str]]
+    inverse: Mapping[str, frozenset[str]]
     skipped: int = 0
 
 
 @dataclass(frozen=True)
 class Resolution:
-    mapped: Mapping[Node, frozenset[str]]
+    mapped: Mapping[str, frozenset[str]]
     coverage: float
 
 
 @dataclass(frozen=True)
 class InverseResolution:
-    mapped: Mapping[str, frozenset[Node]]
+    mapped: Mapping[str, frozenset[str]]
     ambiguous: frozenset[str] = field(default_factory=frozenset)
 
 
-def _link_value(obj) -> str | None:
-    if isinstance(obj, Node):
-        return obj.id
-    if isinstance(obj, Literal):
-        if obj.kind in (ValueKind.STRING, ValueKind.MONOLINGUAL, ValueKind.OTHER):
-            return obj.text
+def _link_value(obj: Value) -> str | None:
+    if isinstance(obj, str):
+        return obj
+    if obj.kind in (ValueKind.STRING, ValueKind.MONOLINGUAL, ValueKind.OTHER):
+        return obj.text
     return None
 
 
 def build_mapping(target: Graph, link_property: str,
                   transform: IdTransform | None = None) -> EntityMapping:
-    """Collect link_property edges into forward/inverse node maps.
+    """Collect link_property edges into forward/inverse id maps.
 
     Values the transform rejects (empty, or non-string-shaped literals) are
     skipped and counted, never fatal.
     """
     transform = transform or IdTransform()
-    forward: dict[Node, set[str]] = {}
-    inverse: dict[str, set[Node]] = {}
+    forward: dict[str, set[str]] = {}
+    inverse: dict[str, set[str]] = {}
     skipped = 0
     for subj, obj in target.statements_for(link_property):
         raw = _link_value(obj)
@@ -84,12 +83,12 @@ def build_mapping(target: Graph, link_property: str,
     return EntityMapping(
         link_property=link_property,
         forward={n: frozenset(ids) for n, ids in forward.items()},
-        inverse={e: frozenset(nodes) for e, nodes in inverse.items()},
+        inverse={e: frozenset(ids) for e, ids in inverse.items()},
         skipped=skipped,
     )
 
 
-def resolve(mapping: EntityMapping, nodes: Iterable[Node]) -> Resolution:
+def resolve(mapping: EntityMapping, nodes: Iterable[str]) -> Resolution:
     """Forward-map the given nodes; coverage = mapped / |nodes|."""
     nodes = set(nodes)
     mapped = {n: mapping.forward[n] for n in nodes if n in mapping.forward}

@@ -1,6 +1,6 @@
 """Candidate retrieval: follow the aligned path from mapped gap subjects.
 
-Item-valued terminals are inverse-resolved back into target-graph nodes;
+Item-valued terminals are inverse-resolved back into target-graph node ids;
 externals with no inverse mapping are kept (flagged) so the report can
 account for them, but they can never pass validation. Output order and
 dedup choices are deterministic so identical inputs give identical files.
@@ -15,12 +15,12 @@ from typing import Iterable, Mapping
 from .align import PropertyPath
 from .errors import DataFormatError
 from .resolve import EntityMapping
-from .store import Graph, Node, Value, parse_tsv_value, serialize_value, value_sort_key
+from .store import Graph, Value, parse_tsv_value, serialize_value, value_sort_key
 
 
 @dataclass(frozen=True)
 class CandidateStatement:
-    subject: Node
+    subject: str
     property: str
     object: Value
     external_object: Value
@@ -29,7 +29,7 @@ class CandidateStatement:
     unresolved: bool = False
 
 
-def follow_path(graph: Graph, start: str | Node, path: PropertyPath) -> set[Value]:
+def follow_path(graph: Graph, start: str, path: PropertyPath) -> set[Value]:
     """All terminal values reached by applying the steps in order.
 
     Literals reached before the final step end their branch; an unknown
@@ -37,20 +37,17 @@ def follow_path(graph: Graph, start: str | Node, path: PropertyPath) -> set[Valu
     """
     if not path.steps:
         raise ValueError("cannot follow an empty path")
-    start_id = start.id if isinstance(start, Node) else start
-    if graph.node(start_id) is None:
-        return set()
-    frontier: set[Value] = {graph.node(start_id)}
+    frontier: set[Value] = {start}
     for step in path.steps:
         reached: set[Value] = set()
         for value in frontier:
-            if isinstance(value, Node):
+            if isinstance(value, str):
                 reached |= graph.objects(value, step)
         frontier = reached
     return frontier
 
 
-def retrieve(graph: Graph, unknowns: Mapping[Node, Iterable[str]], prop: str,
+def retrieve(graph: Graph, unknowns: Mapping[str, Iterable[str]], prop: str,
              path: PropertyPath, mapping: EntityMapping) -> list[CandidateStatement]:
     """Collect candidate statements for every mapped gap subject.
 
@@ -60,9 +57,9 @@ def retrieve(graph: Graph, unknowns: Mapping[Node, Iterable[str]], prop: str,
     candidates: list[CandidateStatement] = []
     seen: set[tuple[str, str, tuple]] = set()
 
-    def emit(subject: Node, obj: Value, external: Value,
+    def emit(subject: str, obj: Value, external: Value,
              ambiguous: bool, unresolved: bool) -> None:
-        key = (subject.id, prop, value_sort_key(obj))
+        key = (subject, prop, value_sort_key(obj))
         if key in seen:
             return
         seen.add(key)
@@ -70,15 +67,15 @@ def retrieve(graph: Graph, unknowns: Mapping[Node, Iterable[str]], prop: str,
             subject=subject, property=prop, object=obj, external_object=external,
             path=path, ambiguous=ambiguous, unresolved=unresolved))
 
-    for subject in sorted(unknowns, key=lambda n: n.id):
+    for subject in sorted(unknowns):
         for external_id in sorted(set(unknowns[subject])):
             for terminal in sorted(follow_path(graph, external_id, path), key=value_sort_key):
-                if isinstance(terminal, Node):
-                    targets = mapping.inverse.get(terminal.id)
+                if isinstance(terminal, str):
+                    targets = mapping.inverse.get(terminal)
                     if not targets:
                         emit(subject, terminal, terminal, ambiguous=False, unresolved=True)
                         continue
-                    for resolved in sorted(targets, key=lambda n: n.id):
+                    for resolved in sorted(targets):
                         emit(subject, resolved, terminal,
                              ambiguous=len(targets) > 1, unresolved=False)
                 else:
@@ -99,15 +96,16 @@ def write_candidates(candidates: Iterable[CandidateStatement], path: str | Path)
                              (("ambiguous", cand.ambiguous), ("unresolved", cand.unresolved))
                              if on) or "-"
             fh.write("\t".join((
-                cand.subject.id, cand.property, serialize_value(cand.object),
+                cand.subject, cand.property, serialize_value(cand.object),
                 serialize_value(cand.external_object), cand.path.path_str, flags)) + "\n")
 
 
-def read_candidates(path: str | Path, target_tag: str,
-                    external_tag: str) -> list[CandidateStatement]:
-    """Parse a candidate TSV written by write_candidates."""
-    target_scratch = Graph(target_tag)
-    external_scratch = Graph(external_tag)
+def read_candidates(path: str | Path) -> list[CandidateStatement]:
+    """Parse a candidate TSV written by write_candidates.
+
+    Blank lines are skipped; a row with too few cells or no subject is a
+    DataFormatError naming its line.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -115,20 +113,23 @@ def read_candidates(path: str | Path, target_tag: str,
             raise DataFormatError(f"{path}: candidate file needs columns "
                                   f"{'/'.join(CANDIDATE_COLUMNS)}; found {header}")
         col = {name: header.index(name) for name in CANDIDATE_COLUMNS}
-        for line in fh:
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) < len(CANDIDATE_COLUMNS):
+        width = max(col.values()) + 1
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
                 continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) < width or not fields[col["subject"]]:
+                raise DataFormatError(f"{path}:{lineno}: a candidate row needs {width} "
+                                      f"tab-separated cells and a subject; "
+                                      f"found {len(fields)} cells")
             flags = set(fields[col["flags"]].split(","))
-            unresolved = "unresolved" in flags
-            obj_scratch = external_scratch if unresolved else target_scratch
             out.append(CandidateStatement(
-                subject=target_scratch.intern(fields[col["subject"]]),
+                subject=fields[col["subject"]],
                 property=fields[col["property"]],
-                object=parse_tsv_value(fields[col["object"]], obj_scratch),
-                external_object=parse_tsv_value(fields[col["external_object"]], external_scratch),
+                object=parse_tsv_value(fields[col["object"]]),
+                external_object=parse_tsv_value(fields[col["external_object"]]),
                 path=PropertyPath(steps=tuple(fields[col["path"]].split("/"))),
                 ambiguous="ambiguous" in flags,
-                unresolved=unresolved,
+                unresolved="unresolved" in flags,
             ))
     return out

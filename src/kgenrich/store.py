@@ -1,11 +1,14 @@
 """Immutable in-memory knowledge graphs loaded from N-Triples or edge-TSV.
 
-A graph holds interned nodes and a deduplicated edge set, stored once in
-each of two indexes kept in lockstep by ``add_edge``: subject->property->
-objects and object->property->subjects. ``statements_for`` (all pairs of one
-property) is a scan over the subject index, and the edge counter is the one
-in ``Graph.stats``. Graphs are treated as immutable once a loader returns
-them; pipeline stages only ever read them and emit separate statement sets.
+A node is its id: a plain string, the same in every graph, so nodes of two
+graphs compare and hash as their ids do and every index key hashes in C. A
+value is a node id or a ``Literal``. A graph stores a deduplicated edge set
+once in each of two indexes kept in lockstep by ``add_edge``: subject->
+property->objects and object->property->subjects. ``statements_for`` (all
+pairs of one property) is a scan over the subject index, and the edge counter
+is the one in ``Graph.stats``. Graphs are treated as immutable once a loader
+returns them; pipeline stages only ever read them and emit separate statement
+sets.
 
 IRIs are shortened through a configurable prefix table (unknown namespaces
 keep the full IRI). Edge-TSV carries no datatypes, so literal kinds are
@@ -13,18 +16,17 @@ inferred from the lexical shape of the ``node2`` field; N-Triples literals
 are classified by their explicit datatype.
 
 Each load call keeps term tables that map the raw text of a term to its
-parsed form: a subject or IRI token to its shortened, interned ``Node``, a
-property token to its shortened id, an object field to its ``Value``. The
-prefix scan and the lexical classification therefore run once per distinct
-term, and equal literals share one ``Literal``. Property ids go through
-``sys.intern``, so every index key of one property is one shared string
-rather than a copy per edge. The tables are dropped when the call returns.
+parsed form: a subject, property or IRI token to its shortened id, an object
+field to its ``Value``. The prefix scan and the lexical classification
+therefore run once per distinct term, and equal literals share one
+``Literal``. One more table maps every node id and property id to the first
+string object seen with that text, so all index keys and members that spell
+one id are one shared string rather than a copy per edge. All the tables are
+dropped when the call returns. Interpreter string interning is not used:
+interned strings are immortal on Python 3.12, so a dropped graph's ids
+would never be freed.
 
-``Node`` and ``Literal`` are frozen, slotted dataclasses: no per-instance
-``__dict__``. A ``Node`` hashes by its id alone: the nodes of one graph
-share their tag, and equality still compares it, so every index insert and
-lookup hashes one string (whose hash is cached) rather than a fresh
-``(id, graph_tag)`` tuple.
+``Literal`` is a frozen, slotted dataclass: no per-instance ``__dict__``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from __future__ import annotations
 import calendar
 import math
 import re
-import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Union
@@ -60,31 +61,8 @@ class Provenance(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class Node:
-    id: str
-    graph_tag: str
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("node id must be non-empty")
-
-    def __hash__(self) -> int:
-        # equal nodes have equal ids, so hashing the id alone is consistent
-        return hash(self.id)
-
-    @property
-    def local_name(self) -> str:
-        return local_name(self.id)
-
-
-@dataclass(frozen=True, slots=True)
 class Literal:
-    """A typed literal value.
-
-    ``raw`` preserves the original lexical form but is excluded from
-    equality/hashing so that value-equal literals from different
-    serializations compare equal.
-    """
+    """A typed literal value; value-equal literals from different serializations are equal."""
 
     kind: ValueKind
     text: str | None = None
@@ -94,23 +72,20 @@ class Literal:
     day: int | None = None
     precision: str | None = None
     magnitude: float | None = None
-    unit: str | None = None
-    raw: str = field(default="", compare=False)
 
     @staticmethod
-    def string(text: str, raw: str | None = None) -> "Literal":
-        return Literal(ValueKind.STRING, text=text, raw=raw if raw is not None else text)
+    def string(text: str) -> "Literal":
+        return Literal(ValueKind.STRING, text=text)
 
     @staticmethod
-    def monolingual(text: str, language: str, raw: str | None = None) -> "Literal":
+    def monolingual(text: str, language: str) -> "Literal":
         if not language:
             raise ValueError("monolingual text requires a language tag")
-        return Literal(ValueKind.MONOLINGUAL, text=text, language=language,
-                       raw=raw if raw is not None else text)
+        return Literal(ValueKind.MONOLINGUAL, text=text, language=language)
 
     @staticmethod
     def date(year: int, month: int | None = None, day: int | None = None,
-             precision: str | None = None, raw: str | None = None) -> "Literal":
+             precision: str | None = None) -> "Literal":
         if precision is None:
             precision = "day" if day is not None else "month" if month is not None else "year"
         if precision not in ("year", "month", "day"):
@@ -119,44 +94,43 @@ class Literal:
             raise ValueError("day precision requires month and day")
         if precision == "month" and month is None:
             raise ValueError("month precision requires a month")
-        return Literal(ValueKind.DATE, year=year, month=month, day=day,
-                       precision=precision, raw=raw if raw is not None else "")
+        return Literal(ValueKind.DATE, year=year, month=month, day=day, precision=precision)
 
     @staticmethod
-    def quantity(magnitude: float, unit: str | None = None, raw: str | None = None) -> "Literal":
+    def quantity(magnitude: float) -> "Literal":
         magnitude = float(magnitude)
         if not math.isfinite(magnitude):
             raise ValueError("quantity magnitude must be finite")
-        return Literal(ValueKind.QUANTITY, magnitude=magnitude, unit=unit,
-                       raw=raw if raw is not None else "")
+        return Literal(ValueKind.QUANTITY, magnitude=magnitude)
 
     @staticmethod
-    def other(raw: str) -> "Literal":
-        return Literal(ValueKind.OTHER, text=raw, raw=raw)
+    def other(text: str) -> "Literal":
+        return Literal(ValueKind.OTHER, text=text)
 
 
-Value = Union[Node, Literal]
+# a str is a node id
+Value = Union[str, Literal]
 
 
 def value_kind(value: Value) -> ValueKind:
-    return ValueKind.ITEM if isinstance(value, Node) else value.kind
+    return ValueKind.ITEM if isinstance(value, str) else value.kind
 
 
-def value_sort_key(value: Value | str) -> tuple:
-    """Sort and identity key of a value (a bare string is a node id); nodes sort first.
+def value_sort_key(value: Value) -> tuple:
+    """Sort and identity key of a value; node ids sort first.
 
-    A literal's key holds every field ``Literal`` equality compares, not ``raw``.
+    A literal's key holds every field ``Literal`` equality compares.
     """
-    if not isinstance(value, Literal):
-        return (0, value if isinstance(value, str) else value.id)
+    if isinstance(value, str):
+        return (0, value)
     return (1, value.kind.value, value.text or "", value.year or 0,
             value.month or 0, value.day or 0, value.magnitude or 0.0,
-            value.language or "", value.precision or "", value.unit or "")
+            value.language or "", value.precision or "")
 
 
 @dataclass(frozen=True)
 class Statement:
-    subject: Node
+    subject: str
     property: str
     object: Value
     provenance: Provenance
@@ -221,7 +195,7 @@ class LoadStats:
 
 
 class Graph:
-    """Indexed, deduplicated edge set over interned nodes.
+    """Indexed, deduplicated edge set over node ids.
 
     Built by the loaders (or test fixtures) through ``add_edge`` and treated
     as immutable afterwards; every pipeline stage only reads it.
@@ -231,36 +205,26 @@ class Graph:
         self.tag = tag
         self.label_properties = tuple(label_properties)
         self.stats = LoadStats()
-        self._nodes: dict[str, Node] = {}
         self._spo: dict[str, dict[str, set[Value]]] = {}
-        self._osp: dict[Value, dict[str, set[Node]]] = {}
+        self._osp: dict[Value, dict[str, set[str]]] = {}
         self._labels: dict[str, str] = {}
 
     # -- construction ------------------------------------------------------
 
-    def intern(self, node_id: str) -> Node:
-        node = self._nodes.get(node_id)
-        if node is None:
-            node = Node(node_id, self.tag)
-            self._nodes[node_id] = node
-        return node
-
-    def add_edge(self, subject: str | Node, prop: str, obj: Value | str) -> bool:
+    def add_edge(self, subject: str, prop: str, obj: Value) -> bool:
         """Insert one edge into both indexes and count it in ``stats.edges``.
 
-        Returns False when the edge was already present. Nodes, given by id
-        or as a ``Node`` of any graph, are interned here by id; pass a
-        ``Literal`` for literal values.
+        Returns False when the edge was already present. A string object is
+        a node id; pass a ``Literal`` for literal values.
         """
         if not prop:
             raise ValueError("property must be non-empty")
-        subj = self.intern(subject if isinstance(subject, str) else subject.id)
-        if not isinstance(obj, Literal):
-            obj = self.intern(obj if isinstance(obj, str) else obj.id)
+        if not subject or not obj:
+            raise ValueError("node id must be non-empty")
         # get-then-insert: an edge allocates only the containers it keeps
-        by_prop = self._spo.get(subj.id)
+        by_prop = self._spo.get(subject)
         if by_prop is None:
-            by_prop = self._spo[subj.id] = {}
+            by_prop = self._spo[subject] = {}
         objs = by_prop.get(prop)
         if objs is None:
             by_prop[prop] = {obj}
@@ -271,16 +235,16 @@ class Graph:
             objs.add(obj)
         into = self._osp.get(obj)
         if into is None:
-            self._osp[obj] = {prop: {subj}}
+            self._osp[obj] = {prop: {subject}}
         else:
             subjs = into.get(prop)
             if subjs is None:
-                into[prop] = {subj}
+                into[prop] = {subject}
             else:
-                subjs.add(subj)
+                subjs.add(subject)
         self.stats.edges += 1
         if prop in self.label_properties and isinstance(obj, Literal) and obj.text:
-            self._labels.setdefault(subj.id, obj.text)
+            self._labels.setdefault(subject, obj.text)
         return True
 
     # -- queries -----------------------------------------------------------
@@ -291,57 +255,51 @@ class Graph:
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        """Distinct node ids that are a subject or an object of some edge."""
+        spo = self._spo
+        return len(spo) + sum(1 for obj in self._osp if isinstance(obj, str) and obj not in spo)
 
-    def node(self, node_id: str) -> Node | None:
-        return self._nodes.get(node_id)
+    def has_node(self, node_id: str) -> bool:
+        return node_id in self._spo or node_id in self._osp
 
-    def objects(self, subject: str | Node, prop: str) -> set[Value]:
+    def objects(self, subject: str, prop: str) -> set[Value]:
         """Exact object set for (subject, property); empty set if none."""
-        sid = subject.id if isinstance(subject, Node) else subject
-        return self._spo.get(sid, {}).get(prop, set())
+        return self._spo.get(subject, {}).get(prop, set())
 
-    def out_edges(self, subject: str | Node) -> Mapping[str, set[Value]]:
-        sid = subject.id if isinstance(subject, Node) else subject
-        return self._spo.get(sid, {})
+    def out_edges(self, subject: str) -> Mapping[str, set[Value]]:
+        return self._spo.get(subject, {})
 
-    def in_edges(self, obj: Value | str) -> Mapping[str, set[Node]]:
-        """Property -> subjects with an edge into ``obj``; a string names a node."""
-        if isinstance(obj, str):
-            obj = self._nodes.get(obj)
+    def in_edges(self, obj: Value) -> Mapping[str, set[str]]:
+        """Property -> subjects with an edge into ``obj``."""
         return self._osp.get(obj, {})
 
-    def subjects(self) -> Iterator[Node]:
-        """All nodes appearing as subject of at least one edge."""
-        for sid in self._spo:
-            yield self._nodes[sid]
+    def subjects(self) -> Iterator[str]:
+        """All node ids appearing as subject of at least one edge."""
+        return iter(self._spo)
 
-    def statements_for(self, prop: str) -> list[tuple[Node, Value]]:
+    def statements_for(self, prop: str) -> list[tuple[str, Value]]:
         """Every (subject, object) pair of ``prop``, by one scan of the subject index."""
-        nodes = self._nodes
-        return [(nodes[sid], obj) for sid, by_prop in self._spo.items()
+        return [(subject, obj) for subject, by_prop in self._spo.items()
                 for obj in by_prop.get(prop, ())]
 
     def has_property(self, prop: str) -> bool:
         return any(prop in by_prop for by_prop in self._spo.values())
 
-    def subjects_with(self, prop: str, obj: Value) -> set[Node]:
+    def subjects_with(self, prop: str, obj: Value) -> set[str]:
         return self._osp.get(obj, {}).get(prop, set())
 
-    def edges(self) -> Iterator[tuple[Node, str, Value]]:
-        for sid, by_prop in self._spo.items():
-            subj = self._nodes[sid]
+    def edges(self) -> Iterator[tuple[str, str, Value]]:
+        for subject, by_prop in self._spo.items():
             for prop, objs in by_prop.items():
                 for obj in objs:
-                    yield subj, prop, obj
+                    yield subject, prop, obj
 
-    def label(self, node: str | Node) -> str:
+    def label(self, node_id: str) -> str:
         """Display label, falling back to the id's local name, then the id."""
-        nid = node.id if isinstance(node, Node) else node
-        got = self._labels.get(nid)
+        got = self._labels.get(node_id)
         if got is not None:
             return got
-        return local_name(nid)
+        return local_name(node_id)
 
 
 # -- N-Triples ---------------------------------------------------------------
@@ -425,16 +383,16 @@ def _parse_date_lexical(lex: str) -> Literal | None:
         year, month, day = int(m.group(1)), int(m.group(2)), int(m.group(3))
         if not (1 <= month <= 12 and 1 <= day <= _days_in_month(year, month)):
             return None
-        return Literal.date(year, month, day, raw=lex)
+        return Literal.date(year, month, day)
     m = _DATE_MONTH.match(lex)
     if m:
         month = int(m.group(2))
         if not 1 <= month <= 12:
             return None
-        return Literal.date(int(m.group(1)), month, raw=lex)
+        return Literal.date(int(m.group(1)), month)
     m = _DATE_YEAR.match(lex)
     if m:
-        return Literal.date(int(m.group(1)), raw=lex)
+        return Literal.date(int(m.group(1)))
     return None
 
 
@@ -444,9 +402,9 @@ def _nt_literal(token: str) -> Literal:
     lex, lang, datatype = m.group("lex"), m.group("lang"), m.group("dt")
     text = _unescape(lex)
     if lang:
-        return Literal.monolingual(text, lang, raw=lex)
+        return Literal.monolingual(text, lang)
     if datatype is None or datatype == _XSD + "string":
-        return Literal.string(text, raw=lex)
+        return Literal.string(text)
     if datatype.startswith(_XSD):
         local = datatype[len(_XSD):]
         if local in ("date", "dateTime", "gYear", "gYearMonth"):
@@ -456,7 +414,7 @@ def _nt_literal(token: str) -> Literal:
             return Literal.other(text)
         if local in _NUMERIC_XSD:
             try:
-                return Literal.quantity(float(text), raw=text)
+                return Literal.quantity(float(text))
             except ValueError:
                 return Literal.other(text)
     return Literal.other(text)
@@ -488,7 +446,7 @@ def _check_threshold(path: str | Path, stats: LoadStats, considered: int,
         )
 
 
-def load_ntriples(path: str | Path, graph_tag: str, *,
+def load_ntriples(path: str | Path, tag: str, *,
                   prefixes: Mapping[str, str] | PrefixTable | None = None,
                   label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES,
                   malformed_threshold: float = DEFAULT_MALFORMED_THRESHOLD) -> Graph:
@@ -499,11 +457,11 @@ def load_ntriples(path: str | Path, graph_tag: str, *,
     malformed, a DataFormatError naming the first offending line is raised.
     """
     table = prefixes if isinstance(prefixes, PrefixTable) else PrefixTable(prefixes)
-    graph = Graph(graph_tag, label_properties)
+    graph = Graph(tag, label_properties)
     stats = graph.stats
-    nodes = _Terms(lambda token: graph.intern(_nt_term_id(token, table)))
-    props = _Terms(lambda token: sys.intern(table.shorten(token[1:-1])))
-    values = _Terms(lambda token: _nt_literal(token) if token[0] == '"' else nodes[token])
+    ids = _Terms(lambda text: text)
+    terms = _Terms(lambda token: ids[_nt_term_id(token, table)])
+    values = _Terms(lambda token: _nt_literal(token) if token[0] == '"' else terms[token])
     considered = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -521,7 +479,7 @@ def load_ntriples(path: str | Path, graph_tag: str, *,
             except ValueError:
                 stats.skip(lineno, stripped)
                 continue
-            graph.add_edge(nodes[m.group("s")], props[m.group("p")], obj)
+            graph.add_edge(terms[m.group("s")], terms[m.group("p")], obj)
     _check_threshold(path, stats, considered, malformed_threshold)
     return graph
 
@@ -547,28 +505,28 @@ def _tsv_literal(text: str) -> Literal | None:
     quantity, id-shaped -> None; anything else becomes an Other literal.
     """
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return Literal.string(_unescape(text[1:-1]), raw=text)
+        return Literal.string(_unescape(text[1:-1]))
     m = _TSV_MONOLINGUAL.match(text)
     if m:
-        return Literal.monolingual(_unescape(m.group("text")), m.group("lang"), raw=text)
+        return Literal.monolingual(_unescape(m.group("text")), m.group("lang"))
     if _TSV_DATE.match(text):
         parsed = _parse_date_lexical(text)
         if parsed is not None:
             return parsed
     if _TSV_NUMBER.match(text):
-        return Literal.quantity(float(text), raw=text)
+        return Literal.quantity(float(text))
     if _TSV_NODE_ID.match(text) or "://" in text:
         return None
     return Literal.other(text)
 
 
-def parse_tsv_value(text: str, graph: Graph) -> Value:
-    """The value a ``node2`` field denotes; an id-shaped field is interned as is."""
+def parse_tsv_value(text: str) -> Value:
+    """The value a ``node2`` field denotes; an id-shaped field is a node id, as is."""
     literal = _tsv_literal(text)
-    return graph.intern(text) if literal is None else literal
+    return text if literal is None else literal
 
 
-def load_edge_tsv(path: str | Path, graph_tag: str, *,
+def load_edge_tsv(path: str | Path, tag: str, *,
                   prefixes: Mapping[str, str] | PrefixTable | None = None,
                   label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES,
                   malformed_threshold: float = DEFAULT_MALFORMED_THRESHOLD) -> Graph:
@@ -576,17 +534,17 @@ def load_edge_tsv(path: str | Path, graph_tag: str, *,
 
     A ``node2`` field is classified on its raw text, so an IRI whose
     shortened form looks like a date is still a node; only the shortened id
-    is interned.
+    is stored.
     """
     table = prefixes if isinstance(prefixes, PrefixTable) else PrefixTable(prefixes)
-    graph = Graph(graph_tag, label_properties)
+    graph = Graph(tag, label_properties)
     stats = graph.stats
-    nodes = _Terms(lambda text: graph.intern(table.shorten(text)))
-    props = _Terms(lambda text: sys.intern(table.shorten(text)))
+    ids = _Terms(lambda text: text)
+    terms = _Terms(lambda text: ids[table.shorten(text)])
 
     def value(text: str) -> Value:
         literal = _tsv_literal(text)
-        return nodes[text] if literal is None else literal
+        return terms[text] if literal is None else literal
 
     values = _Terms(value)
     considered = 0
@@ -619,7 +577,7 @@ def load_edge_tsv(path: str | Path, graph_tag: str, *,
             except ValueError:
                 stats.skip(lineno, stripped)
                 continue
-            graph.add_edge(nodes[fields[subj_col]], props[fields[prop_col]], obj)
+            graph.add_edge(terms[fields[subj_col]], terms[fields[prop_col]], obj)
     _check_threshold(path, stats, considered, malformed_threshold)
     return graph
 
@@ -639,8 +597,8 @@ def serialize_value(value: Value) -> str:
     Inverse of parse_tsv_value up to value equality: quantities always carry
     a decimal point so integral magnitudes cannot be re-read as dates.
     """
-    if isinstance(value, Node):
-        return value.id
+    if isinstance(value, str):
+        return value
     if value.kind is ValueKind.STRING:
         return f'"{_escape(value.text or "")}"'
     if value.kind is ValueKind.MONOLINGUAL:
@@ -657,13 +615,13 @@ def serialize_value(value: Value) -> str:
         if mag == int(mag) and abs(mag) < 1e15:
             return f"{int(mag)}.0"
         return repr(mag)
-    return value.text or value.raw
+    return value.text or ""
 
 
 def write_edge_tsv(graph: Graph, path: str | Path) -> None:
     """Serialize the full edge set, sorted, so identical graphs give identical bytes."""
     rows = sorted(
-        (subj.id, prop, serialize_value(obj)) for subj, prop, obj in graph.edges()
+        (subject, prop, serialize_value(obj)) for subject, prop, obj in graph.edges()
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("node1\tlabel\tnode2\n")

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import DataFormatError
 from .retrieve import CandidateStatement
-from .store import Graph, Node, Value, ValueKind, serialize_value, value_kind
+from .store import Graph, Value, ValueKind, serialize_value, value_kind
 
 # modal-kind tie break, most specific first
 KIND_PRECEDENCE = (ValueKind.ITEM, ValueKind.DATE, ValueKind.QUANTITY,
@@ -82,7 +82,7 @@ class ValidationOutcome:
     valuetype_seconds: float = 0.0
 
 
-def infer_expected_datatype(known: Iterable[tuple[Node, Value]]) -> ValueKind:
+def infer_expected_datatype(known: Iterable[tuple[str, Value]]) -> ValueKind:
     """Modal object kind of the known pairs; ties break by kind precedence."""
     counts = Counter(value_kind(obj) for _, obj in known)
     if not counts:
@@ -117,32 +117,25 @@ def allowed_class_closure(graph: Graph, constraint: ValueTypeConstraint,
         class_id, depth = frontier.popleft()
         if depth >= depth_cap:
             continue
-        class_node = graph.node(class_id)
-        if class_node is None:
-            continue
-        for sub in graph.subjects_with(subclass_of, class_node):
-            if sub.id not in closure:
-                closure.add(sub.id)
-                frontier.append((sub.id, depth + 1))
+        for sub in graph.subjects_with(subclass_of, class_id):
+            if sub not in closure:
+                closure.add(sub)
+                frontier.append((sub, depth + 1))
     return frozenset(closure)
 
 
 def _object_in_graph(graph: Graph, obj: Value) -> bool:
-    return isinstance(obj, Node) and graph.node(obj.id) is not None
+    return isinstance(obj, str) and graph.has_node(obj)
 
 
-def _type_reaches(graph: Graph, obj: Node, constraint: ValueTypeConstraint,
+def _type_reaches(graph: Graph, obj: str, constraint: ValueTypeConstraint,
                   closure: frozenset[str], instance_of: str, subclass_of: str) -> bool:
     relations = {
         RelationMode.INSTANCE_OF: (instance_of,),
         RelationMode.SUBCLASS_OF: (subclass_of,),
         RelationMode.BOTH: (instance_of, subclass_of),
     }[constraint.relation_mode]
-    for rel in relations:
-        for parent in graph.objects(obj, rel):
-            if isinstance(parent, Node) and parent.id in closure:
-                return True
-    return False
+    return any(not closure.isdisjoint(graph.objects(obj, rel)) for rel in relations)
 
 
 def check_value_type(graph: Graph, candidate: CandidateStatement,
@@ -151,7 +144,7 @@ def check_value_type(graph: Graph, candidate: CandidateStatement,
                      instance_of: str = "P31", subclass_of: str = "P279",
                      closure: frozenset[str] | None = None) -> bool:
     """True iff the subject is exempt or the object's type chain reaches an allowed class."""
-    if candidate.subject.id in constraint.exceptions:
+    if candidate.subject in constraint.exceptions:
         return True
     if not _object_in_graph(graph, candidate.object):
         return False
@@ -163,14 +156,13 @@ def check_value_type(graph: Graph, candidate: CandidateStatement,
 
 def check_literal_range(candidate: CandidateStatement,
                         cutoff_year: int = DEFAULT_CUTOFF_YEAR) -> bool:
-    obj = candidate.object
-    if not (not isinstance(obj, Node) and obj.kind is ValueKind.DATE):
+    if value_kind(candidate.object) is not ValueKind.DATE:
         raise ValueError("range check applies to date objects only")
-    return obj.year < cutoff_year
+    return candidate.object.year < cutoff_year
 
 
 def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
-                      known: Iterable[tuple[Node, Value]],
+                      known: Iterable[tuple[str, Value]],
                       constraint: ValueTypeConstraint | None = None,
                       settings: ValidationSettings | None = None) -> ValidationOutcome:
     """Run all applicable checks and assemble per-candidate verdicts.
@@ -199,7 +191,7 @@ def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
                                      instance_of=settings.instance_of,
                                      subclass_of=settings.subclass_of, closure=closure)
         rng_ok: bool | None = None
-        if not isinstance(cand.object, Node) and cand.object.kind is ValueKind.DATE:
+        if value_kind(cand.object) is ValueKind.DATE:
             rng_ok = check_literal_range(cand, settings.cutoff_year)
 
         if cand.unresolved:
@@ -208,7 +200,7 @@ def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
             reason = RejectReason.WRONG_DATATYPE
         elif vt_ok is False:
             if not _object_in_graph(graph, cand.object) \
-                    and cand.subject.id not in constraint.exceptions:
+                    and cand.subject not in constraint.exceptions:
                 reason = RejectReason.UNRESOLVABLE
             else:
                 reason = RejectReason.WRONG_VALUE_TYPE
@@ -279,7 +271,7 @@ def write_verdicts(verdicts: Iterable[ValidationVerdict], path: str | Path) -> N
                  "\taccepted\treject_reason\n")
         for v in verdicts:
             fh.write("\t".join((
-                v.statement.subject.id, v.statement.property,
+                v.statement.subject, v.statement.property,
                 serialize_value(v.statement.object),
                 *map(_flag_cell, (v.datatype_ok, v.value_type_ok, v.range_ok)),
                 str(v.accepted).lower(),

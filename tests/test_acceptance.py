@@ -18,7 +18,7 @@ from kgenrich.consistency import AgreementReport, format_rate
 from kgenrich.gaps import detect_gaps
 from kgenrich.pipeline import batch_enrich, enrich_property
 from kgenrich.retrieve import CandidateStatement
-from kgenrich.store import Literal, Node, ValueKind, value_kind, write_edge_tsv
+from kgenrich.store import Literal, ValueKind, value_kind, write_edge_tsv
 from kgenrich.validate import (RejectReason, RelationMode, ValidationSettings,
                                ValueTypeConstraint, validate_detailed)
 
@@ -44,7 +44,7 @@ def test_criterion_01_industry_of_companies_end_to_end(company_fixture):
     assert result.selected_path.steps == ("dbp:industry",)
     assert result.s_e >= 1
     (stmt,) = result.statements
-    assert stmt.subject.id == fx.gap_subject and stmt.object.id == fx.expected_value
+    assert stmt.subject == fx.gap_subject and stmt.object == fx.expected_value
     assert result.s_total == result.s_w + result.s_e
     assert elapsed < 1.0
     _report(1, f"P452 -> dbp:industry, gap filled, s_total={result.s_total}, "
@@ -59,10 +59,10 @@ def test_criterion_02_candidate_assessment_rows():
         ("Q9764", "P31", "Q9730"),
         ("Q8070394", "P31", "Q5"),
     ])
-    path_known = [(Node("Qk", "wd"), Node("Qv", "wd"))]
+    path_known = [("Qk", "Qv")]
 
     def run(subject, prop, obj, allowed):
-        cand = CandidateStatement(subject=Node(subject, "wd"), property=prop,
+        cand = CandidateStatement(subject=subject, property=prop,
                                   object=obj, external_object=obj,
                                   path=PropertyPath(steps=("p",)))
         outcome = validate_detailed(g, [cand], path_known,
@@ -70,11 +70,11 @@ def test_criterion_02_candidate_assessment_rows():
         accepted, verdicts = outcome.accepted, outcome.verdicts
         return bool(accepted), verdicts[0].reject_reason
 
-    correct = run("Q6530279", "P136", Node("Q217117", "wd"), {"Q483394"})
+    correct = run("Q6530279", "P136", "Q217117", {"Q483394"})
     wrong_datatype = run("Q15401730", "P413",
                          Literal.monolingual("Left back", "en"), {"Q4611891"})
-    wrong_value_type = run("Q704160", "P2701", Node("Q9764", "wd"), {"Q235557"})
-    inaccurate = run("Q5402674", "P4608", Node("Q8070394", "wd"), {"Q5"})
+    wrong_value_type = run("Q704160", "P2701", "Q9764", {"Q235557"})
+    inaccurate = run("Q5402674", "P4608", "Q8070394", {"Q5"})
 
     assert correct == (True, None)
     assert wrong_datatype == (False, RejectReason.WRONG_DATATYPE)
@@ -241,13 +241,12 @@ def _test_side_modal(known):
 
 
 def _test_side_reaches(graph, obj_id, allowed, mode, cap):
-    start = graph.node(obj_id)
-    if start is None:
+    if not graph.has_node(obj_id):
         return False
     relations = {"instance": ("P31",), "subclass": ("P279",),
                  "both": ("P31", "P279")}[mode.value]
-    seeds = [o.id for rel in relations for o in graph.objects(start, rel)
-             if isinstance(o, Node)]
+    seeds = [o for rel in relations for o in graph.objects(obj_id, rel)
+             if isinstance(o, str)]
     frontier, seen, depth = seeds, set(seeds), 0
     while frontier:
         if any(t in allowed for t in frontier):
@@ -256,13 +255,12 @@ def _test_side_reaches(graph, obj_id, allowed, mode, cap):
             return False
         nxt = []
         for t in frontier:
-            node = graph.node(t)
-            if node is None:
+            if not graph.has_node(t):
                 continue
-            for parent in graph.objects(node, "P279"):
-                if isinstance(parent, Node) and parent.id not in seen:
-                    seen.add(parent.id)
-                    nxt.append(parent.id)
+            for parent in graph.objects(t, "P279"):
+                if isinstance(parent, str) and parent not in seen:
+                    seen.add(parent)
+                    nxt.append(parent)
         frontier, depth = nxt, depth + 1
     return False
 
@@ -297,11 +295,11 @@ def test_criterion_07_intersection_law_randomized():
         known = []
         for i in range(rng.randint(3, 8)):
             if expected_bias is ValueKind.ITEM:
-                known.append((Node(f"K{i}", "wd"), Node(rng.choice(objects), "wd")))
+                known.append((f"K{i}", rng.choice(objects)))
             elif expected_bias is ValueKind.DATE:
-                known.append((Node(f"K{i}", "wd"), Literal.date(rng.randint(1800, 2020))))
+                known.append((f"K{i}", Literal.date(rng.randint(1800, 2020))))
             else:
-                known.append((Node(f"K{i}", "wd"), Literal.quantity(i)))
+                known.append((f"K{i}", Literal.quantity(i)))
         constraint = None
         if rng.random() < 0.8:
             constraint = ValueTypeConstraint(
@@ -311,16 +309,16 @@ def test_criterion_07_intersection_law_randomized():
 
         batch = []
         for i in range(460):
-            subject = Node(rng.choice([f"U{i}", "X0", "X1"]), "wd")
+            subject = rng.choice([f"U{i}", "X0", "X1"])
             roll = rng.random()
             if roll < 0.45:
-                obj = Node(rng.choice(objects), "wd")
+                obj = rng.choice(objects)
                 unresolved = False
             elif roll < 0.55:
-                obj = Node(f"missing{i}", "wd")  # item absent from the graph
+                obj = f"missing{i}"  # item absent from the graph
                 unresolved = False
             elif roll < 0.65:
-                obj = Node(f"ext{i}", "dbp")
+                obj = f"ext{i}"
                 unresolved = True
             elif roll < 0.80:
                 obj = Literal.date(rng.randint(1900, 2100))
@@ -347,9 +345,9 @@ def test_criterion_07_intersection_law_randomized():
             if constraint is None or value_kind(c.object) is not ValueKind.ITEM \
                     or c.unresolved:
                 valuetype_pass.add(c)
-            elif c.subject.id in constraint.exceptions:
+            elif c.subject in constraint.exceptions:
                 valuetype_pass.add(c)
-            elif _test_side_reaches(graph, c.object.id, constraint.allowed_classes,
+            elif _test_side_reaches(graph, c.object, constraint.allowed_classes,
                                     constraint.relation_mode, settings.depth_cap):
                 valuetype_pass.add(c)
         range_pass = {c for c in batch
@@ -363,7 +361,7 @@ def test_criterion_07_intersection_law_randomized():
                 assert c not in accepted
         if constraint is not None and expected is ValueKind.ITEM:
             for c in batch:
-                if c.subject.id in constraint.exceptions and c in datatype_pass:
+                if c.subject in constraint.exceptions and c in datatype_pass:
                     assert c in accepted  # exception bypasses value type
 
     assert total >= 10_000 and properties >= 20
@@ -383,7 +381,7 @@ def test_criterion_08_partition_and_safety_invariants(company_fixture):
                                  entity_class=COMPANY_CLASS,
                                  constraints=fx.constraints)
         assert result.statement_keys <= result.candidate_keys        # S_e subset of S_g
-        emitted = {s.subject.id for s in result.statements}
+        emitted = {s.subject for s in result.statements}
         assert not emitted & result.known_ids
         assert emitted <= result.unknown_ids or not emitted
         checked += 1

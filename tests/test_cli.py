@@ -178,6 +178,22 @@ def test_candidate_file_without_columns_is_one_line_data_error(workspace, capsys
     assert "external_object" in err and "found ['subject'," in err
 
 
+def test_candidate_row_missing_cells_is_one_line_data_error(workspace, capsys):
+    cfg = str(workspace / "config.yaml")
+    cands = workspace / "cands.tsv"
+    assert main(["retrieve", "--config", cfg, "--property", INDUSTRY_PROP,
+                 "--path", "dbp:industry", "--out", str(cands)]) == 0
+    header, *rows = cands.read_text().splitlines()
+    # every row loses its last (flags) cell
+    cands.write_text("\n".join([header] + [row.rsplit("\t", 1)[0] for row in rows]) + "\n")
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg, "--property", INDUSTRY_PROP,
+                 "--candidates", str(cands), "--out", str(workspace / "v.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"data error: {cands}:2:") and "needs 6 " in err
+
+
 def test_property_without_known_values_is_config_error(workspace, capsys):
     cfg = str(workspace / "config.yaml")
     cands = workspace / "cands.tsv"
@@ -321,6 +337,22 @@ def test_report_rerender_of_json_equals_batch_tsv(workspace):
     batch_tsv = reports["tsv"].read_text()
     assert "(both)" in batch_tsv and "#median_novel_statements=" in batch_tsv
     assert rendered.read_bytes() == reports["tsv"].read_bytes()
+
+
+@pytest.mark.parametrize("doc", [
+    {"results": [{"graph": "dbp"}]},
+    {"results": [{"property": "P452"}]},
+    {"results": [1]},
+    {"results": {"graph": "dbp", "property": "P452"}},
+    [1],
+])
+def test_malformed_results_json_is_one_line_data_error(tmp_path, capsys, doc):
+    results = tmp_path / "report.json"
+    results.write_text(json.dumps(doc))
+    assert main(["report", "--results", str(results), "--out", str(tmp_path / "r.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"data error: {results}: ")
 
 
 def test_missing_mapping_is_config_error(workspace, capsys):

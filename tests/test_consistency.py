@@ -8,7 +8,7 @@ from kgenrich.align import PropertyPath
 from kgenrich.consistency import (AgreementReport, Granularity, agreement,
                                   format_rate, literal_agreement, write_scatter_csv)
 from kgenrich.retrieve import CandidateStatement
-from kgenrich.store import Literal, Node
+from kgenrich.store import Literal
 
 from conftest import graph_from_edges
 
@@ -16,7 +16,7 @@ PATH = PropertyPath(steps=("x",))
 
 
 def cand(subject_id, prop, obj):
-    return CandidateStatement(subject=Node(subject_id, "wd"), property=prop,
+    return CandidateStatement(subject=subject_id, property=prop,
                               object=obj, external_object=obj, path=PATH)
 
 
@@ -39,7 +39,7 @@ def test_format_rate():
 
 def test_agreement_all_equal():
     g = graph_from_edges("wd", [("Q1", "P19", "Q10"), ("Q2", "P19", "Q20")])
-    overlap = [cand("Q1", "P19", g.node("Q10")), cand("Q2", "P19", g.node("Q20"))]
+    overlap = [cand("Q1", "P19", "Q10"), cand("Q2", "P19", "Q20")]
     report = agreement(g, overlap)
     assert report.s_overlap == 2 and report.s_agree == 2
     assert report.r_agree == 1.0
@@ -48,13 +48,13 @@ def test_agreement_all_equal():
 def test_agreement_region_vs_city_counts_as_disagreement():
     # a region in the target vs the specific city from outside: no credit
     g = graph_from_edges("wd", [("Q1161576", "P20", "Q30978")])
-    report = agreement(g, [cand("Q1161576", "P20", g.node("Q4191") or Node("Q4191", "wd"))])
+    report = agreement(g, [cand("Q1161576", "P20", "Q4191")])
     assert report.s_agree == 0 and report.s_disagree == 1
 
 
 def test_agreement_cross_product_counting():
     g = graph_from_edges("wd", [("Q1", "P19", "Q10"), ("Q1", "P19", "Q11")])
-    overlap = [cand("Q1", "P19", g.node("Q10")), cand("Q1", "P19", Node("Q12", "wd"))]
+    overlap = [cand("Q1", "P19", "Q10"), cand("Q1", "P19", "Q12")]
     report = agreement(g, overlap)
     # 2 target values x 2 external values = 4 comparisons, 1 agreeing
     assert report.s_overlap == 4

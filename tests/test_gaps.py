@@ -21,8 +21,8 @@ def test_two_of_three_known():
     g = _company_graph()
     part = detect_gaps(g, "P452")
     # without a class filter the universe is every edge subject
-    assert {n.id for n in part.known_subjects} == {"Q1", "Q2"}
-    assert "Q3" in {n.id for n in part.unknown_subjects}
+    assert set(part.known_subjects) == {"Q1", "Q2"}
+    assert "Q3" in set(part.unknown_subjects)
 
 
 def test_entity_filter_restricts_universe():
@@ -34,8 +34,8 @@ def test_entity_filter_restricts_universe():
     ]
     g = graph_from_edges("wd", edges)
     part = detect_gaps(g, "P57", ("Q11424", "P31"))
-    assert {n.id for n in part.known_subjects} == {"Q1"}
-    assert {n.id for n in part.unknown_subjects} == {"Q2"}
+    assert set(part.known_subjects) == {"Q1"}
+    assert set(part.unknown_subjects) == {"Q2"}
 
 
 def test_missing_type_property_raises():
@@ -65,9 +65,9 @@ def test_partition_law(company_fixture):
 def test_monotonicity_adding_statement_moves_subject():
     before = detect_gaps(_company_graph(), "P452")
     after = detect_gaps(_company_graph(with_p452=("Q1", "Q2", "Q3")), "P452")
-    moved = {n.id for n in before.unknown_subjects} - {n.id for n in after.unknown_subjects}
+    moved = set(before.unknown_subjects) - set(after.unknown_subjects)
     assert "Q3" in moved
-    assert {n.id for n in before.known_subjects} <= {n.id for n in after.known_subjects}
+    assert set(before.known_subjects) <= set(after.known_subjects)
 
 
 def test_no_value_sentinel_counts_as_known():
@@ -75,7 +75,7 @@ def test_no_value_sentinel_counts_as_known():
              ("Q1", "P452", "novalue")]
     g = graph_from_edges("wd", edges)
     part = detect_gaps(g, "P452", ("Q783794", "P31"), no_value_sentinel="novalue")
-    assert {n.id for n in part.known_subjects} == {"Q1"}
+    assert set(part.known_subjects) == {"Q1"}
     # the sentinel pair itself is not usable as a known pair
     assert part.known == frozenset()
 

@@ -24,8 +24,8 @@ def test_fig1_style_end_to_end(company_fixture):
     assert result.s_g == 1 and result.s_e == 1 and result.n_c == 1
     assert result.s_total == result.s_w + result.s_e == 6
     (stmt,) = result.statements
-    assert stmt.subject.id == fx.gap_subject
-    assert stmt.object.id == fx.expected_value
+    assert stmt.subject == fx.gap_subject
+    assert stmt.object == fx.expected_value
     assert stmt.provenance is Provenance.VALIDATED
     assert stmt.source_graph == "dbp"
     assert result.r_e == pytest.approx(0.2)
@@ -36,8 +36,8 @@ def test_no_emitted_subject_in_known_set(company_fixture):
     fx = company_fixture
     result = enrich_property(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
                              entity_class=COMPANY_CLASS, constraints=fx.constraints)
-    assert {s.subject.id for s in result.statements} <= result.unknown_ids
-    assert not {s.subject.id for s in result.statements} & result.known_ids
+    assert {s.subject for s in result.statements} <= result.unknown_ids
+    assert not {s.subject for s in result.statements} & result.known_ids
 
 
 def test_timings_recorded(company_fixture):
@@ -221,7 +221,7 @@ def test_statement_file_loads_back(tmp_path, company_fixture):
     g = load_edge_tsv(out, "enriched")
     assert g.edge_count == 1
     (obj,) = g.objects(fx.gap_subject, INDUSTRY_PROP)
-    assert obj.id == fx.expected_value
+    assert obj == fx.expected_value
 
 
 def test_run_consistency_item_property(company_fixture):

@@ -18,25 +18,25 @@ def _sitelink_graph(links):
 def test_build_mapping_with_prefix_transform():
     g = _sitelink_graph([("Q30185", "Lesburlesque")])
     mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
-    assert mapping.forward[g.node("Q30185")] == {"dbr:Lesburlesque"}
+    assert mapping.forward["Q30185"] == {"dbr:Lesburlesque"}
 
 
 def test_unlinked_node_absent():
     g = _sitelink_graph([("Q30185", "Lesburlesque")])
     mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
-    assert g.node("Q999") not in mapping.forward
+    assert "Q999" not in mapping.forward
 
 
 def test_shared_external_id_transposes_to_set_of_two():
     g = _sitelink_graph([("Q1", "Same"), ("Q2", "Same")])
     mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
-    assert mapping.inverse["dbr:Same"] == {g.node("Q1"), g.node("Q2")}
+    assert mapping.inverse["dbr:Same"] == {"Q1", "Q2"}
 
 
 def test_transform_percent_encodes_spaces():
     g = _sitelink_graph([("Q15401730", "Amanda de Andrade")])
     mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
-    assert mapping.forward[g.node("Q15401730")] == {"dbr:Amanda%20de%20Andrade"}
+    assert mapping.forward["Q15401730"] == {"dbr:Amanda%20de%20Andrade"}
 
 
 def test_transform_failure_skipped_and_counted():
@@ -54,11 +54,11 @@ def test_resolve_coverage():
     g = _sitelink_graph([("Q1", "A"), ("Q2", "B"), ("Q3", "C")])
     g.add_edge("Q4", "P31", "Q5")
     mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
-    res = resolve(mapping, {g.node("Q1")})
-    assert res.mapped == {g.node("Q1"): frozenset({"dbr:A"})}
+    res = resolve(mapping, {"Q1"})
+    assert res.mapped == {"Q1": frozenset({"dbr:A"})}
     assert res.coverage == 1.0
-    assert resolve(mapping, {g.node("Q4")}).coverage == 0.0
-    mixed = resolve(mapping, {g.node(q) for q in ("Q1", "Q2", "Q3", "Q4")})
+    assert resolve(mapping, {"Q4"}).coverage == 0.0
+    mixed = resolve(mapping, {q for q in ("Q1", "Q2", "Q3", "Q4")})
     assert mixed.coverage == 0.75
 
 
@@ -66,7 +66,7 @@ def test_inverse_resolve():
     g = _sitelink_graph([("Q217117", "Burlesque")])
     mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
     inv = inverse_resolve(mapping, {"dbr:Burlesque", "dbr:NeverLinked"})
-    assert inv.mapped == {"dbr:Burlesque": frozenset({g.node("Q217117")})}
+    assert inv.mapped == {"dbr:Burlesque": frozenset({"Q217117"})}
     assert inv.ambiguous == frozenset()
 
 
@@ -94,7 +94,7 @@ def test_transpose_property(links):
 def test_roundtrip_identity_on_unambiguous_subset():
     g = _sitelink_graph([("Q1", "A"), ("Q2", "B")])
     mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
-    nodes = {g.node("Q1"), g.node("Q2")}
+    nodes = {"Q1", "Q2"}
     forward = resolve(mapping, nodes).mapped
     externals = {e for exts in forward.values() for e in exts}
     back = inverse_resolve(mapping, externals).mapped

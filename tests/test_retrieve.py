@@ -12,7 +12,7 @@ from kgenrich.align import PropertyPath
 from kgenrich.resolve import IdTransform, build_mapping
 from kgenrich.retrieve import (follow_path, read_candidates, retrieve,
                                write_candidates)
-from kgenrich.store import Literal, Node
+from kgenrich.store import Literal
 
 from conftest import graph_from_edges
 
@@ -20,7 +20,7 @@ from conftest import graph_from_edges
 def test_follow_path_single_step():
     g = graph_from_edges("dbp", [("dbr:WOWIO", "dbp:industry", "dbr:E-book")])
     terminals = follow_path(g, "dbr:WOWIO", PropertyPath(steps=("dbp:industry",)))
-    assert {t.id for t in terminals} == {"dbr:E-book"}
+    assert set(terminals) == {"dbr:E-book"}
 
 
 def test_follow_path_no_outgoing_edge():
@@ -38,7 +38,7 @@ def test_follow_path_getty_four_hop():
     path = PropertyPath(steps=("foaf:focus", "gvp:biographyPreferred",
                                "schema:birthPlace", "skos:exactMatch"))
     terminals = follow_path(g, "ulan:person", path)
-    assert {t.id for t in terminals} == {"tgn:7011781"}
+    assert set(terminals) == {"tgn:7011781"}
 
 
 def test_follow_path_intermediate_literal_terminates_branch():
@@ -48,7 +48,7 @@ def test_follow_path_intermediate_literal_terminates_branch():
         ("dbr:M", "q", "dbr:O"),
     ])
     terminals = follow_path(g, "dbr:A", PropertyPath(steps=("p", "q")))
-    assert {t.id for t in terminals} == {"dbr:O"}
+    assert set(terminals) == {"dbr:O"}
 
 
 def test_follow_path_empty_path_rejected():
@@ -69,13 +69,13 @@ def test_retrieve_unique_resolution():
     target = _linked_target([("Q1", "CompanyA"), ("Q2", "IndustryA")])
     external = graph_from_edges("dbp", [("dbr:CompanyA", "dbp:industry", "dbr:IndustryA")])
     mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
-    unknowns = {target.node("Q1"): {"dbr:CompanyA"}}
+    unknowns = {"Q1": {"dbr:CompanyA"}}
     candidates = retrieve(external, unknowns, "P452", PATH, mapping)
     assert len(candidates) == 1
     cand = candidates[0]
-    assert cand.subject.id == "Q1"
-    assert isinstance(cand.object, Node) and cand.object.id == "Q2"
-    assert cand.external_object.id == "dbr:IndustryA"
+    assert cand.subject == "Q1"
+    assert isinstance(cand.object, str) and cand.object == "Q2"
+    assert cand.external_object == "dbr:IndustryA"
     assert not cand.ambiguous and not cand.unresolved
 
 
@@ -83,22 +83,22 @@ def test_retrieve_unresolvable_flagged():
     target = _linked_target([("Q1", "CompanyA")])
     external = graph_from_edges("dbp", [("dbr:CompanyA", "dbp:industry", "dbr:Mystery")])
     mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
-    candidates = retrieve(external, {target.node("Q1"): {"dbr:CompanyA"}},
+    candidates = retrieve(external, {"Q1": {"dbr:CompanyA"}},
                           "P452", PATH, mapping)
     assert len(candidates) == 1
     assert candidates[0].unresolved
-    assert candidates[0].object.id == "dbr:Mystery"
+    assert candidates[0].object == "dbr:Mystery"
 
 
 def test_retrieve_ambiguous_inverse_propagates_all():
     target = _linked_target([("Q1", "CompanyA"), ("Q2", "IndustryA"), ("Q3", "IndustryA")])
     external = graph_from_edges("dbp", [("dbr:CompanyA", "dbp:industry", "dbr:IndustryA")])
     mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
-    candidates = retrieve(external, {target.node("Q1"): {"dbr:CompanyA"}},
+    candidates = retrieve(external, {"Q1": {"dbr:CompanyA"}},
                           "P452", PATH, mapping)
     assert len(candidates) == 2
     assert all(c.ambiguous for c in candidates)
-    assert {c.object.id for c in candidates} == {"Q2", "Q3"}
+    assert {c.object for c in candidates} == {"Q2", "Q3"}
 
 
 def test_retrieve_dedups_same_resolved_object():
@@ -110,7 +110,7 @@ def test_retrieve_dedups_same_resolved_object():
         ("dbr:CompanyA_alias", "dbp:industry", "dbr:IndustryA"),
     ])
     mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
-    unknowns = {target.node("Q1"): {"dbr:CompanyA", "dbr:CompanyA_alias"}}
+    unknowns = {"Q1": {"dbr:CompanyA", "dbr:CompanyA_alias"}}
     candidates = retrieve(external, unknowns, "P452", PATH, mapping)
     assert len(candidates) == 1
 
@@ -119,7 +119,7 @@ def test_retrieve_idempotent_and_subject_scoped():
     target = _linked_target([("Q1", "CompanyA"), ("Q2", "IndustryA")])
     external = graph_from_edges("dbp", [("dbr:CompanyA", "dbp:industry", "dbr:IndustryA")])
     mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
-    unknowns = {target.node("Q1"): {"dbr:CompanyA"}}
+    unknowns = {"Q1": {"dbr:CompanyA"}}
     first = retrieve(external, unknowns, "P452", PATH, mapping)
     second = retrieve(external, unknowns, "P452", PATH, mapping)
     assert first == second
@@ -132,7 +132,7 @@ def test_retrieve_literal_terminal_kept():
         ("dbr:CompanyA", "dbp:founded", Literal.date(1885, 1, 1)),
     ])
     mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
-    candidates = retrieve(external, {target.node("Q1"): {"dbr:CompanyA"}},
+    candidates = retrieve(external, {"Q1": {"dbr:CompanyA"}},
                           "P571", PropertyPath(steps=("dbp:founded",)), mapping)
     assert len(candidates) == 1
     assert candidates[0].object.kind.value == "date"
@@ -150,7 +150,7 @@ external = Graph("dbp")
 for language in ("nl", "en", "fr"):
     external.add_edge("dbr:Paris", "dbp:name", Literal.monolingual("Paris", language))
 mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
-candidates = retrieve(external, {target.node("Q90"): {"dbr:Paris"}}, "P1448",
+candidates = retrieve(external, {"Q90": {"dbr:Paris"}}, "P1448",
                       PropertyPath(steps=("dbp:name",)), mapping)
 print("|".join(serialize_value(c.object) for c in candidates))
 """
@@ -178,10 +178,10 @@ def test_candidate_file_roundtrip(tmp_path):
         ("dbr:CompanyA", "dbp:industry", "dbr:Mystery"),
     ])
     mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
-    candidates = retrieve(external, {target.node("Q1"): {"dbr:CompanyA"}},
+    candidates = retrieve(external, {"Q1": {"dbr:CompanyA"}},
                           "P452", PATH, mapping)
     path = tmp_path / "cands.tsv"
     write_candidates(candidates, path)
-    back = read_candidates(path, "wd", "dbp")
-    assert [(c.subject.id, c.property, c.object, c.unresolved) for c in back] == \
-           [(c.subject.id, c.property, c.object, c.unresolved) for c in candidates]
+    back = read_candidates(path)
+    assert [(c.subject, c.property, c.object, c.unresolved) for c in back] == \
+           [(c.subject, c.property, c.object, c.unresolved) for c in candidates]

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgenrich.errors import DataFormatError
-from kgenrich.store import (_NT_LINE, Graph, Literal, Node, PrefixTable, Provenance,
+from kgenrich.store import (_NT_LINE, Graph, Literal, PrefixTable, Provenance,
                             Statement, ValueKind, _nt_literal, _nt_term_id,
                             load_edge_tsv, load_ntriples, local_name,
                             parse_tsv_value, serialize_value, value_kind,
@@ -21,7 +21,7 @@ def test_single_wellformed_triple(tmp_path):
     g = load_ntriples(path, "t")
     assert g.edge_count == 1
     assert g.node_count == 2
-    assert g.objects("http://ex/a", "http://ex/p") == {g.node("http://ex/b")}
+    assert g.objects("http://ex/a", "http://ex/p") == {"http://ex/b"}
 
 
 def test_empty_file(tmp_path):
@@ -69,9 +69,9 @@ def test_nt_prefix_shortening_and_literals(tmp_path):
         "dbr": "http://dbpedia.org/resource/",
         "dbp": "http://dbpedia.org/property/",
     })
-    assert g.node("dbr:WOWIO") is not None
+    assert g.has_node("dbr:WOWIO")
     objs = g.objects("dbr:WOWIO", "dbp:industry")
-    assert {o.id for o in objs} == {"dbr:E-book"}
+    assert {o for o in objs} == {"dbr:E-book"}
     (name,) = g.objects("dbr:WOWIO", "dbp:name")
     assert name.kind is ValueKind.MONOLINGUAL and name.language == "en"
     (founded,) = g.objects("dbr:WOWIO", "dbp:founded")
@@ -98,7 +98,7 @@ def test_unknown_namespace_keeps_full_iri(tmp_path):
     path = tmp_path / "g.nt"
     path.write_text("<http://other.org/x> <http://other.org/p> <http://other.org/y> .\n")
     g = load_ntriples(path, "t", prefixes={"dbr": "http://dbpedia.org/resource/"})
-    assert g.node("http://other.org/x") is not None
+    assert g.has_node("http://other.org/x")
 
 
 def test_tsv_item_date_quantity(tmp_path):
@@ -111,7 +111,7 @@ def test_tsv_item_date_quantity(tmp_path):
     )
     g = load_edge_tsv(path, "wd")
     (item,) = g.objects("Q1", "P452")
-    assert isinstance(item, Node) and item.id == "Q8148"
+    assert isinstance(item, str) and item == "Q8148"
     (date,) = g.objects("Q1", "P571")
     assert date.kind is ValueKind.DATE
     assert (date.year, date.month, date.day, date.precision) == (1885, 1, 1, "day")
@@ -151,24 +151,10 @@ def test_label_edge_fallback_and_raw_id():
     assert g.label("Q42") == "Q42"
 
 
-def test_interning_identity():
-    g = Graph("t")
-    g.add_edge("Q1", "P1", "Q2")
-    g.add_edge("Q1", "P2", "Q3")
-    assert g.node("Q1") is g.intern("Q1")
-
-
-def test_add_edge_interns_nodes_of_another_graph():
-    g = Graph("wd")
-    assert g.add_edge(Node("Q1", "dbp"), "P1", Node("Q2", "dbp"))
-    subj, obj = g.node("Q1"), g.node("Q2")
-    assert (subj, obj) == (Node("Q1", "wd"), Node("Q2", "wd"))
-    assert g.in_edges("Q2") == {"P1": {subj}}
-    assert list(g.subjects()) == [subj]
-    assert list(g.edges()) == [(subj, "P1", obj)]
-    assert g.statements_for("P1") == [(subj, obj)]
-    assert not g.add_edge(Node("Q1", "dbp"), "P1", "Q2")
-    assert g.edge_count == 1 and g.stats.duplicates == 1
+@pytest.mark.parametrize("edge", [("", "P1", "Q2"), ("Q1", "", "Q2"), ("Q1", "P1", "")])
+def test_add_edge_rejects_empty_ids(edge):
+    with pytest.raises(ValueError):
+        Graph("t").add_edge(*edge)
 
 
 def test_duplicate_edges_collapse():
@@ -187,8 +173,8 @@ def test_index_consistency_full_scan(company_fixture):
         assert (subj, obj) in g.statements_for(prop)
         assert subj in g.subjects_with(prop, obj)
         assert subj in g.in_edges(obj)[prop]
-        if isinstance(obj, Node):
-            assert g.in_edges(obj.id) is g.in_edges(obj)
+        if isinstance(obj, str):
+            assert g.has_node(obj)
     assert g.in_edges("no-such-node") == {}
     assert len(edges) == g.edge_count
     assert sum(len(g.statements_for(p)) for p in {p for _, p, _ in edges}) == g.edge_count
@@ -240,12 +226,12 @@ def test_date_precision_invariants():
 
 
 def test_statement_provenance_forward_only():
-    node = Node("Q1", "wd")
-    stmt = Statement(node, "P1", Node("Q2", "wd"), Provenance.EXTERNAL_CANDIDATE, "dbp")
+    node = "Q1"
+    stmt = Statement(node, "P1", "Q2", Provenance.EXTERNAL_CANDIDATE, "dbp")
     assert stmt.as_validated().provenance is Provenance.VALIDATED
     with pytest.raises(ValueError):
         stmt.as_validated().as_validated()
-    known = Statement(node, "P1", Node("Q2", "wd"), Provenance.TARGET_KNOWN, "wd")
+    known = Statement(node, "P1", "Q2", Provenance.TARGET_KNOWN, "wd")
     with pytest.raises(ValueError):
         known.as_validated()
 
@@ -265,16 +251,14 @@ def test_local_name():
 
 
 def test_value_kind():
-    assert value_kind(Node("Q1", "t")) is ValueKind.ITEM
+    assert value_kind("Q1") is ValueKind.ITEM
     assert value_kind(Literal.string("x")) is ValueKind.STRING
 
 
 @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40))
 def test_string_literal_serialization_roundtrip(text):
-    g = Graph("t")
     value = Literal.string(text)
-    from kgenrich.store import parse_tsv_value
-    assert parse_tsv_value(serialize_value(value), g) == value
+    assert parse_tsv_value(serialize_value(value)) == value
 
 
 @pytest.mark.parametrize("node2", [
@@ -324,7 +308,7 @@ def test_malformed_escapes_count_toward_threshold(tmp_path):
     ("2021-12-31", ValueKind.DATE), ("2021-12", ValueKind.DATE),
 ])
 def test_impossible_dates_fall_back_to_other(lex, kind):
-    value = parse_tsv_value(lex, Graph("t"))
+    value = parse_tsv_value(lex)
     assert value.kind is kind
     if kind is ValueKind.OTHER:
         assert value.text == lex
@@ -339,11 +323,10 @@ def test_tsv_interns_only_the_shortened_object_id(tmp_path):
                     "http://dbpedia.org/resource/2020\n")
     g = load_edge_tsv(path, "dbp", prefixes={"dbr": "http://dbpedia.org/resource/"})
     assert g.node_count == 3
-    assert g.node("http://dbpedia.org/resource/B") is None
-    assert g.node("http://dbpedia.org/resource/2020") is None
+    assert not g.has_node("http://dbpedia.org/resource/B")
+    assert not g.has_node("http://dbpedia.org/resource/2020")
     # classified on the raw IRI: "dbr:2020" is a node even though "2020" is a year
-    assert g.objects("dbr:A", "http://dbpedia.org/property/p") == {
-        g.node("dbr:B"), g.node("dbr:2020")}
+    assert g.objects("dbr:A", "http://dbpedia.org/property/p") == {"dbr:B", "dbr:2020"}
 
 
 # -- loaders against a line-by-line reference ------------------------------------
@@ -390,12 +373,12 @@ def _reference_tsv(rows: list[str], table: PrefixTable) -> Graph:
             g.stats.skip(lineno, row)
             continue
         try:
-            obj = parse_tsv_value(fields[2], Graph("scratch"))
+            obj = parse_tsv_value(fields[2])
         except ValueError:
             g.stats.skip(lineno, row)
             continue
-        if isinstance(obj, Node):
-            obj = table.shorten(obj.id)
+        if isinstance(obj, str):
+            obj = table.shorten(obj)
         g.add_edge(table.shorten(fields[0]), table.shorten(fields[1]), obj)
     return g
 
@@ -424,19 +407,26 @@ def _reference_nt(rows: list[str], table: PrefixTable) -> Graph:
 
 def _snapshot(g: Graph):
     # the per-property scan and the object index agree up to value equality
-    # (a Literal's raw text aside)
     by_property = {(s, p, o) for p in {p for _, p, _ in g.edges()}
                    for s, o in g.statements_for(p)}
     by_object = {(s, p, o) for o in g._osp for p, subjects in g.in_edges(o).items()
                  for s in subjects}
     assert set(g.edges()) == by_property == by_object
-    edges = sorted((s.id, p, repr(o)) for s, p, o in g.edges())
-    return edges, sorted(g._nodes), g._labels, vars(g.stats)
+    edges = sorted((s, p, repr(o)) for s, p, o in g.edges())
+    nodes = set(g._spo) | {o for o in g._osp if isinstance(o, str)}
+    assert g.node_count == len(nodes)
+    return edges, sorted(nodes), g._labels, vars(g.stats)
 
 
 def _assert_one_string_per_property(g: Graph) -> None:
+    # every property key and every node id, as index key or index member
     keys = [p for by_prop in g._spo.values() for p in by_prop]
     keys += [p for by_prop in g._osp.values() for p in by_prop]
+    keys += list(g._spo) + [o for o in g._osp if isinstance(o, str)]
+    keys += [o for by_prop in g._spo.values() for objs in by_prop.values()
+             for o in objs if isinstance(o, str)]
+    keys += [s for by_prop in g._osp.values() for subjects in by_prop.values()
+             for s in subjects]
     objects: dict[str, set[int]] = {}
     for key in keys:
         objects.setdefault(key, set()).add(id(key))
@@ -460,32 +450,9 @@ def test_loaders_match_line_by_line_reference(fmt, data):
     _assert_one_string_per_property(g)
 
 
-# -- slotted values and the id-only node hash ----------------------------------
+# -- slotted values ---------------------------------------------------------------
 
 
 def test_node_and_literal_have_no_instance_dict():
-    assert not hasattr(Node("Q1", "wd"), "__dict__")
     assert not hasattr(Literal.string("x"), "__dict__")
     assert not hasattr(Literal.date(1990), "__dict__")
-
-
-def test_nodes_of_different_graphs_stay_distinct():
-    wd, dbp = Node("Q1", "wd"), Node("Q1", "dbp")
-    assert wd != dbp
-    assert len({wd, dbp}) == 2
-    assert {wd: 1, dbp: 2}[dbp] == 2
-
-
-@given(st.text(min_size=1), st.sampled_from(["wd", "dbp", "getty"]))
-def test_equal_nodes_hash_equal(node_id, tag):
-    a, b = Node(node_id, tag), Node("".join(node_id), tag)  # equal ids, often two objects
-    assert a == b and hash(a) == hash(b)
-
-
-def test_literal_equality_ignores_raw():
-    a = Literal.date(1990, raw="1990")
-    b = Literal.date(1990, raw='"1990"^^<http://www.w3.org/2001/XMLSchema#gYear>')
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert Literal.string("x", raw='"x"') == Literal.string("x")
-    assert Literal.date(1990) != Literal.date(1991, raw="1990")

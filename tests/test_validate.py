@@ -5,7 +5,7 @@ import pytest
 from kgenrich.align import PropertyPath
 from kgenrich.errors import DataFormatError
 from kgenrich.retrieve import CandidateStatement
-from kgenrich.store import Literal, Node, ValueKind
+from kgenrich.store import Literal, ValueKind
 from kgenrich.validate import (RejectReason, RelationMode, ValidationSettings,
                                ValueTypeConstraint, check_datatype,
                                check_literal_range, check_value_type,
@@ -17,23 +17,20 @@ from conftest import graph_from_edges
 PATH = PropertyPath(steps=("dbp:x",))
 
 
-def cand(subject_id, prop, obj, *, unresolved=False, ambiguous=False,
-         external=None, tag="wd"):
-    if isinstance(obj, str):
-        obj = Node(obj, "dbp" if unresolved else tag)
-    return CandidateStatement(subject=Node(subject_id, tag), property=prop, object=obj,
+def cand(subject_id, prop, obj, *, unresolved=False, ambiguous=False, external=None):
+    return CandidateStatement(subject=subject_id, property=prop, object=obj,
                               external_object=external or obj, path=PATH,
                               ambiguous=ambiguous, unresolved=unresolved)
 
 
 def pairs(*objs):
-    return [(Node(f"Qs{i}", "wd"), obj) for i, obj in enumerate(objs)]
+    return [(f"Qs{i}", obj) for i, obj in enumerate(objs)]
 
 
 # -- datatype inference ---------------------------------------------------------
 
 def test_infer_majority():
-    known = pairs(Node("Q1", "wd"), Node("Q2", "wd"), Literal.string("x"))
+    known = pairs("Q1", "Q2", Literal.string("x"))
     assert infer_expected_datatype(known) is ValueKind.ITEM
 
 
@@ -42,8 +39,8 @@ def test_infer_singleton():
 
 
 def test_infer_tie_breaks_by_precedence_both_orders():
-    a = pairs(Node("Q1", "wd"), Literal.string("x"))
-    b = pairs(Literal.string("x"), Node("Q1", "wd"))
+    a = pairs("Q1", Literal.string("x"))
+    b = pairs(Literal.string("x"), "Q1")
     assert infer_expected_datatype(a) is ValueKind.ITEM
     assert infer_expected_datatype(b) is ValueKind.ITEM
     c = pairs(Literal.date(1999), Literal.quantity(4))
@@ -169,19 +166,19 @@ def test_table1_fixture_two_accepted_two_rejected():
     runs = [
         # (candidate, known pairs, constraint, expected reason)
         (cand("Q6530279", "P136", "Q217117"),
-         pairs(Node("Q483", "wd"), Node("Q484", "wd")),
+         pairs("Q483", "Q484"),
          ValueTypeConstraint("P136", frozenset({"Q483394"})), None),
         (cand("Q15401730", "P413", Literal.monolingual("Left back", "en")),
-         pairs(Node("Q483", "wd")),
+         pairs("Q483"),
          ValueTypeConstraint("P413", frozenset({"Q4611891"})),
          RejectReason.WRONG_DATATYPE),
         (cand("Q704160", "P2701", "Q9764"),
-         pairs(Node("Q483", "wd")),
+         pairs("Q483"),
          ValueTypeConstraint("P2701", frozenset({"Q235557"})),
          RejectReason.WRONG_VALUE_TYPE),
         # logically consistent but factually wrong: accepted, veracity out of scope
         (cand("Q5402674", "P4608", "Q8070394"),
-         pairs(Node("Q483", "wd")),
+         pairs("Q483"),
          ValueTypeConstraint("P4608", frozenset({"Q5"})), None),
     ]
     accepted_total = 0
@@ -196,7 +193,7 @@ def test_table1_fixture_two_accepted_two_rejected():
 def test_all_passing_batch():
     g = _table1_graph()
     batch = [cand(f"Q{i}", "P136", "Q217117") for i in range(5)]
-    outcome = validate_detailed(g, batch, pairs(Node("Q483", "wd")),
+    outcome = validate_detailed(g, batch, pairs("Q483"),
                                 ValueTypeConstraint("P136", frozenset({"Q483394"})))
     accepted, verdicts = outcome.accepted, outcome.verdicts
     assert accepted == batch
@@ -207,7 +204,7 @@ def test_half_passing_batch_compatibility():
     g = _table1_graph()
     good = [cand(f"Q{i}", "P136", "Q217117") for i in range(5)]
     bad = [cand(f"Q{i+5}", "P136", Literal.string("nope")) for i in range(5)]
-    outcome = validate_detailed(g, good + bad, pairs(Node("Q483", "wd")),
+    outcome = validate_detailed(g, good + bad, pairs("Q483"),
                                 ValueTypeConstraint("P136", frozenset({"Q483394"})))
     accepted = outcome.accepted
     assert len(accepted) / 10 == 0.5
@@ -216,7 +213,7 @@ def test_half_passing_batch_compatibility():
 def test_unresolved_reason_dominates():
     g = _table1_graph()
     unresolved = cand("Q1", "P136", "dbr:Mystery", unresolved=True)
-    outcome = validate_detailed(g, [unresolved], pairs(Node("Q483", "wd")),
+    outcome = validate_detailed(g, [unresolved], pairs("Q483"),
                                 ValueTypeConstraint("P136", frozenset({"Q483394"})))
     verdicts = outcome.verdicts
     assert verdicts[0].reject_reason is RejectReason.UNRESOLVABLE
@@ -236,7 +233,7 @@ def test_out_of_range_reason():
 def test_no_constraint_skips_value_type():
     g = _table1_graph()
     candidate = cand("Q1", "P136", "Q217117")
-    outcome = validate_detailed(g, [candidate], pairs(Node("Q483", "wd")), None)
+    outcome = validate_detailed(g, [candidate], pairs("Q483"), None)
     accepted, verdicts = outcome.accepted, outcome.verdicts
     assert accepted == [candidate]
     assert verdicts[0].value_type_ok is None
@@ -253,7 +250,7 @@ def test_expected_datatype_override():
 
 def test_intersection_law_small():
     g = _table1_graph()
-    known = pairs(Node("Q483", "wd"), Node("Q484", "wd"))
+    known = pairs("Q483", "Q484")
     constraint = ValueTypeConstraint("P136", frozenset({"Q483394"}),
                                      exceptions=frozenset({"Qx"}))
     batch = [
@@ -270,7 +267,7 @@ def test_intersection_law_small():
     range_pass = {v.statement for v in verdicts if v.range_ok in (None, True)}
     resolvable = {v.statement for v in verdicts if not v.statement.unresolved}
     assert set(accepted) == datatype_pass & valuetype_pass & range_pass & resolvable
-    assert {c.subject.id for c in accepted} == {"Q1", "Qx"}
+    assert {c.subject for c in accepted} == {"Q1", "Qx"}
 
 
 # -- constraint files ------------------------------------------------------------
