@@ -3,7 +3,8 @@
 
 Builds a target graph with one company missing its industry value and an
 external graph that knows it, writes everything to a workspace directory,
-then drives the CLI: align -> enrich -> consistency. Inspect the workspace
+then drives the CLI: align -> enrich -> consistency (item agreement for
+P452, year agreement and a scatter.csv for P571). Inspect the workspace
 afterwards to see every intermediate file. Exits with the first failing
 command's exit code.
 """
@@ -95,6 +96,10 @@ def main() -> int:
     print((ws / "out" / "statements.tsv").read_text())
     run("agreement with existing values (overlap mode)", "consistency",
         "--property", "P452", "--class", "Q783794", "--out-dir", out)
+    run("inception-year agreement, with scatter.csv", "consistency",
+        "--property", "P571", "--granularity", "year", "--class", "Q783794",
+        "--out-dir", str(ws / "out-dates"))
+    print((ws / "out-dates" / "scatter.csv").read_text())
 
     print(f"\nworkspace written to {ws}/ (see out/ for reports)")
     return 0

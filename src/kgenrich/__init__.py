@@ -8,8 +8,8 @@ batch reporting on top.
 from .align import (AlignConfig, AlignMode, PropertyPath, enumerate_paths,
                     gestalt_similarity, normalize_label, select_path)
 from .config import PipelineConfig, config_from_dict, load_config, load_graph
-from .consistency import (AgreementReport, Granularity, LiteralAgreementReport,
-                          agreement, format_rate, literal_agreement)
+from .consistency import (AgreementReport, Granularity, agreement, format_rate,
+                          literal_agreement)
 from .errors import ConfigError, DataFormatError, KgEnrichError, UsageError
 from .gaps import GapPartition, detect_gaps
 from .pipeline import (BatchResult, EnrichmentResult, batch_enrich, emit_report,
@@ -30,8 +30,8 @@ __all__ = [
     "AlignConfig", "AlignMode", "PropertyPath", "enumerate_paths",
     "gestalt_similarity", "normalize_label", "select_path",
     "PipelineConfig", "config_from_dict", "load_config", "load_graph",
-    "AgreementReport", "Granularity", "LiteralAgreementReport", "agreement",
-    "format_rate", "literal_agreement",
+    "AgreementReport", "Granularity", "agreement", "format_rate",
+    "literal_agreement",
     "ConfigError", "DataFormatError", "KgEnrichError", "UsageError",
     "GapPartition", "detect_gaps",
     "BatchResult", "EnrichmentResult", "batch_enrich", "emit_report",

@@ -249,10 +249,37 @@ def _cmd_consistency(args) -> int:
     report_path = _out(args, "consistency.json")
     report_path.write_text(json.dumps(outcome.report_dict(), indent=2, sort_keys=True)
                            + "\n", encoding="utf-8")
-    if outcome.literal_report is not None:
-        write_scatter_csv(outcome.literal_report, _out(args, "scatter.csv"))
+    if outcome.report.granularity is not None:
+        write_scatter_csv(outcome.report, _out(args, "scatter.csv"))
     print(json.dumps(outcome.report_dict(), sort_keys=True))
     return 0
+
+
+_RESULT_COUNTS = ("s_w", "s_g", "s_e", "n_k", "n_u", "n_f", "n_c")
+
+
+def _is_number(value, kinds: type | tuple = (int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _result_row(raw, where: str) -> pipeline.EnrichmentResult:
+    """One results-JSON row as a result; a missing or mistyped key is a data error."""
+    if not isinstance(raw, dict) or "property" not in raw or "graph" not in raw:
+        raise DataFormatError(f"{where} is not an object with property and graph")
+    counts = {key: raw.get(key, 0) for key in _RESULT_COUNTS}
+    for key, value in counts.items():
+        if not _is_number(value, int):
+            raise DataFormatError(f"{where}: {key} must be an integer, not {value!r}")
+    path = raw.get("path")
+    if path is not None and not isinstance(path, str):
+        raise DataFormatError(f"{where}: path must be a string, not {path!r}")
+    timings = raw.get("timings", {})
+    if not isinstance(timings, dict) or not all(map(_is_number, timings.values())):
+        raise DataFormatError(f"{where}: timings must map stage names to seconds")
+    return pipeline.EnrichmentResult(
+        property=raw["property"], graph=raw["graph"], status=raw.get("status", "ok"),
+        selected_path=PropertyPath(steps=tuple(path.split("/"))) if path else None,
+        timings=timings, **counts)
 
 
 def _cmd_report(args) -> int:
@@ -261,21 +288,13 @@ def _cmd_report(args) -> int:
     results = doc.get("results", []) if isinstance(doc, dict) else None
     if not isinstance(results, list):
         raise DataFormatError(f"{args.results}: expected an object with a results list")
-    rows = []
-    for i, raw in enumerate(results):
-        if not isinstance(raw, dict) or "property" not in raw or "graph" not in raw:
-            raise DataFormatError(f"{args.results}: results[{i}] is not an object "
-                                  f"with property and graph")
-        path = PropertyPath(steps=tuple(raw["path"].split("/"))) if raw.get("path") else None
-        rows.append(pipeline.EnrichmentResult(
-            property=raw["property"], graph=raw["graph"], status=raw.get("status", "ok"),
-            s_w=raw.get("s_w", 0), s_g=raw.get("s_g", 0), s_e=raw.get("s_e", 0),
-            n_k=raw.get("n_k", 0), n_u=raw.get("n_u", 0),
-            n_f=raw.get("n_f", 0), n_c=raw.get("n_c", 0),
-            selected_path=path, timings=raw.get("timings", {})))
+    summary = doc.get("summary")
+    if summary is not None and not isinstance(summary, dict):
+        raise DataFormatError(f"{args.results}: summary must be an object, not {summary!r}")
+    rows = [_result_row(raw, f"{args.results}: results[{i}]")
+            for i, raw in enumerate(results)]
     pipeline.emit_report(rows, args.format, args.out or f"report.{args.format}",
-                         include_timings=not args.no_timings,
-                         summary=doc.get("summary"))
+                         include_timings=not args.no_timings, summary=summary)
     return 0
 
 

@@ -3,17 +3,19 @@
 Runs over the overlap: subjects that already have a value in the target
 graph AND received a validated external value. Comparisons are the full
 cross product of the two value sets per subject, which is the only counting
-under which agree + disagree = overlap holds exactly.
+under which agree + disagree = overlap holds exactly. Item values and dates
+share one comparison loop and one report type; dates compare at a
+granularity and also yield scatter pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .retrieve import CandidateStatement
-from .store import Graph, Literal, Value, ValueKind, value_kind
+from .store import Graph, Literal, ValueKind, value_kind
 
 
 def format_rate(numerator: float | int | None, denominator: float | int | None) -> str:
@@ -30,12 +32,15 @@ class Granularity(Enum):
 
 @dataclass(frozen=True)
 class AgreementReport:
+    """Agreement counts; ``granularity`` is ``None`` for item values."""
+
     property: str
-    s_w: int
-    s_e: int
     s_overlap: int
     s_agree: int
     s_disagree: int
+    granularity: Granularity | None = None
+    skipped: int = 0
+    scatter: tuple[tuple[Literal, Literal], ...] = ()
 
     def __post_init__(self) -> None:
         if self.s_agree + self.s_disagree != self.s_overlap:
@@ -50,96 +55,62 @@ class AgreementReport:
         return format_rate(self.s_agree, self.s_overlap)
 
 
-@dataclass(frozen=True)
-class LiteralAgreementReport:
-    property: str
-    granularity: Granularity
-    s_overlap: int
-    s_agree: int
-    s_disagree: int
-    skipped: int
-    scatter: tuple[tuple[Literal, Literal], ...]
-
-    @property
-    def r_agree(self) -> float | None:
-        return self.s_agree / self.s_overlap if self.s_overlap else None
-
-    @property
-    def r_agree_str(self) -> str:
-        return format_rate(self.s_agree, self.s_overlap)
-
-
-def _by_subject(candidates: Iterable[CandidateStatement]) -> dict[str, list[Value]]:
-    grouped: dict[str, list[Value]] = {}
-    for cand in candidates:
-        grouped.setdefault(cand.subject, []).append(cand.object)
-    return grouped
-
-
-def agreement(target: Graph, overlap_candidates: Sequence[CandidateStatement], *,
-              s_w: int | None = None, s_e: int = 0) -> AgreementReport:
-    """Cross-compare external values with target values on shared subjects.
-
-    Equal node ids agree; there is no partial credit for granularity
-    mismatches (a region and its city count as a disagreement).
-    """
-    prop = overlap_candidates[0].property if overlap_candidates else ""
-    if s_w is None:
-        s_w = len(target.statements_for(prop)) if prop else 0
-    agree = disagree = 0
-    for subject, external_values in _by_subject(overlap_candidates).items():
-        target_values = target.objects(subject, prop)
-        if not target_values:
-            continue
-        for wanted in target_values:
-            for got in external_values:
-                if wanted == got:
-                    agree += 1
-                else:
-                    disagree += 1
-    return AgreementReport(property=prop, s_w=s_w, s_e=s_e,
-                           s_overlap=agree + disagree, s_agree=agree, s_disagree=disagree)
-
-
 def _truncated(lit: Literal, granularity: Granularity) -> tuple:
     if granularity is Granularity.YEAR:
         return (lit.year,)
     return (lit.year, lit.month, lit.day)
 
 
+def _compare(target: Graph, overlap_candidates: Sequence[CandidateStatement],
+             granularity: Granularity | None) -> AgreementReport:
+    """Each external value against each target value of its subject."""
+    prop = overlap_candidates[0].property if overlap_candidates else ""
+    agree = disagree = skipped = 0
+    scatter: list[tuple[Literal, Literal]] = []
+    for cand in overlap_candidates:
+        got = cand.object
+        for wanted in target.objects(cand.subject, prop):
+            if granularity is None:
+                same = wanted == got
+            elif value_kind(wanted) is not ValueKind.DATE \
+                    or value_kind(got) is not ValueKind.DATE:
+                skipped += 1
+                continue
+            else:
+                scatter.append((wanted, got))
+                same = _truncated(wanted, granularity) == _truncated(got, granularity)
+            if same:
+                agree += 1
+            else:
+                disagree += 1
+    scatter.sort(key=lambda pair: (pair[0].year or 0, pair[1].year or 0))
+    return AgreementReport(property=prop, s_overlap=agree + disagree, s_agree=agree,
+                           s_disagree=disagree, granularity=granularity,
+                           skipped=skipped, scatter=tuple(scatter))
+
+
+def agreement(target: Graph, overlap_candidates: Sequence[CandidateStatement],
+              ) -> AgreementReport:
+    """Item agreement: equal node ids agree.
+
+    There is no partial credit for granularity mismatches (a region and its
+    city count as a disagreement).
+    """
+    return _compare(target, overlap_candidates, None)
+
+
 def literal_agreement(target: Graph, overlap_candidates: Sequence[CandidateStatement],
-                      granularity: Granularity) -> LiteralAgreementReport:
+                      granularity: Granularity) -> AgreementReport:
     """Date agreement at the requested granularity, with scatter pairs for plotting.
 
     Non-date values on either side are skipped and counted. Coarsening the
     granularity can only turn disagreements into agreements, never the
     reverse.
     """
-    prop = overlap_candidates[0].property if overlap_candidates else ""
-    agree = disagree = skipped = 0
-    scatter: list[tuple[Literal, Literal]] = []
-    for subject, external_values in _by_subject(overlap_candidates).items():
-        target_values = target.objects(subject, prop)
-        if not target_values:
-            continue
-        for wanted in target_values:
-            for got in external_values:
-                if value_kind(wanted) is not ValueKind.DATE \
-                        or value_kind(got) is not ValueKind.DATE:
-                    skipped += 1
-                    continue
-                scatter.append((wanted, got))
-                if _truncated(wanted, granularity) == _truncated(got, granularity):
-                    agree += 1
-                else:
-                    disagree += 1
-    scatter.sort(key=lambda pair: (pair[0].year or 0, pair[1].year or 0))
-    return LiteralAgreementReport(
-        property=prop, granularity=granularity, s_overlap=agree + disagree,
-        s_agree=agree, s_disagree=disagree, skipped=skipped, scatter=tuple(scatter))
+    return _compare(target, overlap_candidates, granularity)
 
 
-def write_scatter_csv(report: LiteralAgreementReport, path) -> None:
+def write_scatter_csv(report: AgreementReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("target_year,external_year\n")
         for wanted, got in report.scatter:

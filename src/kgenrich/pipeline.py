@@ -8,6 +8,8 @@ here with hard checks, not just asserted in tests.
 The stages are wired once, in ``property_gaps``, ``external_mapping``,
 ``align_property`` and ``retrieve_validated``; ``enrich_property``,
 ``run_consistency`` and the CLI's stage commands all compose these.
+``run_consistency`` retrieves and validates once over known and gap subjects
+together; it emits no statements, only agreement counts over the known part.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .align import PropertyPath, enumerate_paths, select_path
 from .config import PipelineConfig
-from .consistency import (AgreementReport, Granularity, LiteralAgreementReport,
-                          agreement, format_rate, literal_agreement)
+from .consistency import (AgreementReport, Granularity, agreement, format_rate,
+                          literal_agreement)
 from .errors import ConfigError
 from .gaps import GapPartition, detect_gaps
 from .resolve import EntityMapping, build_mapping, resolve
@@ -221,8 +223,8 @@ def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConf
     _check_safety(partition, outcome.accepted, candidates)
 
     result.statements = tuple(sorted(
-        (Statement(c.subject, prop, c.object, Provenance.EXTERNAL_CANDIDATE,
-                   external.tag).as_validated() for c in outcome.accepted),
+        (Statement(c.subject, prop, c.object, Provenance.VALIDATED, external.tag)
+         for c in outcome.accepted),
         key=_statement_order))
     result.s_e = len(outcome.accepted)
     result.statement_keys = frozenset(
@@ -331,19 +333,17 @@ class ConsistencyOutcome:
     expected_kind: ValueKind
     s_w: int
     s_e: int
-    item_report: AgreementReport | None = None
-    literal_report: LiteralAgreementReport | None = None
+    report: AgreementReport
 
     def report_dict(self) -> dict:
+        rep = self.report
         out: dict = {"property": self.property, "expected_kind": self.expected_kind.value,
-                     "s_w": self.s_w, "s_e": self.s_e}
-        rep = self.item_report or self.literal_report
-        if rep is not None:
-            out.update(s_overlap=rep.s_overlap, s_agree=rep.s_agree,
-                       s_disagree=rep.s_disagree, r_agree=rep.r_agree_str)
-        if self.literal_report is not None:
-            out["granularity"] = self.literal_report.granularity.value
-            out["skipped_non_date"] = self.literal_report.skipped
+                     "s_w": self.s_w, "s_e": self.s_e, "s_overlap": rep.s_overlap,
+                     "s_agree": rep.s_agree, "s_disagree": rep.s_disagree,
+                     "r_agree": rep.r_agree_str}
+        if rep.granularity is not None:
+            out["granularity"] = rep.granularity.value
+            out["skipped_non_date"] = rep.skipped
         return out
 
 
@@ -352,10 +352,11 @@ def run_consistency(target: Graph, external: Graph, prop: str, cfg: PipelineConf
                     entity_class: str | None = None,
                     constraints: Mapping[str, ValueTypeConstraint] | None = None,
                     ) -> ConsistencyOutcome:
-    """Overlap-mode run: retrieve for *known* subjects and compare values.
+    """Overlap-mode run: compare validated values on known subjects with the target's.
 
-    The novel side (normal enrichment) runs too, so the report can state
-    s_e alongside the agreement counts.
+    One retrieval and validation pass covers known and gap subjects alike;
+    each candidate is checked on its own, so the known part is the overlap
+    and the size of the gap part is s_e, exactly as two passes would give.
     """
     if constraints is None:
         constraints = cfg.load_constraint_table()
@@ -364,23 +365,16 @@ def run_consistency(target: Graph, external: Graph, prop: str, cfg: PipelineConf
     _, selected = align_property(target, external, prop, partition, mapping, cfg)
     if selected is None:
         raise ConfigError(f"property {prop} has no alignable path in {external.tag}")
-    _, overlap_outcome = retrieve_validated(target, external, prop, partition, mapping,
-                                            selected, partition.known_subjects,
-                                            constraints, cfg)
-    _, novel_outcome = retrieve_validated(target, external, prop, partition, mapping,
-                                          selected, partition.unknown_subjects,
-                                          constraints, cfg)
-
-    outcome = ConsistencyOutcome(property=prop, expected_kind=overlap_outcome.expected,
-                                 s_w=len(partition.known), s_e=len(novel_outcome.accepted))
-    if overlap_outcome.expected is ValueKind.DATE:
-        outcome.literal_report = literal_agreement(
-            target, overlap_outcome.accepted, granularity or Granularity.YEAR)
+    _, validated = retrieve_validated(target, external, prop, partition, mapping, selected,
+                                      partition.entities, constraints, cfg)
+    overlap = [c for c in validated.accepted if c.subject in partition.known_subjects]
+    if validated.expected is ValueKind.DATE:
+        report = literal_agreement(target, overlap, granularity or Granularity.YEAR)
     else:
-        outcome.item_report = agreement(target, overlap_outcome.accepted,
-                                        s_w=len(partition.known),
-                                        s_e=len(novel_outcome.accepted))
-    return outcome
+        report = agreement(target, overlap)
+    return ConsistencyOutcome(property=prop, expected_kind=validated.expected,
+                              s_w=len(partition.known),
+                              s_e=len(validated.accepted) - len(overlap), report=report)
 
 
 # -- reporting ----------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 import calendar
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Union
@@ -139,12 +139,6 @@ class Statement:
     def __post_init__(self) -> None:
         if not self.property:
             raise ValueError("statement property must be non-empty")
-
-    def as_validated(self) -> "Statement":
-        # provenance only moves forward: candidate -> validated
-        if self.provenance is not Provenance.EXTERNAL_CANDIDATE:
-            raise ValueError(f"cannot validate a {self.provenance.value} statement")
-        return replace(self, provenance=Provenance.VALIDATED)
 
 
 def local_name(identifier: str) -> str:

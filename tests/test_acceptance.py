@@ -214,8 +214,7 @@ def test_criterion_05_path_support_oracle_equivalence():
 
 def test_criterion_06_rate_arithmetic():
     def r_agree(agree, disagree):
-        report = AgreementReport(property="P", s_w=0, s_e=0,
-                                 s_overlap=agree + disagree,
+        report = AgreementReport(property="P", s_overlap=agree + disagree,
                                  s_agree=agree, s_disagree=disagree)
         return report.r_agree_str
 

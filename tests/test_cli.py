@@ -302,6 +302,16 @@ def test_consistency_outputs(workspace, capsys):
     assert len(scatter) == 4
 
 
+def test_consistency_item_property_writes_no_scatter(workspace):
+    out_dir = workspace / "cons"
+    assert main(["consistency", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--class", COMPANY_CLASS,
+                 "--out-dir", str(out_dir)]) == 0
+    doc = json.loads((out_dir / "consistency.json").read_text())
+    assert doc["expected_kind"] == "item" and "granularity" not in doc
+    assert not (out_dir / "scatter.csv").exists()
+
+
 def test_report_rerender(workspace, tmp_path):
     cfg = str(workspace / "config.yaml")
     out_dir = workspace / "json_out"
@@ -345,6 +355,10 @@ def test_report_rerender_of_json_equals_batch_tsv(workspace):
     {"results": [1]},
     {"results": {"graph": "dbp", "property": "P452"}},
     [1],
+    {"results": [{"graph": "d", "property": "p", "s_w": "x"}]},
+    {"results": [{"graph": "d", "property": "p", "path": 3}]},
+    {"results": [{"graph": "d", "property": "p"}], "summary": 3},
+    {"results": [{"graph": "d", "property": "p", "timings": {"total": "x"}}]},
 ])
 def test_malformed_results_json_is_one_line_data_error(tmp_path, capsys, doc):
     results = tmp_path / "report.json"

@@ -21,13 +21,13 @@ def cand(subject_id, prop, obj):
 
 
 def test_published_agreement_arithmetic():
-    report = AgreementReport(property="P19", s_w=2_711_621, s_e=467_976,
-                             s_overlap=884_078, s_agree=461_089, s_disagree=422_989)
+    report = AgreementReport(property="P19", s_overlap=884_078, s_agree=461_089,
+                             s_disagree=422_989)
     assert report.r_agree_str == "52.15%"
-    assert AgreementReport("P20", 0, 0, 219_447, 128_523, 90_924).r_agree_str == "58.57%"
-    assert AgreementReport("P19", 0, 0, 16_304, 13_607, 2_697).r_agree_str == "83.46%"
+    assert AgreementReport("P20", 219_447, 128_523, 90_924).r_agree_str == "58.57%"
+    assert AgreementReport("P19", 16_304, 13_607, 2_697).r_agree_str == "83.46%"
     with pytest.raises(ValueError):
-        AgreementReport("P19", 0, 0, 10, 4, 5)
+        AgreementReport("P19", 10, 4, 5)
 
 
 def test_format_rate():

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from kgenrich.consistency import Granularity
-from kgenrich.pipeline import (NO_ALIGNMENT, EnrichmentResult, batch_enrich,
-                               emit_report, enrich_property, run_consistency,
-                               write_statements)
+from kgenrich.consistency import Granularity, agreement, literal_agreement
+from kgenrich.pipeline import (NO_ALIGNMENT, EnrichmentResult, align_property,
+                               batch_enrich, emit_report, enrich_property,
+                               external_mapping, property_gaps, retrieve_validated,
+                               run_consistency, write_statements)
 from kgenrich.store import Literal, Provenance, load_edge_tsv
 
 from conftest import (COMPANY_CLASS, INDUSTRY_PROP, graph_from_edges,
@@ -229,7 +230,7 @@ def test_run_consistency_item_property(company_fixture):
     fx.external.add_edge("dbr:CompanyE", "dbp:industry", "dbr:IndustryA")
     outcome = run_consistency(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
                               entity_class=COMPANY_CLASS, constraints=fx.constraints)
-    report = outcome.item_report
+    report = outcome.report
     assert report is not None
     assert report.s_overlap == 6 and report.s_agree == 5 and report.s_disagree == 1
     assert report.r_agree_str == "83.33%"
@@ -242,11 +243,35 @@ def test_run_consistency_literal_property(company_fixture):
     year = run_consistency(fx.target, fx.external, "P571", fx.cfg,
                            granularity=Granularity.YEAR,
                            entity_class=COMPANY_CLASS, constraints=fx.constraints)
-    assert year.literal_report.s_agree == 3
-    assert year.literal_report.r_agree == 1.0
+    assert year.report.s_agree == 3
+    assert year.report.r_agree == 1.0
     day = run_consistency(fx.target, fx.external, "P571", fx.cfg,
                           granularity=Granularity.DAY,
                           entity_class=COMPANY_CLASS, constraints=fx.constraints)
-    assert day.literal_report.s_agree == 2
-    assert day.literal_report.s_disagree == 1
-    assert day.literal_report.r_agree <= year.literal_report.r_agree
+    assert day.report.s_agree == 2
+    assert day.report.s_disagree == 1
+    assert day.report.r_agree <= year.report.r_agree
+
+
+@pytest.mark.parametrize("prop, granularity", [
+    (INDUSTRY_PROP, None), ("P571", Granularity.YEAR), ("P571", Granularity.DAY)])
+def test_run_consistency_equals_two_pass_reference(company_fixture, prop, granularity):
+    # the reference retrieves and validates known and gap subjects separately
+    fx = company_fixture
+    fx.external.add_edge("dbr:CompanyE", "dbp:industry", "dbr:IndustryA")
+    partition = property_gaps(fx.target, prop, fx.cfg, COMPANY_CLASS)
+    mapping = external_mapping(fx.target, fx.external.tag, fx.cfg)
+    _, selected = align_property(fx.target, fx.external, prop, partition, mapping, fx.cfg)
+
+    def accepted(subjects):
+        return retrieve_validated(fx.target, fx.external, prop, partition, mapping, selected,
+                                  subjects, fx.constraints, fx.cfg)[1].accepted
+
+    overlap = accepted(partition.known_subjects)
+    expected = (agreement(fx.target, overlap) if granularity is None
+                else literal_agreement(fx.target, overlap, granularity))
+    outcome = run_consistency(fx.target, fx.external, prop, fx.cfg, granularity,
+                              entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    assert outcome.report == expected
+    assert outcome.s_e == len(accepted(partition.unknown_subjects)) > 0
+    assert outcome.report.s_overlap > 0

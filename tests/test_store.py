@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgenrich.errors import DataFormatError
-from kgenrich.store import (_NT_LINE, Graph, Literal, PrefixTable, Provenance,
-                            Statement, ValueKind, _nt_literal, _nt_term_id,
+from kgenrich.store import (_NT_LINE, Graph, Literal, PrefixTable, ValueKind,
+                            _nt_literal, _nt_term_id,
                             load_edge_tsv, load_ntriples, local_name,
                             parse_tsv_value, serialize_value, value_kind,
                             write_edge_tsv)
@@ -223,17 +223,6 @@ def test_date_precision_invariants():
     with pytest.raises(ValueError):
         Literal.quantity(float("inf"))
     assert Literal.date(2000, 5).precision == "month"
-
-
-def test_statement_provenance_forward_only():
-    node = "Q1"
-    stmt = Statement(node, "P1", "Q2", Provenance.EXTERNAL_CANDIDATE, "dbp")
-    assert stmt.as_validated().provenance is Provenance.VALIDATED
-    with pytest.raises(ValueError):
-        stmt.as_validated().as_validated()
-    known = Statement(node, "P1", "Q2", Provenance.TARGET_KNOWN, "wd")
-    with pytest.raises(ValueError):
-        known.as_validated()
 
 
 def test_prefix_table_empty_prefix():
