@@ -243,14 +243,6 @@ def score_candidates(graph: Graph, target_label: str,
             for p in candidates]
 
 
-def _best_by_similarity(scored: Sequence[PropertyPath]) -> PropertyPath:
-    best = scored[0]
-    for cand in scored[1:]:
-        if cand.similarity > best.similarity:
-            best = cand
-    return best
-
-
 def select_path(candidates: Sequence[PropertyPath], target_label: str,
                 graph: Graph, cfg: AlignConfig) -> PropertyPath | None:
     """Pick the aligned path per mode; None when there are no candidates.
@@ -264,10 +256,12 @@ def select_path(candidates: Sequence[PropertyPath], target_label: str,
         return None
     if cfg.mode is AlignMode.FREQUENCY_ONLY:
         return score_candidates(graph, target_label, candidates[:1])[0]
+    # max keeps the first of equal similarities, i.e. the better supported one
     if cfg.mode is AlignMode.STRING_ONLY:
-        return _best_by_similarity(score_candidates(graph, target_label, candidates))
+        return max(score_candidates(graph, target_label, candidates),
+                   key=lambda p: p.similarity)
     scored = score_candidates(graph, target_label, candidates[:cfg.top_k])
-    best = _best_by_similarity(scored)
+    best = max(scored, key=lambda p: p.similarity)
     if best.similarity >= cfg.similarity_threshold:
         return best
     return scored[0]

@@ -285,9 +285,9 @@ def _result_row(raw, where: str) -> pipeline.EnrichmentResult:
 def _cmd_report(args) -> int:
     with open(args.results, encoding="utf-8") as fh:
         doc = json.load(fh)
-    results = doc.get("results", []) if isinstance(doc, dict) else None
-    if not isinstance(results, list):
-        raise DataFormatError(f"{args.results}: expected an object with a results list")
+    results = doc.get("results") if isinstance(doc, dict) else None
+    if not isinstance(results, list) or not results:
+        raise DataFormatError(f"{args.results}: expected an object with a non-empty results list")
     summary = doc.get("summary")
     if summary is not None and not isinstance(summary, dict):
         raise DataFormatError(f"{args.results}: summary must be an object, not {summary!r}")

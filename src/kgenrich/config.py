@@ -108,12 +108,35 @@ def _mapping(raw, where: str) -> Mapping:
     return raw
 
 
+def _optional(section: Mapping, key: str, types: tuple[type, ...], where: str):
+    """``section[key]``, which must be absent, null or an instance of one of ``types``."""
+    value = section.get(key)
+    if value is not None and not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise ConfigError(f"{where}.{key} must be {names}, not {value!r}")
+    return value
+
+
+def _one_of(value, allowed: tuple[str, ...], where: str) -> str:
+    if value not in allowed:
+        raise ConfigError(f"{where} must be one of {[a for a in allowed if a]}, not {value!r}")
+    return value
+
+
+def _string_map(raw, where: str) -> dict[str, str]:
+    raw = _mapping(raw, where)
+    for key, value in raw.items():
+        if not (isinstance(key, str) and isinstance(value, str)):
+            raise ConfigError(f"{where} must map strings to strings, not {key!r}: {value!r}")
+    return dict(raw)
+
+
 @contextmanager
 def _values_of(where: str):
     """Turn a bad value met while building section ``where`` into a ConfigError."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -123,7 +146,7 @@ def _graph_spec(raw, where: str) -> GraphSpec:
         return GraphSpec(
             path=str(_require(raw, "path", where)),
             tag=str(_require(raw, "tag", where)),
-            format=str(raw.get("format", "")),
+            format=_one_of(raw.get("format", ""), ("", "nt", "tsv"), f"{where}.format"),
             label_properties=tuple(raw.get("label_properties", DEFAULT_LABEL_PROPERTIES)),
             malformed_threshold=float(raw.get("malformed_threshold",
                                               DEFAULT_MALFORMED_THRESHOLD)),
@@ -141,10 +164,12 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
 
     mappings = {}
     for tag, raw in _mapping(data.get("mappings"), "mappings").items():
-        raw = _mapping(raw, f"mappings.{tag}")
-        transform = _mapping(raw.get("transform"), f"mappings.{tag}.transform")
+        # a tag that would break the message's line is shown as its repr
+        where = f"mappings.{tag}" if str(tag).isprintable() else f"mappings[{tag!r}]"
+        raw = _mapping(raw, where)
+        transform = _mapping(raw.get("transform"), f"{where}.transform")
         mappings[tag] = MappingSpec(
-            link_property=str(_require(raw, "link_property", f"mappings.{tag}")),
+            link_property=str(_require(raw, "link_property", where)),
             prefix=str(raw.get("prefix", transform.get("prefix", ""))),
             suffix=str(raw.get("suffix", transform.get("suffix", ""))),
         )
@@ -160,7 +185,7 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
             top_k=int(align_raw.get("top_k", 10)),
             similarity_threshold=float(align_raw.get("similarity_threshold", 0.9)),
             mode=MODE_ALIASES[mode_name],
-            sample_seed=align_raw.get("sample_seed"),
+            sample_seed=_optional(align_raw, "sample_seed", (int, float, str), "alignment"),
         )
 
     val_raw = _mapping(data.get("validation"), "validation")
@@ -180,15 +205,15 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
 
     out_raw = _mapping(data.get("output"), "output")
     output = OutputSettings(
-        format=str(out_raw.get("format", "tsv")),
+        format=_one_of(out_raw.get("format", "tsv"), ("tsv", "json"), "output.format"),
         include_timings=bool(out_raw.get("include_timings", True)),
     )
 
     return PipelineConfig(
         target=target, externals=externals,
-        prefixes=dict(_mapping(data.get("prefixes"), "prefixes")),
+        prefixes=_string_map(data.get("prefixes"), "prefixes"),
         mappings=mappings, alignment=alignment, validation=validation,
-        constraints_path=val_raw.get("constraints"),
+        constraints_path=_optional(val_raw, "constraints", (str,), "validation"),
         gaps=gap_settings, output=output,
     )
 

@@ -7,7 +7,9 @@ here with hard checks, not just asserted in tests.
 
 The stages are wired once, in ``property_gaps``, ``external_mapping``,
 ``align_property`` and ``retrieve_validated``; ``enrich_property``,
-``run_consistency`` and the CLI's stage commands all compose these.
+``batch_enrich``, ``run_consistency`` and the CLI's stage commands all
+compose these. ``batch_enrich`` folds each row's id sets into per-graph
+tallies as it runs, so a row holds only counts, statements and timings.
 ``run_consistency`` retrieves and validates once over known and gap subjects
 together; it emits no statements, only agreement counts over the known part.
 """
@@ -58,11 +60,6 @@ class EnrichmentResult:
     selected_path: PropertyPath | None = None
     timings: dict[str, float] = field(default_factory=dict)
     statements: tuple[Statement, ...] = ()
-    # aggregation support; id-level sets so batch rows merge cheaply
-    candidate_keys: frozenset[tuple[str, str, str]] = frozenset()
-    statement_keys: frozenset[tuple[str, str, str]] = frozenset()
-    known_ids: frozenset[str] = frozenset()
-    unknown_ids: frozenset[str] = frozenset()
 
     @property
     def s_total(self) -> int:
@@ -83,10 +80,6 @@ class EnrichmentResult:
 
 def _statement_key(subject: str, prop: str, obj: Value) -> tuple[str, str, str]:
     return (subject, prop, serialize_value(obj))
-
-
-def _subject_ids(keys: Iterable[tuple[str, str, str]]) -> set[str]:
-    return {key[0] for key in keys}
 
 
 def _statement_order(stmt: Statement) -> tuple:
@@ -179,17 +172,22 @@ def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConf
 
     Without ``constraints`` the config's constraint table is loaded.
     """
+    return _enrich_row(target, external, prop, cfg, entity_class, mapping, constraints)[0]
+
+
+def _enrich_row(target: Graph, external: Graph, prop: str, cfg: PipelineConfig,
+                entity_class: str | None, mapping: EntityMapping | None,
+                constraints: Mapping[str, ValueTypeConstraint] | None,
+                ) -> tuple[EnrichmentResult, GapPartition, list[CandidateStatement],
+                           list[CandidateStatement]]:
+    """One enrichment row, with the partition, candidates and accepted candidates behind it."""
     t_start = time.monotonic()
     if constraints is None:
         constraints = cfg.load_constraint_table()
     partition = property_gaps(target, prop, cfg, entity_class)
-    result = EnrichmentResult(
-        property=prop, graph=external.tag,
-        s_w=len(partition.known),
-        n_k=len(partition.known_subjects), n_u=len(partition.unknown_subjects),
-        known_ids=partition.known_subjects,
-        unknown_ids=partition.unknown_subjects,
-    )
+    result = EnrichmentResult(property=prop, graph=external.tag, s_w=len(partition.known),
+                              n_k=len(partition.known_subjects),
+                              n_u=len(partition.unknown_subjects))
     timings = result.timings
 
     t0 = time.monotonic()
@@ -203,7 +201,7 @@ def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConf
     if selected is None:
         result.status = NO_ALIGNMENT
         timings["total"] = time.monotonic() - t_start
-        return result
+        return result, partition, [], []
     result.selected_path = selected
 
     # retrieval time is the helper's time less the two timed validation passes
@@ -215,24 +213,19 @@ def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConf
     timings["valuetype_validation"] = outcome.valuetype_seconds
     timings["retrieval"] = (time.monotonic() - t0 - outcome.datatype_seconds
                             - outcome.valuetype_seconds)
-    result.s_g = len(candidates)
-    result.candidate_keys = frozenset(
-        _statement_key(c.subject, prop, c.object) for c in candidates)
-    result.n_f = len(_subject_ids(result.candidate_keys))
-
-    _check_safety(partition, outcome.accepted, candidates)
+    accepted = outcome.accepted
+    _check_safety(partition, accepted, candidates)
 
     result.statements = tuple(sorted(
         (Statement(c.subject, prop, c.object, Provenance.VALIDATED, external.tag)
-         for c in outcome.accepted),
+         for c in accepted),
         key=_statement_order))
-    result.s_e = len(outcome.accepted)
-    result.statement_keys = frozenset(
-        _statement_key(c.subject, prop, c.object) for c in outcome.accepted)
-    result.n_c = len(_subject_ids(result.statement_keys))
+    result.s_g, result.s_e = len(candidates), len(accepted)
+    result.n_f = len({c.subject for c in candidates})
+    result.n_c = len({c.subject for c in accepted})
 
     timings["total"] = time.monotonic() - t_start
-    return result
+    return result, partition, candidates, accepted
 
 
 # -- batch --------------------------------------------------------------------
@@ -257,33 +250,37 @@ class BatchResult:
         return tuple(sorted(merged.values(), key=_statement_order))
 
 
-def _aggregate_rows(rows: Sequence[EnrichmentResult], label: str, graph: str,
-                    ) -> EnrichmentResult:
-    s_w_per_property: dict[str, int] = {}
-    for row in rows:
-        s_w_per_property.setdefault(row.property, row.s_w)
-    timings: dict[str, float] = {}
-    for row in rows:
+class _Tally:
+    """Running aggregate of non-error batch rows: s_w once per property, timings, id unions."""
+
+    def __init__(self) -> None:
+        self.s_w: dict[str, int] = {}
+        self.timings: dict[str, float] = {}
+        self.known: set[str] = set()
+        self.unknown: set[str] = set()
+        self.candidate_keys: set[tuple[str, str, str]] = set()
+        self.statement_keys: set[tuple[str, str, str]] = set()
+
+    def add(self, row: EnrichmentResult, partition: GapPartition,
+            candidates: Sequence[CandidateStatement],
+            accepted: Sequence[CandidateStatement]) -> None:
+        self.s_w.setdefault(row.property, row.s_w)
         for key, seconds in row.timings.items():
-            timings[key] = timings.get(key, 0.0) + seconds
+            self.timings[key] = self.timings.get(key, 0.0) + seconds
+        self.known |= partition.known_subjects
+        self.unknown |= partition.unknown_subjects
+        for keys, cands in ((self.candidate_keys, candidates), (self.statement_keys, accepted)):
+            keys.update(_statement_key(c.subject, row.property, c.object) for c in cands)
 
-    def union(attr: str) -> frozenset:
-        return frozenset().union(*(getattr(r, attr) for r in rows)) if rows else frozenset()
-
-    candidate_keys = union("candidate_keys")
-    statement_keys = union("statement_keys")
-    known = union("known_ids")
-    unknown = union("unknown_ids")
-    return EnrichmentResult(
-        property=label, graph=graph, status="aggregate",
-        s_w=sum(s_w_per_property.values()),
-        s_g=len(candidate_keys), s_e=len(statement_keys),
-        n_k=len(known), n_u=len(unknown),
-        n_f=len(_subject_ids(candidate_keys)), n_c=len(_subject_ids(statement_keys)),
-        timings=timings,
-        candidate_keys=candidate_keys, statement_keys=statement_keys,
-        known_ids=known, unknown_ids=unknown,
-    )
+    def row(self, graph: str) -> EnrichmentResult:
+        return EnrichmentResult(
+            property="(all)", graph=graph, status="aggregate",
+            s_w=sum(self.s_w.values()),
+            s_g=len(self.candidate_keys), s_e=len(self.statement_keys),
+            n_k=len(self.known), n_u=len(self.unknown),
+            n_f=len({key[0] for key in self.candidate_keys}),
+            n_c=len({key[0] for key in self.statement_keys}),
+            timings=self.timings)
 
 
 def batch_enrich(target: Graph, externals: Sequence[Graph], properties: Sequence[str],
@@ -293,33 +290,35 @@ def batch_enrich(target: Graph, externals: Sequence[Graph], properties: Sequence
     """Enrich every (property, external graph) combination.
 
     Per-property failures become error rows instead of aborting the batch.
-    Rows are sorted by enrichment rate, descending, undefined rates last;
-    per-graph aggregates and (with several externals) a deduplicated
-    combined row are appended.
+    Rows are sorted by enrichment rate, descending, undefined rates last.
+    Each row is folded into its graph's tally (and, with several externals,
+    the ``(both)`` tally) as soon as it is made; the tallies become the
+    appended aggregate rows, so the id sets behind a row are never kept.
     """
     if constraints is None:
         constraints = cfg.load_constraint_table()
     rows: list[EnrichmentResult] = []
+    tallies = {ext.tag: _Tally() for ext in externals}
+    both = [_Tally()] if len(externals) > 1 else []
     for external in externals:
         mapping = external_mapping(target, external.tag, cfg)
         for prop in properties:
             try:
-                rows.append(enrich_property(
-                    target, external, prop, cfg, entity_class=entity_class,
-                    mapping=mapping, constraints=constraints))
+                row, partition, candidates, accepted = _enrich_row(
+                    target, external, prop, cfg, entity_class, mapping, constraints)
             except (ConfigError, PipelineInvariantError):
                 raise
             except Exception as exc:  # noqa: BLE001 - batch keeps going
                 rows.append(EnrichmentResult(property=prop, graph=external.tag,
                                              status=f"error: {exc}"))
+                continue
+            rows.append(row)
+            for tally in [tallies[external.tag], *both]:
+                tally.add(row, partition, candidates, accepted)
     rows.sort(key=lambda r: (r.r_e is None, -(r.r_e or 0.0), r.property, r.graph))
 
-    aggregates = [
-        _aggregate_rows([r for r in rows if r.graph == ext.tag], "(all)", ext.tag)
-        for ext in externals
-    ]
-    if len(externals) > 1:
-        aggregates.append(_aggregate_rows(rows, "(all)", "(both)"))
+    aggregates = [tallies[ext.tag].row(ext.tag) for ext in externals]
+    aggregates += [tally.row("(both)") for tally in both]
     median_novel = statistics.median([r.s_e for r in rows]) if rows else None
     return BatchResult(rows=rows, aggregates=aggregates, median_novel=median_novel)
 

@@ -16,7 +16,8 @@ from kgenrich.align import (AlignConfig, AlignMode, PropertyPath, enumerate_path
 from kgenrich.cli import main as cli_main
 from kgenrich.consistency import AgreementReport, format_rate
 from kgenrich.gaps import detect_gaps
-from kgenrich.pipeline import batch_enrich, enrich_property
+from kgenrich.pipeline import (batch_enrich, enrich_property, external_mapping,
+                               retrieve_validated)
 from kgenrich.retrieve import CandidateStatement
 from kgenrich.store import Literal, ValueKind, value_kind, write_edge_tsv
 from kgenrich.validate import (RejectReason, RelationMode, ValidationSettings,
@@ -379,10 +380,18 @@ def test_criterion_08_partition_and_safety_invariants(company_fixture):
         result = enrich_property(fx.target, fx.external, prop, fx.cfg,
                                  entity_class=COMPANY_CLASS,
                                  constraints=fx.constraints)
-        assert result.statement_keys <= result.candidate_keys        # S_e subset of S_g
+        candidates = []
+        if result.selected_path is not None:
+            mapping = external_mapping(fx.target, fx.external.tag, fx.cfg)
+            candidates, _ = retrieve_validated(
+                fx.target, fx.external, prop, partition, mapping, result.selected_path,
+                partition.unknown_subjects, fx.constraints, fx.cfg)
+        emitted_pairs = {(s.subject, s.object) for s in result.statements}
+        assert emitted_pairs <= {(c.subject, c.object) for c in candidates}  # S_e within S_g
+        assert result.s_e <= result.s_g
         emitted = {s.subject for s in result.statements}
-        assert not emitted & result.known_ids
-        assert emitted <= result.unknown_ids or not emitted
+        assert not emitted & partition.known_subjects
+        assert emitted <= partition.unknown_subjects
         checked += 1
     _report(8, f"E_w/E_u disjoint, S_e within S_g, no emitted subject known "
                f"({checked} properties)")

@@ -225,6 +225,14 @@ def test_select_cast_member_modes():
     assert freq.steps == ("dbp:starring",)
 
 
+def test_string_mode_tie_keeps_the_better_supported_path():
+    # candidates arrive ranked by support; the tied winner is not the lexically first
+    candidates = _paths(("dbp:zeta", 7), ("dbp:other", 5), ("dbp:alpha", 3))
+    g = _label_graph({"dbp:zeta": "industry", "dbp:other": "owner", "dbp:alpha": "industry"})
+    chosen = select_path(candidates, "industry", g, _cfg(1, mode=AlignMode.STRING_ONLY))
+    assert chosen.steps == ("dbp:zeta",) and chosen.similarity == 1.0
+
+
 def test_select_uses_label_edges_over_local_names():
     candidates = _paths(("dbp:p1", 5), ("dbp:p2", 3))
     g = _label_graph({"dbp:p1": "zzz", "dbp:p2": "industry"})

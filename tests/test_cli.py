@@ -355,6 +355,8 @@ def test_report_rerender_of_json_equals_batch_tsv(workspace):
     {"results": [1]},
     {"results": {"graph": "dbp", "property": "P452"}},
     [1],
+    {"results": []},
+    {},
     {"results": [{"graph": "d", "property": "p", "s_w": "x"}]},
     {"results": [{"graph": "d", "property": "p", "path": 3}]},
     {"results": [{"graph": "d", "property": "p"}], "summary": 3},

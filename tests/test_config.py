@@ -5,9 +5,12 @@ import weakref
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgenrich.align import AlignMode
-from kgenrich.config import GraphSpec, config_from_dict, load_config, load_graph
+from kgenrich.config import (GraphSpec, PipelineConfig, config_from_dict, load_config,
+                             load_graph)
 from kgenrich.errors import ConfigError, DataFormatError
 
 
@@ -109,6 +112,18 @@ def test_config_must_be_mapping(tmp_path):
      "graphs.target"),
     ("graphs", {"target": {"path": "t.tsv", "tag": "wd"}, "externals": {"a": 1}},
      "graphs.externals"),
+    ("prefixes", {5: "http://dbpedia.org/resource/"}, "prefixes"),
+    ("prefixes", {"dbr": 5}, "prefixes"),
+    ("validation", {"constraints": 5}, "validation.constraints"),
+    ("alignment", {"sample_seed": [1]}, "alignment.sample_seed"),
+    ("alignment", {"max_path_length": float("inf")}, "alignment"),
+    ("graphs", {"target": {"path": "t.nt", "tag": "wd", "format": "ntriples"}},
+     "graphs.target.format"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"},
+                "externals": [{"path": "e.nt", "tag": "dbp", "format": "NT"}]},
+     "graphs.externals[0].format"),
+    ("output", {"format": "xml"}, "output.format"),
+    ("mappings", {"db\np": {"prefix": "dbr:"}}, "mappings['db\\np'].link_property"),
 ])
 def test_bad_section_or_value_is_config_error(section, value, named):
     data = _minimal()
@@ -117,6 +132,74 @@ def test_bad_section_or_value_is_config_error(section, value, named):
         config_from_dict(data)
     message = str(err.value)
     assert named in message and "\n" not in message
+
+
+# -- config_from_dict over generated documents ---------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _mostly(plausible):
+    """``plausible`` seven times in eight, else any JSON value, so valid documents come up."""
+    return st.integers(0, 7).flatmap(lambda n: plausible if n else _JSON)
+
+
+def _value(*plausible):
+    return _mostly(st.sampled_from(plausible))
+
+
+def _key(plausible: str):
+    """A mapping key: JSON keys are strings."""
+    return st.one_of(st.just(plausible), st.just(plausible), st.text(max_size=4))
+
+
+def _section(**keys):
+    """A mapping under the real key names (each optional), or any JSON value."""
+    return _mostly(st.fixed_dictionaries({}, optional=keys))
+
+
+_GRAPH = _mostly(st.fixed_dictionaries(
+    {"path": _value("t.tsv"), "tag": _value("wd", "dbp")},
+    optional={"format": _value("", "nt", "tsv", "ntriples"),
+              "label_properties": _value(["label"]),
+              "malformed_threshold": _value(0.05, "0.5")}))
+_DOCUMENT = st.fixed_dictionaries({
+    "graphs": st.fixed_dictionaries(
+        {"target": _GRAPH}, optional={"externals": _mostly(st.lists(_GRAPH, max_size=2))}),
+}, optional={
+    "prefixes": st.dictionaries(_key("dbr"), _value("http://dbpedia.org/resource/"),
+                                max_size=2),
+    "mappings": st.dictionaries(_key("dbp"), _section(
+        link_property=_value("sitelink"), prefix=_value("dbr:"), suffix=_value(""),
+        transform=_section(prefix=_value("tgn:"), suffix=_value("-id"))), max_size=2),
+    "alignment": _section(max_path_length=_value(1, 4, 9), sample_cap=_value(10, 0),
+                          top_k=_value(3, "3"), similarity_threshold=_value(0.9, 2.0),
+                          mode=_value("hybrid", "freq", "String"),
+                          sample_seed=_value(7, "seed")),
+    "validation": _section(cutoff_year=_value(2022), depth_cap=_value(20),
+                           instance_of=_value("P31"), subclass_of=_value("P279"),
+                           constraints=_value("c.tsv")),
+    "gaps": _section(type_property=_value("P31"), no_value_sentinel=_value("Q0")),
+    "output": _section(format=_value("tsv", "json", "xml"), include_timings=_value(False)),
+})
+
+
+@given(_DOCUMENT)
+def test_config_from_dict_returns_config_or_one_line_config_error(document):
+    try:
+        cfg = config_from_dict(document)
+    except ConfigError as err:
+        assert "\n" not in str(err)
+        return
+    assert isinstance(cfg, PipelineConfig)
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in cfg.prefixes.items())
+    assert {spec.format for spec in [cfg.target, *cfg.externals]} <= {"", "nt", "tsv"}
+    assert cfg.output.format in ("tsv", "json")
+    assert cfg.constraints_path is None or isinstance(cfg.constraints_path, str)
 
 
 # -- load_graph and the cyclic GC ----------------------------------------------

@@ -9,7 +9,7 @@ from kgenrich.pipeline import (NO_ALIGNMENT, EnrichmentResult, align_property,
                                batch_enrich, emit_report, enrich_property,
                                external_mapping, property_gaps, retrieve_validated,
                                run_consistency, write_statements)
-from kgenrich.store import Literal, Provenance, load_edge_tsv
+from kgenrich.store import Literal, Provenance, load_edge_tsv, serialize_value
 
 from conftest import (COMPANY_CLASS, INDUSTRY_PROP, graph_from_edges,
                       make_company_config, make_company_external)
@@ -37,8 +37,9 @@ def test_no_emitted_subject_in_known_set(company_fixture):
     fx = company_fixture
     result = enrich_property(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
                              entity_class=COMPANY_CLASS, constraints=fx.constraints)
-    assert {s.subject for s in result.statements} <= result.unknown_ids
-    assert not {s.subject for s in result.statements} & result.known_ids
+    partition = property_gaps(fx.target, INDUSTRY_PROP, fx.cfg, COMPANY_CLASS)
+    assert {s.subject for s in result.statements} <= partition.unknown_subjects
+    assert not {s.subject for s in result.statements} & partition.known_subjects
 
 
 def test_timings_recorded(company_fixture):
@@ -146,6 +147,72 @@ def test_batch_rows_aggregates_and_dedup(company_fixture):
         + by_key[("P571", "dbp")].s_w + by_key[("P17", "dbp")].s_w
     assert len(batch.statements()) == 3
     assert batch.median_novel is not None
+
+
+def _reference_row_sets(fx, external, row) -> tuple[set, set, set, set]:
+    """Known subjects, gap subjects, candidate keys and statement keys behind one batch row."""
+    if row.status.startswith("error"):
+        return set(), set(), set(), set()
+    partition = property_gaps(fx.target, row.property, fx.cfg, COMPANY_CLASS)
+    mapping = external_mapping(fx.target, external.tag, fx.cfg)
+    _, selected = align_property(fx.target, external, row.property, partition, mapping, fx.cfg)
+    assert selected == row.selected_path
+    candidates = accepted = []
+    if selected is not None:
+        candidates, outcome = retrieve_validated(
+            fx.target, external, row.property, partition, mapping, selected,
+            partition.unknown_subjects, fx.constraints, fx.cfg)
+        accepted = outcome.accepted
+
+    def keys(cands):
+        return {(c.subject, row.property, serialize_value(c.object)) for c in cands}
+
+    return (set(partition.known_subjects), set(partition.unknown_subjects),
+            keys(candidates), keys(accepted))
+
+
+def _reference_aggregate(rows_with_sets, graph: str) -> EnrichmentResult:
+    """Union arithmetic over rows that each keep their id sets, in the batch's row order."""
+    s_w: dict[str, int] = {}
+    timings: dict[str, float] = {}
+    known, unknown, candidate_keys, statement_keys = set(), set(), set(), set()
+    for row, (row_known, row_unknown, row_candidates, row_statements) in rows_with_sets:
+        s_w.setdefault(row.property, row.s_w)
+        for key, seconds in row.timings.items():
+            timings[key] = timings.get(key, 0.0) + seconds
+        known |= row_known
+        unknown |= row_unknown
+        candidate_keys |= row_candidates
+        statement_keys |= row_statements
+    return EnrichmentResult(
+        property="(all)", graph=graph, status="aggregate", s_w=sum(s_w.values()),
+        s_g=len(candidate_keys), s_e=len(statement_keys), n_k=len(known), n_u=len(unknown),
+        n_f=len({key[0] for key in candidate_keys}),
+        n_c=len({key[0] for key in statement_keys}), timings=timings)
+
+
+@pytest.mark.parametrize("type_property", ["P31", "P9999"])
+def test_batch_aggregates_equal_union_reference(company_fixture, type_property):
+    # P9999 as the type property makes every row an error row
+    fx = company_fixture
+    fx.cfg.gaps.type_property = type_property
+    externals = {"dbp": fx.external, "dbp2": make_company_external("dbp2")}
+    properties = [INDUSTRY_PROP, "P571", "P17", "P9999", INDUSTRY_PROP]
+    batch = batch_enrich(fx.target, list(externals.values()), properties, fx.cfg,
+                         entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    assert len(batch.rows) == 10
+    assert all(r.status.startswith("error") for r in batch.rows) == (type_property == "P9999")
+    rows_with_sets = [(row, _reference_row_sets(fx, externals[row.graph], row))
+                      for row in batch.rows]
+    expected = [_reference_aggregate([rs for rs in rows_with_sets if rs[0].graph == tag], tag)
+                for tag in externals]
+    expected.append(_reference_aggregate(rows_with_sets, "(both)"))
+
+    counts = ("property", "graph", "status", "s_w", "s_g", "s_e", "n_k", "n_u", "n_f", "n_c")
+    assert len(batch.aggregates) == len(expected)
+    for got, want in zip(batch.aggregates, expected):
+        assert [getattr(got, f) for f in counts] == [getattr(want, f) for f in counts]
+        assert got.timings == pytest.approx(want.timings)
 
 
 def test_batch_rows_sorted_by_enrichment_rate(company_fixture):
