@@ -123,6 +123,13 @@ def _one_of(value, allowed: tuple[str, ...], where: str) -> str:
     return value
 
 
+def _boolean(value, where: str) -> bool:
+    """A real boolean; ``bool("false")`` would be True."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, not {value!r}")
+    return value
+
+
 def _string_map(raw, where: str) -> dict[str, str]:
     raw = _mapping(raw, where)
     for key, value in raw.items():
@@ -140,6 +147,14 @@ def _values_of(where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _string_list(value, where: str) -> tuple[str, ...]:
+    """A list of non-empty strings; a lone string would split into characters."""
+    if not (isinstance(value, (list, tuple))
+            and all(isinstance(item, str) and item for item in value)):
+        raise ConfigError(f"{where} must be a list of non-empty strings, not {value!r}")
+    return tuple(value)
+
+
 def _graph_spec(raw, where: str) -> GraphSpec:
     raw = _mapping(raw, where)
     with _values_of(where):
@@ -147,7 +162,8 @@ def _graph_spec(raw, where: str) -> GraphSpec:
             path=str(_require(raw, "path", where)),
             tag=str(_require(raw, "tag", where)),
             format=_one_of(raw.get("format", ""), ("", "nt", "tsv"), f"{where}.format"),
-            label_properties=tuple(raw.get("label_properties", DEFAULT_LABEL_PROPERTIES)),
+            label_properties=_string_list(
+                raw.get("label_properties", DEFAULT_LABEL_PROPERTIES), f"{where}.label_properties"),
             malformed_threshold=float(raw.get("malformed_threshold",
                                               DEFAULT_MALFORMED_THRESHOLD)),
         )
@@ -200,13 +216,14 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
     gaps_raw = _mapping(data.get("gaps"), "gaps")
     gap_settings = GapSettings(
         type_property=str(gaps_raw.get("type_property", "P31")),
-        no_value_sentinel=gaps_raw.get("no_value_sentinel"),
+        no_value_sentinel=_optional(gaps_raw, "no_value_sentinel", (str,), "gaps"),
     )
 
     out_raw = _mapping(data.get("output"), "output")
     output = OutputSettings(
         format=_one_of(out_raw.get("format", "tsv"), ("tsv", "json"), "output.format"),
-        include_timings=bool(out_raw.get("include_timings", True)),
+        include_timings=_boolean(out_raw.get("include_timings", True),
+                                 "output.include_timings"),
     )
 
     return PipelineConfig(

@@ -42,7 +42,7 @@ def follow_path(graph: Graph, start: str, path: PropertyPath) -> set[Value]:
         reached: set[Value] = set()
         for value in frontier:
             if isinstance(value, str):
-                reached |= graph.objects(value, step)
+                reached.update(graph.objects(value, step))
         frontier = reached
     return frontier
 

@@ -4,11 +4,12 @@ A node is its id: a plain string, the same in every graph, so nodes of two
 graphs compare and hash as their ids do and every index key hashes in C. A
 value is a node id or a ``Literal``. A graph stores a deduplicated edge set
 once in each of two indexes kept in lockstep by ``add_edge``: subject->
-property->objects and object->property->subjects. ``statements_for`` (all
-pairs of one property) is a scan over the subject index, and the edge counter
-is the one in ``Graph.stats``. Graphs are treated as immutable once a loader
-returns them; pipeline stages only ever read them and emit separate statement
-sets.
+property->objects and object->property->subjects. An index entry with one
+member is a 1-tuple and becomes a set only when a second distinct member
+arrives, since most entries never get one. ``statements_for`` (all pairs of
+one property) is a scan over the subject index, and the edge counter is the
+one in ``Graph.stats``. Graphs are treated as immutable once a loader returns
+them; pipeline stages only ever read them and emit separate statement sets.
 
 IRIs are shortened through a configurable prefix table (unknown namespaces
 keep the full IRI). Edge-TSV carries no datatypes, so literal kinds are
@@ -37,7 +38,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from types import MappingProxyType
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
 
 from .errors import DataFormatError
 
@@ -188,19 +190,32 @@ class LoadStats:
             self.first_bad_text = text
 
 
+# what a query returns on a miss; shared, and read-only like every query result
+_NO_VALUES: tuple = ()
+_NO_EDGES: Mapping = MappingProxyType({})
+
+
 class Graph:
     """Indexed, deduplicated edge set over node ids.
 
+    Two indexes hold each edge: ``_spo`` maps subject -> property -> objects
+    and ``_osp`` maps object -> property -> subjects. The first member of an
+    entry is stored as a 1-tuple (48 B, against 216 B for a set); a second
+    distinct member turns the entry into a set. Most entries keep one member.
+
     Built by the loaders (or test fixtures) through ``add_edge`` and treated
-    as immutable afterwards; every pipeline stage only reads it.
+    as immutable afterwards; every pipeline stage only reads it. The query
+    methods return the stored entries, or a shared empty constant on a miss,
+    so callers get read-only collections: iterate them, test membership or
+    copy them, never mutate them.
     """
 
     def __init__(self, tag: str, label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES):
         self.tag = tag
         self.label_properties = tuple(label_properties)
         self.stats = LoadStats()
-        self._spo: dict[str, dict[str, set[Value]]] = {}
-        self._osp: dict[Value, dict[str, set[str]]] = {}
+        self._spo: dict[str, dict[str, tuple[Value] | set[Value]]] = {}
+        self._osp: dict[Value, dict[str, tuple[str] | set[str]]] = {}
         self._labels: dict[str, str] = {}
 
     # -- construction ------------------------------------------------------
@@ -221,19 +236,23 @@ class Graph:
             by_prop = self._spo[subject] = {}
         objs = by_prop.get(prop)
         if objs is None:
-            by_prop[prop] = {obj}
+            by_prop[prop] = (obj,)
         elif obj in objs:
             self.stats.duplicates += 1
             return False
+        elif type(objs) is tuple:
+            by_prop[prop] = {objs[0], obj}
         else:
             objs.add(obj)
         into = self._osp.get(obj)
         if into is None:
-            self._osp[obj] = {prop: {subject}}
+            self._osp[obj] = {prop: (subject,)}
         else:
             subjs = into.get(prop)
             if subjs is None:
-                into[prop] = {subject}
+                into[prop] = (subject,)
+            elif type(subjs) is tuple:
+                into[prop] = {subjs[0], subject}
             else:
                 subjs.add(subject)
         self.stats.edges += 1
@@ -256,16 +275,17 @@ class Graph:
     def has_node(self, node_id: str) -> bool:
         return node_id in self._spo or node_id in self._osp
 
-    def objects(self, subject: str, prop: str) -> set[Value]:
-        """Exact object set for (subject, property); empty set if none."""
-        return self._spo.get(subject, {}).get(prop, set())
+    def objects(self, subject: str, prop: str) -> Collection[Value]:
+        """Objects of (subject, property), read-only; empty if none."""
+        return self._spo.get(subject, _NO_EDGES).get(prop, _NO_VALUES)
 
-    def out_edges(self, subject: str) -> Mapping[str, set[Value]]:
-        return self._spo.get(subject, {})
+    def out_edges(self, subject: str) -> Mapping[str, Collection[Value]]:
+        """Property -> objects of ``subject``, read-only; empty if none."""
+        return self._spo.get(subject, _NO_EDGES)
 
-    def in_edges(self, obj: Value) -> Mapping[str, set[str]]:
-        """Property -> subjects with an edge into ``obj``."""
-        return self._osp.get(obj, {})
+    def in_edges(self, obj: Value) -> Mapping[str, Collection[str]]:
+        """Property -> subjects with an edge into ``obj``, read-only; empty if none."""
+        return self._osp.get(obj, _NO_EDGES)
 
     def subjects(self) -> Iterator[str]:
         """All node ids appearing as subject of at least one edge."""
@@ -279,8 +299,9 @@ class Graph:
     def has_property(self, prop: str) -> bool:
         return any(prop in by_prop for by_prop in self._spo.values())
 
-    def subjects_with(self, prop: str, obj: Value) -> set[str]:
-        return self._osp.get(obj, {}).get(prop, set())
+    def subjects_with(self, prop: str, obj: Value) -> Collection[str]:
+        """Subjects with a ``prop`` edge into ``obj``, read-only; empty if none."""
+        return self._osp.get(obj, _NO_EDGES).get(prop, _NO_VALUES)
 
     def edges(self) -> Iterator[tuple[str, str, Value]]:
         for subject, by_prop in self._spo.items():

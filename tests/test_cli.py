@@ -81,6 +81,22 @@ def test_bad_alignment_section_is_config_error(workspace, capsys, alignment):
     assert err.startswith("config error: alignment") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("old,new,named", [
+    ("tag: wd}", "tag: wd, label_properties: label}", "graphs.target.label_properties"),
+    ("gaps: {type_property: P31}", "gaps: {type_property: P31, no_value_sentinel: 5}",
+     "gaps.no_value_sentinel"),
+    ("output: {format: tsv}", 'output: {format: tsv, include_timings: "false"}',
+     "output.include_timings"),
+])
+def test_malformed_config_value_exits_1_with_one_line(workspace, capsys, old, new, named):
+    (workspace / "config.yaml").write_text(CONFIG.replace(old, new))
+    code = main(["batch", "--config", str(workspace / "config.yaml"),
+                 "--properties", INDUSTRY_PROP, "--out-dir", str(workspace / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: {named}") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["load-check"]) == 1
     assert "usage error" in capsys.readouterr().err

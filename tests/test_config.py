@@ -124,6 +124,17 @@ def test_config_must_be_mapping(tmp_path):
      "graphs.externals[0].format"),
     ("output", {"format": "xml"}, "output.format"),
     ("mappings", {"db\np": {"prefix": "dbr:"}}, "mappings['db\\np'].link_property"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "label_properties": "label"}},
+     "graphs.target.label_properties"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"},
+                "externals": [{"path": "e.tsv", "tag": "dbp", "label_properties": ["", 5]}]},
+     "graphs.externals[0].label_properties"),
+    ("gaps", {"no_value_sentinel": 5}, "gaps.no_value_sentinel"),
+    ("gaps", {"no_value_sentinel": ["Q0"]}, "gaps.no_value_sentinel"),
+    ("output", {"include_timings": "false"}, "output.include_timings"),
+    ("output", {"include_timings": "no"}, "output.include_timings"),
+    ("output", {"include_timings": "0"}, "output.include_timings"),
+    ("output", {"include_timings": 0}, "output.include_timings"),
 ])
 def test_bad_section_or_value_is_config_error(section, value, named):
     data = _minimal()

@@ -23,6 +23,18 @@ def test_follow_path_single_step():
     assert set(terminals) == {"dbr:E-book"}
 
 
+def test_follow_path_two_hops_over_one_tuple_and_set_entries():
+    g = graph_from_edges("dbp", [
+        ("a", "p", "b"), ("a", "p", "c"), ("a", "p", "d"), ("a", "p", Literal.string("x")),
+        ("b", "q", "e"), ("c", "q", "e"), ("c", "q", "f"), ("c", "r", "g"),
+        ("d", "r", "h"),
+    ])
+    assert type(g.objects("a", "p")) is set and type(g.objects("c", "q")) is set
+    assert type(g.objects("b", "q")) is tuple
+    terminals = follow_path(g, "a", PropertyPath(steps=("p", "q")))
+    assert terminals == {"e", "f"}
+
+
 def test_follow_path_no_outgoing_edge():
     g = graph_from_edges("dbp", [("dbr:Other", "dbp:industry", "dbr:X")])
     assert follow_path(g, "dbr:WOWIO", PropertyPath(steps=("dbp:industry",))) == set()

@@ -21,7 +21,7 @@ def test_single_wellformed_triple(tmp_path):
     g = load_ntriples(path, "t")
     assert g.edge_count == 1
     assert g.node_count == 2
-    assert g.objects("http://ex/a", "http://ex/p") == {"http://ex/b"}
+    assert set(g.objects("http://ex/a", "http://ex/p")) == {"http://ex/b"}
 
 
 def test_empty_file(tmp_path):
@@ -138,7 +138,7 @@ def test_objects_of_unknown_subject_and_multivalue(tmp_path):
     g = Graph("t")
     g.add_edge("Q1", "P452", "Q8148")
     g.add_edge("Q1", "P452", "Q268592")
-    assert g.objects("nope", "P452") == set()
+    assert set(g.objects("nope", "P452")) == set()
     assert len(g.objects("Q1", "P452")) == 2
 
 
@@ -162,6 +162,75 @@ def test_duplicate_edges_collapse():
     assert g.add_edge("Q1", "P1", "Q2")
     assert not g.add_edge("Q1", "P1", "Q2")
     assert g.edge_count == 1
+
+
+# -- index layout: a lone entry is a 1-tuple, a second distinct value a set --------
+
+
+def _assert_compact_layout(g: Graph) -> None:
+    entries = [entry for index in (g._spo, g._osp) for by_prop in index.values()
+               for entry in by_prop.values()]
+    for entry in entries:
+        if len(entry) == 1:
+            assert type(entry) is tuple
+        else:
+            assert type(entry) is set and len(entry) >= 2
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "nt"])
+def test_lone_index_entries_are_one_tuples(tmp_path, fmt):
+    # Q1 P1 has two objects; the Q1 P2 Q3 edge is repeated
+    if fmt == "tsv":
+        path = tmp_path / "g.tsv"
+        path.write_text("node1\tlabel\tnode2\nQ1\tP1\tQ2\nQ1\tP1\tQ3\n"
+                        "Q1\tP2\tQ3\nQ1\tP2\tQ3\nQ4\tP2\tQ3\nQ2\tlabel\t\"two\"\n")
+        g = load_edge_tsv(path, "t")
+    else:
+        path = tmp_path / "g.nt"
+        path.write_text("".join(f"<http://ex/{s}> <http://ex/{p}> {o} .\n" for s, p, o in [
+            ("Q1", "P1", "<http://ex/Q2>"), ("Q1", "P1", "<http://ex/Q3>"),
+            ("Q1", "P2", "<http://ex/Q3>"), ("Q1", "P2", "<http://ex/Q3>"),
+            ("Q4", "P2", "<http://ex/Q3>"), ("Q2", "label", '"two"')]))
+        g = load_ntriples(path, "t", prefixes={"": "http://ex/"})
+    assert (g.edge_count, g.stats.duplicates) == (5, 1)
+    _assert_compact_layout(g)
+    assert type(g._spo["Q1"]["P1"]) is set and set(g.objects("Q1", "P1")) == {"Q2", "Q3"}
+    assert g._spo["Q1"]["P2"] == ("Q3",)
+    assert type(g._osp["Q3"]["P2"]) is set and set(g.subjects_with("P2", "Q3")) == {"Q1", "Q4"}
+    assert g._osp["Q3"]["P1"] == ("Q1",)
+    assert g._spo["Q2"]["label"] == (Literal.string("two"),)
+
+
+def test_repeat_of_a_lone_value_keeps_the_one_tuple():
+    g = Graph("t")
+    assert g.add_edge("Q1", "P1", Literal.date(1990))
+    assert not g.add_edge("Q1", "P1", Literal.date(1990))
+    assert g.stats.duplicates == 1 and g.edge_count == 1
+    assert g._spo["Q1"]["P1"] == (Literal.date(1990),)
+    assert g._osp[Literal.date(1990)]["P1"] == ("Q1",)
+    _assert_compact_layout(g)
+
+
+def test_second_distinct_value_promotes_to_a_set():
+    g = Graph("t")
+    g.add_edge("Q1", "P1", "Q2")
+    g.add_edge("Q3", "P1", "Q2")
+    assert g.add_edge("Q1", "P1", "Q4")
+    assert g._spo["Q1"]["P1"] == {"Q2", "Q4"}
+    assert g._osp["Q2"]["P1"] == {"Q1", "Q3"}
+    assert not g.add_edge("Q1", "P1", "Q4")
+    assert g._spo["Q1"]["P1"] == {"Q2", "Q4"} and g.stats.duplicates == 1
+    _assert_compact_layout(g)
+
+
+def test_misses_return_shared_read_only_empties():
+    g = Graph("t")
+    g.add_edge("Q1", "P1", "Q2")
+    assert g.objects("Q1", "P9") is g.objects("Q9", "P1") == ()
+    assert g.subjects_with("P9", "Q2") is g.subjects_with("P1", "Q9") == ()
+    assert g.out_edges("Q9") is g.in_edges("Q9")
+    with pytest.raises(TypeError):
+        g.in_edges("Q9")["P1"] = ("Q1",)
 
 
 def test_index_consistency_full_scan(company_fixture):
@@ -278,7 +347,7 @@ def test_nt_malformed_escape_is_counted_skip(tmp_path, lex):
     g = load_ntriples(path, "t", malformed_threshold=0.5)
     assert g.edge_count == 2
     assert (g.stats.skipped, g.stats.first_bad_lineno) == (1, 2)
-    assert g.objects("http://ex/a", "http://ex/q") == set()
+    assert set(g.objects("http://ex/a", "http://ex/q")) == set()
     assert {o.text for o in g.objects("http://ex/a", "http://ex/r")} == {"AB"}
 
 
