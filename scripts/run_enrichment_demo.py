@@ -4,9 +4,11 @@
 Builds a target graph with one company missing its industry value and an
 external graph that knows it, writes everything to a workspace directory,
 then drives the CLI: align -> enrich -> consistency (item agreement for
-P452, year agreement and a scatter.csv for P571). Inspect the workspace
-afterwards to see every intermediate file. Exits with the first failing
-command's exit code.
+P452, year agreement and a scatter.csv for P571). It also aligns the
+date-valued P571 at up to 3 hops, which takes the literal-terminal
+last-hop lookup, and exits 1 unless ``dbp:founded`` is selected.
+Inspect the workspace afterwards to see every intermediate file. Exits
+with the first failing command's exit code.
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ def main() -> int:
             raise SystemExit(code)
 
     run("candidate property paths for P452 (industry)", "align", "--property", "P452")
+    aligned = ws / "aligned_P571_L3.tsv"
+    run("paths up to 3 hops for P571 (inception), a date-valued property", "align",
+        "--property", "P571", "--max-len", "3", "--out", str(aligned))
+    table = aligned.read_text()
+    print(table)
+    selected = [row.split("\t")[0] for row in table.splitlines() if row.endswith("\ttrue")]
+    if selected != ["dbp:founded"]:
+        print(f"expected dbp:founded to be selected for P571, got {selected}", file=sys.stderr)
+        return 1
     run("enrich P452 for companies (Q783794)", "enrich", "--property", "P452",
         "--class", "Q783794", "--out-dir", out)
     print("\nvalidated statements:")

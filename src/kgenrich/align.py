@@ -7,15 +7,11 @@ connect. The top candidates are then reranked by gestalt string similarity
 between the target property label and the path label, with a threshold
 deciding whether the lexical winner overrides the frequency winner.
 
-Enumeration walks forward from each sampled subject by node id. For an
-item-valued target and L >= 2 the walk stops one hop short, at depth L-1,
-and takes the last hop backwards: each node it reaches is looked up in the
-target's predecessor map, read once per distinct target from the graph's
-object index (``Graph.in_edges``) and memoised for one ``enumerate_paths``
-call. A pair then costs about degree^(L-1) edge visits instead of
-degree^L, and the predecessor maps of one call together cost at most one
-pass over the edge set, however many pairs share a hub target. Literal
-targets, and L = 1, keep the plain forward walk.
+Enumeration has one rule for item and literal targets alike. At L = 1 it
+scans the start's out-edges. At L >= 2 it walks forward by node id to depth
+L-1 and takes the last hop backwards, through the target's predecessor map
+(from ``Graph.in_edges`` of the target, or of every literal matching it), so
+a pair costs about degree^(L-1) edge visits instead of degree^L.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .store import Graph, Value, ValueKind, value_sort_key
+from .store import Graph, Literal, Value, ValueKind, value_sort_key
 
 MAX_PATH_LENGTH_CAP = 6
 
@@ -94,26 +90,29 @@ def normalize_label(raw: str) -> str:
 def values_match(found: Value, wanted: Value) -> bool:
     """Terminal match for path search: node ids exactly, literals by value.
 
-    Dates compare at the coarser of the two precisions; plain and
-    language-tagged strings match on their text.
+    Dates compare at the coarser of the two precisions, quantities by
+    magnitude, plain and language-tagged strings by text, and any other
+    literal by equality.
     """
-    if isinstance(wanted, str):
+    if isinstance(found, str) or isinstance(wanted, str):
         return found == wanted
-    if isinstance(found, str):
-        return False
-    a, b = found, wanted
-    if a.kind is ValueKind.DATE and b.kind is ValueKind.DATE:
-        rank = {"year": 0, "month": 1, "day": 2}
-        depth = min(rank[a.precision], rank[b.precision])
-        fields_a = (a.year, a.month, a.day)[:depth + 1]
-        fields_b = (b.year, b.month, b.day)[:depth + 1]
-        return fields_a == fields_b
-    if a.kind is ValueKind.QUANTITY and b.kind is ValueKind.QUANTITY:
-        return a.magnitude == b.magnitude
-    if a.kind in (ValueKind.STRING, ValueKind.MONOLINGUAL) and \
-            b.kind in (ValueKind.STRING, ValueKind.MONOLINGUAL):
-        return a.text == b.text
-    return a == b
+    if found.kind is ValueKind.DATE and wanted.kind is ValueKind.DATE:
+        rank = {"year": 1, "month": 2, "day": 3}
+        depth = min(rank[found.precision], rank[wanted.precision])
+        return (found.year, found.month, found.day)[:depth] == \
+            (wanted.year, wanted.month, wanted.day)[:depth]
+    return _match_key(found) == _match_key(wanted)
+
+
+def _match_key(value: Literal) -> object:
+    """What ``values_match`` compares, a date cut to its year: equal keys are needed to match."""
+    if value.kind is ValueKind.DATE:
+        return (ValueKind.DATE, value.year)
+    if value.kind is ValueKind.QUANTITY:
+        return (ValueKind.QUANTITY, value.magnitude)
+    if value.kind in (ValueKind.STRING, ValueKind.MONOLINGUAL):
+        return (ValueKind.STRING, value.text)
+    return value
 
 
 def _sample_pairs(pairs: set[tuple[str, Value]], cfg: AlignConfig) -> list[tuple[str, Value]]:
@@ -127,88 +126,73 @@ def _sample_pairs(pairs: set[tuple[str, Value]], cfg: AlignConfig) -> list[tuple
     return ordered[:cfg.sample_cap]
 
 
-def _predecessors(graph: Graph, target_id: str) -> dict[str, list[str]]:
-    """{predecessor id: [props with an edge into target]} from the object index."""
-    preds: dict[str, list[str]] = {}
-    for prop, subjects in graph.in_edges(target_id).items():
-        for subj in subjects:
-            preds.setdefault(subj, []).append(prop)
-    return preds
+class _LastHop(dict):
+    """Predecessor maps ``{predecessor id: [props]}`` by target, for one ``enumerate_paths`` call.
+
+    A literal target's map joins the ``in_edges`` of every literal that
+    ``values_match`` accepts, found in buckets keyed by ``_match_key`` and
+    filled from ``Graph.literals()`` on the first literal target.
+    """
+
+    def __init__(self, graph: Graph):
+        super().__init__()
+        self.graph, self.buckets = graph, None
+
+    def __missing__(self, target: Value) -> dict[str, list[str]]:
+        sources = [target]
+        if not isinstance(target, str):
+            if self.buckets is None:
+                self.buckets = {}
+                for literal in self.graph.literals():
+                    self.buckets.setdefault(_match_key(literal), []).append(literal)
+            sources = [literal for literal in self.buckets.get(_match_key(target), ())
+                       if values_match(literal, target)]
+        preds = self[target] = {}
+        for obj in sources:
+            for prop, subjects in self.graph.in_edges(obj).items():
+                for subj in subjects:
+                    preds.setdefault(subj, []).append(prop)
+        return preds
 
 
 def _pair_paths(graph: Graph, start_id: str, target: Value, max_len: int,
-                into: dict[str, dict[str, list[str]]]) -> set[tuple[str, ...]]:
+                last_hop: _LastHop) -> set[tuple[str, ...]]:
     """All property sequences realized by a simple path start -> target.
 
-    Cycle avoidance is per traversal: a branch never revisits a node, so a
-    sequence counts once per pair no matter how many node instantiations
-    realize it. Intermediate literals end their branch, and no path passes
-    through the target.
-
-    Item targets at L >= 2: the forward walk, keyed by node id, stops at
-    depth L-1; at every node it reaches (the start included) the last hop is
-    a lookup in the target's predecessor map ``{predecessor id: [props]}``,
-    built once per distinct target from ``Graph.in_edges`` and kept in
-    ``into`` for the whole ``enumerate_paths`` call. A pair costs the
-    out-edges of the nodes within L-2 hops of the start instead of within
-    L-1 (about degree^(L-1) rather than degree^L edge visits), and every
-    target costs its in-degree once, so building all the maps of one call
-    takes at most one pass over the edge set.
-
-    Literal targets, and item targets at L = 1, take the full-depth forward
-    walk and test each object at the frontier: literals with
-    ``values_match``, because date-precision folding has no exact index key;
-    nodes by id. At L = 1 the start is the only node a walk reaches, so a
-    predecessor map (the target's whole in-degree) would not be repaid.
+    A branch never revisits a node, so a sequence counts once per pair
+    however many node paths realize it; intermediate literals end a branch,
+    and no path passes through the target. At L = 1 the start's out-edges
+    are scanned (by id, or by ``values_match`` for a literal). At L >= 2 the
+    walk stops at depth L-1, and at every node it reaches, the start
+    included, the last hop is a lookup in the target's predecessor map.
     """
-    found: set[tuple[str, ...]] = set()
+    if target == start_id:
+        return set()
     out_edges = graph.out_edges
-
-    if isinstance(target, str) and max_len > 1:
-        if target == start_id:
-            return found
-        preds = into.get(target)
-        if preds is None:
-            preds = into[target] = _predecessors(graph, target)
-        if not preds:
-            return found
-
-        def reach(node_id: str, seq: tuple[str, ...], visited: set[str]) -> None:
-            for prop in preds.get(node_id, ()):
-                found.add(seq + (prop,))
-            if len(seq) + 1 >= max_len:
-                return
-            for prop, objs in out_edges(node_id).items():
-                step = seq + (prop,)
-                for obj in objs:
-                    if isinstance(obj, str) and obj not in visited and obj != target:
-                        visited.add(obj)
-                        reach(obj, step, visited)
-                        visited.remove(obj)
-
-        reach(start_id, (), {start_id})
+    if max_len == 1:
+        if isinstance(target, str):
+            return {(prop,) for prop, objs in out_edges(start_id).items() if target in objs}
+        return {(prop,) for prop, objs in out_edges(start_id).items()
+                if any(values_match(obj, target) for obj in objs)}
+    found: set[tuple[str, ...]] = set()
+    preds = last_hop[target]
+    if not preds:
         return found
 
-    target_id = target if isinstance(target, str) else None
-
-    def walk(node_id: str, seq: tuple[str, ...], visited: set[str]) -> None:
-        deeper = len(seq) + 1 < max_len
+    def reach(node_id: str, seq: tuple[str, ...], visited: set[str]) -> None:
+        for prop in preds.get(node_id, ()):
+            found.add(seq + (prop,))
+        if len(seq) + 1 >= max_len:
+            return
         for prop, objs in out_edges(node_id).items():
             step = seq + (prop,)
             for obj in objs:
-                if isinstance(obj, str):
-                    if obj in visited:
-                        continue
-                    if obj == target_id:
-                        found.add(step)  # no simple path re-reaches the target
-                    elif deeper:
-                        visited.add(obj)
-                        walk(obj, step, visited)
-                        visited.remove(obj)
-                elif target_id is None and values_match(obj, target):
-                    found.add(step)
+                if isinstance(obj, str) and obj not in visited and obj != target:
+                    visited.add(obj)
+                    reach(obj, step, visited)
+                    visited.remove(obj)
 
-    walk(start_id, (), {start_id})
+    reach(start_id, (), {start_id})
     return found
 
 
@@ -221,9 +205,9 @@ def enumerate_paths(graph: Graph, pairs: Iterable[tuple[str, Value]],
     is sorted by (support desc, steps asc).
     """
     support: Counter[tuple[str, ...]] = Counter()
-    into: dict[str, dict[str, list[str]]] = {}
+    last_hop = _LastHop(graph)
     for subject_id, target in _sample_pairs(set(pairs), cfg):
-        support.update(_pair_paths(graph, subject_id, target, cfg.max_path_length, into))
+        support.update(_pair_paths(graph, subject_id, target, cfg.max_path_length, last_hop))
     ranked = [PropertyPath(steps=seq, support=count) for seq, count in support.items()]
     ranked.sort(key=lambda p: (-p.support, p.steps))
     return ranked

@@ -405,6 +405,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
+    except SystemExit:  # --help printed the help; usage errors raise UsageError
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

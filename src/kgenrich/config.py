@@ -139,12 +139,20 @@ def _string_map(raw, where: str) -> dict[str, str]:
 
 
 @contextmanager
-def _values_of(where: str):
-    """Turn a bad value met while building section ``where`` into a ConfigError."""
+def _values_of(where: str, errors: type | tuple = (TypeError, ValueError, OverflowError)):
+    """Turn ``errors`` met while building ``where`` into a one-line ConfigError."""
     try:
         yield
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    except errors as exc:
+        raise ConfigError(f"{where}: {' '.join(str(exc).split())}") from None
+
+
+def _text(value, where: str, empty: bool = False) -> str:
+    """A string, non-empty unless ``empty``; ``str()`` would pass a list or a null as text."""
+    if not isinstance(value, str) or not (value or empty):
+        kind = "string" if empty else "non-empty string"
+        raise ConfigError(f"{where} must be a {kind}, not {value!r}")
+    return value
 
 
 def _string_list(value, where: str) -> tuple[str, ...]:
@@ -159,8 +167,8 @@ def _graph_spec(raw, where: str) -> GraphSpec:
     raw = _mapping(raw, where)
     with _values_of(where):
         return GraphSpec(
-            path=str(_require(raw, "path", where)),
-            tag=str(_require(raw, "tag", where)),
+            path=_text(_require(raw, "path", where), f"{where}.path"),
+            tag=_text(_require(raw, "tag", where), f"{where}.tag"),
             format=_one_of(raw.get("format", ""), ("", "nt", "tsv"), f"{where}.format"),
             label_properties=_string_list(
                 raw.get("label_properties", DEFAULT_LABEL_PROPERTIES), f"{where}.label_properties"),
@@ -185,9 +193,9 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
         raw = _mapping(raw, where)
         transform = _mapping(raw.get("transform"), f"{where}.transform")
         mappings[tag] = MappingSpec(
-            link_property=str(_require(raw, "link_property", where)),
-            prefix=str(raw.get("prefix", transform.get("prefix", ""))),
-            suffix=str(raw.get("suffix", transform.get("suffix", ""))),
+            link_property=_text(_require(raw, "link_property", where), f"{where}.link_property"),
+            prefix=_text(raw.get("prefix", transform.get("prefix", "")), f"{where}.prefix", True),
+            suffix=_text(raw.get("suffix", transform.get("suffix", "")), f"{where}.suffix", True),
         )
 
     align_raw = _mapping(data.get("alignment"), "alignment")
@@ -209,13 +217,13 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
         validation = ValidationSettings(
             cutoff_year=int(val_raw.get("cutoff_year", 2022)),
             depth_cap=int(val_raw.get("depth_cap", 20)),
-            instance_of=str(val_raw.get("instance_of", "P31")),
-            subclass_of=str(val_raw.get("subclass_of", "P279")),
+            instance_of=_text(val_raw.get("instance_of", "P31"), "validation.instance_of"),
+            subclass_of=_text(val_raw.get("subclass_of", "P279"), "validation.subclass_of"),
         )
 
     gaps_raw = _mapping(data.get("gaps"), "gaps")
     gap_settings = GapSettings(
-        type_property=str(gaps_raw.get("type_property", "P31")),
+        type_property=_text(gaps_raw.get("type_property", "P31"), "gaps.type_property"),
         no_value_sentinel=_optional(gaps_raw, "no_value_sentinel", (str,), "gaps"),
     )
 
@@ -236,7 +244,8 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    with open(path, encoding="utf-8") as fh:
+    # a YAMLError's text names the line and column, over several lines
+    with open(path, encoding="utf-8") as fh, _values_of(f"{path}: malformed YAML", yaml.YAMLError):
         data = yaml.safe_load(fh)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a mapping")

@@ -291,6 +291,10 @@ class Graph:
         """All node ids appearing as subject of at least one edge."""
         return iter(self._spo)
 
+    def literals(self) -> Iterator[Literal]:
+        """Each distinct literal object of some edge, once."""
+        return (obj for obj in self._osp if not isinstance(obj, str))
+
     def statements_for(self, prop: str) -> list[tuple[str, Value]]:
         """Every (subject, object) pair of ``prop``, by one scan of the subject index."""
         return [(subject, obj) for subject, by_prop in self._spo.items()

@@ -12,7 +12,7 @@ from kgenrich.align import (AlignConfig, AlignMode, PropertyPath, enumerate_path
 from kgenrich.store import Graph, Literal
 
 from conftest import graph_from_edges
-from oracles import ratcliff_obershelp, simple_path_sequences
+from oracles import ratcliff_obershelp, same_value, simple_path_sequences
 
 
 # -- normalize_label ----------------------------------------------------------
@@ -164,6 +164,36 @@ def test_enumerate_matches_exhaustive_oracle(seed, acyclic, max_len):
     want = {}
     for subj, obj in pairs:
         for seq in simple_path_sequences(edges, subj, obj, max_len):
+            want[seq] = want.get(seq, 0) + 1
+    assert got == want
+
+
+# equal-by-value groups: a year, a month and two days of 1900; 5 and 5.0;
+# "x" plain and tagged; an Other "x" that matches neither string
+_LITERALS = [Literal.date(1900), Literal.date(1900, 5), Literal.date(1900, 5, 1),
+             Literal.date(1900, 6, 1), Literal.date(1901, 5, 1), Literal.quantity(5),
+             Literal.quantity(5.0), Literal.quantity(6), Literal.string("x"),
+             Literal.monolingual("x", "en"), Literal.string("y"), Literal.other("x")]
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_enumerate_literal_targets_match_exhaustive_oracle(seed, max_len):
+    rng = random.Random(seed)
+    edges = _random_graph(rng, n_nodes=30, n_edges=120, n_props=6, acyclic=False)
+    edges += sorted({(f"N{rng.randrange(30)}", f"P{rng.randrange(6)}", rng.choice(_LITERALS))
+                     for _ in range(60)}, key=repr)
+    g = graph_from_edges("x", edges)
+    held = {obj for _, _, obj in edges if not isinstance(obj, str)}
+    literals = list(g.literals())
+    assert len(literals) == len(held) and set(literals) == held
+    nodes = [f"N{i}" for i in range(30)]
+    targets = _LITERALS + [Literal.date(1777), rng.choice(nodes), rng.choice(nodes)]
+    pairs = {(rng.choice(nodes), target) for target in targets for _ in range(3)}
+    got = {p.steps: p.support for p in enumerate_paths(g, pairs, _cfg(max_len))}
+    want = {}
+    for subj, obj in pairs:
+        for seq in simple_path_sequences(edges, subj, obj, max_len, same_value):
             want[seq] = want.get(seq, 0) + 1
     assert got == want
 

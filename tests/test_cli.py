@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import kgenrich
-from kgenrich.cli import main
+from kgenrich.cli import build_parser, main
 from kgenrich.store import write_edge_tsv
 
 from conftest import COMPANY_CLASS, INDUSTRY_PROP
@@ -39,13 +43,17 @@ output: {format: tsv}
 """
 
 
+def _write_workspace(directory: Path, company_fixture) -> Path:
+    write_edge_tsv(company_fixture.target, directory / "target.tsv")
+    write_edge_tsv(company_fixture.external, directory / "external.tsv")
+    (directory / "constraints.tsv").write_text(CONSTRAINTS)
+    (directory / "config.yaml").write_text(CONFIG)
+    return directory
+
+
 @pytest.fixture
 def workspace(tmp_path, company_fixture):
-    write_edge_tsv(company_fixture.target, tmp_path / "target.tsv")
-    write_edge_tsv(company_fixture.external, tmp_path / "external.tsv")
-    (tmp_path / "constraints.tsv").write_text(CONSTRAINTS)
-    (tmp_path / "config.yaml").write_text(CONFIG)
-    return tmp_path
+    return _write_workspace(tmp_path, company_fixture)
 
 
 def test_load_check(workspace, capsys):
@@ -87,6 +95,15 @@ def test_bad_alignment_section_is_config_error(workspace, capsys, alignment):
      "gaps.no_value_sentinel"),
     ("output: {format: tsv}", 'output: {format: tsv, include_timings: "false"}',
      "output.include_timings"),
+    ("{path: target.tsv,", "{path: [target.tsv],", "graphs.target.path"),
+    ("tag: wd}", "tag: null}", "graphs.target.tag"),
+    ("{path: external.tsv, tag: dbp}", "{path: external.tsv, tag: 5}",
+     "graphs.externals[0].tag"),
+    ("gaps: {type_property: P31}", "gaps: {type_property: [P31]}", "gaps.type_property"),
+    ("validation: {", "validation: {instance_of: 31, ", "validation.instance_of"),
+    ("validation: {", 'validation: {subclass_of: "", ', "validation.subclass_of"),
+    ("link_property: sitelink", "link_property: [sitelink]", "mappings.dbp.link_property"),
+    ('prefix: "dbr:"', "prefix: null", "mappings.dbp.prefix"),
 ])
 def test_malformed_config_value_exits_1_with_one_line(workspace, capsys, old, new, named):
     (workspace / "config.yaml").write_text(CONFIG.replace(old, new))
@@ -95,6 +112,64 @@ def test_malformed_config_value_exits_1_with_one_line(workspace, capsys, old, ne
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"config error: {named}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["graphs: [unclosed\n",
+                                  "graphs: !!python/object/apply:os.system [ls]\n"])
+def test_malformed_yaml_exits_1_with_one_line(workspace, capsys, text):
+    (workspace / "config.yaml").write_text(text)
+    code = main(["batch", "--config", str(workspace / "config.yaml"),
+                 "--properties", INDUSTRY_PROP, "--out-dir", str(workspace / "x")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"config error: {workspace / 'config.yaml'}: malformed YAML: ")
+    assert ", line " in err
+
+
+# -- every argument vector exits 0, 1 or 2 with at most one stderr line ---------
+
+def _subcommand_flags() -> dict[str, list[str]]:
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: sorted(flag for action in parser._actions for flag in action.option_strings)
+            for name, parser in sub.choices.items()}
+
+
+_FLAGS = _subcommand_flags()
+# upper-case names stand for files the test writes; the rest are passed as they are
+_VALUES = ["CONFIG", "BAD_YAML", "MISSING", "DIR", "EMPTY", INDUSTRY_PROP, "P571",
+           "dbp", "a/b", "@@", "0", "-1", "nan"]
+_ARGV = st.sampled_from(sorted(_FLAGS)).flatmap(lambda command: st.lists(
+    st.tuples(st.sampled_from(_FLAGS[command]), st.sampled_from(_VALUES) | st.just(None)),
+    max_size=6).map(lambda pairs: [command] + [a for pair in pairs for a in pair if a]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_ARGV)
+@example(["batch", "--config", "BAD_YAML", "--properties", INDUSTRY_PROP])
+@example(["align", "--help"])
+@example(["batch", "--config", "CONFIG", "--properties", INDUSTRY_PROP, "--out-dir", "DIR"])
+@example(["align", "--config", "CONFIG", "--property", "P571", "--max-len", "-1"])
+@example(["align", "--config", "CONFIG", "--property", "P571", "--threshold", "nan"])
+@example(["report", "--results", "CONFIG"])
+def test_any_argument_vector_exits_0_1_or_2_with_one_stderr_line(company_fixture, capsys,
+                                                                 argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = _write_workspace(Path(tmp), company_fixture)
+        (ws / "bad.yaml").write_text("graphs: [unclosed\n")
+        (ws / "empty.txt").write_text("")
+        (ws / "dir").mkdir()
+        files = {"CONFIG": ws / "config.yaml", "BAD_YAML": ws / "bad.yaml",
+                 "MISSING": ws / "missing.tsv", "DIR": ws / "dir", "EMPTY": ws / "empty.txt"}
+        os.chdir(ws)  # commands without --out write into the working directory
+        try:
+            code = main([str(files.get(arg, arg)) for arg in argv])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert capsys.readouterr().err.count("\n") <= 1
 
 
 def test_usage_error_exit_code(capsys):

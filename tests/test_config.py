@@ -88,6 +88,20 @@ def test_load_config_resolves_relative_paths(tmp_path):
     assert cfg.constraints_path.endswith("cfg/data/c.tsv")
 
 
+@pytest.mark.parametrize("text,line", [
+    ("graphs: [unclosed\n", 2),
+    ("graphs:\n  target: !!python/object/apply:os.system [ls]\n", 2),
+])
+def test_malformed_yaml_is_one_line_config_error(tmp_path, text, line):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(bad)
+    message = str(err.value)
+    assert message.startswith(f"{bad}: malformed YAML: ") and "\n" not in message
+    assert f"line {line}, column " in message
+
+
 def test_config_must_be_mapping(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("- just\n- a list\n")
@@ -135,6 +149,17 @@ def test_config_must_be_mapping(tmp_path):
     ("output", {"include_timings": "no"}, "output.include_timings"),
     ("output", {"include_timings": "0"}, "output.include_timings"),
     ("output", {"include_timings": 0}, "output.include_timings"),
+    ("gaps", {"type_property": ["P31"]}, "gaps.type_property"),
+    ("validation", {"instance_of": 31}, "validation.instance_of"),
+    ("validation", {"subclass_of": ""}, "validation.subclass_of"),
+    ("mappings", {"dbp": {"link_property": ["sitelink"]}}, "mappings.dbp.link_property"),
+    ("mappings", {"dbp": {"link_property": "P1", "prefix": None}}, "mappings.dbp.prefix"),
+    ("mappings", {"dbp": {"link_property": "P1", "transform": {"suffix": 5}}},
+     "mappings.dbp.suffix"),
+    ("graphs", {"target": {"path": ["t.tsv"], "tag": "wd"}}, "graphs.target.path"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": None}}, "graphs.target.tag"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"},
+                "externals": [{"path": "", "tag": "dbp"}]}, "graphs.externals[0].path"),
 ])
 def test_bad_section_or_value_is_config_error(section, value, named):
     data = _minimal()
@@ -173,8 +198,13 @@ def _section(**keys):
     return _mostly(st.fixed_dictionaries({}, optional=keys))
 
 
+def _id(plausible: str):
+    """An id-valued key: ``plausible`` half the time, else a list, an int, null or ""."""
+    return _mostly(st.just(plausible) | st.sampled_from([[plausible], 31, None, ""]))
+
+
 _GRAPH = _mostly(st.fixed_dictionaries(
-    {"path": _value("t.tsv"), "tag": _value("wd", "dbp")},
+    {"path": _id("t.tsv"), "tag": _id("wd")},
     optional={"format": _value("", "nt", "tsv", "ntriples"),
               "label_properties": _value(["label"]),
               "malformed_threshold": _value(0.05, "0.5")}))
@@ -185,16 +215,17 @@ _DOCUMENT = st.fixed_dictionaries({
     "prefixes": st.dictionaries(_key("dbr"), _value("http://dbpedia.org/resource/"),
                                 max_size=2),
     "mappings": st.dictionaries(_key("dbp"), _section(
-        link_property=_value("sitelink"), prefix=_value("dbr:"), suffix=_value(""),
-        transform=_section(prefix=_value("tgn:"), suffix=_value("-id"))), max_size=2),
+        link_property=_id("sitelink"), prefix=_value("dbr:", "", None, 5),
+        suffix=_value("", ["-id"]),
+        transform=_section(prefix=_value("tgn:", None), suffix=_value("-id", 5))), max_size=2),
     "alignment": _section(max_path_length=_value(1, 4, 9), sample_cap=_value(10, 0),
                           top_k=_value(3, "3"), similarity_threshold=_value(0.9, 2.0),
                           mode=_value("hybrid", "freq", "String"),
                           sample_seed=_value(7, "seed")),
     "validation": _section(cutoff_year=_value(2022), depth_cap=_value(20),
-                           instance_of=_value("P31"), subclass_of=_value("P279"),
+                           instance_of=_id("P31"), subclass_of=_id("P279"),
                            constraints=_value("c.tsv")),
-    "gaps": _section(type_property=_value("P31"), no_value_sentinel=_value("Q0")),
+    "gaps": _section(type_property=_id("P31"), no_value_sentinel=_value("Q0")),
     "output": _section(format=_value("tsv", "json", "xml"), include_timings=_value(False)),
 })
 
@@ -211,6 +242,12 @@ def test_config_from_dict_returns_config_or_one_line_config_error(document):
     assert {spec.format for spec in [cfg.target, *cfg.externals]} <= {"", "nt", "tsv"}
     assert cfg.output.format in ("tsv", "json")
     assert cfg.constraints_path is None or isinstance(cfg.constraints_path, str)
+    ids = [cfg.gaps.type_property, cfg.validation.instance_of, cfg.validation.subclass_of]
+    ids += [value for spec in [cfg.target, *cfg.externals] for value in (spec.path, spec.tag)]
+    ids += [spec.link_property for spec in cfg.mappings.values()]
+    assert all(isinstance(value, str) and value for value in ids)
+    assert all(isinstance(spec.prefix, str) and isinstance(spec.suffix, str)
+               for spec in cfg.mappings.values())
 
 
 # -- load_graph and the cyclic GC ----------------------------------------------
