@@ -151,7 +151,9 @@ class _LastHop(dict):
         for obj in sources:
             for prop, subjects in self.graph.in_edges(obj).items():
                 for subj in subjects:
-                    preds.setdefault(subj, []).append(prop)
+                    props = preds.setdefault(subj, [])
+                    if prop not in props:  # two matching literals, one property
+                        props.append(prop)
         return preds
 
 

@@ -13,17 +13,17 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Mapping
 
 from . import pipeline
-from .align import PropertyPath, score_candidates
+from .align import AlignConfig, PropertyPath, score_candidates
 from .config import MODE_ALIASES, GraphSpec, PipelineConfig, load_config, load_graph
 from .consistency import Granularity, write_scatter_csv
 from .errors import ConfigError, DataFormatError, UsageError
-from .gaps import detect_gaps
 from .resolve import inverse_resolve, resolve
-from .retrieve import read_candidates, retrieve, write_candidates
+from .retrieve import read_candidates, write_candidates
 from .store import Graph
-from .validate import load_constraints, validate_detailed, write_verdicts
+from .validate import ValueTypeConstraint, load_constraints, write_verdicts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,24 +32,40 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config(args) -> PipelineConfig:
+    """The ``--config`` file with the command's alignment and validation flags applied."""
     if not getattr(args, "config", None):
         raise UsageError("this command requires --config")
-    return load_config(args.config)
+    cfg = load_config(args.config)
+    if hasattr(args, "max_len"):
+        cfg.alignment = _align_config(cfg.alignment, args)
+    if getattr(args, "cutoff_year", None) is not None:
+        cfg.validation = replace(cfg.validation, cutoff_year=args.cutoff_year)
+    return cfg
 
 
-def _target_graph(cfg: PipelineConfig) -> Graph:
-    return load_graph(cfg.target, cfg.prefixes)
+def _align_config(align: AlignConfig, args) -> AlignConfig:
+    """``align`` with the flags given; an out-of-range value is a usage error."""
+    flags = {"max_path_length": args.max_len, "sample_cap": args.sample_cap,
+             "similarity_threshold": args.threshold, "mode": MODE_ALIASES.get(args.mode)}
+    try:
+        return replace(align, **{key: value for key, value in flags.items() if value is not None})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _run(args, constraints: Mapping[str, ValueTypeConstraint] | None) -> pipeline.Run:
+    """A stage command's run context; one that validates nothing passes ``{}``."""
+    cfg = _config(args)
+    return pipeline.Run(load_graph(cfg.target, cfg.prefixes), cfg, constraints=constraints)
 
 
 def _external_graph(cfg: PipelineConfig, tag: str | None) -> Graph:
-    if not cfg.externals:
-        raise ConfigError("missing config key: graphs.externals")
-    if tag is None:
-        return load_graph(cfg.externals[0], cfg.prefixes)
-    for spec in cfg.externals:
-        if spec.tag == tag:
-            return load_graph(spec, cfg.prefixes)
-    raise ConfigError(f"no external graph with tag {tag!r} in config")
+    """The external graph ``tag``, else the first one."""
+    specs = [spec for spec in cfg.externals if tag in (None, spec.tag)]
+    if not specs:
+        raise ConfigError(f"no external graph with tag {tag!r} in config" if cfg.externals
+                          else "missing config key: graphs.externals")
+    return load_graph(specs[0], cfg.prefixes)
 
 
 def _out(args, default_name: str) -> Path:
@@ -58,27 +74,37 @@ def _out(args, default_name: str) -> Path:
     return directory / default_name
 
 
+def _write_outputs(args, cfg: PipelineConfig, statements, rows, summary=None) -> None:
+    """The statement file and the report of ``enrich`` or ``batch``."""
+    fmt = cfg.output.format
+    pipeline.write_statements(statements, _out(args, "statements.tsv"))
+    pipeline.emit_report(rows, fmt, _out(args, f"report.{fmt}"), summary=summary,
+                         include_timings=cfg.output.include_timings and not args.no_timings)
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
+def _graph_arg(args) -> tuple[PipelineConfig, Graph]:
+    """The ``--config`` file, else the defaults, and the ``--graph`` file loaded under it."""
+    spec = GraphSpec(args.graph, args.tag, args.format)
+    cfg = load_config(args.config) if args.config else PipelineConfig(target=spec)
+    return cfg, load_graph(spec, cfg.prefixes)
+
+
 def _cmd_load_check(args) -> int:
-    cfg = load_config(args.config) if args.config else None
-    graph = load_graph(GraphSpec(args.graph, args.tag, args.format),
-                       cfg.prefixes if cfg else None)
+    graph = _graph_arg(args)[1]
     print(f"graph {graph.tag}: {graph.edge_count} edges, {graph.node_count} nodes, "
           f"{graph.stats.skipped} malformed lines skipped")
     return 0
 
 
 def _cmd_detect_gaps(args) -> int:
-    cfg = load_config(args.config) if args.config else None
-    graph = load_graph(GraphSpec(args.graph, args.tag, args.format),
-                       cfg.prefixes if cfg else None)
-    type_prop = args.type_prop or (cfg.gaps.type_property if cfg else "P31")
-    entity_filter = (args.entity_class, type_prop) if args.entity_class else None
-    sentinel = cfg.gaps.no_value_sentinel if cfg else None
-    partition = detect_gaps(graph, args.property, entity_filter,
-                            no_value_sentinel=sentinel)
+    cfg, graph = _graph_arg(args)
+    if args.type_prop:
+        cfg.gaps.type_property = args.type_prop
+    run = pipeline.Run(graph, cfg, entity_class=args.entity_class, constraints={})
+    partition = run.gaps(args.property)
     lines = [(node, "known") for node in partition.known_subjects]
     lines += [(node, "unknown") for node in partition.unknown_subjects]
     out = "\n".join(f"{nid}\t{status}" for nid, status in sorted(lines))
@@ -87,50 +113,29 @@ def _cmd_detect_gaps(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
-    cfg = _config(args)
-    target = _target_graph(cfg)
-    mapping = pipeline.external_mapping(target, args.external_tag, cfg)
+    mapping = _run(args, {}).mapping(args.external_tag)
     ids = [line.strip() for line in Path(args.nodes).read_text(encoding="utf-8").splitlines()
            if line.strip()]
     if args.inverse:
         inv = inverse_resolve(mapping, ids)
+        header, footer = "external\ttargets\tflags", ""
         rows = [(ext, ",".join(sorted(nodes)),
                  "ambiguous" if ext in inv.ambiguous else "-")
                 for ext, nodes in sorted(inv.mapped.items())]
-        body = "\n".join("\t".join(r) for r in rows)
-        _write_or_print(args.out, "external\ttargets\tflags\n" + body + ("\n" if body else ""))
     else:
         res = resolve(mapping, ids)
+        header, footer = "node\texternals", f"#coverage={res.coverage:.4f}\n"
         rows = [(node, ",".join(sorted(exts))) for node, exts in sorted(res.mapped.items())]
-        body = "\n".join("\t".join(r) for r in rows)
-        _write_or_print(args.out, "node\texternals\n" + body + ("\n" if body else "")
-                        + f"#coverage={res.coverage:.4f}\n")
+    body = "".join("\t".join(row) + "\n" for row in rows)
+    _write_or_print(args.out, header + "\n" + body + footer)
     return 0
 
 
-def _align_config(cfg: PipelineConfig, args):
-    align = cfg.alignment
-    if args.max_len is not None:
-        align = replace(align, max_path_length=args.max_len)
-    if args.sample_cap is not None:
-        align = replace(align, sample_cap=args.sample_cap)
-    if args.threshold is not None:
-        align = replace(align, similarity_threshold=args.threshold)
-    if args.mode is not None:
-        align = replace(align, mode=MODE_ALIASES[args.mode])
-    return align
-
-
 def _cmd_align(args) -> int:
-    cfg = _config(args)
-    cfg.alignment = _align_config(cfg, args)
-    target = _target_graph(cfg)
-    external = _external_graph(cfg, args.external)
-    mapping = pipeline.external_mapping(target, external.tag, cfg)
-    partition = pipeline.property_gaps(target, args.property, cfg)
-    ranked, selected = pipeline.align_property(target, external, args.property,
-                                               partition, mapping, cfg)
-    scored = score_candidates(external, target.label(args.property), ranked)
+    run = _run(args, {})
+    external = _external_graph(run.cfg, args.external)
+    ranked, selected = run.align(external, args.property, run.gaps(args.property))
+    scored = score_candidates(external, run.target.label(args.property), ranked)
     lines = ["path\tsupport\tsimilarity\tselected"]
     for cand in scored:
         flag = "true" if selected and cand.steps == selected.steps else "false"
@@ -160,33 +165,24 @@ def _parse_path_arg(path_arg: str) -> PropertyPath:
 
 
 def _cmd_retrieve(args) -> int:
-    cfg = _config(args)
-    target = _target_graph(cfg)
-    external = _external_graph(cfg, args.external)
-    mapping = pipeline.external_mapping(target, external.tag, cfg)
-    partition = pipeline.property_gaps(target, args.property, cfg)
-    unknown_map = resolve(mapping, partition.unknown_subjects).mapped
+    run = _run(args, {})
+    external = _external_graph(run.cfg, args.external)
     path = _parse_path_arg(args.path)
-    candidates = retrieve(external, unknown_map, args.property, path, mapping)
+    candidates = run.candidates(external, args.property, path,
+                                run.gaps(args.property).unknown_subjects)
     write_candidates(candidates, args.out or "candidates.tsv")
     print(f"{len(candidates)} candidates written")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    cfg = _config(args)
-    if args.cutoff_year is not None:
-        cfg.validation = replace(cfg.validation, cutoff_year=args.cutoff_year)
-    target = _target_graph(cfg)
+    run = _run(args, load_constraints(args.constraints) if args.constraints else None)
     candidates = read_candidates(args.candidates)
-    partition = pipeline.property_gaps(target, args.property, cfg)
+    partition = run.gaps(args.property)
     if not partition.known:
         raise ConfigError(f"property {args.property} has no known values in "
-                          f"{target.tag} to infer a datatype from")
-    constraints = (load_constraints(args.constraints) if args.constraints
-                   else cfg.load_constraint_table())
-    outcome = validate_detailed(target, candidates, partition.known,
-                                constraints.get(args.property), cfg.validation)
+                          f"{run.target.tag} to infer a datatype from")
+    outcome = run.validate(args.property, partition.known, candidates)
     write_verdicts(outcome.verdicts, args.out or "verdicts.tsv")
     print(f"{len(outcome.accepted)} of {len(candidates)} candidates accepted")
     return 0
@@ -194,54 +190,48 @@ def _cmd_validate(args) -> int:
 
 def _cmd_enrich(args) -> int:
     cfg = _config(args)
-    target = _target_graph(cfg)
+    target = load_graph(cfg.target, cfg.prefixes)
     external = _external_graph(cfg, args.external)
     result = pipeline.enrich_property(target, external, args.property, cfg,
                                       entity_class=args.entity_class)
-    include_timings = cfg.output.include_timings and not args.no_timings
-    fmt = cfg.output.format
-    pipeline.write_statements(result.statements, _out(args, "statements.tsv"))
-    pipeline.emit_report([result], fmt, _out(args, f"report.{fmt}"),
-                         include_timings=include_timings)
+    _write_outputs(args, cfg, result.statements, [result])
     print(f"{result.property}: status={result.status} s_w={result.s_w} "
           f"s_g={result.s_g} s_e={result.s_e}")
     return 0
 
 
 def _cmd_batch(args) -> int:
+    properties = _property_list(args)
     cfg = _config(args)
-    target = _target_graph(cfg)
+    target = load_graph(cfg.target, cfg.prefixes)
     externals = [load_graph(spec, cfg.prefixes) for spec in cfg.externals]
     if not externals:
         raise ConfigError("missing config key: graphs.externals")
-    properties = _property_list(args)
     batch = pipeline.batch_enrich(target, externals, properties, cfg,
                                   entity_class=args.entity_class)
-    include_timings = cfg.output.include_timings and not args.no_timings
-    fmt = cfg.output.format
     statements = batch.statements()
-    pipeline.write_statements(statements, _out(args, "statements.tsv"))
-    summary = {"median_novel_statements": batch.median_novel,
-               "properties": len(properties)}
-    pipeline.emit_report(batch.all_rows, fmt, _out(args, f"report.{fmt}"),
-                         include_timings=include_timings, summary=summary)
+    _write_outputs(args, cfg, statements, batch.all_rows,
+                   {"median_novel_statements": batch.median_novel,
+                    "properties": len(properties)})
     print(f"batch: {len(batch.rows)} rows, {len(statements)} validated statements")
     return 0
 
 
 def _property_list(args) -> list[str]:
     if args.properties:
-        return [p.strip() for p in args.properties.split(",") if p.strip()]
-    if args.properties_file:
-        return [line.strip() for line in
-                Path(args.properties_file).read_text(encoding="utf-8").splitlines()
-                if line.strip()]
-    raise UsageError("batch needs --properties or --properties-file")
+        properties = args.properties.split(",")
+    elif args.properties_file:
+        properties = Path(args.properties_file).read_text(encoding="utf-8").splitlines()
+    else:
+        raise UsageError("batch needs --properties or --properties-file")
+    if properties := [p.strip() for p in properties if p.strip()]:
+        return properties
+    raise UsageError("batch needs at least one property")
 
 
 def _cmd_consistency(args) -> int:
     cfg = _config(args)
-    target = _target_graph(cfg)
+    target = load_graph(cfg.target, cfg.prefixes)
     external = _external_graph(cfg, args.external)
     granularity = Granularity(args.granularity) if args.granularity else None
     outcome = pipeline.run_consistency(target, external, args.property, cfg,
@@ -313,37 +303,35 @@ def build_parser() -> _Parser:
                      description="Knowledge-graph enrichment from linked-data sources")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, handler, summary, *required):
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
+        for flag in required:
+            p.add_argument(flag, required=True)
         return p
 
-    p = add("load-check", _cmd_load_check, help="load a graph and print stats")
-    p.add_argument("--graph", required=True)
+    p = add("load-check", _cmd_load_check, "load a graph and print stats", "--graph")
     p.add_argument("--format", choices=("nt", "tsv"), default="")
     p.add_argument("--tag", default="graph")
     p.add_argument("--config")
 
-    p = add("detect-gaps", _cmd_detect_gaps, help="partition subjects into known/unknown")
-    p.add_argument("--graph", required=True)
+    p = add("detect-gaps", _cmd_detect_gaps, "partition subjects into known/unknown",
+            "--graph", "--property")
     p.add_argument("--format", choices=("nt", "tsv"), default="")
     p.add_argument("--tag", default="graph")
-    p.add_argument("--property", required=True)
     p.add_argument("--class", dest="entity_class")
     p.add_argument("--type-prop", help="type property (default: the config's, else P31)")
     p.add_argument("--config")
     p.add_argument("--out")
 
-    p = add("resolve", _cmd_resolve, help="map node ids through an entity mapping")
-    p.add_argument("--config", required=True)
+    p = add("resolve", _cmd_resolve, "map node ids through an entity mapping", "--config")
     p.add_argument("--graph-tag", dest="external_tag", required=True)
     p.add_argument("--nodes", required=True, help="file with one node id per line")
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--out")
 
-    p = add("align", _cmd_align, help="rank and select external property paths")
-    p.add_argument("--config", required=True)
-    p.add_argument("--property", required=True)
+    p = add("align", _cmd_align, "rank and select external property paths",
+            "--config", "--property")
     p.add_argument("--external", help="external graph tag (default: first)")
     p.add_argument("--max-len", type=int)
     p.add_argument("--sample-cap", type=int)
@@ -351,48 +339,41 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("hybrid", "freq", "frequency", "string"))
     p.add_argument("--out")
 
-    p = add("retrieve", _cmd_retrieve, help="collect candidate statements over a path")
-    p.add_argument("--config", required=True)
-    p.add_argument("--property", required=True)
+    p = add("retrieve", _cmd_retrieve, "collect candidate statements over a path",
+            "--config", "--property")
     p.add_argument("--path", required=True,
                    help="align output file or slash-joined steps")
     p.add_argument("--external")
     p.add_argument("--out")
 
-    p = add("validate", _cmd_validate, help="validate a candidate file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--property", required=True)
-    p.add_argument("--candidates", required=True)
+    p = add("validate", _cmd_validate, "validate a candidate file",
+            "--config", "--property", "--candidates")
     p.add_argument("--constraints")
     p.add_argument("--cutoff-year", type=int)
     p.add_argument("--out")
 
-    p = add("enrich", _cmd_enrich, help="run the full pipeline for one property")
-    p.add_argument("--config", required=True)
-    p.add_argument("--property", required=True)
+    p = add("enrich", _cmd_enrich, "run the full pipeline for one property",
+            "--config", "--property")
     p.add_argument("--class", dest="entity_class")
     p.add_argument("--external")
     p.add_argument("--out-dir")
     p.add_argument("--no-timings", action="store_true")
 
-    p = add("batch", _cmd_batch, help="run the pipeline for many properties")
-    p.add_argument("--config", required=True)
+    p = add("batch", _cmd_batch, "run the pipeline for many properties", "--config")
     p.add_argument("--properties", help="comma-separated property ids")
     p.add_argument("--properties-file")
     p.add_argument("--class", dest="entity_class")
     p.add_argument("--out-dir")
     p.add_argument("--no-timings", action="store_true")
 
-    p = add("consistency", _cmd_consistency, help="agreement on overlapping subjects")
-    p.add_argument("--config", required=True)
-    p.add_argument("--property", required=True)
+    p = add("consistency", _cmd_consistency, "agreement on overlapping subjects",
+            "--config", "--property")
     p.add_argument("--granularity", choices=("year", "day"))
     p.add_argument("--class", dest="entity_class")
     p.add_argument("--external")
     p.add_argument("--out-dir")
 
-    p = add("report", _cmd_report, help="re-render a JSON report")
-    p.add_argument("--results", required=True)
+    p = add("report", _cmd_report, "re-render a JSON report", "--results")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--no-timings", action="store_true")
     p.add_argument("--out")

@@ -5,11 +5,13 @@ alignment -> retrieval -> validation. Everything downstream of gap detection
 only ever proposes values for gap subjects; that safety property is enforced
 here with hard checks, not just asserted in tests.
 
-The stages are wired once, in ``property_gaps``, ``external_mapping``,
-``align_property`` and ``retrieve_validated``; ``enrich_property``,
-``batch_enrich``, ``run_consistency`` and the CLI's stage commands all
-compose these. ``batch_enrich`` folds each row's id sets into per-graph
-tallies as it runs, so a row holds only counts, statements and timings.
+The stages are wired once, as the methods of the run context ``Run``: it
+holds the target graph, the config, the entity class and the constraint
+table, and builds each entity mapping and class closure once per run.
+``enrich_property``, ``batch_enrich``, ``run_consistency`` and the CLI's
+stage commands each build one ``Run``. ``batch_enrich`` folds each row's id
+sets into per-graph tallies as it runs, so a row holds only counts,
+statements and timings.
 ``run_consistency`` retrieves and validates once over known and gap subjects
 together; it emits no statements, only agreement counts over the known part.
 """
@@ -33,7 +35,8 @@ from .resolve import EntityMapping, build_mapping, resolve
 from .retrieve import CandidateStatement, retrieve
 from .store import (Graph, Provenance, Statement, Value, ValueKind, serialize_value,
                     value_sort_key)
-from .validate import ValidationOutcome, ValueTypeConstraint, validate_detailed
+from .validate import (ClassClosures, ValidationOutcome, ValueTypeConstraint,
+                       validate_detailed)
 
 TIMING_KEYS = ("entity_align", "property_align", "retrieval",
                "datatype_validation", "valuetype_validation", "total")
@@ -122,81 +125,91 @@ def _check_safety(partition: GapPartition, accepted: Sequence[CandidateStatement
                 f"validated statement subject {cand.subject} outside the gap set")
 
 
-# -- shared stage wiring --------------------------------------------------------
+# -- run context --------------------------------------------------------------
 
 
-def property_gaps(target: Graph, prop: str, cfg: PipelineConfig,
-                  entity_class: str | None = None) -> GapPartition:
-    """Gap partition for ``prop``, limited to ``entity_class`` when one is given."""
-    entity_filter = (entity_class, cfg.gaps.type_property) if entity_class else None
-    return detect_gaps(target, prop, entity_filter,
-                       no_value_sentinel=cfg.gaps.no_value_sentinel)
-
-
-def external_mapping(target: Graph, tag: str, cfg: PipelineConfig) -> EntityMapping:
-    """The configured target -> external entity mapping for the external graph ``tag``."""
-    spec = cfg.mapping_for(tag)
-    return build_mapping(target, spec.link_property, spec.transform())
-
-
-def align_property(target: Graph, external: Graph, prop: str, partition: GapPartition,
-                   mapping: EntityMapping, cfg: PipelineConfig,
-                   ) -> tuple[list[PropertyPath], PropertyPath | None]:
-    """Ranked candidate paths for ``prop`` and the selected one.
-
-    ``([], None)`` when no known pair maps into the external graph.
+class Run:
+    """One run's target graph, config, entity class and constraint table (by
+    default the config's). The entity mapping per external tag and the class
+    closure per allowed-class set are built on first use and kept, exact since
+    the graph and settings are fixed within a run. Gap partitions are not kept.
     """
-    pairs = alignment_pairs(partition, mapping)
-    if not pairs:
-        return [], None
-    ranked = enumerate_paths(external, pairs, cfg.alignment)
-    return ranked, select_path(ranked, target.label(prop), external, cfg.alignment)
 
+    def __init__(self, target: Graph, cfg: PipelineConfig, *,
+                 entity_class: str | None = None,
+                 constraints: Mapping[str, ValueTypeConstraint] | None = None) -> None:
+        self.target, self.cfg, self.entity_class = target, cfg, entity_class
+        self.constraints = cfg.load_constraint_table() if constraints is None else constraints
+        self.closures = ClassClosures(target, cfg.validation)
+        self._mapping: tuple[str, EntityMapping] | None = None
 
-def retrieve_validated(target: Graph, external: Graph, prop: str, partition: GapPartition,
-                       mapping: EntityMapping, path: PropertyPath, subjects: Iterable[str],
-                       constraints: Mapping[str, ValueTypeConstraint], cfg: PipelineConfig,
-                       ) -> tuple[list[CandidateStatement], ValidationOutcome]:
-    """Candidates for ``subjects`` along ``path``, validated against the known side."""
-    candidates = retrieve(external, resolve(mapping, subjects).mapped, prop, path, mapping)
-    return candidates, validate_detailed(target, candidates, partition.known,
-                                         constraints.get(prop), cfg.validation)
+    def gaps(self, prop: str) -> GapPartition:
+        """Gap partition for ``prop``, limited to the entity class when the run has one."""
+        gaps = self.cfg.gaps
+        entity_filter = (self.entity_class, gaps.type_property) if self.entity_class else None
+        return detect_gaps(self.target, prop, entity_filter,
+                           no_value_sentinel=gaps.no_value_sentinel)
+
+    def mapping(self, tag: str) -> EntityMapping:
+        """The configured target -> external entity mapping for the external graph ``tag``.
+
+        Only the latest is kept: a run takes its external graphs one at a time.
+        """
+        if self._mapping is None or self._mapping[0] != tag:
+            spec = self.cfg.mapping_for(tag)
+            self._mapping = (tag, build_mapping(self.target, spec.link_property,
+                                                spec.transform()))
+        return self._mapping[1]
+
+    def align(self, external: Graph, prop: str, partition: GapPartition,
+              ) -> tuple[list[PropertyPath], PropertyPath | None]:
+        """Ranked candidate paths for ``prop`` and the selected one; ``([], None)``
+        when no known pair maps into the external graph."""
+        pairs = alignment_pairs(partition, self.mapping(external.tag))
+        if not pairs:
+            return [], None
+        ranked = enumerate_paths(external, pairs, self.cfg.alignment)
+        return ranked, select_path(ranked, self.target.label(prop), external, self.cfg.alignment)
+
+    def candidates(self, external: Graph, prop: str, path: PropertyPath,
+                   subjects: Iterable[str]) -> list[CandidateStatement]:
+        """Candidate statements for ``subjects`` along ``path`` in ``external``."""
+        mapping = self.mapping(external.tag)
+        return retrieve(external, resolve(mapping, subjects).mapped, prop, path, mapping)
+
+    def validate(self, prop: str, known: Iterable[tuple[str, Value]],
+                 candidates: Sequence[CandidateStatement]) -> ValidationOutcome:
+        """``candidates`` validated against the ``known`` pairs and the constraint on ``prop``."""
+        return validate_detailed(self.target, candidates, known, self.constraints.get(prop),
+                                 self.cfg.validation, self.closures)
 
 
 def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConfig, *,
                     entity_class: str | None = None,
-                    mapping: EntityMapping | None = None,
                     constraints: Mapping[str, ValueTypeConstraint] | None = None,
                     ) -> EnrichmentResult:
-    """Run the five enrichment stages for one property against one external graph.
-
-    Without ``constraints`` the config's constraint table is loaded.
-    """
-    return _enrich_row(target, external, prop, cfg, entity_class, mapping, constraints)[0]
+    """Run the five enrichment stages for one property against one external graph."""
+    run = Run(target, cfg, entity_class=entity_class, constraints=constraints)
+    return _enrich_row(run, external, prop)[0]
 
 
-def _enrich_row(target: Graph, external: Graph, prop: str, cfg: PipelineConfig,
-                entity_class: str | None, mapping: EntityMapping | None,
-                constraints: Mapping[str, ValueTypeConstraint] | None,
+def _enrich_row(run: Run, external: Graph, prop: str,
                 ) -> tuple[EnrichmentResult, GapPartition, list[CandidateStatement],
                            list[CandidateStatement]]:
     """One enrichment row, with the partition, candidates and accepted candidates behind it."""
     t_start = time.monotonic()
-    if constraints is None:
-        constraints = cfg.load_constraint_table()
-    partition = property_gaps(target, prop, cfg, entity_class)
+    partition = run.gaps(prop)
     result = EnrichmentResult(property=prop, graph=external.tag, s_w=len(partition.known),
                               n_k=len(partition.known_subjects),
                               n_u=len(partition.unknown_subjects))
     timings = result.timings
 
     t0 = time.monotonic()
-    if mapping is None:
-        mapping = external_mapping(target, external.tag, cfg)
+    run.mapping(external.tag)  # built on first use, so the build is timed here
     timings["entity_align"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    _, selected = align_property(target, external, prop, partition, mapping, cfg)
+    _, selected = run.align(external, prop, partition)
     timings["property_align"] = time.monotonic() - t0
     if selected is None:
         result.status = NO_ALIGNMENT
@@ -204,15 +217,12 @@ def _enrich_row(target: Graph, external: Graph, prop: str, cfg: PipelineConfig,
         return result, partition, [], []
     result.selected_path = selected
 
-    # retrieval time is the helper's time less the two timed validation passes
     t0 = time.monotonic()
-    candidates, outcome = retrieve_validated(target, external, prop, partition, mapping,
-                                             selected, partition.unknown_subjects,
-                                             constraints, cfg)
+    candidates = run.candidates(external, prop, selected, partition.unknown_subjects)
+    timings["retrieval"] = time.monotonic() - t0
+    outcome = run.validate(prop, partition.known, candidates)
     timings["datatype_validation"] = outcome.datatype_seconds
     timings["valuetype_validation"] = outcome.valuetype_seconds
-    timings["retrieval"] = (time.monotonic() - t0 - outcome.datatype_seconds
-                            - outcome.valuetype_seconds)
     accepted = outcome.accepted
     _check_safety(partition, accepted, candidates)
 
@@ -295,17 +305,15 @@ def batch_enrich(target: Graph, externals: Sequence[Graph], properties: Sequence
     the ``(both)`` tally) as soon as it is made; the tallies become the
     appended aggregate rows, so the id sets behind a row are never kept.
     """
-    if constraints is None:
-        constraints = cfg.load_constraint_table()
+    run = Run(target, cfg, entity_class=entity_class, constraints=constraints)
     rows: list[EnrichmentResult] = []
     tallies = {ext.tag: _Tally() for ext in externals}
     both = [_Tally()] if len(externals) > 1 else []
     for external in externals:
-        mapping = external_mapping(target, external.tag, cfg)
+        run.mapping(external.tag)  # before any row, so a missing mapping fails the batch
         for prop in properties:
             try:
-                row, partition, candidates, accepted = _enrich_row(
-                    target, external, prop, cfg, entity_class, mapping, constraints)
+                row, partition, candidates, accepted = _enrich_row(run, external, prop)
             except (ConfigError, PipelineInvariantError):
                 raise
             except Exception as exc:  # noqa: BLE001 - batch keeps going
@@ -357,15 +365,13 @@ def run_consistency(target: Graph, external: Graph, prop: str, cfg: PipelineConf
     each candidate is checked on its own, so the known part is the overlap
     and the size of the gap part is s_e, exactly as two passes would give.
     """
-    if constraints is None:
-        constraints = cfg.load_constraint_table()
-    partition = property_gaps(target, prop, cfg, entity_class)
-    mapping = external_mapping(target, external.tag, cfg)
-    _, selected = align_property(target, external, prop, partition, mapping, cfg)
+    run = Run(target, cfg, entity_class=entity_class, constraints=constraints)
+    partition = run.gaps(prop)
+    _, selected = run.align(external, prop, partition)
     if selected is None:
         raise ConfigError(f"property {prop} has no alignable path in {external.tag}")
-    _, validated = retrieve_validated(target, external, prop, partition, mapping, selected,
-                                      partition.entities, constraints, cfg)
+    validated = run.validate(prop, partition.known,
+                             run.candidates(external, prop, selected, partition.entities))
     overlap = [c for c in validated.accepted if c.subject in partition.known_subjects]
     if validated.expected is ValueKind.DATE:
         report = literal_agreement(target, overlap, granularity or Granularity.YEAR)

@@ -103,7 +103,7 @@ def check_datatype(candidate: CandidateStatement, expected: ValueKind) -> bool:
     return value_kind(candidate.object) == expected
 
 
-def allowed_class_closure(graph: Graph, constraint: ValueTypeConstraint,
+def allowed_class_closure(graph: Graph, allowed_classes: frozenset[str],
                           subclass_of: str = "P279",
                           depth_cap: int = DEFAULT_DEPTH_CAP) -> frozenset[str]:
     """Allowed classes plus everything reaching them via <= depth_cap subclass hops.
@@ -111,8 +111,8 @@ def allowed_class_closure(graph: Graph, constraint: ValueTypeConstraint,
     Computed by reverse BFS over the subclass index; cycle-safe, and
     monotone in depth_cap so deeper caps only ever accept more.
     """
-    closure = set(constraint.allowed_classes)
-    frontier = deque((cls, 0) for cls in constraint.allowed_classes)
+    closure = set(allowed_classes)
+    frontier = deque((cls, 0) for cls in allowed_classes)
     while frontier:
         class_id, depth = frontier.popleft()
         if depth >= depth_cap:
@@ -124,18 +124,22 @@ def allowed_class_closure(graph: Graph, constraint: ValueTypeConstraint,
     return frozenset(closure)
 
 
+class ClassClosures(dict):
+    """Closures by allowed-class set, each computed on first lookup, for one graph
+    and one ``subclass_of`` and ``depth_cap``."""
+
+    def __init__(self, graph: Graph, settings: ValidationSettings) -> None:
+        super().__init__()
+        self.graph, self.settings = graph, settings
+
+    def __missing__(self, allowed_classes: frozenset[str]) -> frozenset[str]:
+        closure = self[allowed_classes] = allowed_class_closure(
+            self.graph, allowed_classes, self.settings.subclass_of, self.settings.depth_cap)
+        return closure
+
+
 def _object_in_graph(graph: Graph, obj: Value) -> bool:
     return isinstance(obj, str) and graph.has_node(obj)
-
-
-def _type_reaches(graph: Graph, obj: str, constraint: ValueTypeConstraint,
-                  closure: frozenset[str], instance_of: str, subclass_of: str) -> bool:
-    relations = {
-        RelationMode.INSTANCE_OF: (instance_of,),
-        RelationMode.SUBCLASS_OF: (subclass_of,),
-        RelationMode.BOTH: (instance_of, subclass_of),
-    }[constraint.relation_mode]
-    return any(not closure.isdisjoint(graph.objects(obj, rel)) for rel in relations)
 
 
 def check_value_type(graph: Graph, candidate: CandidateStatement,
@@ -149,9 +153,15 @@ def check_value_type(graph: Graph, candidate: CandidateStatement,
     if not _object_in_graph(graph, candidate.object):
         return False
     if closure is None:
-        closure = allowed_class_closure(graph, constraint, subclass_of, depth_cap)
-    return _type_reaches(graph, candidate.object, constraint, closure,
-                         instance_of, subclass_of)
+        closure = allowed_class_closure(graph, constraint.allowed_classes, subclass_of,
+                                        depth_cap)
+    relations = {
+        RelationMode.INSTANCE_OF: (instance_of,),
+        RelationMode.SUBCLASS_OF: (subclass_of,),
+        RelationMode.BOTH: (instance_of, subclass_of),
+    }[constraint.relation_mode]
+    return any(not closure.isdisjoint(graph.objects(candidate.object, rel))
+               for rel in relations)
 
 
 def check_literal_range(candidate: CandidateStatement,
@@ -164,12 +174,14 @@ def check_literal_range(candidate: CandidateStatement,
 def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
                       known: Iterable[tuple[str, Value]],
                       constraint: ValueTypeConstraint | None = None,
-                      settings: ValidationSettings | None = None) -> ValidationOutcome:
+                      settings: ValidationSettings | None = None,
+                      closures: ClassClosures | None = None) -> ValidationOutcome:
     """Run all applicable checks and assemble per-candidate verdicts.
 
     The accepted set is exactly the intersection of the per-check pass sets;
     verdicts carry the first failing reason in the order unresolvable ->
-    datatype -> value type -> range.
+    datatype -> value type -> range. ``closures``, built for ``graph`` and
+    ``settings``, keeps class closures across calls.
     """
     settings = settings or ValidationSettings()
     t0 = time.monotonic()
@@ -177,10 +189,9 @@ def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
     datatype_ok = [check_datatype(c, expected) for c in candidates]
     t1 = time.monotonic()
 
-    closure = None
-    if constraint is not None:
-        closure = allowed_class_closure(graph, constraint, settings.subclass_of,
-                                        settings.depth_cap)
+    if closures is None:
+        closures = ClassClosures(graph, settings)
+    closure = closures[constraint.allowed_classes] if constraint is not None else None
     accepted = []
     verdicts = []
     for cand, dt_ok in zip(candidates, datatype_ok):
@@ -198,12 +209,9 @@ def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
             reason = RejectReason.UNRESOLVABLE
         elif not dt_ok:
             reason = RejectReason.WRONG_DATATYPE
-        elif vt_ok is False:
-            if not _object_in_graph(graph, cand.object) \
-                    and cand.subject not in constraint.exceptions:
-                reason = RejectReason.UNRESOLVABLE
-            else:
-                reason = RejectReason.WRONG_VALUE_TYPE
+        elif vt_ok is False:  # so the subject is not exempt
+            reason = (RejectReason.WRONG_VALUE_TYPE if _object_in_graph(graph, cand.object)
+                      else RejectReason.UNRESOLVABLE)
         elif rng_ok is False:
             reason = RejectReason.OUT_OF_RANGE
         else:

@@ -16,8 +16,7 @@ from kgenrich.align import (AlignConfig, AlignMode, PropertyPath, enumerate_path
 from kgenrich.cli import main as cli_main
 from kgenrich.consistency import AgreementReport, format_rate
 from kgenrich.gaps import detect_gaps
-from kgenrich.pipeline import (batch_enrich, enrich_property, external_mapping,
-                               retrieve_validated)
+from kgenrich.pipeline import Run, batch_enrich, enrich_property
 from kgenrich.retrieve import CandidateStatement
 from kgenrich.store import Literal, ValueKind, value_kind, write_edge_tsv
 from kgenrich.validate import (RejectReason, RelationMode, ValidationSettings,
@@ -382,10 +381,9 @@ def test_criterion_08_partition_and_safety_invariants(company_fixture):
                                  constraints=fx.constraints)
         candidates = []
         if result.selected_path is not None:
-            mapping = external_mapping(fx.target, fx.external.tag, fx.cfg)
-            candidates, _ = retrieve_validated(
-                fx.target, fx.external, prop, partition, mapping, result.selected_path,
-                partition.unknown_subjects, fx.constraints, fx.cfg)
+            run = Run(fx.target, fx.cfg, constraints=fx.constraints)
+            candidates = run.candidates(fx.external, prop, result.selected_path,
+                                        partition.unknown_subjects)
         emitted_pairs = {(s.subject, s.object) for s in result.statements}
         assert emitted_pairs <= {(c.subject, c.object) for c in candidates}  # S_e within S_g
         assert result.s_e <= result.s_g

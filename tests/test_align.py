@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kgenrich.align import (AlignConfig, AlignMode, PropertyPath, enumerate_paths,
+from kgenrich.align import (AlignConfig, AlignMode, PropertyPath, _LastHop, enumerate_paths,
                             gestalt_similarity, normalize_label, select_path,
                             values_match)
 from kgenrich.store import Graph, Literal
@@ -209,6 +209,16 @@ def test_literal_terminal_two_hops_matches_by_value():
     assert values_match(day, target)
     paths = enumerate_paths(g, {("dbr:A", target)}, _cfg(2))
     assert paths == [PropertyPath(steps=("dbp:parent", "dbp:founded"), support=1)]
+
+
+def test_last_hop_lists_a_property_once_per_predecessor():
+    # two literals match the year target, both reached from A over P1
+    g = graph_from_edges("dbp", [("A", "P1", Literal.date(1900, 5, 1)),
+                                 ("A", "P1", Literal.date(1900, 6, 1))])
+    assert _LastHop(g)[Literal.date(1900)] == {"A": ["P1"]}
+    for max_len in (1, 2):
+        paths = enumerate_paths(g, {("A", Literal.date(1900))}, _cfg(max_len))
+        assert paths == [PropertyPath(steps=("P1",), support=1)]
 
 
 # -- selection ------------------------------------------------------------------

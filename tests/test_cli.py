@@ -221,6 +221,17 @@ def test_align_mode_flag(workspace, capsys):
     assert "dbp:industry\t5" in out
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--max-len", "-1"), ("--max-len", "0"), ("--max-len", "7"),
+    ("--sample-cap", "0"), ("--threshold", "nan"), ("--threshold", "2")])
+def test_out_of_range_align_flag_is_usage_error(workspace, capsys, flag, value):
+    code = main(["align", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 def test_retrieve_validate_chain(workspace, capsys):
     cfg = str(workspace / "config.yaml")
     cands = workspace / "cands.tsv"
@@ -361,6 +372,19 @@ def test_batch_report_contains_aggregate(workspace):
     assert "(all)" in report
     assert "#median_novel_statements=" in report
     assert "no-alignment" in report
+
+
+@pytest.mark.parametrize("source", ["--properties", "--properties-file"])
+def test_empty_property_list_is_usage_error(workspace, capsys, source):
+    listing = workspace / "properties.txt"
+    listing.write_text("\n  \n\n")
+    out_dir = workspace / "empty"
+    code = main(["batch", "--config", str(workspace / "config.yaml"),
+                 source, "," if source == "--properties" else str(listing),
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == "usage error: batch needs at least one property\n"
+    assert not out_dir.exists()
 
 
 def test_resolve_forward_and_inverse(workspace, capsys):

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from kgenrich import pipeline, validate
 from kgenrich.consistency import Granularity, agreement, literal_agreement
-from kgenrich.pipeline import (NO_ALIGNMENT, EnrichmentResult, align_property,
-                               batch_enrich, emit_report, enrich_property,
-                               external_mapping, property_gaps, retrieve_validated,
-                               run_consistency, write_statements)
+from kgenrich.pipeline import (NO_ALIGNMENT, EnrichmentResult, Run, batch_enrich,
+                               emit_report, enrich_property, run_consistency,
+                               write_statements)
 from kgenrich.store import Literal, Provenance, load_edge_tsv, serialize_value
+from kgenrich.validate import RelationMode, ValueTypeConstraint
 
-from conftest import (COMPANY_CLASS, INDUSTRY_PROP, graph_from_edges,
+from conftest import (COMPANY_CLASS, INDUSTRY_CLASSES, INDUSTRY_PROP, graph_from_edges,
                       make_company_config, make_company_external)
 
 
@@ -37,7 +39,7 @@ def test_no_emitted_subject_in_known_set(company_fixture):
     fx = company_fixture
     result = enrich_property(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
                              entity_class=COMPANY_CLASS, constraints=fx.constraints)
-    partition = property_gaps(fx.target, INDUSTRY_PROP, fx.cfg, COMPANY_CLASS)
+    partition = Run(fx.target, fx.cfg, entity_class=COMPANY_CLASS).gaps(INDUSTRY_PROP)
     assert {s.subject for s in result.statements} <= partition.unknown_subjects
     assert not {s.subject for s in result.statements} & partition.known_subjects
 
@@ -153,16 +155,15 @@ def _reference_row_sets(fx, external, row) -> tuple[set, set, set, set]:
     """Known subjects, gap subjects, candidate keys and statement keys behind one batch row."""
     if row.status.startswith("error"):
         return set(), set(), set(), set()
-    partition = property_gaps(fx.target, row.property, fx.cfg, COMPANY_CLASS)
-    mapping = external_mapping(fx.target, external.tag, fx.cfg)
-    _, selected = align_property(fx.target, external, row.property, partition, mapping, fx.cfg)
+    run = Run(fx.target, fx.cfg, entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    partition = run.gaps(row.property)
+    _, selected = run.align(external, row.property, partition)
     assert selected == row.selected_path
     candidates = accepted = []
     if selected is not None:
-        candidates, outcome = retrieve_validated(
-            fx.target, external, row.property, partition, mapping, selected,
-            partition.unknown_subjects, fx.constraints, fx.cfg)
-        accepted = outcome.accepted
+        candidates = run.candidates(external, row.property, selected,
+                                    partition.unknown_subjects)
+        accepted = run.validate(row.property, partition.known, candidates).accepted
 
     def keys(cands):
         return {(c.subject, row.property, serialize_value(c.object)) for c in cands}
@@ -213,6 +214,32 @@ def test_batch_aggregates_equal_union_reference(company_fixture, type_property):
     for got, want in zip(batch.aggregates, expected):
         assert [getattr(got, f) for f in counts] == [getattr(want, f) for f in counts]
         assert got.timings == pytest.approx(want.timings)
+
+
+def test_run_builds_each_mapping_and_closure_once(company_fixture, monkeypatch):
+    fx = company_fixture
+    closures, mappings = Counter(), []
+    closure_of, mapping_of = validate.allowed_class_closure, pipeline.build_mapping
+
+    def counted_closure(graph, allowed_classes, *args):
+        closures[allowed_classes] += 1
+        return closure_of(graph, allowed_classes, *args)
+
+    def counted_mapping(target, link_property, transform=None):
+        mappings.append(link_property)
+        return mapping_of(target, link_property, transform)
+
+    monkeypatch.setattr(validate, "allowed_class_closure", counted_closure)
+    monkeypatch.setattr(pipeline, "build_mapping", counted_mapping)
+    # two constrained properties share one allowed-class set, under different modes
+    constraints = {**fx.constraints, "P571": ValueTypeConstraint(
+        "P571", INDUSTRY_CLASSES, relation_mode=RelationMode.INSTANCE_OF)}
+    batch = batch_enrich(fx.target, [fx.external, make_company_external("dbp2")],
+                         [INDUSTRY_PROP, "P571", "P17", INDUSTRY_PROP], fx.cfg,
+                         entity_class=COMPANY_CLASS, constraints=constraints)
+    assert sum(row.s_g > 0 for row in batch.rows) == 6  # every validated row ran the check
+    assert closures == Counter({INDUSTRY_CLASSES: 1})
+    assert mappings == ["sitelink", "sitelink"]  # one per external graph
 
 
 def test_batch_rows_sorted_by_enrichment_rate(company_fixture):
@@ -326,13 +353,13 @@ def test_run_consistency_equals_two_pass_reference(company_fixture, prop, granul
     # the reference retrieves and validates known and gap subjects separately
     fx = company_fixture
     fx.external.add_edge("dbr:CompanyE", "dbp:industry", "dbr:IndustryA")
-    partition = property_gaps(fx.target, prop, fx.cfg, COMPANY_CLASS)
-    mapping = external_mapping(fx.target, fx.external.tag, fx.cfg)
-    _, selected = align_property(fx.target, fx.external, prop, partition, mapping, fx.cfg)
+    run = Run(fx.target, fx.cfg, entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    partition = run.gaps(prop)
+    _, selected = run.align(fx.external, prop, partition)
 
     def accepted(subjects):
-        return retrieve_validated(fx.target, fx.external, prop, partition, mapping, selected,
-                                  subjects, fx.constraints, fx.cfg)[1].accepted
+        candidates = run.candidates(fx.external, prop, selected, subjects)
+        return run.validate(prop, partition.known, candidates).accepted
 
     overlap = accepted(partition.known_subjects)
     expected = (agreement(fx.target, overlap) if granularity is None
