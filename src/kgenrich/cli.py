@@ -17,7 +17,7 @@ from typing import Mapping
 
 from . import pipeline
 from .align import AlignConfig, PropertyPath, score_candidates
-from .config import MODE_ALIASES, GraphSpec, PipelineConfig, load_config, load_graph
+from .config import MODE_ALIASES, GraphSpec, PipelineConfig, is_number, load_config, load_graph
 from .consistency import Granularity, write_scatter_csv
 from .errors import ConfigError, DataFormatError, UsageError
 from .resolve import inverse_resolve, resolve
@@ -145,9 +145,9 @@ def _cmd_align(args) -> int:
 
 
 def _parse_path_arg(path_arg: str) -> PropertyPath:
-    """The selected path of an align output file, else slash-joined steps."""
+    """The selected path of an align output file, else slash-joined non-empty steps."""
     candidate = Path(path_arg)
-    if candidate.exists():
+    if candidate.is_file():
         with open(candidate, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split("\t")
             if "path" not in header or "selected" not in header:
@@ -161,7 +161,12 @@ def _parse_path_arg(path_arg: str) -> PropertyPath:
         raise DataFormatError(f"{path_arg}: no selected path row")
     if candidate.suffix.lower() == ".tsv":
         raise UsageError(f"--path {path_arg}: no such align file")
-    return PropertyPath(steps=tuple(path_arg.split("/")))
+    steps = tuple(path_arg.split("/"))
+    if not all(steps):
+        raise UsageError(f"--path {path_arg!r}: a path step is empty")
+    if candidate.is_dir():
+        raise UsageError(f"--path {path_arg}: a directory, not an align file or a path")
+    return PropertyPath(steps=steps)
 
 
 def _cmd_retrieve(args) -> int:
@@ -248,23 +253,19 @@ def _cmd_consistency(args) -> int:
 _RESULT_COUNTS = ("s_w", "s_g", "s_e", "n_k", "n_u", "n_f", "n_c")
 
 
-def _is_number(value, kinds: type | tuple = (int, float)) -> bool:
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
 def _result_row(raw, where: str) -> pipeline.EnrichmentResult:
     """One results-JSON row as a result; a missing or mistyped key is a data error."""
     if not isinstance(raw, dict) or "property" not in raw or "graph" not in raw:
         raise DataFormatError(f"{where} is not an object with property and graph")
     counts = {key: raw.get(key, 0) for key in _RESULT_COUNTS}
     for key, value in counts.items():
-        if not _is_number(value, int):
+        if not is_number(value, int):
             raise DataFormatError(f"{where}: {key} must be an integer, not {value!r}")
     path = raw.get("path")
     if path is not None and not isinstance(path, str):
         raise DataFormatError(f"{where}: path must be a string, not {path!r}")
     timings = raw.get("timings", {})
-    if not isinstance(timings, dict) or not all(map(_is_number, timings.values())):
+    if not isinstance(timings, dict) or not all(map(is_number, timings.values())):
         raise DataFormatError(f"{where}: timings must map stage names to seconds")
     return pipeline.EnrichmentResult(
         property=raw["property"], graph=raw["graph"], status=raw.get("status", "ok"),

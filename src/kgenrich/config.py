@@ -8,6 +8,7 @@ except the graph paths and the per-external-graph link mapping.
 from __future__ import annotations
 
 import gc
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -155,6 +156,23 @@ def _text(value, where: str, empty: bool = False) -> str:
     return value
 
 
+def is_number(value, kinds: type | tuple = (int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _number(section: Mapping, key: str, default, where: str, *, real: bool = False,
+            low: float = -math.inf, high: float = math.inf):
+    """``section[key]``, else ``default``: an int (a float too if ``real``) in [low, high];
+    ``int()`` and ``float()`` would pass 2.7, true, "12" and NaN."""
+    value = section.get(key, default)
+    if not (is_number(value, (int, float) if real else int) and low <= value <= high):
+        bounds = ("" if low == -math.inf else f" >= {low}" if high == math.inf
+                  else f" in [{low}, {high}]")
+        raise ConfigError(f"{where}.{key} must be {'a number' if real else 'an integer'}"
+                          f"{bounds}, not {value!r}")
+    return float(value) if real else value
+
+
 def _string_list(value, where: str) -> tuple[str, ...]:
     """A list of non-empty strings; a lone string would split into characters."""
     if not (isinstance(value, (list, tuple))
@@ -165,16 +183,15 @@ def _string_list(value, where: str) -> tuple[str, ...]:
 
 def _graph_spec(raw, where: str) -> GraphSpec:
     raw = _mapping(raw, where)
-    with _values_of(where):
-        return GraphSpec(
-            path=_text(_require(raw, "path", where), f"{where}.path"),
-            tag=_text(_require(raw, "tag", where), f"{where}.tag"),
-            format=_one_of(raw.get("format", ""), ("", "nt", "tsv"), f"{where}.format"),
-            label_properties=_string_list(
-                raw.get("label_properties", DEFAULT_LABEL_PROPERTIES), f"{where}.label_properties"),
-            malformed_threshold=float(raw.get("malformed_threshold",
-                                              DEFAULT_MALFORMED_THRESHOLD)),
-        )
+    return GraphSpec(
+        path=_text(_require(raw, "path", where), f"{where}.path"),
+        tag=_text(_require(raw, "tag", where), f"{where}.tag"),
+        format=_one_of(raw.get("format", ""), ("", "nt", "tsv"), f"{where}.format"),
+        label_properties=_string_list(
+            raw.get("label_properties", DEFAULT_LABEL_PROPERTIES), f"{where}.label_properties"),
+        malformed_threshold=_number(raw, "malformed_threshold", DEFAULT_MALFORMED_THRESHOLD,
+                                    where, real=True, low=0, high=1),
+    )
 
 
 def config_from_dict(data: Mapping) -> PipelineConfig:
@@ -204,22 +221,22 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
         raise ConfigError(f"alignment.mode must be one of {sorted(MODE_ALIASES)}")
     with _values_of("alignment"):
         alignment = AlignConfig(
-            max_path_length=int(align_raw.get("max_path_length", 1)),
-            sample_cap=int(align_raw.get("sample_cap", 200_000)),
-            top_k=int(align_raw.get("top_k", 10)),
-            similarity_threshold=float(align_raw.get("similarity_threshold", 0.9)),
+            max_path_length=_number(align_raw, "max_path_length", 1, "alignment"),
+            sample_cap=_number(align_raw, "sample_cap", 200_000, "alignment"),
+            top_k=_number(align_raw, "top_k", 10, "alignment"),
+            similarity_threshold=_number(align_raw, "similarity_threshold", 0.9, "alignment",
+                                         real=True),
             mode=MODE_ALIASES[mode_name],
             sample_seed=_optional(align_raw, "sample_seed", (int, float, str), "alignment"),
         )
 
     val_raw = _mapping(data.get("validation"), "validation")
-    with _values_of("validation"):
-        validation = ValidationSettings(
-            cutoff_year=int(val_raw.get("cutoff_year", 2022)),
-            depth_cap=int(val_raw.get("depth_cap", 20)),
-            instance_of=_text(val_raw.get("instance_of", "P31"), "validation.instance_of"),
-            subclass_of=_text(val_raw.get("subclass_of", "P279"), "validation.subclass_of"),
-        )
+    validation = ValidationSettings(
+        cutoff_year=_number(val_raw, "cutoff_year", 2022, "validation"),
+        depth_cap=_number(val_raw, "depth_cap", 20, "validation", low=0),
+        instance_of=_text(val_raw.get("instance_of", "P31"), "validation.instance_of"),
+        subclass_of=_text(val_raw.get("subclass_of", "P279"), "validation.subclass_of"),
+    )
 
     gaps_raw = _mapping(data.get("gaps"), "gaps")
     gap_settings = GapSettings(

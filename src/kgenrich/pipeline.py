@@ -33,8 +33,7 @@ from .errors import ConfigError
 from .gaps import GapPartition, detect_gaps
 from .resolve import EntityMapping, build_mapping, resolve
 from .retrieve import CandidateStatement, retrieve
-from .store import (Graph, Provenance, Statement, Value, ValueKind, serialize_value,
-                    value_sort_key)
+from .store import Graph, Statement, Value, ValueKind, serialize_value, value_sort_key
 from .validate import (ClassClosures, ValidationOutcome, ValueTypeConstraint,
                        validate_detailed)
 
@@ -79,10 +78,6 @@ class EnrichmentResult:
     @property
     def r_r(self) -> float | None:
         return self.n_c / self.n_u if self.n_u else None
-
-
-def _statement_key(subject: str, prop: str, obj: Value) -> tuple[str, str, str]:
-    return (subject, prop, serialize_value(obj))
 
 
 def _statement_order(stmt: Statement) -> tuple:
@@ -198,15 +193,14 @@ def _enrich_row(run: Run, external: Graph, prop: str,
                            list[CandidateStatement]]:
     """One enrichment row, with the partition, candidates and accepted candidates behind it."""
     t_start = time.monotonic()
+    # built on an external's first row, so that row times the build; a missing
+    # mapping is a ConfigError before any gap detection can fail
+    run.mapping(external.tag)
+    timings = {"entity_align": time.monotonic() - t_start}
     partition = run.gaps(prop)
     result = EnrichmentResult(property=prop, graph=external.tag, s_w=len(partition.known),
                               n_k=len(partition.known_subjects),
-                              n_u=len(partition.unknown_subjects))
-    timings = result.timings
-
-    t0 = time.monotonic()
-    run.mapping(external.tag)  # built on first use, so the build is timed here
-    timings["entity_align"] = time.monotonic() - t0
+                              n_u=len(partition.unknown_subjects), timings=timings)
 
     t0 = time.monotonic()
     _, selected = run.align(external, prop, partition)
@@ -227,8 +221,7 @@ def _enrich_row(run: Run, external: Graph, prop: str,
     _check_safety(partition, accepted, candidates)
 
     result.statements = tuple(sorted(
-        (Statement(c.subject, prop, c.object, Provenance.VALIDATED, external.tag)
-         for c in accepted),
+        (Statement(c.subject, prop, c.object, external.tag) for c in accepted),
         key=_statement_order))
     result.s_g, result.s_e = len(candidates), len(accepted)
     result.n_f = len({c.subject for c in candidates})
@@ -253,23 +246,23 @@ class BatchResult:
 
     def statements(self) -> tuple[Statement, ...]:
         """Union of validated statements, deduplicated across graphs."""
-        merged: dict[tuple[str, str, str], Statement] = {}
+        merged: dict[tuple[str, str, Value], Statement] = {}
         for row in self.rows:
             for stmt in row.statements:
-                merged.setdefault(_statement_key(stmt.subject, stmt.property, stmt.object), stmt)
+                merged.setdefault((stmt.subject, stmt.property, stmt.object), stmt)
         return tuple(sorted(merged.values(), key=_statement_order))
 
 
 class _Tally:
-    """Running aggregate of non-error batch rows: s_w once per property, timings, id unions."""
+    """Running aggregate of non-error batch rows: s_w once per property, timings, key unions."""
 
     def __init__(self) -> None:
         self.s_w: dict[str, int] = {}
         self.timings: dict[str, float] = {}
         self.known: set[str] = set()
         self.unknown: set[str] = set()
-        self.candidate_keys: set[tuple[str, str, str]] = set()
-        self.statement_keys: set[tuple[str, str, str]] = set()
+        self.candidate_keys: set[tuple[str, str, Value]] = set()
+        self.statement_keys: set[tuple[str, str, Value]] = set()
 
     def add(self, row: EnrichmentResult, partition: GapPartition,
             candidates: Sequence[CandidateStatement],
@@ -280,7 +273,7 @@ class _Tally:
         self.known |= partition.known_subjects
         self.unknown |= partition.unknown_subjects
         for keys, cands in ((self.candidate_keys, candidates), (self.statement_keys, accepted)):
-            keys.update(_statement_key(c.subject, row.property, c.object) for c in cands)
+            keys.update((c.subject, row.property, c.object) for c in cands)
 
     def row(self, graph: str) -> EnrichmentResult:
         return EnrichmentResult(
@@ -310,7 +303,6 @@ def batch_enrich(target: Graph, externals: Sequence[Graph], properties: Sequence
     tallies = {ext.tag: _Tally() for ext in externals}
     both = [_Tally()] if len(externals) > 1 else []
     for external in externals:
-        run.mapping(external.tag)  # before any row, so a missing mapping fails the batch
         for prop in properties:
             try:
                 row, partition, candidates, accepted = _enrich_row(run, external, prop)
@@ -439,10 +431,10 @@ def emit_report(results: Sequence[EnrichmentResult], fmt: str, path: str | Path,
 
 
 def write_statements(statements: Iterable[Statement], path: str | Path) -> None:
-    """Validated statements as edge TSV plus provenance columns."""
+    """Validated statements as edge TSV plus source and provenance (always validated) columns."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("node1\tlabel\tnode2\tsource\tprovenance\n")
         for stmt in statements:
             fh.write("\t".join((
                 stmt.subject, stmt.property, serialize_value(stmt.object),
-                stmt.source_graph, stmt.provenance.value)) + "\n")
+                stmt.source_graph, "validated")) + "\n")

@@ -51,21 +51,18 @@ def retrieve(graph: Graph, unknowns: Mapping[str, Iterable[str]], prop: str,
              path: PropertyPath, mapping: EntityMapping) -> list[CandidateStatement]:
     """Collect candidate statements for every mapped gap subject.
 
-    Exact (subject, property, object) duplicates are merged; the first hit
-    in sorted processing order keeps its provenance fields.
+    Candidates equal in (subject, object) are merged; the first hit in sorted
+    processing order keeps its provenance fields.
     """
-    candidates: list[CandidateStatement] = []
-    seen: set[tuple[str, str, tuple]] = set()
+    found: dict[tuple[str, Value], CandidateStatement] = {}
 
     def emit(subject: str, obj: Value, external: Value,
              ambiguous: bool, unresolved: bool) -> None:
-        key = (subject, prop, value_sort_key(obj))
-        if key in seen:
-            return
-        seen.add(key)
-        candidates.append(CandidateStatement(
-            subject=subject, property=prop, object=obj, external_object=external,
-            path=path, ambiguous=ambiguous, unresolved=unresolved))
+        key = (subject, obj)
+        if key not in found:
+            found[key] = CandidateStatement(
+                subject=subject, property=prop, object=obj, external_object=external,
+                path=path, ambiguous=ambiguous, unresolved=unresolved)
 
     for subject in sorted(unknowns):
         for external_id in sorted(set(unknowns[subject])):
@@ -80,7 +77,7 @@ def retrieve(graph: Graph, unknowns: Mapping[str, Iterable[str]], prop: str,
                              ambiguous=len(targets) > 1, unresolved=False)
                 else:
                     emit(subject, terminal, terminal, ambiguous=False, unresolved=False)
-    return candidates
+    return list(found.values())
 
 
 # -- candidate files ----------------------------------------------------------

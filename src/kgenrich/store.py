@@ -56,12 +56,6 @@ class ValueKind(Enum):
     OTHER = "other"
 
 
-class Provenance(Enum):
-    TARGET_KNOWN = "known"
-    EXTERNAL_CANDIDATE = "candidate"
-    VALIDATED = "validated"
-
-
 @dataclass(frozen=True, slots=True)
 class Literal:
     """A typed literal value; value-equal literals from different serializations are equal."""
@@ -119,9 +113,8 @@ def value_kind(value: Value) -> ValueKind:
 
 
 def value_sort_key(value: Value) -> tuple:
-    """Sort and identity key of a value; node ids sort first.
-
-    A literal's key holds every field ``Literal`` equality compares.
+    """Sort key of a value; node ids sort first. It only orders: values are
+    identified by equality, and a literal's key holds every field it compares.
     """
     if isinstance(value, str):
         return (0, value)
@@ -130,12 +123,11 @@ def value_sort_key(value: Value) -> tuple:
             value.language or "", value.precision or "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     subject: str
     property: str
     object: Value
-    provenance: Provenance
     source_graph: str
 
     def __post_init__(self) -> None:

@@ -257,6 +257,23 @@ def test_retrieve_missing_align_file_is_usage_error(workspace, capsys):
     assert not cands.exists()
 
 
+@pytest.mark.parametrize("path", ["dbp:industry/", "/dbp:industry", "dbp:industry//dbp:x",
+                                  "", "/", "{workspace}", "{workspace}/", "sub", "sub/"])
+def test_retrieve_path_with_an_empty_step_or_a_directory_is_usage_error(
+        workspace, capsys, monkeypatch, path):
+    # an empty step or a directory used to give 0 candidates or an OSError (exit 2)
+    monkeypatch.chdir(workspace)
+    (workspace / "sub").mkdir()
+    cands = workspace / "cands.tsv"
+    assert main(["retrieve", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--path", path.format(workspace=workspace),
+                 "--out", str(cands)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --path ")
+    assert len(err.splitlines()) == 1
+    assert not cands.exists()
+
+
 def test_retrieve_align_file_without_columns_is_one_line_data_error(workspace, capsys):
     aligned = workspace / "aligned.tsv"
     aligned.write_text("steps\tchosen\ndbp:industry\ttrue\n")

@@ -160,6 +160,24 @@ def test_config_must_be_mapping(tmp_path):
     ("graphs", {"target": {"path": "t.tsv", "tag": None}}, "graphs.target.tag"),
     ("graphs", {"target": {"path": "t.tsv", "tag": "wd"},
                 "externals": [{"path": "", "tag": "dbp"}]}, "graphs.externals[0].path"),
+    # numbers are checked, not coerced by int() or float()
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": -1}},
+     "graphs.target.malformed_threshold"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": float("nan")}},
+     "graphs.target.malformed_threshold"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": 1.5}},
+     "graphs.target.malformed_threshold"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": True}},
+     "graphs.target.malformed_threshold"),
+    ("validation", {"depth_cap": -3}, "validation.depth_cap"),
+    ("validation", {"depth_cap": 2.0}, "validation.depth_cap"),
+    ("alignment", {"max_path_length": 2.7}, "alignment.max_path_length"),
+    ("alignment", {"max_path_length": True}, "alignment.max_path_length"),
+    ("alignment", {"top_k": 2.5}, "alignment.top_k"),
+    ("validation", {"cutoff_year": 1999.9}, "validation.cutoff_year"),
+    ("alignment", {"sample_cap": "12"}, "alignment.sample_cap"),
+    ("alignment", {"similarity_threshold": True}, "alignment.similarity_threshold"),
+    ("alignment", {"similarity_threshold": float("nan")}, "alignment.similarity_threshold"),
 ])
 def test_bad_section_or_value_is_config_error(section, value, named):
     data = _minimal()
@@ -207,7 +225,7 @@ _GRAPH = _mostly(st.fixed_dictionaries(
     {"path": _id("t.tsv"), "tag": _id("wd")},
     optional={"format": _value("", "nt", "tsv", "ntriples"),
               "label_properties": _value(["label"]),
-              "malformed_threshold": _value(0.05, "0.5")}))
+              "malformed_threshold": _value(0.05, 1, "0.5", -1, float("nan"), True)}))
 _DOCUMENT = st.fixed_dictionaries({
     "graphs": st.fixed_dictionaries(
         {"target": _GRAPH}, optional={"externals": _mostly(st.lists(_GRAPH, max_size=2))}),
@@ -218,11 +236,12 @@ _DOCUMENT = st.fixed_dictionaries({
         link_property=_id("sitelink"), prefix=_value("dbr:", "", None, 5),
         suffix=_value("", ["-id"]),
         transform=_section(prefix=_value("tgn:", None), suffix=_value("-id", 5))), max_size=2),
-    "alignment": _section(max_path_length=_value(1, 4, 9), sample_cap=_value(10, 0),
-                          top_k=_value(3, "3"), similarity_threshold=_value(0.9, 2.0),
+    "alignment": _section(max_path_length=_value(1, 4, 9, 2.7, True),
+                          sample_cap=_value(10, 0, "12"), top_k=_value(3, "3", 2.5),
+                          similarity_threshold=_value(0.9, 1, 2.0, True, float("nan")),
                           mode=_value("hybrid", "freq", "String"),
                           sample_seed=_value(7, "seed")),
-    "validation": _section(cutoff_year=_value(2022), depth_cap=_value(20),
+    "validation": _section(cutoff_year=_value(2022, 1999.9), depth_cap=_value(20, 0, -3, 2.0),
                            instance_of=_id("P31"), subclass_of=_id("P279"),
                            constraints=_value("c.tsv")),
     "gaps": _section(type_property=_id("P31"), no_value_sentinel=_value("Q0")),
@@ -248,6 +267,22 @@ def test_config_from_dict_returns_config_or_one_line_config_error(document):
     assert all(isinstance(value, str) and value for value in ids)
     assert all(isinstance(spec.prefix, str) and isinstance(spec.suffix, str)
                for spec in cfg.mappings.values())
+    # numbers are the document's own, not coerced: 2.7, 2.0, true and "12" never load
+    align, validation, graphs = cfg.alignment, cfg.validation, document["graphs"]
+    integers = [align.max_path_length, align.sample_cap, align.top_k,
+                validation.cutoff_year, validation.depth_cap]
+    assert all(type(value) is int for value in integers) and validation.depth_cap >= 0
+    numbers = [(document.get("alignment") or {}, key, getattr(align, key))
+               for key in ("max_path_length", "sample_cap", "top_k", "similarity_threshold")]
+    numbers += [(document.get("validation") or {}, key, getattr(validation, key))
+                for key in ("cutoff_year", "depth_cap")]
+    numbers += [(raw, "malformed_threshold", spec.malformed_threshold) for raw, spec in
+                zip([graphs["target"], *(graphs.get("externals") or [])],
+                    [cfg.target, *cfg.externals])]
+    for section, key, value in numbers:
+        raw = section.get(key, value)
+        assert raw == value and type(raw) in ((int, float) if type(value) is float else (int,))
+    assert all(0 <= spec.malformed_threshold <= 1 for spec in [cfg.target, *cfg.externals])
 
 
 # -- load_graph and the cyclic GC ----------------------------------------------

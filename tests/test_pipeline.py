@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import json
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgenrich import pipeline, validate
 from kgenrich.consistency import Granularity, agreement, literal_agreement
+from kgenrich.errors import ConfigError
 from kgenrich.pipeline import (NO_ALIGNMENT, EnrichmentResult, Run, batch_enrich,
                                emit_report, enrich_property, run_consistency,
                                write_statements)
-from kgenrich.store import Literal, Provenance, load_edge_tsv, serialize_value
+from kgenrich.store import Literal, load_edge_tsv
 from kgenrich.validate import RelationMode, ValueTypeConstraint
 
 from conftest import (COMPANY_CLASS, INDUSTRY_CLASSES, INDUSTRY_PROP, graph_from_edges,
@@ -29,7 +33,6 @@ def test_fig1_style_end_to_end(company_fixture):
     (stmt,) = result.statements
     assert stmt.subject == fx.gap_subject
     assert stmt.object == fx.expected_value
-    assert stmt.provenance is Provenance.VALIDATED
     assert stmt.source_graph == "dbp"
     assert result.r_e == pytest.approx(0.2)
     assert result.r_c == 1.0 and result.r_r == 1.0
@@ -166,7 +169,7 @@ def _reference_row_sets(fx, external, row) -> tuple[set, set, set, set]:
         accepted = run.validate(row.property, partition.known, candidates).accepted
 
     def keys(cands):
-        return {(c.subject, row.property, serialize_value(c.object)) for c in cands}
+        return {(c.subject, row.property, c.object) for c in cands}
 
     return (set(partition.known_subjects), set(partition.unknown_subjects),
             keys(candidates), keys(accepted))
@@ -240,6 +243,88 @@ def test_run_builds_each_mapping_and_closure_once(company_fixture, monkeypatch):
     assert sum(row.s_g > 0 for row in batch.rows) == 6  # every validated row ran the check
     assert closures == Counter({INDUSTRY_CLASSES: 1})
     assert mappings == ["sitelink", "sitelink"]  # one per external graph
+
+
+def test_batch_times_each_mapping_build_in_its_first_row(company_fixture, monkeypatch):
+    build = pipeline.build_mapping
+
+    def slow_mapping(*args):
+        time.sleep(0.02)
+        return build(*args)
+
+    monkeypatch.setattr(pipeline, "build_mapping", slow_mapping)
+    fx = company_fixture
+    batch = batch_enrich(fx.target, [fx.external, make_company_external("dbp2")],
+                         [INDUSTRY_PROP, "P571"], fx.cfg,
+                         entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    per_graph = {a.graph: a for a in batch.aggregates}
+    for tag in ("dbp", "dbp2"):
+        assert per_graph[tag].timings["entity_align"] >= 0.02
+        assert per_graph[tag].timings["total"] >= per_graph[tag].timings["entity_align"]
+
+
+def test_missing_mapping_fails_the_batch_even_when_every_row_errors(company_fixture):
+    fx = company_fixture
+    fx.cfg.gaps.type_property = "P9999"  # gap detection raises in every row
+    with pytest.raises(ConfigError, match="mappings.nomap"):
+        batch_enrich(fx.target, [fx.external, make_company_external("nomap")],
+                     [INDUSTRY_PROP], fx.cfg, entity_class=COMPANY_CLASS,
+                     constraints=fx.constraints)
+
+
+# -- one statement identity: value equality, not the TSV rendering --------------
+
+
+def _identity_batch(target_edges, external_edges):
+    """A one-property (P1), one-external batch; entities are typed C, linked by sitelink."""
+    target = graph_from_edges("wd", [*target_edges, ("P1", "label", Literal.string("p"))])
+    external = graph_from_edges("dbp", external_edges)
+    batch = batch_enrich(target, [external], ["P1"], make_company_config(),
+                         entity_class="C", constraints={})
+    (row,), (aggregate,) = batch.rows, batch.aggregates
+    return row, aggregate
+
+
+_COUNTERS = ("s_w", "s_g", "s_e", "n_k", "n_u", "n_f", "n_c")
+
+
+def test_node_and_other_literal_with_one_rendering_count_twice_in_the_aggregate():
+    # dbr:Y1 inverse-resolves to node V1; an N-Triples "V1"^^<custom> is Other("V1");
+    # both render as V1 in a TSV
+    link = [(node, "sitelink", Literal.string(node)) for node in ("K", "G", "V0")]
+    target = [("K", "P31", "C"), ("G", "P31", "C"), ("K", "P1", "V0"),
+              ("V1", "sitelink", Literal.string("Y1")), *link]
+    external = [("dbr:K", "ext:p", "dbr:V0"), ("dbr:G", "ext:p", "dbr:Y1"),
+                ("dbr:G", "ext:p", Literal.other("V1"))]
+    row, aggregate = _identity_batch(target, external)
+    assert row.s_g == 2
+    assert [getattr(aggregate, f) for f in _COUNTERS] == [getattr(row, f) for f in _COUNTERS]
+
+
+_KNOWN, _GAPS = ["S0", "S1"], ["S2", "S3"]
+# node terminals Y<i> and Z, Other literals spelling node ids (target V<i>, unresolved
+# external dbr:Y<i> and dbr:Z), and dates; V<i> has the external id dbr:Y<i> when linked
+_TERMINAL = st.sampled_from(
+    ["Y0", "Y1", "Z"] + [Literal.other(text) for text in ("V0", "V1", "dbr:Y1", "dbr:Z", "x")]
+    + [Literal.date(1990), Literal.date(1990, 5), Literal.date(1990, 5, 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(known=st.lists(st.tuples(st.sampled_from(_KNOWN), _TERMINAL), min_size=1, max_size=4),
+       external=st.lists(st.tuples(st.sampled_from(_KNOWN + _GAPS),
+                                   st.sampled_from(["ext:p", "ext:p", "ext:q"]), _TERMINAL),
+                         max_size=10),
+       linked=st.sets(st.sampled_from(["V0", "V1"])))
+def test_aggregate_of_one_row_equals_the_row(known, external, linked):
+    target = [edge for s in _KNOWN + _GAPS
+              for edge in ((s, "P31", "C"), (s, "sitelink", Literal.string(s)))]
+    target += [(v, "sitelink", Literal.string(f"Y{v[1:]}")) for v in sorted(linked)]
+    target += [(s, "P1", obj.replace("Y", "V") if isinstance(obj, str) else obj)
+               for s, obj in known]
+    external_edges = [(f"dbr:{s}", p, f"dbr:{obj}" if isinstance(obj, str) else obj)
+                      for s, p, obj in external]
+    row, aggregate = _identity_batch(target, external_edges)
+    assert [getattr(aggregate, f) for f in _COUNTERS] == [getattr(row, f) for f in _COUNTERS]
 
 
 def test_batch_rows_sorted_by_enrichment_rate(company_fixture):
