@@ -8,10 +8,14 @@ between the target property label and the path label, with a threshold
 deciding whether the lexical winner overrides the frequency winner.
 
 Enumeration has one rule for item and literal targets alike. At L = 1 it
-scans the start's out-edges. At L >= 2 it walks forward by node id to depth
-L-1 and takes the last hop backwards, through the target's predecessor map
-(from ``Graph.in_edges`` of the target, or of every literal matching it), so
-a pair costs about degree^(L-1) edge visits instead of degree^L.
+scans the start's out-edges. At L >= 2 it walks forward by node id and takes
+the last hop backwards, through the target's predecessor map (from
+``Graph.in_edges`` of the target, or of every literal matching it). At L = 2
+and 3 the walk goes to depth L-1, so a pair costs about degree^(L-1) edge
+visits instead of degree^L. At L >= 4 it goes to depth L-2 and joins the
+last two hops from a per-target two-hop map built from the predecessor map,
+so a pair costs about degree^(L-2) forward edge visits plus the map, built
+once per distinct target.
 """
 
 from __future__ import annotations
@@ -131,12 +135,14 @@ class _LastHop(dict):
 
     A literal target's map joins the ``in_edges`` of every literal that
     ``values_match`` accepts, found in buckets keyed by ``_match_key`` and
-    filled from ``Graph.literals()`` on the first literal target.
+    filled from ``Graph.literals()`` on the first literal target. The
+    two-hop maps of ``two_hops`` are kept beside them for the same call.
     """
 
     def __init__(self, graph: Graph):
         super().__init__()
         self.graph, self.buckets = graph, None
+        self.two_hop: dict[Value, dict[str, list[tuple[str, str, list[str]]]]] = {}
 
     def __missing__(self, target: Value) -> dict[str, list[str]]:
         sources = [target]
@@ -156,6 +162,25 @@ class _LastHop(dict):
                         props.append(prop)
         return preds
 
+    def two_hops(self, target: Value) -> dict[str, list[tuple[str, str, list[str]]]]:
+        """``{meeting id m: [(p1, middle id b, props b -> target)]}`` for the edges m -p1-> b.
+
+        Built from the ``in_edges`` of every predecessor b in the target's
+        map. A suffix is left out when b or m is the target or m is b; the
+        walk still has to check that b is not on its own path.
+        """
+        suffixes = self.two_hop.get(target)
+        if suffixes is None:
+            suffixes = self.two_hop[target] = {}
+            for mid, props in self[target].items():
+                if mid == target:
+                    continue
+                for prop, subjects in self.graph.in_edges(mid).items():
+                    for meet in subjects:
+                        if meet != mid and meet != target:
+                            suffixes.setdefault(meet, []).append((prop, mid, props))
+        return suffixes
+
 
 def _pair_paths(graph: Graph, start_id: str, target: Value, max_len: int,
                 last_hop: _LastHop) -> set[tuple[str, ...]]:
@@ -164,9 +189,15 @@ def _pair_paths(graph: Graph, start_id: str, target: Value, max_len: int,
     A branch never revisits a node, so a sequence counts once per pair
     however many node paths realize it; intermediate literals end a branch,
     and no path passes through the target. At L = 1 the start's out-edges
-    are scanned (by id, or by ``values_match`` for a literal). At L >= 2 the
-    walk stops at depth L-1, and at every node it reaches, the start
-    included, the last hop is a lookup in the target's predecessor map.
+    are scanned (by id, or by ``values_match`` for a literal). At L >= 2,
+    at every node the walk reaches, the start included, the last hop is a
+    lookup in the target's predecessor map. At L = 2 and 3 the walk stops
+    at depth L-1, so a pair costs about degree^(L-1) edge visits. At L >= 4
+    it stops at depth L-2, and each node there also joins the target's
+    two-hop map, keeping a suffix whose middle node is off the walk's path:
+    about degree^(L-2) forward edge visits per pair. Nodes nearer the
+    start need no two-hop lookup, since the walk goes on through the
+    middle node and finds the same sequence by its one-hop lookup.
     """
     if target == start_id:
         return set()
@@ -180,11 +211,18 @@ def _pair_paths(graph: Graph, start_id: str, target: Value, max_len: int,
     preds = last_hop[target]
     if not preds:
         return found
+    two_hop = last_hop.two_hops(target) if max_len >= 4 else {}
+    depth = max_len - 2 if max_len >= 4 else max_len - 1
 
     def reach(node_id: str, seq: tuple[str, ...], visited: set[str]) -> None:
         for prop in preds.get(node_id, ()):
             found.add(seq + (prop,))
-        if len(seq) + 1 >= max_len:
+        if len(seq) == depth:
+            if two_hop:  # L >= 4
+                for prop, mid, props in two_hop.get(node_id, ()):
+                    if mid not in visited:
+                        for last in props:
+                            found.add(seq + (prop, last))
             return
         for prop, objs in out_edges(node_id).items():
             step = seq + (prop,)

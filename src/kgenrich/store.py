@@ -504,7 +504,8 @@ def _nt_term_id(token: str, table: PrefixTable) -> str:
 # -- edge TSV ----------------------------------------------------------------
 
 _TSV_NODE_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*(?::[^\s]+)?$")
-_TSV_DATE = re.compile(r"^-?\d{4}(?:-\d{2}(?:-\d{2})?)?$")
+# a year of more than four digits is a date only with a month: alone it is a quantity
+_TSV_DATE = re.compile(r"^-?(?:\d{4}|\d{4,}-\d{2}(?:-\d{2})?)$")
 _TSV_NUMBER = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 _TSV_MONOLINGUAL = re.compile(r"^'(?P<text>(?:[^'\\]|\\.)*)'@(?P<lang>[A-Za-z][A-Za-z0-9-]*)$")
 
@@ -606,7 +607,10 @@ def serialize_value(value: Value) -> str:
     """Render a value into the edge-TSV ``node2`` lexicon.
 
     Inverse of parse_tsv_value up to value equality: quantities always carry
-    a decimal point so integral magnitudes cannot be re-read as dates.
+    a decimal point so integral magnitudes cannot be re-read as dates. One
+    case is ambiguous: a year-precision date whose year has more than four
+    digits (``12345``, ``-12345``) reads back as a quantity, since a bare
+    integer of that width is one. With a month it stays a date at any width.
     """
     if isinstance(value, str):
         return value

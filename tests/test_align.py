@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kgenrich.align import (AlignConfig, AlignMode, PropertyPath, _LastHop, enumerate_paths,
-                            gestalt_similarity, normalize_label, select_path,
-                            values_match)
+from kgenrich.align import (MAX_PATH_LENGTH_CAP, AlignConfig, AlignMode, PropertyPath,
+                            _LastHop, enumerate_paths, gestalt_similarity, normalize_label,
+                            select_path, values_match)
 from kgenrich.store import Graph, Literal
 
 from conftest import graph_from_edges
@@ -151,7 +151,7 @@ def _random_graph(rng, n_nodes, n_edges, n_props, acyclic):
     return sorted(edges)
 
 
-@pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_len", range(1, MAX_PATH_LENGTH_CAP + 1))
 @pytest.mark.parametrize("seed,acyclic", [(1, True), (2, False), (3, False)])
 def test_enumerate_matches_exhaustive_oracle(seed, acyclic, max_len):
     rng = random.Random(seed)
@@ -176,7 +176,7 @@ _LITERALS = [Literal.date(1900), Literal.date(1900, 5), Literal.date(1900, 5, 1)
              Literal.monolingual("x", "en"), Literal.string("y"), Literal.other("x")]
 
 
-@pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_len", range(1, MAX_PATH_LENGTH_CAP + 1))
 @pytest.mark.parametrize("seed", [4, 5, 6])
 def test_enumerate_literal_targets_match_exhaustive_oracle(seed, max_len):
     rng = random.Random(seed)
@@ -219,6 +219,28 @@ def test_last_hop_lists_a_property_once_per_predecessor():
     for max_len in (1, 2):
         paths = enumerate_paths(g, {("A", Literal.date(1900))}, _cfg(max_len))
         assert paths == [PropertyPath(steps=("P1",), support=1)]
+
+
+def test_two_hop_join_keeps_only_suffixes_off_the_walked_path():
+    g = graph_from_edges("x", [("S", "a", "B"), ("B", "b", "M"), ("M", "c", "B"),
+                               ("B", "d", "T")])
+    # at L = 4 the walk stops at M (S, B, M) and M's only suffix c/d passes B again
+    assert enumerate_paths(g, {("S", "T")}, _cfg(4)) == [
+        PropertyPath(steps=("a", "d"), support=1)]
+    # a middle node equal to the start (M -e-> S -f-> T), a target self-loop
+    # (T -g-> T), a meeting node equal to the target (T -h-> B -d-> T) and
+    # one equal to the middle node (B -k-> B -d-> T)
+    edges = [("S", "a", "B"), ("B", "b", "M"), ("M", "c", "B"), ("B", "d", "T"),
+             ("M", "e", "S"), ("S", "f", "T"), ("T", "g", "T"), ("T", "h", "B"),
+             ("B", "k", "B")]
+    g = graph_from_edges("x", edges)
+    suffixes = _LastHop(g).two_hops("T")
+    assert {meet: sorted(entries) for meet, entries in suffixes.items()} == {
+        "S": [("a", "B", ["d"])], "M": [("c", "B", ["d"]), ("e", "S", ["f"])]}
+    for max_len in range(1, MAX_PATH_LENGTH_CAP + 1):
+        got = {p.steps for p in enumerate_paths(g, {("S", "T")}, _cfg(max_len))}
+        assert got == simple_path_sequences(edges, "S", "T", max_len)
+        assert got == ({("f",)} if max_len == 1 else {("f",), ("a", "d")})
 
 
 # -- selection ------------------------------------------------------------------

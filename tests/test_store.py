@@ -319,6 +319,20 @@ def test_string_literal_serialization_roundtrip(text):
     assert parse_tsv_value(serialize_value(value)) == value
 
 
+@pytest.mark.parametrize("value", [
+    Literal.date(12345, 1, 2), Literal.date(12345, 1), Literal.date(-12345, 1, 2),
+    Literal.date(-12345, 12), Literal.date(1885), Literal.date(-1885), Literal.date(999, 3, 4),
+])
+def test_date_serialization_roundtrip_at_any_year_width(value):
+    assert parse_tsv_value(serialize_value(value)) == value
+
+
+@pytest.mark.parametrize("year", [12345, -12345])
+def test_wide_year_alone_reads_back_as_a_quantity(year):
+    # a bare integer wider than four digits is a quantity, whatever wrote it
+    assert parse_tsv_value(serialize_value(Literal.date(year))) == Literal.quantity(year)
+
+
 @pytest.mark.parametrize("node2", [
     '"abc\\"',            # backslash ending the string
     '"\\uZZZZ"',          # non-hex \u digits
