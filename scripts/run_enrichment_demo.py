@@ -5,8 +5,9 @@ Builds a target graph with one company missing its industry value and an
 external graph that knows it, writes everything to a workspace directory,
 then drives the CLI: align -> enrich -> consistency (item agreement for
 P452, year agreement and a scatter.csv for P571). It also aligns the
-date-valued P571 at up to 3 hops, which takes the literal-terminal
-last-hop lookup, and exits 1 unless ``dbp:founded`` is selected.
+date-valued P571 at up to 3 and up to 4 hops, which take the
+literal-terminal last-hop lookup and, at 4, the two-hop join, and exits 1
+unless ``dbp:founded`` is selected at both.
 Inspect the workspace afterwards to see every intermediate file. Exits
 with the first failing command's exit code.
 """
@@ -92,15 +93,17 @@ def main() -> int:
             raise SystemExit(code)
 
     run("candidate property paths for P452 (industry)", "align", "--property", "P452")
-    aligned = ws / "aligned_P571_L3.tsv"
-    run("paths up to 3 hops for P571 (inception), a date-valued property", "align",
-        "--property", "P571", "--max-len", "3", "--out", str(aligned))
-    table = aligned.read_text()
-    print(table)
-    selected = [row.split("\t")[0] for row in table.splitlines() if row.endswith("\ttrue")]
-    if selected != ["dbp:founded"]:
-        print(f"expected dbp:founded to be selected for P571, got {selected}", file=sys.stderr)
-        return 1
+    for max_len in ("3", "4"):
+        aligned = ws / f"aligned_P571_L{max_len}.tsv"
+        run(f"paths up to {max_len} hops for P571 (inception), a date-valued property",
+            "align", "--property", "P571", "--max-len", max_len, "--out", str(aligned))
+        table = aligned.read_text()
+        print(table)
+        selected = [row.split("\t")[0] for row in table.splitlines() if row.endswith("\ttrue")]
+        if selected != ["dbp:founded"]:
+            print(f"expected dbp:founded to be selected for P571 at --max-len {max_len}, "
+                  f"got {selected}", file=sys.stderr)
+            return 1
     run("enrich P452 for companies (Q783794)", "enrich", "--property", "P452",
         "--class", "Q783794", "--out-dir", out)
     print("\nvalidated statements:")

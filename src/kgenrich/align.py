@@ -14,8 +14,8 @@ the last hop backwards, through the target's predecessor map (from
 and 3 the walk goes to depth L-1, so a pair costs about degree^(L-1) edge
 visits instead of degree^L. At L >= 4 it goes to depth L-2 and joins the
 last two hops from a per-target two-hop map built from the predecessor map,
-so a pair costs about degree^(L-2) forward edge visits plus the map, built
-once per distinct target.
+so a pair costs about degree^(L-2) forward edge visits plus the map. Pairs
+are walked target by target, so a call holds one target's maps at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from typing import Iterable, Sequence
 from .store import Graph, Literal, Value, ValueKind, value_sort_key
 
 MAX_PATH_LENGTH_CAP = 6
+_DATE_RANK = {"year": 1, "month": 2, "day": 3}
+_TwoHop = dict[str, list[tuple[str, str, list[str]]]]  # see _two_hops
 
 
 class AlignMode(Enum):
@@ -101,8 +103,7 @@ def values_match(found: Value, wanted: Value) -> bool:
     if isinstance(found, str) or isinstance(wanted, str):
         return found == wanted
     if found.kind is ValueKind.DATE and wanted.kind is ValueKind.DATE:
-        rank = {"year": 1, "month": 2, "day": 3}
-        depth = min(rank[found.precision], rank[wanted.precision])
+        depth = min(_DATE_RANK[found.precision], _DATE_RANK[wanted.precision])
         return (found.year, found.month, found.day)[:depth] == \
             (wanted.year, wanted.month, wanted.day)[:depth]
     return _match_key(found) == _match_key(wanted)
@@ -130,91 +131,65 @@ def _sample_pairs(pairs: set[tuple[str, Value]], cfg: AlignConfig) -> list[tuple
     return ordered[:cfg.sample_cap]
 
 
-class _LastHop(dict):
-    """Predecessor maps ``{predecessor id: [props]}`` by target, for one ``enumerate_paths`` call.
+def _predecessors(graph: Graph, target: Value,
+                  buckets: dict[object, list[Literal]]) -> dict[str, list[str]]:
+    """``{predecessor id: [props]}`` over the edges into ``target``.
 
     A literal target's map joins the ``in_edges`` of every literal that
-    ``values_match`` accepts, found in buckets keyed by ``_match_key`` and
-    filled from ``Graph.literals()`` on the first literal target. The
-    two-hop maps of ``two_hops`` are kept beside them for the same call.
+    ``values_match`` accepts, found in ``buckets`` (literals by ``_match_key``).
     """
+    sources = [target] if isinstance(target, str) else \
+        [found for found in buckets.get(_match_key(target), ()) if values_match(found, target)]
+    preds: dict[str, list[str]] = {}
+    for obj in sources:
+        for prop, subjects in graph.in_edges(obj).items():
+            for subj in subjects:
+                props = preds.setdefault(subj, [])
+                if prop not in props:  # two matching literals, one property
+                    props.append(prop)
+    return preds
 
-    def __init__(self, graph: Graph):
-        super().__init__()
-        self.graph, self.buckets = graph, None
-        self.two_hop: dict[Value, dict[str, list[tuple[str, str, list[str]]]]] = {}
 
-    def __missing__(self, target: Value) -> dict[str, list[str]]:
-        sources = [target]
-        if not isinstance(target, str):
-            if self.buckets is None:
-                self.buckets = {}
-                for literal in self.graph.literals():
-                    self.buckets.setdefault(_match_key(literal), []).append(literal)
-            sources = [literal for literal in self.buckets.get(_match_key(target), ())
-                       if values_match(literal, target)]
-        preds = self[target] = {}
-        for obj in sources:
-            for prop, subjects in self.graph.in_edges(obj).items():
-                for subj in subjects:
-                    props = preds.setdefault(subj, [])
-                    if prop not in props:  # two matching literals, one property
-                        props.append(prop)
-        return preds
+def _two_hops(graph: Graph, target: Value, preds: dict[str, list[str]]) -> _TwoHop:
+    """``{meeting id m: [(p1, middle id b, props b -> target)]}`` for the edges m -p1-> b.
 
-    def two_hops(self, target: Value) -> dict[str, list[tuple[str, str, list[str]]]]:
-        """``{meeting id m: [(p1, middle id b, props b -> target)]}`` for the edges m -p1-> b.
-
-        Built from the ``in_edges`` of every predecessor b in the target's
-        map. A suffix is left out when b or m is the target or m is b; the
-        walk still has to check that b is not on its own path.
-        """
-        suffixes = self.two_hop.get(target)
-        if suffixes is None:
-            suffixes = self.two_hop[target] = {}
-            for mid, props in self[target].items():
-                if mid == target:
-                    continue
-                for prop, subjects in self.graph.in_edges(mid).items():
-                    for meet in subjects:
-                        if meet != mid and meet != target:
-                            suffixes.setdefault(meet, []).append((prop, mid, props))
-        return suffixes
+    Built from the ``in_edges`` of every predecessor b in the target's map
+    ``preds``. A suffix is left out when b or m is the target or m is b;
+    the walk still has to check that b is not on its own path.
+    """
+    suffixes: _TwoHop = {}
+    for mid, props in preds.items():
+        if mid == target:
+            continue
+        for prop, subjects in graph.in_edges(mid).items():
+            for meet in subjects:
+                if meet != mid and meet != target:
+                    suffixes.setdefault(meet, []).append((prop, mid, props))
+    return suffixes
 
 
 def _pair_paths(graph: Graph, start_id: str, target: Value, max_len: int,
-                last_hop: _LastHop) -> set[tuple[str, ...]]:
-    """All property sequences realized by a simple path start -> target.
+                preds: dict[str, list[str]], two_hop: _TwoHop) -> set[tuple[str, ...]]:
+    """Property sequences of every simple path start -> target of 2..L hops.
 
-    A branch never revisits a node, so a sequence counts once per pair
-    however many node paths realize it; intermediate literals end a branch,
-    and no path passes through the target. At L = 1 the start's out-edges
-    are scanned (by id, or by ``values_match`` for a literal). At L >= 2,
-    at every node the walk reaches, the start included, the last hop is a
-    lookup in the target's predecessor map. At L = 2 and 3 the walk stops
-    at depth L-1, so a pair costs about degree^(L-1) edge visits. At L >= 4
-    it stops at depth L-2, and each node there also joins the target's
-    two-hop map, keeping a suffix whose middle node is off the walk's path:
-    about degree^(L-2) forward edge visits per pair. Nodes nearer the
-    start need no two-hop lookup, since the walk goes on through the
-    middle node and finds the same sequence by its one-hop lookup.
+    ``preds`` and ``two_hop`` are the target's maps, alive only while
+    ``enumerate_paths`` walks its pairs. A branch never revisits a node, so
+    a sequence counts once per pair however many node paths realize it;
+    intermediate literals end a branch, and no path passes through the
+    target. At every node the walk reaches, the start included, the last
+    hop is a lookup in ``preds``. At L = 2 and 3 the walk stops at depth
+    L-1, so a pair costs about degree^(L-1) edge visits. At L >= 4 it stops
+    at depth L-2, and each node there also joins ``two_hop``, keeping a
+    suffix whose middle node is off the walk's path: about degree^(L-2)
+    forward edge visits per pair. Nodes nearer the start need no two-hop
+    lookup, since the walk goes on through the middle node and finds the
+    same sequence by its one-hop lookup.
     """
-    if target == start_id:
-        return set()
     out_edges = graph.out_edges
-    if max_len == 1:
-        if isinstance(target, str):
-            return {(prop,) for prop, objs in out_edges(start_id).items() if target in objs}
-        return {(prop,) for prop, objs in out_edges(start_id).items()
-                if any(values_match(obj, target) for obj in objs)}
     found: set[tuple[str, ...]] = set()
-    preds = last_hop[target]
-    if not preds:
-        return found
-    two_hop = last_hop.two_hops(target) if max_len >= 4 else {}
     depth = max_len - 2 if max_len >= 4 else max_len - 1
 
-    def reach(node_id: str, seq: tuple[str, ...], visited: set[str]) -> None:
+    def reach(node_id: str, seq: tuple[str, ...], visited: set[Value]) -> None:
         for prop in preds.get(node_id, ()):
             found.add(seq + (prop,))
         if len(seq) == depth:
@@ -227,12 +202,12 @@ def _pair_paths(graph: Graph, start_id: str, target: Value, max_len: int,
         for prop, objs in out_edges(node_id).items():
             step = seq + (prop,)
             for obj in objs:
-                if isinstance(obj, str) and obj not in visited and obj != target:
+                if isinstance(obj, str) and obj not in visited:
                     visited.add(obj)
                     reach(obj, step, visited)
                     visited.remove(obj)
 
-    reach(start_id, (), {start_id})
+    reach(start_id, (), {start_id, target})  # the target counts as visited: no path passes it
     return found
 
 
@@ -241,13 +216,36 @@ def enumerate_paths(graph: Graph, pairs: Iterable[tuple[str, Value]],
     """Rank property paths by the number of known pairs they connect.
 
     Pairs beyond ``sample_cap`` are dropped deterministically (sorted by
-    subject id, first N; or a seeded random sample when configured). Output
-    is sorted by (support desc, steps asc).
+    subject id, first N; or a seeded random sample when configured) before
+    the rest are grouped by target. Support is a sum over pairs, so they are
+    walked target by target: a target's predecessor map (and at L >= 4 its
+    two-hop map) lives only while its pairs are walked, so a call holds one
+    target's maps at a time. Output is sorted by (support desc, steps asc).
     """
-    support: Counter[tuple[str, ...]] = Counter()
-    last_hop = _LastHop(graph)
+    max_len = cfg.max_path_length
+    by_target: dict[Value, list[str]] = {}
     for subject_id, target in _sample_pairs(set(pairs), cfg):
-        support.update(_pair_paths(graph, subject_id, target, cfg.max_path_length, last_hop))
+        if subject_id != target:
+            by_target.setdefault(target, []).append(subject_id)
+    buckets: dict[object, list[Literal]] = {}
+    if max_len >= 2 and not all(isinstance(target, str) for target in by_target):
+        for literal in graph.literals():
+            buckets.setdefault(_match_key(literal), []).append(literal)
+    support: Counter[tuple[str, ...]] = Counter()
+    for target, starts in by_target.items():
+        if max_len == 1:  # the start's out-edges, by id or by value
+            by_id = isinstance(target, str)
+            support.update([(prop,) for start_id in starts
+                            for prop, objs in graph.out_edges(start_id).items()
+                            if (target in objs if by_id
+                                else any(values_match(obj, target) for obj in objs))])
+            continue
+        preds = _predecessors(graph, target, buckets)
+        two_hop = _two_hops(graph, target, preds) if max_len >= 4 else {}
+        if preds:
+            for start_id in starts:
+                support.update(_pair_paths(graph, start_id, target, max_len, preds, two_hop))
+        del preds, two_hop  # freed before the next target's maps are built
     ranked = [PropertyPath(steps=seq, support=count) for seq, count in support.items()]
     ranked.sort(key=lambda p: (-p.support, p.steps))
     return ranked

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kgenrich.align import (MAX_PATH_LENGTH_CAP, AlignConfig, AlignMode, PropertyPath,
-                            _LastHop, enumerate_paths, gestalt_similarity, normalize_label,
-                            select_path, values_match)
-from kgenrich.store import Graph, Literal
+                            _match_key, _predecessors, _two_hops, enumerate_paths,
+                            gestalt_similarity, normalize_label, select_path, values_match)
+from kgenrich.store import Graph, Literal, value_sort_key
 
 from conftest import graph_from_edges
 from oracles import ratcliff_obershelp, same_value, simple_path_sequences
@@ -215,7 +216,10 @@ def test_last_hop_lists_a_property_once_per_predecessor():
     # two literals match the year target, both reached from A over P1
     g = graph_from_edges("dbp", [("A", "P1", Literal.date(1900, 5, 1)),
                                  ("A", "P1", Literal.date(1900, 6, 1))])
-    assert _LastHop(g)[Literal.date(1900)] == {"A": ["P1"]}
+    buckets = {}
+    for literal in g.literals():
+        buckets.setdefault(_match_key(literal), []).append(literal)
+    assert _predecessors(g, Literal.date(1900), buckets) == {"A": ["P1"]}
     for max_len in (1, 2):
         paths = enumerate_paths(g, {("A", Literal.date(1900))}, _cfg(max_len))
         assert paths == [PropertyPath(steps=("P1",), support=1)]
@@ -234,13 +238,66 @@ def test_two_hop_join_keeps_only_suffixes_off_the_walked_path():
              ("M", "e", "S"), ("S", "f", "T"), ("T", "g", "T"), ("T", "h", "B"),
              ("B", "k", "B")]
     g = graph_from_edges("x", edges)
-    suffixes = _LastHop(g).two_hops("T")
+    suffixes = _two_hops(g, "T", _predecessors(g, "T", {}))
     assert {meet: sorted(entries) for meet, entries in suffixes.items()} == {
         "S": [("a", "B", ["d"])], "M": [("c", "B", ["d"]), ("e", "S", ["f"])]}
     for max_len in range(1, MAX_PATH_LENGTH_CAP + 1):
         got = {p.steps for p in enumerate_paths(g, {("S", "T")}, _cfg(max_len))}
         assert got == simple_path_sequences(edges, "S", "T", max_len)
         assert got == ({("f",)} if max_len == 1 else {("f",), ("a", "d")})
+
+
+@pytest.mark.parametrize("max_len", [2, 4])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_sample_cap_takes_the_first_pairs_before_grouping_by_target(seed, max_len):
+    rng = random.Random(seed)
+    edges = _random_graph(rng, n_nodes=30, n_edges=120, n_props=6, acyclic=False)
+    edges += sorted({(f"N{rng.randrange(30)}", f"P{rng.randrange(6)}", rng.choice(_LITERALS))
+                     for _ in range(40)}, key=repr)
+    g = graph_from_edges("x", edges)
+    targets = [f"N{i}" for i in range(30)] + _LITERALS
+    # several targets per subject, so the cap cuts through one subject's targets
+    pairs = {(f"N{rng.randrange(10)}", rng.choice(targets)) for _ in range(40)}
+    cap = len(pairs) // 2 + 1
+    kept = sorted(pairs, key=lambda p: (p[0], value_sort_key(p[1])))[:cap]
+    assert len({target for _, target in kept}) > 1
+    got = {p.steps: p.support for p in enumerate_paths(g, pairs, _cfg(max_len, sample_cap=cap))}
+    want = {}
+    for subj, obj in kept:
+        for seq in simple_path_sequences(edges, subj, obj, max_len, same_value):
+            want[seq] = want.get(seq, 0) + 1
+    assert got == want
+
+
+def _fan_edges(n_targets, fan):
+    """Per target T: fan predecessors B -d-> T, each with fan predecessors
+    M -c-> B, and a start S -a-> M reaching T in three hops."""
+    edges = []
+    for t in range(n_targets):
+        edges.append((f"S{t}", "a", f"M{t}.0.0"))
+        for b in range(fan):
+            edges.append((f"B{t}.{b}", "d", f"T{t}"))
+            edges += [(f"M{t}.{b}.{m}", "c", f"B{t}.{b}") for m in range(fan)]
+    return edges
+
+
+def test_enumerate_holds_one_targets_maps_at_a_time():
+    g = graph_from_edges("x", _fan_edges(40, 30))
+
+    def peak(pairs):
+        tracemalloc.start()
+        try:
+            paths = enumerate_paths(g, pairs, _cfg(4))
+            return tracemalloc.get_traced_memory()[1], paths
+        finally:
+            tracemalloc.stop()
+
+    one, paths = peak({("S0", "T0")})
+    assert paths == [PropertyPath(steps=("a", "c", "d"), support=1)]
+    every, paths = peak({(f"S{t}", f"T{t}") for t in range(40)})
+    assert paths == [PropertyPath(steps=("a", "c", "d"), support=40)]
+    # each target's two-hop map holds 900 suffixes; 40 of them kept at once read ~50x
+    assert every <= 8 * one
 
 
 # -- selection ------------------------------------------------------------------
