@@ -2,17 +2,22 @@
 
 One YAML (or JSON) file per experiment with sections: graphs, prefixes,
 mappings, alignment, validation, gaps, output. Everything has a default
-except the graph paths and the per-external-graph link mapping.
+except the graph paths and the per-external-graph link mapping. Every key
+is read through one schema table (``_SCHEMA``): each value is checked, and a
+key the table does not know is an error naming the closest known key.
 """
 
 from __future__ import annotations
 
+import difflib
 import gc
+import inspect
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import yaml
 
@@ -94,10 +99,11 @@ class PipelineConfig:
         return load_constraints(self.constraints_path)
 
 
-def _require(section: Mapping, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing config key: {where}.{key}")
-    return section[key]
+def _dotted(where: str, key) -> str:
+    """``where.key``; a key that would break the message's line is shown as its repr."""
+    if isinstance(key, str) and key.isprintable() and key:
+        return f"{where}.{key}" if where else key
+    return f"{where}[{key!r}]"
 
 
 def _mapping(raw, where: str) -> Mapping:
@@ -105,42 +111,12 @@ def _mapping(raw, where: str) -> Mapping:
     if raw is None:
         return {}
     if not isinstance(raw, Mapping):
-        raise ConfigError(f"{where} must be a mapping, not {type(raw).__name__}")
+        raise ConfigError(f"{where or 'config'} must be a mapping, not {type(raw).__name__}")
     return raw
 
 
-def _optional(section: Mapping, key: str, types: tuple[type, ...], where: str):
-    """``section[key]``, which must be absent, null or an instance of one of ``types``."""
-    value = section.get(key)
-    if value is not None and not isinstance(value, types):
-        names = " or ".join(t.__name__ for t in types)
-        raise ConfigError(f"{where}.{key} must be {names}, not {value!r}")
-    return value
-
-
-def _one_of(value, allowed: tuple[str, ...], where: str) -> str:
-    if value not in allowed:
-        raise ConfigError(f"{where} must be one of {[a for a in allowed if a]}, not {value!r}")
-    return value
-
-
-def _boolean(value, where: str) -> bool:
-    """A real boolean; ``bool("false")`` would be True."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, not {value!r}")
-    return value
-
-
-def _string_map(raw, where: str) -> dict[str, str]:
-    raw = _mapping(raw, where)
-    for key, value in raw.items():
-        if not (isinstance(key, str) and isinstance(value, str)):
-            raise ConfigError(f"{where} must map strings to strings, not {key!r}: {value!r}")
-    return dict(raw)
-
-
 @contextmanager
-def _values_of(where: str, errors: type | tuple = (TypeError, ValueError, OverflowError)):
+def _values_of(where: str, errors: type | tuple = ValueError):
     """Turn ``errors`` met while building ``where`` into a one-line ConfigError."""
     try:
         yield
@@ -148,116 +124,139 @@ def _values_of(where: str, errors: type | tuple = (TypeError, ValueError, Overfl
         raise ConfigError(f"{where}: {' '.join(str(exc).split())}") from None
 
 
-def _text(value, where: str, empty: bool = False) -> str:
-    """A string, non-empty unless ``empty``; ``str()`` would pass a list or a null as text."""
-    if not isinstance(value, str) or not (value or empty):
-        kind = "string" if empty else "non-empty string"
-        raise ConfigError(f"{where} must be a {kind}, not {value!r}")
-    return value
-
-
 def is_number(value, kinds: type | tuple = (int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _number(section: Mapping, key: str, default, where: str, *, real: bool = False,
-            low: float = -math.inf, high: float = math.inf):
-    """``section[key]``, else ``default``: an int (a float too if ``real``) in [low, high];
-    ``int()`` and ``float()`` would pass 2.7, true, "12" and NaN."""
-    value = section.get(key, default)
-    if not (is_number(value, (int, float) if real else int) and low <= value <= high):
-        bounds = ("" if low == -math.inf else f" >= {low}" if high == math.inf
-                  else f" in [{low}, {high}]")
-        raise ConfigError(f"{where}.{key} must be {'a number' if real else 'an integer'}"
-                          f"{bounds}, not {value!r}")
-    return float(value) if real else value
+def _check(test: Callable[[object], bool], what: str, convert: Callable = lambda v: v):
+    """A check of one value at its dotted key: ``convert(value)`` if ``test`` passes it,
+    else an error saying what the value must be."""
+    def check(value, where: str):
+        if not test(value):
+            raise ConfigError(f"{where} must be {what}, not {value!r}")
+        return convert(value)
+    return check
 
 
-def _string_list(value, where: str) -> tuple[str, ...]:
-    """A list of non-empty strings; a lone string would split into characters."""
-    if not (isinstance(value, (list, tuple))
-            and all(isinstance(item, str) and item for item in value)):
-        raise ConfigError(f"{where} must be a list of non-empty strings, not {value!r}")
-    return tuple(value)
+def _number(real: bool = False, low: float = -math.inf, high: float = math.inf):
+    """An int (a float too if ``real``) in [low, high]; ``int()`` and ``float()``
+    would pass 2.7, true, "12" and NaN."""
+    bounds = ("" if low == -math.inf else f" >= {low}" if high == math.inf
+              else f" in [{low}, {high}]")
+    return _check(lambda v: is_number(v, (int, float) if real else int) and low <= v <= high,
+                  f"{'a number' if real else 'an integer'}{bounds}", float if real else int)
 
 
-def _graph_spec(raw, where: str) -> GraphSpec:
+def _one_of(*allowed: str):
+    return _check(lambda v: v in allowed, f"one of {[a for a in allowed if a]}")
+
+
+# ``str()`` would pass a list or a null as text, and ``bool("false")`` is True
+_ID = _check(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_STRING = _check(lambda v: isinstance(v, str), "a string")
+_STRING_OR_NULL = _check(lambda v: v is None or isinstance(v, str), "a string or null")
+
+
+def _keyed(value, where: str, check) -> dict:
+    """A mapping from strings (prefix names, external tags) to values that pass ``check``."""
+    return {_STRING(key, f"{where} key"): check(item, _dotted(where, key))
+            for key, item in _mapping(value, where).items()}
+
+
+def _externals(value, where: str) -> list[GraphSpec]:
+    """A list of graph specs with distinct tags: a batch report row is keyed by tag."""
+    if not isinstance(value, (list, type(None))):
+        raise ConfigError(f"{where} must be a list, not {value!r}")
+    specs = [_section("graph", raw, f"{where}[{i}]") for i, raw in enumerate(value or ())]
+    tags = [spec.tag for spec in specs]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ConfigError(f"{where}[{i}].tag repeats {where}[{tags.index(tag)}].tag {tag!r}")
+    return specs
+
+
+def _validation(**keys) -> dict:
+    """The ``validation`` section as PipelineConfig's ``validation`` and, if given,
+    ``constraints_path``."""
+    path = {"constraints_path": keys.pop("constraints")} if "constraints" in keys else {}
+    return {"validation": ValidationSettings(**keys), **path}
+
+
+def _pipeline(graphs: PipelineConfig, validation: dict | None = None,
+              **sections) -> PipelineConfig:
+    """The config that the ``graphs`` section started, with the other sections."""
+    return replace(graphs, **(validation or {}), **sections)
+
+
+def _section(name: str, raw, where: str):
+    """``raw``, at the dotted key ``where``, read as section ``name`` of ``_SCHEMA``."""
+    build, checks = _SCHEMA[name]
     raw = _mapping(raw, where)
-    return GraphSpec(
-        path=_text(_require(raw, "path", where), f"{where}.path"),
-        tag=_text(_require(raw, "tag", where), f"{where}.tag"),
-        format=_one_of(raw.get("format", ""), ("", "nt", "tsv"), f"{where}.format"),
-        label_properties=_string_list(
-            raw.get("label_properties", DEFAULT_LABEL_PROPERTIES), f"{where}.label_properties"),
-        malformed_threshold=_number(raw, "malformed_threshold", DEFAULT_MALFORMED_THRESHOLD,
-                                    where, real=True, low=0, high=1),
-    )
+    for key in raw:
+        if key not in checks:
+            close = difflib.get_close_matches(str(key), list(checks), n=1)
+            hint = (f"did you mean {_dotted(where, close[0])}?" if close
+                    else "known keys: " + ", ".join(_dotted(where, k) for k in checks))
+            raise ConfigError(f"unknown config key: {_dotted(where, key)}; {hint}")
+    for key, param in inspect.signature(build).parameters.items():
+        if param.default is param.empty and param.kind is not param.VAR_KEYWORD and key not in raw:
+            raise ConfigError(f"missing config key: {_dotted(where, key)}")
+    values = {key: checks[key](value, _dotted(where, key)) for key, value in raw.items()}
+    with _values_of(where):
+        return build(**values)
+
+
+# section -> (builder, {key: check}). The builder gets only the keys present, so a
+# default is written once, in the builder (a dataclass field), and a key the builder
+# has no default for is required.
+_SCHEMA: dict[str, tuple[Callable, dict[str, Callable]]] = {
+    "": (_pipeline, {
+        "graphs": partial(_section, "graphs"),
+        "prefixes": partial(_keyed, check=_STRING),
+        "mappings": partial(_keyed, check=partial(_section, "mapping")),
+        "alignment": partial(_section, "alignment"),
+        "validation": partial(_section, "validation"),
+        "gaps": partial(_section, "gaps"),
+        "output": partial(_section, "output"),
+    }),
+    "graphs": (PipelineConfig, {"target": partial(_section, "graph"), "externals": _externals}),
+    "graph": (GraphSpec, {
+        "path": _ID,
+        "tag": _ID,
+        "format": _one_of("", "nt", "tsv"),
+        "label_properties": _check(lambda v: isinstance(v, (list, tuple)) and all(
+            isinstance(item, str) and item for item in v), "a list of non-empty strings", tuple),
+        "malformed_threshold": _number(real=True, low=0, high=1),
+    }),
+    "mapping": (MappingSpec, {"link_property": _ID, "prefix": _STRING, "suffix": _STRING}),
+    "alignment": (AlignConfig, {
+        "max_path_length": _number(),
+        "sample_cap": _number(),
+        "top_k": _number(),
+        "similarity_threshold": _number(real=True),
+        "mode": _check(lambda v: isinstance(v, str) and v.lower() in MODE_ALIASES,
+                       f"one of {sorted(MODE_ALIASES)}", lambda v: MODE_ALIASES[v.lower()]),
+        # NaN would seed random.Random by object identity, so differently per process
+        "sample_seed": _check(lambda v: v is None or isinstance(v, str) or (
+            is_number(v) and not math.isnan(v)), "a number, a string or null"),
+    }),
+    "validation": (_validation, {
+        "constraints": _STRING_OR_NULL,
+        "cutoff_year": _number(),
+        "depth_cap": _number(low=0),
+        "instance_of": _ID,
+        "subclass_of": _ID,
+    }),
+    "gaps": (GapSettings, {"type_property": _ID, "no_value_sentinel": _STRING_OR_NULL}),
+    "output": (OutputSettings, {
+        "format": _one_of("tsv", "json"),
+        "include_timings": _check(lambda v: isinstance(v, bool), "true or false"),
+    }),
+}
 
 
 def config_from_dict(data: Mapping) -> PipelineConfig:
-    graphs = _mapping(_require(data, "graphs", "<root>"), "graphs")
-    target = _graph_spec(_require(graphs, "target", "graphs"), "graphs.target")
-    raw_externals = graphs.get("externals") or []
-    if not isinstance(raw_externals, list):
-        raise ConfigError("graphs.externals must be a list")
-    externals = [_graph_spec(raw, f"graphs.externals[{i}]")
-                 for i, raw in enumerate(raw_externals)]
-
-    mappings = {}
-    for tag, raw in _mapping(data.get("mappings"), "mappings").items():
-        # a tag that would break the message's line is shown as its repr
-        where = f"mappings.{tag}" if str(tag).isprintable() else f"mappings[{tag!r}]"
-        raw = _mapping(raw, where)
-        transform = _mapping(raw.get("transform"), f"{where}.transform")
-        mappings[tag] = MappingSpec(
-            link_property=_text(_require(raw, "link_property", where), f"{where}.link_property"),
-            prefix=_text(raw.get("prefix", transform.get("prefix", "")), f"{where}.prefix", True),
-            suffix=_text(raw.get("suffix", transform.get("suffix", "")), f"{where}.suffix", True),
-        )
-
-    align_raw = _mapping(data.get("alignment"), "alignment")
-    mode_name = str(align_raw.get("mode", "hybrid")).lower()
-    if mode_name not in MODE_ALIASES:
-        raise ConfigError(f"alignment.mode must be one of {sorted(MODE_ALIASES)}")
-    with _values_of("alignment"):
-        alignment = AlignConfig(
-            max_path_length=_number(align_raw, "max_path_length", 1, "alignment"),
-            sample_cap=_number(align_raw, "sample_cap", 200_000, "alignment"),
-            top_k=_number(align_raw, "top_k", 10, "alignment"),
-            similarity_threshold=_number(align_raw, "similarity_threshold", 0.9, "alignment",
-                                         real=True),
-            mode=MODE_ALIASES[mode_name],
-            sample_seed=_optional(align_raw, "sample_seed", (int, float, str), "alignment"),
-        )
-
-    val_raw = _mapping(data.get("validation"), "validation")
-    validation = ValidationSettings(
-        cutoff_year=_number(val_raw, "cutoff_year", 2022, "validation"),
-        depth_cap=_number(val_raw, "depth_cap", 20, "validation", low=0),
-        instance_of=_text(val_raw.get("instance_of", "P31"), "validation.instance_of"),
-        subclass_of=_text(val_raw.get("subclass_of", "P279"), "validation.subclass_of"),
-    )
-
-    gaps_raw = _mapping(data.get("gaps"), "gaps")
-    gap_settings = GapSettings(
-        type_property=_text(gaps_raw.get("type_property", "P31"), "gaps.type_property"),
-        no_value_sentinel=_optional(gaps_raw, "no_value_sentinel", (str,), "gaps"),
-    )
-
-    out_raw = _mapping(data.get("output"), "output")
-    output = OutputSettings(
-        format=_one_of(out_raw.get("format", "tsv"), ("tsv", "json"), "output.format"),
-        include_timings=_boolean(out_raw.get("include_timings", True),
-                                 "output.include_timings"),
-    )
-
-    return PipelineConfig(
-        target=target, externals=externals,
-        prefixes=_string_map(data.get("prefixes"), "prefixes"),
-        mappings=mappings, alignment=alignment, validation=validation,
-        constraints_path=_optional(val_raw, "constraints", (str,), "validation"),
-        gaps=gap_settings, output=output,
-    )
+    return _section("", data, "")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -269,8 +268,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     cfg = config_from_dict(data)
     # paths in the file are relative to the file's directory
     base = Path(path).parent
-    cfg.target.path = str((base / cfg.target.path))
-    for spec in cfg.externals:
+    for spec in [cfg.target, *cfg.externals]:
         spec.path = str(base / spec.path)
     if cfg.constraints_path:
         cfg.constraints_path = str(base / cfg.constraints_path)

@@ -104,6 +104,13 @@ def test_bad_alignment_section_is_config_error(workspace, capsys, alignment):
     ("validation: {", 'validation: {subclass_of: "", ', "validation.subclass_of"),
     ("link_property: sitelink", "link_property: [sitelink]", "mappings.dbp.link_property"),
     ('prefix: "dbr:"', "prefix: null", "mappings.dbp.prefix"),
+    ("alignment: {max_path_length: 1}", "alignment: {max_path_lenght: 4}",
+     "unknown config key: alignment.max_path_lenght; did you mean alignment.max_path_length?"),
+    ("validation: {", "validaton: {", "unknown config key: validaton; did you mean validation?"),
+    ("{path: external.tsv, tag: dbp}",
+     "{path: external.tsv, tag: dbp}\n    - {path: target.tsv, tag: dbp}",
+     "graphs.externals[1].tag"),
+    ("  dbp: {link_property", "  5: {link_property", "mappings key must be a string"),
 ])
 def test_malformed_config_value_exits_1_with_one_line(workspace, capsys, old, new, named):
     (workspace / "config.yaml").write_text(CONFIG.replace(old, new))

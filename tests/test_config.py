@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import gc
+import math
 import weakref
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kgenrich.align import AlignMode
-from kgenrich.config import (GraphSpec, PipelineConfig, config_from_dict, load_config,
-                             load_graph)
+from kgenrich.config import (_SCHEMA, GraphSpec, PipelineConfig, config_from_dict, is_number,
+                             load_config, load_graph)
 from kgenrich.errors import ConfigError, DataFormatError
 
 
@@ -51,12 +54,15 @@ def test_missing_mapping_named():
     assert "mappings.getty" in str(err.value)
 
 
-def test_nested_transform_keys():
+def test_nested_transform_is_config_error():
     data = _minimal()
     data["mappings"]["dbp"] = {"link_property": "P1667",
                                "transform": {"prefix": "tgn:", "suffix": "-id"}}
-    spec = config_from_dict(data).mapping_for("dbp")
-    assert spec.transform().apply("7011781") == "tgn:7011781-id"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(data)
+    message = str(err.value)
+    assert message.startswith("unknown config key: mappings.dbp.transform; ")
+    assert "mappings.dbp.prefix" in message and "mappings.dbp.suffix" in message
 
 
 def test_mode_aliases():
@@ -178,6 +184,33 @@ def test_config_must_be_mapping(tmp_path):
     ("alignment", {"sample_cap": "12"}, "alignment.sample_cap"),
     ("alignment", {"similarity_threshold": True}, "alignment.similarity_threshold"),
     ("alignment", {"similarity_threshold": float("nan")}, "alignment.similarity_threshold"),
+    # NaN seeds random.Random by object identity, so each process samples differently
+    ("alignment", {"sample_seed": float("nan")}, "alignment.sample_seed"),
+    ("alignment", {"sample_seed": True}, "alignment.sample_seed"),
+    # batch report rows are keyed by external tag
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"},
+                "externals": [{"path": "e.tsv", "tag": "dbp"}, {"path": "f.tsv", "tag": "dbp"}]},
+     "graphs.externals[1].tag"),
+    ("mappings", {5: {"link_property": "P1"}}, "mappings key must be a string"),
+    # an unknown key at any level, with the closest known key or the section's keys
+    ("alignment", {"max_path_lenght": 4},
+     "unknown config key: alignment.max_path_lenght; did you mean alignment.max_path_length?"),
+    ("alignment", {"mod": "string"}, "did you mean alignment.mode?"),
+    ("validaton", {"cutoff_year": 1990}, "unknown config key: validaton; did you mean validation?"),
+    ("graphs", {"target": {"path": "t.nt", "tag": "wd", "fromat": "nt"}},
+     "unknown config key: graphs.target.fromat; did you mean graphs.target.format?"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"}, "extrnals": []},
+     "did you mean graphs.externals?"),
+    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"},
+                "externals": [{"path": "e.tsv", "tag": "dbp", "lable_properties": ["l"]}]},
+     "graphs.externals[0].lable_properties; did you mean graphs.externals[0].label_properties?"),
+    ("mappings", {"dbp": {"link_property": "P1", "prefx": "dbr:"}}, "mappings.dbp.prefx"),
+    ("validation", {"cutoff": 2020}, "validation.cutoff; did you mean validation.cutoff_year?"),
+    ("gaps", {"marker": "Q0"}, "gaps.marker; known keys: gaps.type_property, "
+                               "gaps.no_value_sentinel"),
+    ("output", {"timings": False}, "output.timings; did you mean output.include_timings?"),
+    ("extras", {}, "unknown config key: extras; known keys: graphs, prefixes, mappings"),
+    ("alignment", {7: 1}, "unknown config key: alignment[7]"),
 ])
 def test_bad_section_or_value_is_config_error(section, value, named):
     data = _minimal()
@@ -195,6 +228,29 @@ _JSON = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
+_ROOT_KEYS = list(_SCHEMA[""][1])
+
+
+def _typos(key: str) -> list[str]:
+    """Every string one edit (delete, insert, replace, swap) away from ``key``."""
+    letters = "abcdefghijklmnopqrstuvwxyz_"
+    splits = [(key[:i], key[i:]) for i in range(len(key) + 1)]
+    return sorted({a + b[1:] for a, b in splits if b}
+                  | {a + c + b for a, b in splits for c in letters}
+                  | {a + c + b[1:] for a, b in splits if b for c in letters}
+                  | {a + b[1] + b[0] + b[2:] for a, b in splits if len(b) > 1} - {key})
+
+
+def _misspelled(known: list[str]):
+    """A key one edit from a key of ``known`` that is not itself in ``known``."""
+    return st.sampled_from(known).flatmap(
+        lambda key: st.sampled_from(_typos(key))).filter(lambda typo: typo not in known)
+
+
+def _sometimes_with(dicts, keys):
+    """``dicts``, one time in 16 with one more entry under a key drawn from ``keys``."""
+    return st.integers(0, 15).flatmap(lambda n: dicts if n else st.builds(
+        lambda raw, key, value: {**raw, key: value}, dicts, keys, _JSON))
 
 
 def _mostly(plausible):
@@ -212,8 +268,10 @@ def _key(plausible: str):
 
 
 def _section(**keys):
-    """A mapping under the real key names (each optional), or any JSON value."""
-    return _mostly(st.fixed_dictionaries({}, optional=keys))
+    """A mapping under the real key names (each optional), now and then with a
+    misspelled key, or any JSON value."""
+    return _mostly(_sometimes_with(st.fixed_dictionaries({}, optional=keys),
+                                   _misspelled(list(keys))))
 
 
 def _id(plausible: str):
@@ -221,41 +279,74 @@ def _id(plausible: str):
     return _mostly(st.just(plausible) | st.sampled_from([[plausible], 31, None, ""]))
 
 
-_GRAPH = _mostly(st.fixed_dictionaries(
-    {"path": _id("t.tsv"), "tag": _id("wd")},
-    optional={"format": _value("", "nt", "tsv", "ntriples"),
-              "label_properties": _value(["label"]),
-              "malformed_threshold": _value(0.05, 1, "0.5", -1, float("nan"), True)}))
-_DOCUMENT = st.fixed_dictionaries({
-    "graphs": st.fixed_dictionaries(
+_GRAPH_KEYS = {"format": _value("", "nt", "tsv", "ntriples"),
+               "label_properties": _value(["label"]),
+               "malformed_threshold": _value(0.05, 1, "0.5", -1, float("nan"), True)}
+_GRAPH = _mostly(_sometimes_with(
+    st.fixed_dictionaries({"path": _id("t.tsv"), "tag": _id("wd")}, optional=_GRAPH_KEYS),
+    _misspelled(["path", "tag", *_GRAPH_KEYS])))
+# unknown sections: a root key misspelled, or any other name
+_DOCUMENT = _sometimes_with(st.fixed_dictionaries({
+    "graphs": _sometimes_with(st.fixed_dictionaries(
         {"target": _GRAPH}, optional={"externals": _mostly(st.lists(_GRAPH, max_size=2))}),
+        _misspelled(["target", "externals"])),
 }, optional={
     "prefixes": st.dictionaries(_key("dbr"), _value("http://dbpedia.org/resource/"),
                                 max_size=2),
     "mappings": st.dictionaries(_key("dbp"), _section(
         link_property=_id("sitelink"), prefix=_value("dbr:", "", None, 5),
-        suffix=_value("", ["-id"]),
-        transform=_section(prefix=_value("tgn:", None), suffix=_value("-id", 5))), max_size=2),
+        suffix=_value("", ["-id"])), max_size=2),
     "alignment": _section(max_path_length=_value(1, 4, 9, 2.7, True),
                           sample_cap=_value(10, 0, "12"), top_k=_value(3, "3", 2.5),
                           similarity_threshold=_value(0.9, 1, 2.0, True, float("nan")),
                           mode=_value("hybrid", "freq", "String"),
-                          sample_seed=_value(7, "seed")),
+                          sample_seed=_value(7, "seed", 0.5, float("nan"), True)),
     "validation": _section(cutoff_year=_value(2022, 1999.9), depth_cap=_value(20, 0, -3, 2.0),
                            instance_of=_id("P31"), subclass_of=_id("P279"),
                            constraints=_value("c.tsv")),
     "gaps": _section(type_property=_id("P31"), no_value_sentinel=_value("Q0")),
     "output": _section(format=_value("tsv", "json", "xml"), include_timings=_value(False)),
-})
+}), _misspelled(_ROOT_KEYS) | st.text(min_size=1, max_size=8).filter(
+    lambda key: key not in _ROOT_KEYS))
+
+
+def _name(where: str, key) -> str:
+    """The dotted name a message gives ``key`` of the mapping at ``where``."""
+    if isinstance(key, str) and key.isprintable() and key:
+        return f"{where}.{key}" if where else key
+    return f"{where}[{key!r}]"
+
+
+def _sections(document: dict) -> list[tuple[str, dict, str]]:
+    """(schema section, mapping, dotted name) of each mapping section in ``document``."""
+    found = [("", document, "")]
+    graphs = document.get("graphs")
+    if isinstance(graphs, dict):
+        externals = graphs.get("externals")
+        found += [("graphs", graphs, "graphs"), ("graph", graphs.get("target"), "graphs.target")]
+        found += [("graph", raw, f"graphs.externals[{i}]")
+                  for i, raw in enumerate(externals if isinstance(externals, list) else [])]
+    mappings = document.get("mappings")
+    if isinstance(mappings, dict):
+        found += [("mapping", raw, _name("mappings", tag)) for tag, raw in mappings.items()]
+    found += [(name, document.get(name), name)
+              for name in ("alignment", "validation", "gaps", "output")]
+    return [(section, raw, where) for section, raw, where in found if isinstance(raw, dict)]
 
 
 @given(_DOCUMENT)
 def test_config_from_dict_returns_config_or_one_line_config_error(document):
+    unknown = [_name(where, key) for section, raw, where in _sections(document)
+               for key in raw if key not in _SCHEMA[section][1]]
     try:
         cfg = config_from_dict(document)
     except ConfigError as err:
-        assert "\n" not in str(err)
+        message = str(err)
+        assert "\n" not in message
+        if message.startswith("unknown config key: "):
+            assert any(message.startswith(f"unknown config key: {name}; ") for name in unknown)
         return
+    assert not unknown  # a misspelled key or an unknown section never loads
     assert isinstance(cfg, PipelineConfig)
     assert all(isinstance(k, str) and isinstance(v, str) for k, v in cfg.prefixes.items())
     assert {spec.format for spec in [cfg.target, *cfg.externals]} <= {"", "nt", "tsv"}
@@ -283,6 +374,46 @@ def test_config_from_dict_returns_config_or_one_line_config_error(document):
         raw = section.get(key, value)
         assert raw == value and type(raw) in ((int, float) if type(value) is float else (int,))
     assert all(0 <= spec.malformed_threshold <= 1 for spec in [cfg.target, *cfg.externals])
+    seed = cfg.alignment.sample_seed
+    assert seed is None or isinstance(seed, str) or (is_number(seed) and not math.isnan(seed))
+    assert len({spec.tag for spec in cfg.externals}) == len(cfg.externals)
+
+
+def _readme_config() -> dict:
+    """The YAML block under README's "Config file" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config file", 1)[1]
+    return yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_config_block_loads_and_shows_every_schema_key():
+    document = _readme_config()
+    assert isinstance(config_from_dict(document), PipelineConfig)
+    shown = {section: set() for section in _SCHEMA}
+    for section, raw, _ in _sections(document):
+        shown[section] |= set(raw)
+    assert {section: set(checks) - shown[section] for section, (_, checks) in _SCHEMA.items()} \
+        == {section: set() for section in _SCHEMA}
+
+
+@given(st.data())
+def test_misspelled_key_is_a_one_line_error_naming_it(data):
+    """One key of README's valid config is misspelled or renamed; at the root, that
+    makes an unknown section."""
+    document = _readme_config()
+    section, raw, where = data.draw(st.sampled_from(_sections(document)))
+    known = list(_SCHEMA[section][1])
+    key = data.draw(st.sampled_from(sorted(raw)))
+    typo = data.draw(_misspelled([key]).filter(lambda typo: typo not in known)
+                     | st.text(min_size=1, max_size=8).filter(lambda typo: typo not in known))
+    raw[typo] = raw.pop(key)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(document)
+    message = str(err.value)
+    assert message.startswith(f"unknown config key: {_name(where, typo)}; ")
+    assert "\n" not in message
+    # the closest known key is suggested, or the section's keys are listed
+    assert any(_name(where, name) in message for name in known)
 
 
 # -- load_graph and the cyclic GC ----------------------------------------------
