@@ -7,7 +7,9 @@ then drives the CLI: align -> enrich -> consistency (item agreement for
 P452, year agreement and a scatter.csv for P571). It also aligns the
 date-valued P571 at up to 3 and up to 4 hops, which take the
 literal-terminal last-hop lookup and, at 4, the two-hop join, and exits 1
-unless ``dbp:founded`` is selected at both.
+unless ``dbp:founded`` is selected at both. For P452 it runs the stage chain
+``align --out`` -> ``retrieve --path`` -> ``validate`` and exits 1 unless the
+accepted rows equal the statements of ``enrich`` without ``--class``.
 Inspect the workspace afterwards to see every intermediate file. Exits
 with the first failing command's exit code.
 """
@@ -19,7 +21,7 @@ import sys
 from pathlib import Path
 
 from kgenrich.cli import main as cli_main
-from kgenrich.store import Graph, Literal, write_edge_tsv
+from kgenrich.store import Graph, Literal, read_tsv, write_edge_tsv
 
 CONFIG = """\
 graphs:
@@ -93,6 +95,23 @@ def main() -> int:
             raise SystemExit(code)
 
     run("candidate property paths for P452 (industry)", "align", "--property", "P452")
+    aligned, cands, verdicts = (ws / name for name in
+                                ("aligned_P452.tsv", "candidates_P452.tsv", "verdicts_P452.tsv"))
+    run("stage chain for P452: align", "align", "--property", "P452", "--out", str(aligned))
+    run("stage chain for P452: retrieve over the selected path", "retrieve",
+        "--property", "P452", "--path", str(aligned), "--out", str(cands))
+    run("stage chain for P452: validate", "validate", "--property", "P452",
+        "--candidates", str(cands), "--out", str(verdicts))
+    run("enrich P452 over every subject", "enrich", "--property", "P452",
+        "--out-dir", str(ws / "out-all"))
+    chain = sorted(row[:3] for row in read_tsv(verdicts, ("subject", "property", "object",
+                                                          "accepted")) if row[3] == "true")
+    enriched = sorted(read_tsv(ws / "out-all" / "statements.tsv", ("node1", "label", "node2")))
+    print(f"stage chain accepted {chain}")
+    if not chain or chain != enriched:
+        print(f"expected the stage chain to accept what enrich writes, {enriched}",
+              file=sys.stderr)
+        return 1
     for max_len in ("3", "4"):
         aligned = ws / f"aligned_P571_L{max_len}.tsv"
         run(f"paths up to {max_len} hops for P571 (inception), a date-valued property",

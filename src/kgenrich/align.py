@@ -67,7 +67,20 @@ class PropertyPath:
 
     @property
     def path_str(self) -> str:
-        return "/".join(self.steps)
+        """The steps joined by ``/``, with ``\\`` and ``/`` inside a step escaped by ``\\``."""
+        return "/".join(step.replace("\\", "\\\\").replace("/", "\\/") for step in self.steps)
+
+    @staticmethod
+    def parse(text: str) -> "PropertyPath":
+        """The path whose ``path_str`` is ``text``; ValueError when there is none."""
+        steps = _PATH_STEP.findall(text)
+        if not text or "/".join(steps) != text:
+            raise ValueError(f"{text!r}: a path step is empty or has a stray backslash")
+        return PropertyPath(tuple(re.sub(r"\\(.)", r"\1", step) for step in steps))
+
+
+# a step of a path_str: characters other than \ and /, or one of them escaped
+_PATH_STEP = re.compile(r"(?:[^\\/]|\\[\\/])+")
 
 
 def gestalt_similarity(a: str, b: str) -> float:

@@ -13,7 +13,6 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Mapping
 
 from . import pipeline
 from .align import AlignConfig, PropertyPath, score_candidates
@@ -22,8 +21,8 @@ from .consistency import Granularity, write_scatter_csv
 from .errors import ConfigError, DataFormatError, UsageError
 from .resolve import inverse_resolve, resolve
 from .retrieve import read_candidates, write_candidates
-from .store import Graph
-from .validate import ValueTypeConstraint, load_constraints, write_verdicts
+from .store import Graph, read_tsv, write_tsv
+from .validate import load_constraints, write_verdicts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,19 +52,14 @@ def _align_config(align: AlignConfig, args) -> AlignConfig:
         raise UsageError(str(exc)) from None
 
 
-def _run(args, constraints: Mapping[str, ValueTypeConstraint] | None) -> pipeline.Run:
-    """A stage command's run context; one that validates nothing passes ``{}``."""
-    cfg = _config(args)
-    return pipeline.Run(load_graph(cfg.target, cfg.prefixes), cfg, constraints=constraints)
-
-
-def _external_graph(cfg: PipelineConfig, tag: str | None) -> Graph:
-    """The external graph ``tag``, else the first one."""
+def _graphs(cfg: PipelineConfig, tag: str | None) -> tuple[Graph, Graph]:
+    """The target and the external graph ``tag`` (else the first), once it has a mapping."""
     specs = [spec for spec in cfg.externals if tag in (None, spec.tag)]
     if not specs:
         raise ConfigError(f"no external graph with tag {tag!r} in config" if cfg.externals
                           else "missing config key: graphs.externals")
-    return load_graph(specs[0], cfg.prefixes)
+    cfg.mapping_for(specs[0].tag)
+    return load_graph(cfg.target, cfg.prefixes), load_graph(specs[0], cfg.prefixes)
 
 
 def _out(args, default_name: str) -> Path:
@@ -105,74 +99,68 @@ def _cmd_detect_gaps(args) -> int:
         cfg.gaps.type_property = args.type_prop
     run = pipeline.Run(graph, cfg, entity_class=args.entity_class, constraints={})
     partition = run.gaps(args.property)
-    lines = [(node, "known") for node in partition.known_subjects]
-    lines += [(node, "unknown") for node in partition.unknown_subjects]
-    out = "\n".join(f"{nid}\t{status}" for nid, status in sorted(lines))
-    _write_or_print(args.out, "subject\tstatus\n" + out + ("\n" if out else ""))
+    rows = [(node, "known") for node in partition.known_subjects]
+    rows += [(node, "unknown") for node in partition.unknown_subjects]
+    write_tsv(args.out, ("subject", "status"), sorted(rows))
     return 0
 
 
 def _cmd_resolve(args) -> int:
-    mapping = _run(args, {}).mapping(args.external_tag)
+    cfg = _config(args)
+    cfg.mapping_for(args.external_tag)  # before the target loads
+    target = load_graph(cfg.target, cfg.prefixes)
+    mapping = pipeline.Run(target, cfg, constraints={}).mapping(args.external_tag)
     ids = [line.strip() for line in Path(args.nodes).read_text(encoding="utf-8").splitlines()
            if line.strip()]
     if args.inverse:
         inv = inverse_resolve(mapping, ids)
-        header, footer = "external\ttargets\tflags", ""
-        rows = [(ext, ",".join(sorted(nodes)),
-                 "ambiguous" if ext in inv.ambiguous else "-")
-                for ext, nodes in sorted(inv.mapped.items())]
+        write_tsv(args.out, ("external", "targets", "flags"), [
+            (ext, ",".join(sorted(nodes)), "ambiguous" if ext in inv.ambiguous else "-")
+            for ext, nodes in sorted(inv.mapped.items())])
     else:
         res = resolve(mapping, ids)
-        header, footer = "node\texternals", f"#coverage={res.coverage:.4f}\n"
-        rows = [(node, ",".join(sorted(exts))) for node, exts in sorted(res.mapped.items())]
-    body = "".join("\t".join(row) + "\n" for row in rows)
-    _write_or_print(args.out, header + "\n" + body + footer)
+        write_tsv(args.out, ("node", "externals"), [
+            *((node, ",".join(sorted(exts))) for node, exts in sorted(res.mapped.items())),
+            (f"#coverage={res.coverage:.4f}",)])
     return 0
 
 
 def _cmd_align(args) -> int:
-    run = _run(args, {})
-    external = _external_graph(run.cfg, args.external)
+    cfg = _config(args)
+    target, external = _graphs(cfg, args.external)
+    run = pipeline.Run(target, cfg, constraints={})
     ranked, selected = run.align(external, args.property, run.gaps(args.property))
     scored = score_candidates(external, run.target.label(args.property), ranked)
-    lines = ["path\tsupport\tsimilarity\tselected"]
-    for cand in scored:
-        flag = "true" if selected and cand.steps == selected.steps else "false"
-        lines.append(f"{cand.path_str}\t{cand.support}\t{cand.similarity:.4f}\t{flag}")
-    _write_or_print(args.out, "\n".join(lines) + "\n")
+    write_tsv(args.out, ("path", "support", "similarity", "selected"), [
+        (cand.path_str, str(cand.support), f"{cand.similarity:.4f}",
+         "true" if selected and cand.steps == selected.steps else "false")
+        for cand in scored])
     return 0
 
 
 def _parse_path_arg(path_arg: str) -> PropertyPath:
-    """The selected path of an align output file, else slash-joined non-empty steps."""
+    """The selected path of an align output file, else a path as ``path_str`` writes it."""
     candidate = Path(path_arg)
     if candidate.is_file():
-        with open(candidate, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if "path" not in header or "selected" not in header:
-                raise DataFormatError(f"{path_arg}: align file needs path and selected "
-                                      f"columns; found {header}")
-            col = {name: header.index(name) for name in ("path", "selected")}
-            for line in fh:
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) > col["selected"] and fields[col["selected"]] == "true":
-                    return PropertyPath(steps=tuple(fields[col["path"]].split("/")))
-        raise DataFormatError(f"{path_arg}: no selected path row")
+        selected = [p for p, flag in read_tsv(candidate, ("path", "selected")) if flag == "true"]
+        if not selected:
+            raise DataFormatError(f"{path_arg}: no selected path row")
+        return PropertyPath.parse(selected[0])
     if candidate.suffix.lower() == ".tsv":
         raise UsageError(f"--path {path_arg}: no such align file")
-    steps = tuple(path_arg.split("/"))
-    if not all(steps):
-        raise UsageError(f"--path {path_arg!r}: a path step is empty")
     if candidate.is_dir():
         raise UsageError(f"--path {path_arg}: a directory, not an align file or a path")
-    return PropertyPath(steps=steps)
+    try:
+        return PropertyPath.parse(path_arg)
+    except ValueError as exc:
+        raise UsageError(f"--path {exc}") from None
 
 
 def _cmd_retrieve(args) -> int:
-    run = _run(args, {})
-    external = _external_graph(run.cfg, args.external)
+    cfg = _config(args)
     path = _parse_path_arg(args.path)
+    target, external = _graphs(cfg, args.external)
+    run = pipeline.Run(target, cfg, constraints={})
     candidates = run.candidates(external, args.property, path,
                                 run.gaps(args.property).unknown_subjects)
     write_candidates(candidates, args.out or "candidates.tsv")
@@ -181,7 +169,9 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    run = _run(args, load_constraints(args.constraints) if args.constraints else None)
+    cfg = _config(args)
+    constraints = load_constraints(args.constraints) if args.constraints else None
+    run = pipeline.Run(load_graph(cfg.target, cfg.prefixes), cfg, constraints=constraints)
     candidates = read_candidates(args.candidates)
     partition = run.gaps(args.property)
     if not partition.known:
@@ -195,8 +185,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_enrich(args) -> int:
     cfg = _config(args)
-    target = load_graph(cfg.target, cfg.prefixes)
-    external = _external_graph(cfg, args.external)
+    target, external = _graphs(cfg, args.external)
     result = pipeline.enrich_property(target, external, args.property, cfg,
                                       entity_class=args.entity_class)
     _write_outputs(args, cfg, result.statements, [result])
@@ -208,10 +197,12 @@ def _cmd_enrich(args) -> int:
 def _cmd_batch(args) -> int:
     properties = _property_list(args)
     cfg = _config(args)
+    if not cfg.externals:
+        raise ConfigError("missing config key: graphs.externals")
+    for spec in cfg.externals:
+        cfg.mapping_for(spec.tag)  # every mapping before any graph loads
     target = load_graph(cfg.target, cfg.prefixes)
     externals = [load_graph(spec, cfg.prefixes) for spec in cfg.externals]
-    if not externals:
-        raise ConfigError("missing config key: graphs.externals")
     batch = pipeline.batch_enrich(target, externals, properties, cfg,
                                   entity_class=args.entity_class)
     statements = batch.statements()
@@ -236,8 +227,7 @@ def _property_list(args) -> list[str]:
 
 def _cmd_consistency(args) -> int:
     cfg = _config(args)
-    target = load_graph(cfg.target, cfg.prefixes)
-    external = _external_graph(cfg, args.external)
+    target, external = _graphs(cfg, args.external)
     granularity = Granularity(args.granularity) if args.granularity else None
     outcome = pipeline.run_consistency(target, external, args.property, cfg,
                                        granularity, entity_class=args.entity_class)
@@ -269,7 +259,7 @@ def _result_row(raw, where: str) -> pipeline.EnrichmentResult:
         raise DataFormatError(f"{where}: timings must map stage names to seconds")
     return pipeline.EnrichmentResult(
         property=raw["property"], graph=raw["graph"], status=raw.get("status", "ok"),
-        selected_path=PropertyPath(steps=tuple(path.split("/"))) if path else None,
+        selected_path=PropertyPath.parse(path) if path else None,
         timings=timings, **counts)
 
 
@@ -287,13 +277,6 @@ def _cmd_report(args) -> int:
     pipeline.emit_report(rows, args.format, args.out or f"report.{args.format}",
                          include_timings=not args.no_timings, summary=summary)
     return 0
-
-
-def _write_or_print(out: str | None, text: str) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 # -- wiring --------------------------------------------------------------------

@@ -33,7 +33,8 @@ from .errors import ConfigError
 from .gaps import GapPartition, detect_gaps
 from .resolve import EntityMapping, build_mapping, resolve
 from .retrieve import CandidateStatement, retrieve
-from .store import Graph, Statement, Value, ValueKind, serialize_value, value_sort_key
+from .store import (EDGE_COLUMNS, Graph, Statement, Value, ValueKind, serialize_value,
+                    value_sort_key, write_tsv)
 from .validate import (ClassClosures, ValidationOutcome, ValueTypeConstraint,
                        validate_detailed)
 
@@ -416,15 +417,11 @@ def emit_report(results: Sequence[EnrichmentResult], fmt: str, path: str | Path,
                         encoding="utf-8")
     elif fmt == "tsv":
         columns = list(rows[0]) + ([f"t_{key}" for key in TIMING_KEYS] if include_timings else [])
-        lines = ["\t".join(columns)]
-        for row, result in zip(rows, results):
-            cells = ["-" if cell is None else str(cell) for cell in row.values()]
-            if include_timings:
-                cells += [f"{t:.2f}" for t in _timings(result).values()]
-            lines.append("\t".join(cells))
-        for key, value in sorted((summary or {}).items()):
-            lines.append(f"#{key}={value}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_tsv(path, columns, [
+            *(["-" if cell is None else str(cell) for cell in row.values()]
+              + ([f"{t:.2f}" for t in _timings(result).values()] if include_timings else [])
+              for row, result in zip(rows, results)),
+            *((f"#{key}={value}",) for key, value in sorted((summary or {}).items()))])
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     return path
@@ -432,9 +429,6 @@ def emit_report(results: Sequence[EnrichmentResult], fmt: str, path: str | Path,
 
 def write_statements(statements: Iterable[Statement], path: str | Path) -> None:
     """Validated statements as edge TSV plus source and provenance (always validated) columns."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node1\tlabel\tnode2\tsource\tprovenance\n")
-        for stmt in statements:
-            fh.write("\t".join((
-                stmt.subject, stmt.property, serialize_value(stmt.object),
-                stmt.source_graph, "validated")) + "\n")
+    write_tsv(path, EDGE_COLUMNS + ("source", "provenance"), [
+        (stmt.subject, stmt.property, serialize_value(stmt.object), stmt.source_graph,
+         "validated") for stmt in statements])

@@ -15,7 +15,8 @@ from typing import Iterable, Mapping
 from .align import PropertyPath
 from .errors import DataFormatError
 from .resolve import EntityMapping
-from .store import Graph, Value, parse_tsv_value, serialize_value, value_sort_key
+from .store import (Graph, Value, parse_tsv_value, read_tsv, serialize_value, value_sort_key,
+                    write_tsv)
 
 
 @dataclass(frozen=True)
@@ -86,47 +87,23 @@ CANDIDATE_COLUMNS = ("subject", "property", "object", "external_object", "path",
 
 
 def write_candidates(candidates: Iterable[CandidateStatement], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(CANDIDATE_COLUMNS) + "\n")
-        for cand in candidates:
-            flags = ",".join(name for name, on in
-                             (("ambiguous", cand.ambiguous), ("unresolved", cand.unresolved))
-                             if on) or "-"
-            fh.write("\t".join((
-                cand.subject, cand.property, serialize_value(cand.object),
-                serialize_value(cand.external_object), cand.path.path_str, flags)) + "\n")
+    write_tsv(path, CANDIDATE_COLUMNS, [
+        (cand.subject, cand.property, serialize_value(cand.object),
+         serialize_value(cand.external_object), cand.path.path_str, ",".join(
+             name for name in ("ambiguous", "unresolved") if getattr(cand, name)) or "-")
+        for cand in candidates])
 
 
 def read_candidates(path: str | Path) -> list[CandidateStatement]:
-    """Parse a candidate TSV written by write_candidates.
-
-    Blank lines are skipped; a row with too few cells or no subject is a
-    DataFormatError naming its line.
-    """
+    """Parse a candidate TSV written by write_candidates. A row without a subject, or
+    one ``read_tsv`` refuses, is a DataFormatError; a malformed path or value, a ValueError."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if not set(CANDIDATE_COLUMNS) <= set(header):
-            raise DataFormatError(f"{path}: candidate file needs columns "
-                                  f"{'/'.join(CANDIDATE_COLUMNS)}; found {header}")
-        col = {name: header.index(name) for name in CANDIDATE_COLUMNS}
-        width = max(col.values()) + 1
-        for lineno, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) < width or not fields[col["subject"]]:
-                raise DataFormatError(f"{path}:{lineno}: a candidate row needs {width} "
-                                      f"tab-separated cells and a subject; "
-                                      f"found {len(fields)} cells")
-            flags = set(fields[col["flags"]].split(","))
-            out.append(CandidateStatement(
-                subject=fields[col["subject"]],
-                property=fields[col["property"]],
-                object=parse_tsv_value(fields[col["object"]]),
-                external_object=parse_tsv_value(fields[col["external_object"]]),
-                path=PropertyPath(steps=tuple(fields[col["path"]].split("/"))),
-                ambiguous="ambiguous" in flags,
-                unresolved="unresolved" in flags,
-            ))
+    for subject, prop, obj, external, steps, flags in read_tsv(path, CANDIDATE_COLUMNS):
+        if not subject:
+            raise DataFormatError(f"{path}: a candidate row has no subject")
+        flags = set(flags.split(","))
+        out.append(CandidateStatement(
+            subject=subject, property=prop, object=parse_tsv_value(obj),
+            external_object=parse_tsv_value(external), path=PropertyPath.parse(steps),
+            ambiguous="ambiguous" in flags, unresolved="unresolved" in flags))
     return out

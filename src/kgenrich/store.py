@@ -35,16 +35,18 @@ from __future__ import annotations
 import calendar
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DataFormatError
 
 DEFAULT_LABEL_PROPERTIES = ("label", "rdfs:label")
 DEFAULT_MALFORMED_THRESHOLD = 0.10
+EDGE_COLUMNS = ("node1", "label", "node2")
 
 
 class ValueKind(Enum):
@@ -564,14 +566,7 @@ def load_edge_tsv(path: str | Path, tag: str, *,
         header_line = fh.readline()
         if not header_line:
             return graph
-        header = header_line.rstrip("\n").split("\t")
-        try:
-            subj_col, prop_col, obj_col = (header.index(name)
-                                           for name in ("node1", "label", "node2"))
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: required columns node1/label/node2 missing; found {header}"
-            ) from None
+        subj_col, prop_col, obj_col = _column_indexes(path, header_line, EDGE_COLUMNS)
         width = max(subj_col, prop_col, obj_col) + 1
         stats.lines += 1
         for lineno, line in enumerate(fh, 2):
@@ -635,10 +630,54 @@ def serialize_value(value: Value) -> str:
 
 def write_edge_tsv(graph: Graph, path: str | Path) -> None:
     """Serialize the full edge set, sorted, so identical graphs give identical bytes."""
-    rows = sorted(
-        (subject, prop, serialize_value(obj)) for subject, prop, obj in graph.edges()
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node1\tlabel\tnode2\n")
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
+    write_tsv(path, EDGE_COLUMNS, sorted(
+        (subject, prop, serialize_value(obj)) for subject, prop, obj in graph.edges()))
+
+
+# -- tables: a header of column names, then one line of tab-joined cells per row
+
+
+def _column_indexes(path, header_line: str, columns: Sequence[str]) -> tuple[int, ...]:
+    """Where each of ``columns`` is in a header line; a missing one is a DataFormatError."""
+    header = header_line.rstrip("\n").split("\t")
+    try:
+        return tuple(header.index(name) for name in columns)
+    except ValueError:
+        raise DataFormatError(f"{path}: needs {' and '.join(columns)} columns; "
+                              f"found {header}") from None
+
+
+def write_tsv(path: str | Path | None, columns: Sequence[str],
+              rows: Iterable[Sequence[str]]) -> None:
+    """Write a header of ``columns``, then one line per row (``None`` writes to stdout;
+    a one-cell row such as ``#coverage=0.5000`` is a footer). A cell holding a tab,
+    a newline or a carriage return is a DataFormatError, and nothing is written."""
+    table = [columns, *rows]
+    text = "\n".join(map("\t".join, table)) + "\n"
+    if (text.count("\t") + len(table) != sum(map(len, table))
+            or text.count("\n") != len(table) or "\r" in text):
+        column, cell = next((columns[index], cell) for row in table
+                            for index, cell in enumerate(row) if {"\t", "\n", "\r"} & set(cell))
+        raise DataFormatError(f"{path or '<stdout>'}: column {column}: {cell!r} splits its row")
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+def read_tsv(path: str | Path, columns: Sequence[str]) -> list[tuple[str, ...]]:
+    """Each row's cells under ``columns``, which the header names in any order among
+    others. Blank lines are skipped; a row too short is a DataFormatError naming its line."""
+    with open(path, encoding="utf-8") as fh:
+        indexes = _column_indexes(path, fh.readline(), columns)
+        width = max(indexes) + 1
+        rows = []
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            cells = line.rstrip("\n").split("\t")
+            if len(cells) < width:
+                raise DataFormatError(f"{path}:{lineno}: a row needs {width} tab-separated "
+                                      f"cells; found {len(cells)}")
+            rows.append(tuple(cells[index] for index in indexes))
+    return rows

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import DataFormatError
 from .retrieve import CandidateStatement
-from .store import Graph, Value, ValueKind, serialize_value, value_kind
+from .store import Graph, Value, ValueKind, serialize_value, value_kind, write_tsv
 
 # modal-kind tie break, most specific first
 KIND_PRECEDENCE = (ValueKind.ITEM, ValueKind.DATE, ValueKind.QUANTITY,
@@ -269,18 +269,11 @@ def load_constraints(path: str | Path) -> dict[str, ValueTypeConstraint]:
     }
 
 
-def _flag_cell(flag: bool | None) -> str:
-    return "-" if flag is None else str(flag).lower()
-
-
 def write_verdicts(verdicts: Iterable[ValidationVerdict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("subject\tproperty\tobject\tdatatype_ok\tvalue_type_ok\trange_ok"
-                 "\taccepted\treject_reason\n")
-        for v in verdicts:
-            fh.write("\t".join((
-                v.statement.subject, v.statement.property,
-                serialize_value(v.statement.object),
-                *map(_flag_cell, (v.datatype_ok, v.value_type_ok, v.range_ok)),
-                str(v.accepted).lower(),
-                v.reject_reason.value if v.reject_reason else "-")) + "\n")
+    write_tsv(path, ("subject", "property", "object", "datatype_ok", "value_type_ok",
+                     "range_ok", "accepted", "reject_reason"), [
+        (v.statement.subject, v.statement.property, serialize_value(v.statement.object),
+         *("-" if ok is None else str(ok).lower()
+           for ok in (v.datatype_ok, v.value_type_ok, v.range_ok, v.accepted)),
+         v.reject_reason.value if v.reject_reason else "-")
+        for v in verdicts])

@@ -59,6 +59,31 @@ def test_gestalt_matches_brute_force(a, b):
         assert a == b
 
 
+# -- path text -------------------------------------------------------------------
+
+_STEPS = st.lists(st.text(st.sampled_from("ab:/\\.") | st.characters(blacklist_categories=("Cs",)),
+                          min_size=1, max_size=8), min_size=1, max_size=4)
+
+
+@given(_STEPS)
+def test_path_text_round_trips_any_non_empty_steps(steps):
+    path = PropertyPath(steps=tuple(steps))
+    assert PropertyPath.parse(path.path_str) == path
+    if not any("/" in step or "\\" in step for step in steps):
+        assert path.path_str == "/".join(steps)
+
+
+def test_path_text_escapes_a_slash_inside_a_step():
+    path = PropertyPath(steps=("http://other.org/p/rel", "a\\b"))
+    assert path.path_str == "http:\\/\\/other.org\\/p\\/rel/a\\\\b"
+
+
+@pytest.mark.parametrize("text", ["", "/", "a/", "/a", "a//b", "a\\b", "a\\", "\\"])
+def test_path_text_with_an_empty_step_or_a_stray_backslash_is_refused(text):
+    with pytest.raises(ValueError):
+        PropertyPath.parse(text)
+
+
 # -- path enumeration -----------------------------------------------------------
 
 def _cfg(max_len=1, **kw):

@@ -13,8 +13,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import kgenrich
+from kgenrich.align import PropertyPath
 from kgenrich.cli import build_parser, main
-from kgenrich.store import write_edge_tsv
+from kgenrich.store import read_tsv, write_edge_tsv
 
 from conftest import COMPANY_CLASS, INDUSTRY_PROP
 
@@ -547,3 +548,72 @@ def test_batch_bytes_independent_of_hash_seed(workspace):
         outputs.append([(out_dir / name).read_bytes()
                         for name in ("statements.tsv", "report.tsv")])
     assert outputs[0] == outputs[1]
+
+
+def test_stage_chain_with_an_unprefixed_property_iri_equals_enrich(workspace):
+    # the IRI keeps its slashes as one step; split on them, retrieve found nothing
+    iri = "http://other.org/p/rel"
+    external = workspace / "external.tsv"
+    external.write_text(external.read_text().replace("dbp:industry", iri))
+    cfg = str(workspace / "config.yaml")
+    aligned, cands, verdicts, out_dir = (workspace / name for name in (
+        "aligned.tsv", "cands.tsv", "verdicts.tsv", "out"))
+    assert main(["align", "--config", cfg, "--property", INDUSTRY_PROP,
+                 "--out", str(aligned)]) == 0
+    assert read_tsv(aligned, ("path", "selected"))[0] == (PropertyPath((iri,)).path_str, "true")
+    assert main(["retrieve", "--config", cfg, "--property", INDUSTRY_PROP,
+                 "--path", str(aligned), "--out", str(cands)]) == 0
+    assert main(["validate", "--config", cfg, "--property", INDUSTRY_PROP,
+                 "--candidates", str(cands), "--out", str(verdicts)]) == 0
+    assert main(["enrich", "--config", cfg, "--property", INDUSTRY_PROP,
+                 "--out-dir", str(out_dir), "--no-timings"]) == 0
+    chain = sorted(row[:3] for row in read_tsv(
+        verdicts, ("subject", "property", "object", "accepted")) if row[3] == "true")
+    assert chain and chain == sorted(read_tsv(out_dir / "statements.tsv",
+                                              ("node1", "label", "node2")))
+    # the same path given as text on the command line
+    again = workspace / "again.tsv"
+    assert main(["retrieve", "--config", cfg, "--property", INDUSTRY_PROP,
+                 "--path", PropertyPath((iri,)).path_str, "--out", str(again)]) == 0
+    assert again.read_bytes() == cands.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--graph-tag", "dbp", "--nodes", "NODES"],
+    ["align", "--property", INDUSTRY_PROP],
+    ["retrieve", "--property", INDUSTRY_PROP, "--path", "dbp:industry"],
+    ["enrich", "--property", INDUSTRY_PROP],
+    ["batch", "--properties", INDUSTRY_PROP],
+    ["consistency", "--property", INDUSTRY_PROP],
+])
+def test_missing_mapping_is_refused_before_any_graph_loads(workspace, capsys, monkeypatch,
+                                                           argv):
+    broken = workspace / "broken.yaml"
+    broken.write_text(CONFIG.replace('  dbp: {link_property: sitelink, prefix: "dbr:"}\n',
+                                     "  {}\n"))
+    # a command that needs no mapping still reads the config
+    assert main(["detect-gaps", "--graph", str(workspace / "target.tsv"),
+                 "--property", INDUSTRY_PROP, "--config", str(broken)]) == 0
+    (workspace / "nodes.txt").write_text("Q1001\n")
+    loaded = []
+    monkeypatch.setattr("kgenrich.cli.load_graph", lambda spec, *rest: loaded.append(spec))
+    monkeypatch.chdir(workspace)
+    capsys.readouterr()
+    argv = [arg.replace("NODES", "nodes.txt") for arg in argv]
+    assert main([argv[0], "--config", str(broken), *argv[1:]]) == 1
+    assert capsys.readouterr().err == "config error: missing config key: mappings.dbp\n"
+    assert loaded == []
+
+
+def test_align_file_with_a_short_row_is_a_data_error_naming_its_line(workspace, capsys):
+    # the short row used to be skipped and the selected row after it used
+    aligned = workspace / "aligned.tsv"
+    aligned.write_text("path\tsupport\tsimilarity\tselected\n"
+                       "dbp:product\t1\n"
+                       "dbp:industry\t5\t1.0000\ttrue\n")
+    cands = workspace / "cands.tsv"
+    assert main(["retrieve", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--path", str(aligned), "--out", str(cands)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {aligned}:2: ") and err.count("\n") == 1
+    assert not cands.exists()

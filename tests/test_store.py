@@ -11,8 +11,8 @@ from kgenrich.errors import DataFormatError
 from kgenrich.store import (_NT_LINE, Graph, Literal, PrefixTable, ValueKind,
                             _nt_literal, _nt_term_id,
                             load_edge_tsv, load_ntriples, local_name,
-                            parse_tsv_value, serialize_value, value_kind,
-                            write_edge_tsv)
+                            parse_tsv_value, read_tsv, serialize_value, value_kind,
+                            write_edge_tsv, write_tsv)
 
 
 def test_single_wellformed_triple(tmp_path):
@@ -528,3 +528,78 @@ def test_loaders_match_line_by_line_reference(fmt, data):
 def test_node_and_literal_have_no_instance_dict():
     assert not hasattr(Literal.string("x"), "__dict__")
     assert not hasattr(Literal.date(1990), "__dict__")
+
+
+# -- tables ----------------------------------------------------------------------
+
+_CELL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                max_size=6)
+
+
+@st.composite
+def _table(draw):
+    """Distinct column names, rows of cells under them, and a non-empty subset to read."""
+    columns = draw(st.lists(st.text("abcxyz_", min_size=1, max_size=4), min_size=1,
+                            max_size=5, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({name: _CELL for name in columns}).filter(
+        lambda row: "\t".join(row.values()).strip()), max_size=6))
+    wanted = draw(st.lists(st.sampled_from(columns), min_size=1, unique=True))
+    return draw(st.permutations(columns)), rows, wanted
+
+
+@given(_table(), st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=4),
+       st.randoms(use_true_random=False))
+def test_read_tsv_gets_back_what_write_tsv_wrote(table, blanks, rng):
+    written_order, rows, wanted = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        write_tsv(path, written_order, [[row[name] for name in written_order] for row in rows])
+        header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        for blank in blanks:  # blank lines anywhere after the header are skipped
+            lines.insert(rng.randint(0, len(lines)), blank)
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        assert read_tsv(path, wanted) == [tuple(row[name] for name in wanted) for row in rows]
+
+
+def test_short_row_is_a_one_line_error_naming_its_line(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("a\tb\tc\nx\ty\tz\n\n1\t2\n")
+    with pytest.raises(DataFormatError) as err:
+        read_tsv(path, ("c", "a"))
+    assert str(err.value) == f"{path}:4: a row needs 3 tab-separated cells; found 2"
+    # a row holding the named columns is enough, whatever comes after them
+    path.write_text("a\tb\tc\nx\ty\n")
+    assert read_tsv(path, ("b", "a")) == [("y", "x")]
+
+
+@pytest.mark.parametrize("text", ["a\tc\nx\tz\n", "", "b\n"])
+def test_header_without_a_column_names_the_file_and_the_column(tmp_path, text):
+    path = tmp_path / "t.tsv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as err:
+        read_tsv(path, ("a", "b"))
+    message = str(err.value)
+    assert message.startswith(f"{path}: ") and "a and b columns" in message
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("cell", ["a\tb", "a\nb", "a\rb", "\n"])
+def test_write_tsv_refuses_a_cell_that_would_split_its_row(tmp_path, cell):
+    path = tmp_path / "t.tsv"
+    with pytest.raises(DataFormatError) as err:
+        write_tsv(path, ("left", "right"), [("x", "y"), ("x", cell)])
+    assert str(err.value) == f"{path}: column right: {cell!r} splits its row"
+    assert not path.exists()
+
+
+def test_other_literal_with_a_tab_is_refused_not_written_split(tmp_path):
+    # written raw, the tab split the node2 cell and the literal read back as node "a"
+    source = tmp_path / "g.nt"
+    source.write_text('<http://ex/s> <http://ex/p> "a\\tb"^^<http://ex/dt> .\n')
+    graph = load_ntriples(source, "t")
+    assert set(graph.objects("http://ex/s", "http://ex/p")) == {Literal.other("a\tb")}
+    out = tmp_path / "g.tsv"
+    with pytest.raises(DataFormatError) as err:
+        write_edge_tsv(graph, out)
+    assert str(err.value) == f"{out}: column node2: 'a\\tb' splits its row"
+    assert not out.exists()
