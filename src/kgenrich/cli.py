@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -142,10 +143,12 @@ def _parse_path_arg(path_arg: str) -> PropertyPath:
     """The selected path of an align output file, else a path as ``path_str`` writes it."""
     candidate = Path(path_arg)
     if candidate.is_file():
-        selected = [p for p, flag in read_tsv(candidate, ("path", "selected")) if flag == "true"]
+        selected = [path for path in read_tsv(
+            candidate, ("path", "selected"),
+            lambda steps, flag: PropertyPath.parse(steps) if flag == "true" else None) if path]
         if not selected:
             raise DataFormatError(f"{path_arg}: no selected path row")
-        return PropertyPath.parse(selected[0])
+        return selected[0]
     if candidate.suffix.lower() == ".tsv":
         raise UsageError(f"--path {path_arg}: no such align file")
     if candidate.is_dir():
@@ -172,11 +175,11 @@ def _cmd_validate(args) -> int:
     cfg = _config(args)
     constraints = load_constraints(args.constraints) if args.constraints else None
     run = pipeline.Run(load_graph(cfg.target, cfg.prefixes), cfg, constraints=constraints)
-    candidates = read_candidates(args.candidates)
     partition = run.gaps(args.property)
     if not partition.known:
         raise ConfigError(f"property {args.property} has no known values in "
                           f"{run.target.tag} to infer a datatype from")
+    candidates = read_candidates(args.candidates, args.property)
     outcome = run.validate(args.property, partition.known, candidates)
     write_verdicts(outcome.verdicts, args.out or "verdicts.tsv")
     print(f"{len(outcome.accepted)} of {len(candidates)} candidates accepted")
@@ -220,9 +223,12 @@ def _property_list(args) -> list[str]:
         properties = Path(args.properties_file).read_text(encoding="utf-8").splitlines()
     else:
         raise UsageError("batch needs --properties or --properties-file")
-    if properties := [p.strip() for p in properties if p.strip()]:
-        return properties
-    raise UsageError("batch needs at least one property")
+    properties = [p.strip() for p in properties if p.strip()]
+    if not properties:
+        raise UsageError("batch needs at least one property")
+    if repeated := [p for p, count in Counter(properties).items() if count > 1]:
+        raise UsageError(f"batch lists property {repeated[0]} more than once")
+    return properties
 
 
 def _cmd_consistency(args) -> int:

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .align import PropertyPath
-from .errors import DataFormatError
 from .resolve import EntityMapping
 from .store import (Graph, Value, parse_tsv_value, read_tsv, serialize_value, value_sort_key,
                     write_tsv)
@@ -94,16 +93,20 @@ def write_candidates(candidates: Iterable[CandidateStatement], path: str | Path)
         for cand in candidates])
 
 
-def read_candidates(path: str | Path) -> list[CandidateStatement]:
-    """Parse a candidate TSV written by write_candidates. A row without a subject, or
-    one ``read_tsv`` refuses, is a DataFormatError; a malformed path or value, a ValueError."""
-    out = []
-    for subject, prop, obj, external, steps, flags in read_tsv(path, CANDIDATE_COLUMNS):
+def read_candidates(path: str | Path, prop: str | None = None) -> list[CandidateStatement]:
+    """Parse a candidate TSV written by write_candidates. A row ``read_tsv`` refuses, or one
+    without a subject, with a malformed path or value or, given ``prop``, of another
+    property, is a DataFormatError naming its line."""
+
+    def candidate(subject, row_prop, obj, external, steps, flags) -> CandidateStatement:
         if not subject:
-            raise DataFormatError(f"{path}: a candidate row has no subject")
+            raise ValueError("a candidate row has no subject")
+        if prop is not None and row_prop != prop:
+            raise ValueError(f"a candidate of property {row_prop}, not {prop}")
         flags = set(flags.split(","))
-        out.append(CandidateStatement(
-            subject=subject, property=prop, object=parse_tsv_value(obj),
+        return CandidateStatement(
+            subject=subject, property=row_prop, object=parse_tsv_value(obj),
             external_object=parse_tsv_value(external), path=PropertyPath.parse(steps),
-            ambiguous="ambiguous" in flags, unresolved="unresolved" in flags))
-    return out
+            ambiguous="ambiguous" in flags, unresolved="unresolved" in flags)
+
+    return read_tsv(path, CANDIDATE_COLUMNS, candidate)

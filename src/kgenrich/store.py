@@ -665,9 +665,11 @@ def write_tsv(path: str | Path | None, columns: Sequence[str],
         sys.stdout.write(text)
 
 
-def read_tsv(path: str | Path, columns: Sequence[str]) -> list[tuple[str, ...]]:
+def read_tsv(path: str | Path, columns: Sequence[str],
+             row: Callable[..., object] | None = None) -> list:
     """Each row's cells under ``columns``, which the header names in any order among
-    others. Blank lines are skipped; a row too short is a DataFormatError naming its line."""
+    others, as a tuple or as what ``row(*cells)`` makes of them. Blank lines are skipped;
+    a row too short, or a ValueError from ``row``, is a DataFormatError naming its line."""
     with open(path, encoding="utf-8") as fh:
         indexes = _column_indexes(path, fh.readline(), columns)
         width = max(indexes) + 1
@@ -679,5 +681,9 @@ def read_tsv(path: str | Path, columns: Sequence[str]) -> list[tuple[str, ...]]:
             if len(cells) < width:
                 raise DataFormatError(f"{path}:{lineno}: a row needs {width} tab-separated "
                                       f"cells; found {len(cells)}")
-            rows.append(tuple(cells[index] for index in indexes))
+            picked = tuple(cells[index] for index in indexes)
+            try:
+                rows.append(row(*picked) if row else picked)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return rows

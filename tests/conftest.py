@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,18 @@ INDUSTRY_CLASSES = frozenset({"Q8148", "Q268592", "Q8187769", "Q3958441", "Q1213
 
 COMPANY_CLASS = "Q783794"
 INDUSTRY_PROP = "P452"
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """A fresh copy of ``perfbench/<name>.py``, loaded by file path (perfbench is not a
+    package). It is registered in ``sys.modules`` because ``dataclass`` looks it up there."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def graph_from_edges(tag, edges, label_properties=("label",)):

@@ -9,21 +9,22 @@ import random
 import string
 import time
 from collections import Counter
-
+from dataclasses import replace
 
 from kgenrich.align import (AlignConfig, AlignMode, PropertyPath, enumerate_paths,
                             gestalt_similarity, select_path)
 from kgenrich.cli import main as cli_main
+from kgenrich.config import load_config, load_graph
 from kgenrich.consistency import AgreementReport, format_rate
 from kgenrich.gaps import detect_gaps
 from kgenrich.pipeline import Run, batch_enrich, enrich_property
 from kgenrich.retrieve import CandidateStatement
-from kgenrich.store import Literal, ValueKind, value_kind, write_edge_tsv
+from kgenrich.store import Literal, ValueKind, serialize_value, value_kind, write_edge_tsv
 from kgenrich.validate import (RejectReason, RelationMode, ValidationSettings,
                                ValueTypeConstraint, validate_detailed)
 
 from conftest import (COMPANY_CLASS, INDUSTRY_PROP, graph_from_edges,
-                      industry_constraints, make_company_config)
+                      industry_constraints, perfbench_module)
 from oracles import ratcliff_obershelp, simple_path_sequences
 
 
@@ -432,53 +433,30 @@ def test_criterion_09_batch_determinism(tmp_path, company_fixture):
 
 # -- 10. Desk-scale throughput --------------------------------------------------------
 
-def _throughput_fixture(n_entities=3000, n_values=500, n_props=20,
-                        knowns_per_prop=400, gaps_per_prop=150,
-                        external_edge_target=100_000, seed=99):
-    rng = random.Random(seed)
-    target_edges = []
-    external_edges = []
-    for i in range(n_entities):
-        target_edges.append((f"E{i}", "P31", "CLS"))
-        target_edges.append((f"E{i}", "sitelink", Literal.string(f"X{i}")))
-    for j in range(n_values):
-        klass = "GOODT" if j % 5 else "BADT"      # 20% typed off-constraint
-        target_edges.append((f"V{j}", "P31", klass))
-        target_edges.append((f"V{j}", "sitelink", Literal.string(f"Y{j}")))
-
-    properties = [f"P9{k:02d}" for k in range(n_props)]
-    constraints = {}
-    for k, prop in enumerate(properties):
-        ext_prop = f"dbp:prop{k}"
-        target_edges.append((prop, "label", Literal.string(f"prop{k}")))
-        constraints[prop] = ValueTypeConstraint(prop, frozenset({"GOODT"}))
-        entity_ids = rng.sample(range(n_entities), knowns_per_prop + gaps_per_prop)
-        for idx, ent in enumerate(entity_ids):
-            value = (ent + k) % n_values
-            external_edges.append((f"dbr:X{ent}", ext_prop, f"dbr:Y{value}"))
-            if idx < knowns_per_prop:
-                target_edges.append((f"E{ent}", prop, f"V{value}"))
-
-    noise_needed = external_edge_target - len(external_edges)
-    noise_props = [f"dbp:noise{m}" for m in range(30)]
-    ext_nodes = ([f"dbr:X{i}" for i in range(n_entities)]
-                 + [f"dbr:Y{j}" for j in range(n_values)]
-                 + [f"dbr:N{m}" for m in range(2000)])
-    seen = set()
-    while len(seen) < noise_needed:
-        seen.add((rng.choice(ext_nodes), rng.choice(noise_props),
-                  rng.choice(ext_nodes)))
-    external_edges.extend(sorted(seen))
-
-    target = graph_from_edges("wd", target_edges)
-    external = graph_from_edges("dbp", external_edges)
-    return target, external, properties, constraints
+def _dbp_l2(directory, seed=99, scale=1.0):
+    """perfbench's dbp-l2 workload, written to ``directory`` and read back from its files."""
+    fx = perfbench_module("workloads").dbp_l2(seed, scale)
+    fx.write(directory)
+    cfg = load_config(directory / "config.yaml")
+    target, external = (load_graph(spec, cfg.prefixes) for spec in (cfg.target, *cfg.externals))
+    return fx, cfg, target, external
 
 
-def test_criterion_10_desk_scale_throughput():
-    target, external, properties, constraints = _throughput_fixture()
+def _planted(batch):
+    """The batch's statements and selected paths, keyed as the workload plants them."""
+    statements = {}
+    for s in batch.statements():
+        key = f"{s.subject}\t{s.property}\t{serialize_value(s.object)}"
+        statements.setdefault(key, []).append(s.source_graph)
+    paths = {f"{r.property}|{r.graph}": r.selected_path.path_str
+             for r in batch.rows if r.selected_path}
+    return statements, paths
+
+
+def test_criterion_10_desk_scale_throughput(tmp_path):
+    fx, cfg, target, external = _dbp_l2(tmp_path)
+    properties, constraints = fx.properties, cfg.load_constraint_table()
     assert external.edge_count >= 100_000
-    cfg = make_company_config(max_path_length=2)
     started = time.monotonic()
     batch = batch_enrich(target, [external], properties, cfg,
                          entity_class="CLS", constraints=constraints)
@@ -487,5 +465,16 @@ def test_criterion_10_desk_scale_throughput():
     ok_rows = [r for r in batch.rows if r.status == "ok"]
     assert len(ok_rows) == len(properties)
     assert all(r.s_e > 0 for r in ok_rows)
+    assert _planted(batch) == (fx.statements, fx.paths)
     _report(10, f"20 properties over a {external.edge_count}-edge external graph "
                 f"in {elapsed:.1f}s (< 60s)")
+
+
+def test_dbp_l2_at_path_length_4_finds_the_planted_paths_and_statements(tmp_path):
+    # L = 4 takes the two-hop join; a tenth of the desk-scale fixture
+    fx, cfg, target, external = _dbp_l2(tmp_path, scale=0.1)
+    cfg = replace(cfg, alignment=replace(cfg.alignment, max_path_length=4))
+    batch = batch_enrich(target, [external], fx.properties, cfg,
+                         entity_class=fx.entity_class, constraints=cfg.load_constraint_table())
+    assert [r.status for r in batch.rows] == ["ok"] * len(fx.properties)
+    assert _planted(batch) == (fx.statements, fx.paths)

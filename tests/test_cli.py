@@ -321,6 +321,52 @@ def test_candidate_row_missing_cells_is_one_line_data_error(workspace, capsys):
     assert err.startswith(f"data error: {cands}:2:") and "needs 6 " in err
 
 
+CANDIDATE_HEADER = "subject\tproperty\tobject\texternal_object\tpath\tflags\n"
+GOOD_CANDIDATE = "Q1006\tP452\tQ2002\tdbr:IndustryB\tdbp:industry\t-\n"
+
+
+def test_candidate_of_another_property_is_a_data_error_naming_its_line(workspace, capsys):
+    # such a row used to be validated against P452 and written as accepted
+    cands = workspace / "cands.tsv"
+    cands.write_text(CANDIDATE_HEADER + GOOD_CANDIDATE
+                     + "Q1006\tP571\tQ2002\tdbr:IndustryB\tdbp:industry\t-\n")
+    verdicts = workspace / "v.tsv"
+    assert main(["validate", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--candidates", str(cands),
+                 "--out", str(verdicts)]) == 2
+    assert capsys.readouterr().err == (f"data error: {cands}:3: a candidate of property "
+                                       f"P571, not {INDUSTRY_PROP}\n")
+    assert not verdicts.exists()
+
+
+@pytest.mark.parametrize("column,cell", [("path", "dbp:industry//x"), ("object", '"\\uZZ"')])
+def test_malformed_candidate_cell_is_a_data_error_naming_its_line(workspace, capsys,
+                                                                   column, cell):
+    # the message used to name the cell's text but neither the file nor the line
+    row = GOOD_CANDIDATE.replace("dbp:industry" if column == "path" else "Q2002", cell, 1)
+    cands = workspace / "cands.tsv"
+    cands.write_text(CANDIDATE_HEADER + GOOD_CANDIDATE + "\n" + row)
+    assert main(["validate", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--candidates", str(cands),
+                 "--out", str(workspace / "v.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {cands}:4: ") and err.count("\n") == 1
+
+
+def test_malformed_selected_path_in_an_align_file_is_a_data_error_naming_its_line(
+        workspace, capsys):
+    aligned = workspace / "aligned.tsv"
+    aligned.write_text("path\tsupport\tsimilarity\tselected\n"
+                       "dbp:product\t1\t0.0000\tfalse\n"
+                       "dbp:industry//x\t5\t1.0000\ttrue\n")
+    cands = workspace / "cands.tsv"
+    assert main(["retrieve", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--path", str(aligned), "--out", str(cands)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {aligned}:3: 'dbp:industry//x': ")
+    assert err.count("\n") == 1 and not cands.exists()
+
+
 def test_property_without_known_values_is_config_error(workspace, capsys):
     cfg = str(workspace / "config.yaml")
     cands = workspace / "cands.tsv"
@@ -409,6 +455,20 @@ def test_empty_property_list_is_usage_error(workspace, capsys, source):
                  "--out-dir", str(out_dir)])
     assert code == 1
     assert capsys.readouterr().err == "usage error: batch needs at least one property\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("source", ["--properties", "--properties-file"])
+def test_repeated_property_is_usage_error(workspace, capsys, source):
+    # a repeated property used to give two identical rows and #properties=2
+    listing = workspace / "properties.txt"
+    listing.write_text("P452\nP571\n P452\n")
+    out_dir = workspace / "repeated"
+    code = main(["batch", "--config", str(workspace / "config.yaml"),
+                 source, "P452,P571,P452" if source == "--properties" else str(listing),
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == "usage error: batch lists property P452 more than once\n"
     assert not out_dir.exists()
 
 

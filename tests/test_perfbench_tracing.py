@@ -10,16 +10,13 @@ checks that each traced name recorded a span.
 from __future__ import annotations
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 from kgenrich.consistency import Granularity
 
-from conftest import COMPANY_CLASS, INDUSTRY_PROP, make_company_external
+from conftest import COMPANY_CLASS, INDUSTRY_PROP, make_company_external, perfbench_module
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 STAGES = ("detect_gaps", "build_mapping", "alignment_pairs", "resolve", "enumerate_paths",
           "select_path", "retrieve", "validate_detailed", "allowed_class_closure",
           "agreement", "literal_agreement")
@@ -28,9 +25,7 @@ STAGES = ("detect_gaps", "build_mapping", "alignment_pairs", "resolve", "enumera
 @pytest.fixture
 def tracing():
     """The tracing module; every attribute it wraps is restored afterwards."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = perfbench_module("tracing")
     wrapped = [importlib.import_module(f"kgenrich.{name}")
                for name in ("cli", "pipeline", "validate")]
     saved = [(target, dict(vars(target))) for target in wrapped]
