@@ -140,14 +140,15 @@ def _cmd_align(args) -> int:
 
 
 def _parse_path_arg(path_arg: str) -> PropertyPath:
-    """The selected path of an align output file, else a path as ``path_str`` writes it."""
+    """The one selected path of an align output file, else a path as ``path_str`` writes it."""
     candidate = Path(path_arg)
     if candidate.is_file():
         selected = [path for path in read_tsv(
             candidate, ("path", "selected"),
             lambda steps, flag: PropertyPath.parse(steps) if flag == "true" else None) if path]
-        if not selected:
-            raise DataFormatError(f"{path_arg}: no selected path row")
+        if len(selected) != 1:
+            raise DataFormatError(f"{path_arg}: {len(selected) or 'no'} selected path rows; "
+                                  "needs one")
         return selected[0]
     if candidate.suffix.lower() == ".tsv":
         raise UsageError(f"--path {path_arg}: no such align file")

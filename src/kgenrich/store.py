@@ -409,9 +409,12 @@ def _parse_date_lexical(lex: str) -> Literal | None:
     return None
 
 
-def _nt_literal(token: str) -> Literal:
-    """The literal an N-Triples object token denotes, classified by its datatype."""
+def _nt_literal(token: str) -> Literal | None:
+    """The literal an N-Triples object token denotes, classified by its datatype;
+    None when the token is an IRI or a blank node."""
     m = _NT_LITERAL.match(token)
+    if m is None:
+        return None
     lex, lang, datatype = m.group("lex"), m.group("lang"), m.group("dt")
     text = _unescape(lex)
     if lang:
@@ -449,52 +452,72 @@ class _Terms(dict):
         return parsed
 
 
-def _check_threshold(path: str | Path, stats: LoadStats, considered: int,
-                     threshold: float) -> None:
-    if considered and stats.skipped / considered > threshold:
-        raise DataFormatError(
-            f"{path}: {stats.skipped} of {considered} lines malformed "
-            f"(> {threshold:.0%} threshold); first at line "
-            f"{stats.first_bad_lineno}: {stats.first_bad_text!r}"
-        )
+# what can begin an ignored line: "#" and each character str.strip() removes (all below U+3001)
+_SPACE_OR_HASH = frozenset(c for c in map(chr, range(0x3001)) if c.isspace() or c == "#")
+
+
+def _load(path: str | Path, graph: Graph, malformed_threshold: float,
+          columns: Sequence[str] | None, term_id: Callable[[str], str],
+          literal: Callable[[str], Literal | None]) -> Graph:
+    """The line loop of both loaders. A line's cells are an edge TSV's tab-separated
+    fields under the header's ``columns``, or ``_NT_LINE``'s groups when ``columns`` is
+    None. ``term_id`` maps a subject or property token to its id, ``literal`` an object
+    token to its literal, or to None for a node.
+
+    A blank line, or one whose first non-space character is ``#``, is ignored. Any
+    other line is considered, and malformed (counted and skipped) if it has no cells or
+    too few, an empty subject, property or object, or an object that does not parse.
+    Over ``malformed_threshold`` of the considered lines malformed is a DataFormatError.
+    """
+    stats = graph.stats
+    ids = _Terms(lambda text: text)
+    terms = _Terms(lambda token: ids[term_id(token)])
+    values = _Terms(lambda token: terms[token] if (parsed := literal(token)) is None else parsed)
+    considered = lineno = 0
+    with open(path, encoding="utf-8") as fh:
+        keys = ("s", "p", "o")
+        if columns is not None:
+            header_line = fh.readline()
+            if not header_line:
+                return graph
+            keys, lineno = _column_indexes(path, header_line, columns), 1
+        subject_key, prop_key, object_key = keys
+        for lineno, line in enumerate(fh, lineno + 1):
+            text = line.rstrip("\n")
+            if not text or text[0] in _SPACE_OR_HASH:
+                stripped = text.strip()
+                if not stripped or stripped[0] == "#":
+                    continue
+            considered += 1
+            cells = _NT_LINE.match(text) if columns is None else text.split("\t")
+            try:  # no match is None, a TypeError to subscript; a short row an IndexError
+                subject, prop, token = cells[subject_key], cells[prop_key], cells[object_key]
+            except (TypeError, IndexError):
+                subject = prop = token = ""
+            try:
+                obj = values[token] if subject and prop and token else None
+            except ValueError:
+                obj = None
+            if obj is None:
+                stats.skip(lineno, text)
+                continue
+            graph.add_edge(terms[subject], terms[prop], obj)
+    stats.lines = lineno
+    if considered and stats.skipped / considered > malformed_threshold:
+        raise DataFormatError(f"{path}: {stats.skipped} of {considered} lines malformed "
+                              f"(> {malformed_threshold:.0%} threshold); first at line "
+                              f"{stats.first_bad_lineno}: {stats.first_bad_text!r}")
+    return graph
 
 
 def load_ntriples(path: str | Path, tag: str, *,
                   prefixes: Mapping[str, str] | PrefixTable | None = None,
                   label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES,
                   malformed_threshold: float = DEFAULT_MALFORMED_THRESHOLD) -> Graph:
-    """Load a UTF-8 N-Triples file into a fully indexed graph.
-
-    Malformed lines are counted and skipped; if more than
-    ``malformed_threshold`` of the non-blank, non-comment lines are
-    malformed, a DataFormatError naming the first offending line is raised.
-    """
+    """Load a UTF-8 N-Triples file into a fully indexed graph (see ``_load``)."""
     table = prefixes if isinstance(prefixes, PrefixTable) else PrefixTable(prefixes)
-    graph = Graph(tag, label_properties)
-    stats = graph.stats
-    ids = _Terms(lambda text: text)
-    terms = _Terms(lambda token: ids[_nt_term_id(token, table)])
-    values = _Terms(lambda token: _nt_literal(token) if token[0] == '"' else terms[token])
-    considered = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stats.lines += 1
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            considered += 1
-            m = _NT_LINE.match(line)
-            if m is None:
-                stats.skip(lineno, stripped)
-                continue
-            try:
-                obj = values[m.group("o")]
-            except ValueError:
-                stats.skip(lineno, stripped)
-                continue
-            graph.add_edge(terms[m.group("s")], terms[m.group("p")], obj)
-    _check_threshold(path, stats, considered, malformed_threshold)
-    return graph
+    return _load(path, Graph(tag, label_properties), malformed_threshold, None,
+                 lambda token: _nt_term_id(token, table), _nt_literal)
 
 
 def _nt_term_id(token: str, table: PrefixTable) -> str:
@@ -544,49 +567,15 @@ def load_edge_tsv(path: str | Path, tag: str, *,
                   prefixes: Mapping[str, str] | PrefixTable | None = None,
                   label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES,
                   malformed_threshold: float = DEFAULT_MALFORMED_THRESHOLD) -> Graph:
-    """Load a header-first edge TSV (columns node1, label, node2, id optional).
+    """Load a header-first edge TSV (columns node1, label, node2, id optional; see ``_load``).
 
     A ``node2`` field is classified on its raw text, so an IRI whose
     shortened form looks like a date is still a node; only the shortened id
     is stored.
     """
     table = prefixes if isinstance(prefixes, PrefixTable) else PrefixTable(prefixes)
-    graph = Graph(tag, label_properties)
-    stats = graph.stats
-    ids = _Terms(lambda text: text)
-    terms = _Terms(lambda text: ids[table.shorten(text)])
-
-    def value(text: str) -> Value:
-        literal = _tsv_literal(text)
-        return terms[text] if literal is None else literal
-
-    values = _Terms(value)
-    considered = 0
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            return graph
-        subj_col, prop_col, obj_col = _column_indexes(path, header_line, EDGE_COLUMNS)
-        width = max(subj_col, prop_col, obj_col) + 1
-        stats.lines += 1
-        for lineno, line in enumerate(fh, 2):
-            stats.lines += 1
-            stripped = line.rstrip("\n")
-            if not stripped or stripped.startswith("#"):
-                continue
-            considered += 1
-            fields = stripped.split("\t")
-            if len(fields) < width or not fields[subj_col] or not fields[prop_col]:
-                stats.skip(lineno, stripped)
-                continue
-            try:
-                obj = values[fields[obj_col]]
-            except ValueError:
-                stats.skip(lineno, stripped)
-                continue
-            graph.add_edge(terms[fields[subj_col]], terms[fields[prop_col]], obj)
-    _check_threshold(path, stats, considered, malformed_threshold)
-    return graph
+    return _load(path, Graph(tag, label_properties), malformed_threshold, EDGE_COLUMNS,
+                 table.shorten, _tsv_literal)
 
 
 def _escape(text: str) -> str:

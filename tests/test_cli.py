@@ -367,6 +367,20 @@ def test_malformed_selected_path_in_an_align_file_is_a_data_error_naming_its_lin
     assert err.count("\n") == 1 and not cands.exists()
 
 
+def test_align_file_selecting_two_paths_is_a_data_error_naming_the_file(workspace, capsys):
+    # only the first selected row used to be followed: "0 candidates written", exit 0
+    aligned = workspace / "aligned.tsv"
+    aligned.write_text("path\tsupport\tsimilarity\tselected\n"
+                       "dbp:product\t1\t0.0000\ttrue\n"
+                       "dbp:industry\t5\t1.0000\ttrue\n")
+    cands = workspace / "cands.tsv"
+    assert main(["retrieve", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--path", str(aligned), "--out", str(cands)]) == 2
+    assert capsys.readouterr().err == (f"data error: {aligned}: 2 selected path rows; "
+                                       "needs one\n")
+    assert not cands.exists()
+
+
 def test_property_without_known_values_is_config_error(workspace, capsys):
     cfg = str(workspace / "config.yaml")
     cands = workspace / "cands.tsv"

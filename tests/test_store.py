@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgenrich.errors import DataFormatError
-from kgenrich.store import (_NT_LINE, Graph, Literal, PrefixTable, ValueKind,
+from kgenrich.gaps import detect_gaps
+from kgenrich.store import (_NT_LINE, _SPACE_OR_HASH, Graph, Literal, PrefixTable, ValueKind,
                             _nt_literal, _nt_term_id,
                             load_edge_tsv, load_ntriples, local_name,
                             parse_tsv_value, read_tsv, serialize_value, value_kind,
@@ -373,6 +375,45 @@ def test_malformed_escapes_count_toward_threshold(tmp_path):
     assert "2 of 3 lines malformed" in str(err.value) and "line 2" in str(err.value)
 
 
+def test_tsv_empty_node2_is_a_counted_skip_and_leaves_a_gap(tmp_path):
+    # the row used to load as an edge to an empty Other literal, making Q1 known for P452
+    path = tmp_path / "g.tsv"
+    path.write_text("node1\tlabel\tnode2\nQ1\tP31\tQ5\nQ2\tP31\tQ5\nQ2\tP452\tQ9\n"
+                    "Q1\tP452\t\n")
+    g = load_edge_tsv(path, "t", malformed_threshold=0.5)
+    assert g.edge_count == 3
+    assert (g.stats.skipped, g.stats.first_bad_lineno, g.stats.first_bad_text) == (
+        1, 5, "Q1\tP452\t")
+    assert detect_gaps(g, "P452", ("Q5", "P31")).unknown_subjects == {"Q1"}
+
+
+def test_space_or_hash_holds_each_character_that_can_begin_an_ignored_line():
+    assert _SPACE_OR_HASH == {c for c in map(chr, range(sys.maxunicode + 1))
+                              if not c.strip()} | {"#"}
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "nt"])
+def test_blank_and_indented_comment_lines_are_ignored(tmp_path, fmt):
+    # an edge TSV used to count these as malformed: 3 of 4 here, over 0.4
+    edge = "Q2\tP31\tQ5" if fmt == "tsv" else "<http://ex/Q2> <http://ex/P31> <http://ex/Q5> ."
+    path = tmp_path / f"g.{fmt}"
+    path.write_text(("node1\tlabel\tnode2\n" if fmt == "tsv" else "")
+                    + "   \n\t\n  # c\n" + edge + "\n")
+    loader = load_edge_tsv if fmt == "tsv" else load_ntriples
+    g = loader(path, "t", malformed_threshold=0.4)
+    assert (g.edge_count, g.stats.skipped, g.stats.lines) == (1, 0, 4 + (fmt == "tsv"))
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "nt"])
+def test_first_bad_line_is_recorded_without_its_line_break(tmp_path, fmt):
+    # N-Triples used to record the line stripped: "junk"
+    path = tmp_path / f"g.{fmt}"
+    path.write_text(("node1\tlabel\tnode2\n" if fmt == "tsv" else "") + "  junk \t\n")
+    loader = load_edge_tsv if fmt == "tsv" else load_ntriples
+    g = loader(path, "t", malformed_threshold=1.0)
+    assert (g.stats.skipped, g.stats.first_bad_text) == (1, "  junk \t")
+
+
 @pytest.mark.parametrize("lex,kind", [
     ("2020-13-45", ValueKind.OTHER), ("2020-00-10", ValueKind.OTHER),
     ("2021-02-29", ValueKind.OTHER), ("2021-04-31", ValueKind.OTHER),
@@ -417,7 +458,8 @@ _TSV_OBJECTS = ["Q2", "dbr:B", "http://dbpedia.org/resource/B", "http://ex.org/y
 _TSV_LINES = st.one_of(
     st.tuples(st.sampled_from(_TSV_SUBJECTS), st.sampled_from(_TSV_PROPS),
               st.sampled_from(_TSV_OBJECTS)).map("\t".join),
-    st.sampled_from(["", "# comment", "Q1\tP1", "\tP1\tQ2", "Q1\t\tQ2"]))
+    st.sampled_from(["", "# comment", "  ", "\t", "  # c", "Q1\tP1", "\tP1\tQ2", "Q1\t\tQ2",
+                     "Q1\tP1\t"]))
 
 _NT_NODES = ["<http://dbpedia.org/resource/A>", "<http://dbpedia.org/resource/B>",
              "<http://ex.org/y/C>", "<http://other.org/D>", "_:b1"]
@@ -430,7 +472,8 @@ _NT_OBJECTS = _NT_NODES + [
 _NT_LINES = st.one_of(
     st.tuples(st.sampled_from(_NT_NODES), st.sampled_from(_NT_PROPS),
               st.sampled_from(_NT_OBJECTS)).map(lambda t: " ".join(t) + " ."),
-    st.sampled_from(["", "# comment", "garbage", "<http://ex.org/a> <http://ex.org/p> ."]))
+    st.sampled_from(["", "# comment", "  ", "  # c", "garbage",
+                     "<http://ex.org/a> <http://ex.org/p> ."]))
 
 
 def _reference_tsv(rows: list[str], table: PrefixTable) -> Graph:
@@ -438,10 +481,11 @@ def _reference_tsv(rows: list[str], table: PrefixTable) -> Graph:
     g = Graph("t")
     g.stats.lines = len(rows)
     for lineno, row in enumerate(rows[1:], 2):
-        if not row or row.startswith("#"):
+        stripped = row.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         fields = row.split("\t")
-        if len(fields) < 3 or not fields[0] or not fields[1]:
+        if len(fields) < 3 or not fields[0] or not fields[1] or not fields[2]:
             g.stats.skip(lineno, row)
             continue
         try:
@@ -465,13 +509,13 @@ def _reference_nt(rows: list[str], table: PrefixTable) -> Graph:
             continue
         m = _NT_LINE.match(row)
         if m is None:
-            g.stats.skip(lineno, stripped)
+            g.stats.skip(lineno, row)
             continue
         token = m.group("o")
         try:
             obj = _nt_literal(token) if token.startswith('"') else _nt_term_id(token, table)
         except ValueError:
-            g.stats.skip(lineno, stripped)
+            g.stats.skip(lineno, row)
             continue
         g.add_edge(_nt_term_id(m.group("s"), table), _nt_term_id(m.group("p"), table), obj)
     return g
