@@ -82,16 +82,16 @@ class Literal:
         return Literal(ValueKind.MONOLINGUAL, text=text, language=language)
 
     @staticmethod
-    def date(year: int, month: int | None = None, day: int | None = None,
-             precision: str | None = None) -> "Literal":
-        if precision is None:
-            precision = "day" if day is not None else "month" if month is not None else "year"
-        if precision not in ("year", "month", "day"):
-            raise ValueError(f"bad date precision {precision!r}")
-        if precision == "day" and (month is None or day is None):
-            raise ValueError("day precision requires month and day")
-        if precision == "month" and month is None:
-            raise ValueError("month precision requires a month")
+    def date(year: int, month: int | None = None, day: int | None = None) -> "Literal":
+        """A date whose precision is its finest field given; ValueError for a day
+        without a month, a month outside 1..12 or a day its month does not have."""
+        if day is not None and month is None:
+            raise ValueError("a date with a day needs a month")
+        if month is not None and not 1 <= month <= 12:
+            raise ValueError(f"month {month} is not in 1..12")
+        if day is not None and not 1 <= day <= _days_in_month(year, month):
+            raise ValueError(f"month {month} of {year} has no day {day}")
+        precision = "year" if month is None else "month" if day is None else "day"
         return Literal(ValueKind.DATE, year=year, month=month, day=day, precision=precision)
 
     @staticmethod
@@ -116,13 +116,14 @@ def value_kind(value: Value) -> ValueKind:
 
 def value_sort_key(value: Value) -> tuple:
     """Sort key of a value; node ids sort first. It only orders: values are
-    identified by equality, and a literal's key holds every field it compares.
+    identified by equality, and a literal's key holds every field it compares
+    (a date's precision through its month and day, which decide it).
     """
     if isinstance(value, str):
         return (0, value)
     return (1, value.kind.value, value.text or "", value.year or 0,
             value.month or 0, value.day or 0, value.magnitude or 0.0,
-            value.language or "", value.precision or "")
+            value.language or "")
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,15 +337,26 @@ _NT_LITERAL = re.compile(
     r'^"(?P<lex>(?:[^"\\]|\\.)*)"(?:@(?P<lang>[A-Za-z][A-Za-z0-9-]*)|\^\^<(?P<dt>[^<>\s]+)>)?$'
 )
 
-_DATE_DAY = re.compile(r"^(-?\d{4,})-(\d{2})-(\d{2})(?:T\S*)?$")
-_DATE_MONTH = re.compile(r"^(-?\d{4,})-(\d{2})$")
-_DATE_YEAR = re.compile(r"^(-?\d{4,})$")
+# a year of four or more digits, then an optional month, then an optional day and time
+_DATE = re.compile(r"^(-?\d{4,})(?:-(\d{2})(?:-(\d{2})(?:T\S*)?)?)?$")
 
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
             '"': '"', "'": "'", "\\": "\\"}
+# a backslash and then 4 hex digits after u, 8 after U, or any other character;
+# a backslash that matches none of them matches alone, and is malformed
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|([^uU]))?")
 
 
-_HEX_DIGITS = re.compile(r"[0-9A-Fa-f]*")
+def _unescape_match(m: re.Match) -> str:
+    short, long, char = m.groups()
+    if char is not None:
+        return _ESCAPES.get(char, char)
+    digits = short or long
+    if digits is not None:
+        code = int(digits, 16)
+        if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+            return chr(code)
+    raise ValueError(f"malformed escape {m.group()!r} in {m.string!r}")
 
 
 def _unescape(text: str) -> str:
@@ -354,33 +366,7 @@ def _unescape(text: str) -> str:
     exactly 4 or 8 hex digits, or one naming a surrogate or a code point
     beyond U+10FFFF (neither can be written back out as UTF-8).
     """
-    if "\\" not in text:
-        return text
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 == len(text):
-            raise ValueError(f"dangling backslash at the end of {text!r}")
-        esc = text[i + 1]
-        if esc in "uU":
-            width = 4 if esc == "u" else 8
-            digits = text[i + 2:i + 2 + width]
-            if len(digits) != width or not _HEX_DIGITS.fullmatch(digits):
-                raise ValueError(f"malformed \\{esc} escape in {text!r}")
-            code = int(digits, 16)
-            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                raise ValueError(f"escape \\{esc}{digits} is not a character")
-            out.append(chr(code))
-            i += 2 + width
-        else:
-            out.append(_ESCAPES.get(esc, esc))
-            i += 2
-    return "".join(out)
+    return _ESCAPE.sub(_unescape_match, text) if "\\" in text else text
 
 
 def _days_in_month(year: int, month: int) -> int:
@@ -391,22 +377,14 @@ def _days_in_month(year: int, month: int) -> int:
 
 def _parse_date_lexical(lex: str) -> Literal | None:
     """Day, month or year precision date; None for other text or an impossible date."""
-    m = _DATE_DAY.match(lex)
-    if m:
-        year, month, day = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        if not (1 <= month <= 12 and 1 <= day <= _days_in_month(year, month)):
-            return None
-        return Literal.date(year, month, day)
-    m = _DATE_MONTH.match(lex)
-    if m:
-        month = int(m.group(2))
-        if not 1 <= month <= 12:
-            return None
-        return Literal.date(int(m.group(1)), month)
-    m = _DATE_YEAR.match(lex)
-    if m:
-        return Literal.date(int(m.group(1)))
-    return None
+    m = _DATE.match(lex)
+    if m is None:
+        return None
+    year, month, day = m.groups()
+    try:
+        return Literal.date(int(year), month and int(month), day and int(day))
+    except ValueError:
+        return None
 
 
 def _nt_literal(token: str) -> Literal | None:

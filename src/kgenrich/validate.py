@@ -89,11 +89,8 @@ def infer_expected_datatype(known: Iterable[tuple[str, Value]]) -> ValueKind:
         raise ValueError("no known statements to infer a datatype from; "
                          "set the pipeline config's validation to "
                          "ValidationSettings(expected_datatype=...)")
-    best = max(counts.values())
-    for kind in KIND_PRECEDENCE:
-        if counts.get(kind) == best:
-            return kind
-    raise AssertionError("unreachable")
+    # max keeps the first of equal counts: the precedence breaks the tie
+    return max(KIND_PRECEDENCE, key=counts.__getitem__)
 
 
 def check_datatype(candidate: CandidateStatement, expected: ValueKind) -> bool:

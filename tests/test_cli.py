@@ -691,3 +691,62 @@ def test_align_file_with_a_short_row_is_a_data_error_naming_its_line(workspace, 
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {aligned}:2: ") and err.count("\n") == 1
     assert not cands.exists()
+
+
+def test_validate_cutoff_year_flag_puts_a_date_at_or_after_it_out_of_range(workspace):
+    cfg = str(workspace / "config.yaml")
+    cands = workspace / "cands.tsv"
+    assert main(["retrieve", "--config", cfg, "--property", "P571",
+                 "--path", "dbp:founded", "--out", str(cands)]) == 0
+    verdicts = {}
+    for name, flags in (("default", []), ("cutoff", ["--cutoff-year", "2010"])):
+        out = workspace / f"{name}.tsv"
+        assert main(["validate", "--config", cfg, "--property", "P571",
+                     "--candidates", str(cands), "--out", str(out), *flags]) == 0
+        verdicts[name] = {obj: (accepted, reason) for obj, accepted, reason
+                          in read_tsv(out, ("object", "accepted", "reject_reason"))}
+    assert verdicts["default"] == {"1999": ("true", "-"), "2010": ("true", "-")}
+    assert verdicts["cutoff"] == {"1999": ("true", "-"), "2010": ("false", "out-of-range")}
+
+
+def test_align_with_an_unknown_external_tag_is_config_error(workspace, capsys):
+    assert main(["align", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--external", "nosuch"]) == 1
+    assert capsys.readouterr().err == \
+        "config error: no external graph with tag 'nosuch' in config\n"
+
+
+def test_batch_without_externals_is_config_error(workspace, capsys):
+    bare = workspace / "bare.yaml"
+    bare.write_text(CONFIG.replace("  externals:\n    - {path: external.tsv, tag: dbp}\n", ""))
+    out_dir = workspace / "bare"
+    assert main(["batch", "--config", str(bare), "--properties", INDUSTRY_PROP,
+                 "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "config error: missing config key: graphs.externals\n"
+    assert not out_dir.exists()
+
+
+def test_batch_without_a_property_list_is_usage_error(workspace, capsys):
+    out_dir = workspace / "none"
+    assert main(["batch", "--config", str(workspace / "config.yaml"),
+                 "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == \
+        "usage error: batch needs --properties or --properties-file\n"
+    assert not out_dir.exists()
+
+
+def test_readme_cli_block_parses_and_names_every_subcommand_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    parser = build_parser()
+    commands = []
+    for line in block.splitlines():
+        # [a|b] stands for its first choice
+        argv = [word.strip("[]").split("|")[0] for word in line.split()]
+        assert argv[0] == "kgenrich"
+        args = parser.parse_args(argv[1:])
+        assert callable(args.handler)
+        commands.append(args.command)
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert sorted(commands) == sorted(subparsers.choices)

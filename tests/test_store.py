@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import calendar
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kgenrich.errors import DataFormatError
 from kgenrich.gaps import detect_gaps
 from kgenrich.store import (_NT_LINE, _SPACE_OR_HASH, Graph, Literal, PrefixTable, ValueKind,
-                            _nt_literal, _nt_term_id,
+                            _nt_literal, _nt_term_id, _parse_date_lexical, _unescape,
                             load_edge_tsv, load_ntriples, local_name,
                             parse_tsv_value, read_tsv, serialize_value, value_kind,
                             write_edge_tsv, write_tsv)
@@ -287,13 +289,91 @@ def test_string_escaping_roundtrip(tmp_path):
 
 
 def test_date_precision_invariants():
-    with pytest.raises(ValueError):
-        Literal.date(2000, precision="day")
-    with pytest.raises(ValueError):
-        Literal.date(2000, precision="century")
+    with pytest.raises(TypeError):
+        Literal.date(2000, 5, 3, precision="month")
+    for fields in [(2000, None, 3), (2000, 13), (2000, 0), (2001, 2, 29), (2000, 4, 31),
+                   (2000, 1, 0)]:
+        with pytest.raises(ValueError):
+            Literal.date(*fields)
     with pytest.raises(ValueError):
         Literal.quantity(float("inf"))
+    assert Literal.date(2000).precision == "year"
     assert Literal.date(2000, 5).precision == "month"
+    assert Literal.date(2000, 2, 29).precision == "day"
+    assert Literal.date(-4, 2, 29).precision == "day"
+
+
+# the three date shapes the N-Triples and edge TSV readers accept, written out again
+_ORACLE_DATES = [(r"^(-?\d{4,})-(\d{2})-(\d{2})(?:T\S*)?$", "day"),
+                 (r"^(-?\d{4,})-(\d{2})$", "month"), (r"^(-?\d{4,})$", "year")]
+
+
+def _oracle_date(lex):
+    for pattern, precision in _ORACLE_DATES:
+        m = re.match(pattern, lex)
+        if m:
+            fields = [int(g) for g in m.groups()] + [None, None]
+            year, month, day = fields[:3]
+            if month is not None and not 1 <= month <= 12:
+                return None
+            if day is not None and not 1 <= day <= calendar.monthrange(year % 400 or 400,
+                                                                       month)[1]:
+                return None
+            return (year, month, day, precision)
+    return None
+
+
+@given(st.one_of(
+    st.text(alphabet="0123456789-T:Z \n", max_size=16),
+    st.tuples(st.integers(-20000, 20000), st.integers(0, 13), st.integers(0, 32),
+              st.sampled_from(["", "-{day:02d}", "-{day:02d}T12:00", "-{day:02d}x"]))
+    .map(lambda f: f"{f[0]:04d}-{f[1]:02d}" + f[3].format(day=f[2]))))
+def test_date_lexical_form_matches_the_three_shape_rule(lex):
+    parsed = _parse_date_lexical(lex)
+    got = None if parsed is None else (parsed.year, parsed.month, parsed.day, parsed.precision)
+    assert got == _oracle_date(lex)
+
+
+_ORACLE_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f"}
+
+
+def _oracle_unescape(text):
+    """Decode escapes one character at a time; None where the text has a malformed one."""
+    out, rest = "", text
+    while rest:
+        head, rest = rest[0], rest[1:]
+        if head != "\\":
+            out += head
+        elif not rest:
+            return None
+        elif rest[0] in "uU":
+            width = 4 if rest[0] == "u" else 8
+            digits, rest = rest[1:1 + width], rest[1 + width:]
+            if len(digits) < width or any(c not in "0123456789abcdefABCDEF" for c in digits):
+                return None
+            code = int(digits, 16)
+            if code > 0x10FFFF or 0xD800 <= code < 0xE000:
+                return None
+            out += chr(code)
+        else:
+            out += _ORACLE_ESCAPES.get(rest[0], rest[0])
+            rest = rest[1:]
+    return out
+
+
+@given(st.text(alphabet="\\uU0123456789abcdefABCDEFt\"'\n", max_size=24))
+def test_unescape_matches_a_character_by_character_decoder(text):
+    try:
+        got = _unescape(text)
+    except ValueError:
+        got = None
+    assert got == _oracle_unescape(text)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_quantity_serialization_roundtrip(x):
+    value = Literal.quantity(x)
+    assert parse_tsv_value(serialize_value(value)) == value
 
 
 def test_prefix_table_empty_prefix():
@@ -333,6 +413,17 @@ def test_date_serialization_roundtrip_at_any_year_width(value):
 def test_wide_year_alone_reads_back_as_a_quantity(year):
     # a bare integer wider than four digits is a quantity, whatever wrote it
     assert parse_tsv_value(serialize_value(Literal.date(year))) == Literal.quantity(year)
+
+
+@given(st.one_of(st.integers(-9999, 9999), st.integers(-10**6, 10**6)),
+       st.none() | st.integers(0, 13), st.none() | st.integers(0, 32))
+def test_every_date_that_builds_reads_back_equal(year, month, day):
+    assume(month is not None or -10000 < year < 10000)  # a wide year alone: see above
+    try:
+        value = Literal.date(year, month, day)
+    except ValueError:
+        return
+    assert parse_tsv_value(serialize_value(value)) == value
 
 
 @pytest.mark.parametrize("node2", [

@@ -290,6 +290,20 @@ def test_load_constraints_with_directives(tmp_path):
     assert table["P136"].allowed_classes == {"Q483394"}
 
 
+def test_load_constraints_skips_blank_lines(tmp_path):
+    path = tmp_path / "constraints.tsv"
+    path.write_text("property\tallowed_class\n\nP452\tQ8148\n  \n\nP452\tQ268592\n")
+    assert load_constraints(path)["P452"].allowed_classes == {"Q8148", "Q268592"}
+
+
+def test_load_constraints_one_cell_row_is_a_data_error_naming_its_line(tmp_path):
+    path = tmp_path / "badc.tsv"
+    path.write_text("property\tallowed_class\nP452\tQ8148\nP452\n")
+    with pytest.raises(DataFormatError) as err:
+        load_constraints(path)
+    assert str(err.value) == f"{path}:3: expected property<TAB>allowed_class"
+
+
 def test_load_constraints_bad_mode(tmp_path):
     path = tmp_path / "constraints.tsv"
     path.write_text("#mode=nonsense\nP1\tQ1\n")
