@@ -109,9 +109,11 @@ def alignment_pairs(partition: GapPartition, mapping: EntityMapping) -> set[tupl
 
 def _check_safety(partition: GapPartition, accepted: Sequence[CandidateStatement],
                   candidates: Sequence[CandidateStatement]) -> None:
-    candidate_set = set(candidates)
+    # by identity: validation returns the retrieved objects themselves, and
+    # hashing a candidate would run the Python-level path and literal hashes
+    retrieved = set(map(id, candidates))
     for cand in accepted:
-        if cand not in candidate_set:
+        if id(cand) not in retrieved:
             raise PipelineInvariantError("validated statement not among retrieved candidates")
         if cand.subject in partition.known_subjects:
             raise PipelineInvariantError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .align import PropertyPath
 from .resolve import EntityMapping
@@ -29,16 +29,19 @@ class CandidateStatement:
     unresolved: bool = False
 
 
-def follow_path(graph: Graph, start: str, path: PropertyPath) -> set[Value]:
-    """All terminal values reached by applying the steps in order.
+def follow_path(graph: Graph, start: str, path: PropertyPath) -> Collection[Value]:
+    """All terminal values reached by applying the steps in order, unordered.
 
     Literals reached before the final step end their branch; an unknown
-    start node yields the empty set.
+    start node yields an empty collection. A one-step path returns the
+    graph's stored entry, as ``Graph.objects`` does: read-only, never to be
+    mutated. A longer path returns a new set.
     """
-    if not path.steps:
+    steps = path.steps
+    if not steps:
         raise ValueError("cannot follow an empty path")
-    frontier: set[Value] = {start}
-    for step in path.steps:
+    frontier = graph.objects(start, steps[0])
+    for step in steps[1:]:
         reached: set[Value] = set()
         for value in frontier:
             if isinstance(value, str):
@@ -47,36 +50,43 @@ def follow_path(graph: Graph, start: str, path: PropertyPath) -> set[Value]:
     return frontier
 
 
-def retrieve(graph: Graph, unknowns: Mapping[str, Iterable[str]], prop: str,
+def retrieve(graph: Graph, unknowns: Mapping[str, Collection[str]], prop: str,
              path: PropertyPath, mapping: EntityMapping) -> list[CandidateStatement]:
-    """Collect candidate statements for every mapped gap subject.
+    """Collect candidate statements for each subject of ``unknowns`` from its
+    mapped external ids: the gap subjects in enrichment, every subject of the
+    overlap in a consistency run.
 
-    Candidates equal in (subject, object) are merged; the first hit in sorted
-    processing order keeps its provenance fields.
+    Subjects, each subject's external ids, each walk's terminals (by
+    ``value_sort_key``) and each terminal's inverse ids are processed in
+    sorted order. Candidates equal in (subject, object) are merged; the first
+    hit keeps its provenance fields.
     """
     found: dict[tuple[str, Value], CandidateStatement] = {}
-
-    def emit(subject: str, obj: Value, external: Value,
-             ambiguous: bool, unresolved: bool) -> None:
-        key = (subject, obj)
-        if key not in found:
-            found[key] = CandidateStatement(
-                subject=subject, property=prop, object=obj, external_object=external,
-                path=path, ambiguous=ambiguous, unresolved=unresolved)
-
+    inverse = mapping.inverse
     for subject in sorted(unknowns):
-        for external_id in sorted(set(unknowns[subject])):
-            for terminal in sorted(follow_path(graph, external_id, path), key=value_sort_key):
-                if isinstance(terminal, str):
-                    targets = mapping.inverse.get(terminal)
-                    if not targets:
-                        emit(subject, terminal, terminal, ambiguous=False, unresolved=True)
-                        continue
-                    for resolved in sorted(targets):
-                        emit(subject, resolved, terminal,
-                             ambiguous=len(targets) > 1, unresolved=False)
+        external_ids = unknowns[subject]
+        if len(external_ids) > 1:
+            external_ids = sorted(set(external_ids))
+        for external_id in external_ids:
+            terminals = follow_path(graph, external_id, path)
+            if len(terminals) > 1:
+                terminals = sorted(terminals, key=value_sort_key)
+            for terminal in terminals:
+                is_node = isinstance(terminal, str)
+                targets = inverse.get(terminal) if is_node else None
+                if targets:
+                    ambiguous = len(targets) > 1
+                    for resolved in sorted(targets) if ambiguous else targets:
+                        key = (subject, resolved)
+                        if key not in found:
+                            found[key] = CandidateStatement(
+                                subject, prop, resolved, terminal, path, ambiguous, False)
                 else:
-                    emit(subject, terminal, terminal, ambiguous=False, unresolved=False)
+                    # a literal, or a node id without an inverse mapping (unresolved)
+                    key = (subject, terminal)
+                    if key not in found:
+                        found[key] = CandidateStatement(
+                            subject, prop, terminal, terminal, path, False, is_node)
     return list(found.values())
 
 

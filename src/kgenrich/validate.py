@@ -14,12 +14,13 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DataFormatError
 from .retrieve import CandidateStatement
-from .store import Graph, Value, ValueKind, serialize_value, value_kind, write_tsv
+from .store import Graph, Literal, Value, ValueKind, serialize_value, value_kind, write_tsv
 
 # modal-kind tie break, most specific first
 KIND_PRECEDENCE = (ValueKind.ITEM, ValueKind.DATE, ValueKind.QUANTITY,
@@ -54,8 +55,7 @@ class ValueTypeConstraint:
             raise ValueError("a value-type constraint needs at least one allowed class")
 
 
-@dataclass(frozen=True)
-class ValidationVerdict:
+class ValidationVerdict(NamedTuple):
     statement: CandidateStatement
     datatype_ok: bool
     value_type_ok: bool | None
@@ -93,11 +93,13 @@ def infer_expected_datatype(known: Iterable[tuple[str, Value]]) -> ValueKind:
     return max(KIND_PRECEDENCE, key=counts.__getitem__)
 
 
+def _datatype_ok(kind: ValueKind, unresolved: bool, expected: ValueKind) -> bool:
+    return not unresolved and kind is expected
+
+
 def check_datatype(candidate: CandidateStatement, expected: ValueKind) -> bool:
     """Kind equality; an expected item additionally requires inverse resolution."""
-    if candidate.unresolved:
-        return False
-    return value_kind(candidate.object) == expected
+    return _datatype_ok(value_kind(candidate.object), candidate.unresolved, expected)
 
 
 def allowed_class_closure(graph: Graph, allowed_classes: frozenset[str],
@@ -139,33 +141,55 @@ def _object_in_graph(graph: Graph, obj: Value) -> bool:
     return isinstance(obj, str) and graph.has_node(obj)
 
 
+# which of (instance_of, subclass_of) each mode follows from the object
+_RELATIONS = {
+    RelationMode.INSTANCE_OF: (True, False),
+    RelationMode.SUBCLASS_OF: (False, True),
+    RelationMode.BOTH: (True, True),
+}
+
+
+def _relations(mode: RelationMode, instance_of: str, subclass_of: str) -> tuple[str, ...]:
+    return tuple(compress((instance_of, subclass_of), _RELATIONS[mode]))
+
+
+def _value_type_ok(graph: Graph, subject: str, obj: Value, exceptions: frozenset[str],
+                   closure: frozenset[str], relations: tuple[str, ...]) -> bool:
+    if subject in exceptions:
+        return True
+    if not _object_in_graph(graph, obj):
+        return False
+    for rel in relations:
+        if not closure.isdisjoint(graph.objects(obj, rel)):
+            return True
+    return False
+
+
 def check_value_type(graph: Graph, candidate: CandidateStatement,
                      constraint: ValueTypeConstraint,
                      depth_cap: int = DEFAULT_DEPTH_CAP, *,
                      instance_of: str = "P31", subclass_of: str = "P279",
                      closure: frozenset[str] | None = None) -> bool:
-    """True iff the subject is exempt or the object's type chain reaches an allowed class."""
-    if candidate.subject in constraint.exceptions:
-        return True
-    if not _object_in_graph(graph, candidate.object):
-        return False
+    """True iff the subject is exempt or the object's type chain reaches an allowed
+    class. ``closure``, when given, is the allowed classes' closure; else it is
+    computed here."""
     if closure is None:
         closure = allowed_class_closure(graph, constraint.allowed_classes, subclass_of,
                                         depth_cap)
-    relations = {
-        RelationMode.INSTANCE_OF: (instance_of,),
-        RelationMode.SUBCLASS_OF: (subclass_of,),
-        RelationMode.BOTH: (instance_of, subclass_of),
-    }[constraint.relation_mode]
-    return any(not closure.isdisjoint(graph.objects(candidate.object, rel))
-               for rel in relations)
+    return _value_type_ok(graph, candidate.subject, candidate.object, constraint.exceptions,
+                          closure, _relations(constraint.relation_mode, instance_of,
+                                              subclass_of))
+
+
+def _before_cutoff(date: Literal, cutoff_year: int) -> bool:
+    return date.year < cutoff_year
 
 
 def check_literal_range(candidate: CandidateStatement,
                         cutoff_year: int = DEFAULT_CUTOFF_YEAR) -> bool:
     if value_kind(candidate.object) is not ValueKind.DATE:
         raise ValueError("range check applies to date objects only")
-    return candidate.object.year < cutoff_year
+    return _before_cutoff(candidate.object, cutoff_year)
 
 
 def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
@@ -173,41 +197,46 @@ def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
                       constraint: ValueTypeConstraint | None = None,
                       settings: ValidationSettings | None = None,
                       closures: ClassClosures | None = None) -> ValidationOutcome:
-    """Run all applicable checks and assemble per-candidate verdicts.
+    """Run all applicable checks and assemble per-candidate verdicts, in candidate order.
 
-    The accepted set is exactly the intersection of the per-check pass sets;
-    verdicts carry the first failing reason in the order unresolvable ->
-    datatype -> value type -> range. ``closures``, built for ``graph`` and
-    ``settings``, keeps class closures across calls.
+    The checks are those of ``check_datatype``, ``check_value_type`` (on a
+    resolved item, given a constraint) and ``check_literal_range`` (on a
+    date), so the accepted set is exactly the intersection of the per-check
+    pass sets. Verdicts carry the first failing reason in the order
+    unresolvable -> datatype -> value type -> range. ``closures``, built for
+    ``graph`` and ``settings``, keeps class closures across calls.
     """
     settings = settings or ValidationSettings()
     t0 = time.monotonic()
     expected = settings.expected_datatype or infer_expected_datatype(known)
-    datatype_ok = [check_datatype(c, expected) for c in candidates]
+    kinds = [value_kind(cand.object) for cand in candidates]
+    datatype_ok = [_datatype_ok(kind, cand.unresolved, expected)
+                   for cand, kind in zip(candidates, kinds)]
     t1 = time.monotonic()
 
-    if closures is None:
-        closures = ClassClosures(graph, settings)
-    closure = closures[constraint.allowed_classes] if constraint is not None else None
+    if constraint is not None:
+        if closures is None:
+            closures = ClassClosures(graph, settings)
+        closure = closures[constraint.allowed_classes]
+        exceptions = constraint.exceptions
+        relations = _relations(constraint.relation_mode, settings.instance_of,
+                               settings.subclass_of)
+    cutoff_year = settings.cutoff_year
     accepted = []
     verdicts = []
-    for cand, dt_ok in zip(candidates, datatype_ok):
+    for cand, kind, dt_ok in zip(candidates, kinds, datatype_ok):
+        obj, unresolved = cand.object, cand.unresolved
         vt_ok: bool | None = None
-        if constraint is not None and value_kind(cand.object) is ValueKind.ITEM \
-                and not cand.unresolved:
-            vt_ok = check_value_type(graph, cand, constraint, settings.depth_cap,
-                                     instance_of=settings.instance_of,
-                                     subclass_of=settings.subclass_of, closure=closure)
-        rng_ok: bool | None = None
-        if value_kind(cand.object) is ValueKind.DATE:
-            rng_ok = check_literal_range(cand, settings.cutoff_year)
+        if constraint is not None and kind is ValueKind.ITEM and not unresolved:
+            vt_ok = _value_type_ok(graph, cand.subject, obj, exceptions, closure, relations)
+        rng_ok = _before_cutoff(obj, cutoff_year) if kind is ValueKind.DATE else None
 
-        if cand.unresolved:
+        if unresolved:
             reason = RejectReason.UNRESOLVABLE
         elif not dt_ok:
             reason = RejectReason.WRONG_DATATYPE
         elif vt_ok is False:  # so the subject is not exempt
-            reason = (RejectReason.WRONG_VALUE_TYPE if _object_in_graph(graph, cand.object)
+            reason = (RejectReason.WRONG_VALUE_TYPE if _object_in_graph(graph, obj)
                       else RejectReason.UNRESOLVABLE)
         elif rng_ok is False:
             reason = RejectReason.OUT_OF_RANGE
@@ -215,9 +244,7 @@ def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
             reason = None
 
         ok = reason is None
-        verdicts.append(ValidationVerdict(
-            statement=cand, datatype_ok=dt_ok, value_type_ok=vt_ok,
-            range_ok=rng_ok, accepted=ok, reject_reason=reason))
+        verdicts.append(ValidationVerdict(cand, dt_ok, vt_ok, rng_ok, ok, reason))
         if ok:
             accepted.append(cand)
     t2 = time.monotonic()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from collections import Counter
@@ -243,6 +244,23 @@ def test_run_builds_each_mapping_and_closure_once(company_fixture, monkeypatch):
     assert sum(row.s_g > 0 for row in batch.rows) == 6  # every validated row ran the check
     assert closures == Counter({INDUSTRY_CLASSES: 1})
     assert mappings == ["sitelink", "sitelink"]  # one per external graph
+
+
+def test_safety_check_takes_only_the_retrieved_candidate_objects(company_fixture,
+                                                                monkeypatch):
+    # an accepted candidate equal to a retrieved one, but another object, is refused
+    fx = company_fixture
+    real = pipeline.validate_detailed
+
+    def copying_validate(*args, **kwargs):
+        outcome = real(*args, **kwargs)
+        outcome.accepted = [dataclasses.replace(c) for c in outcome.accepted]
+        return outcome
+
+    monkeypatch.setattr(pipeline, "validate_detailed", copying_validate)
+    with pytest.raises(pipeline.PipelineInvariantError, match="not among retrieved"):
+        enrich_property(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
+                        entity_class=COMPANY_CLASS, constraints=fx.constraints)
 
 
 def test_batch_times_each_mapping_build_in_its_first_row(company_fixture, monkeypatch):

@@ -6,13 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgenrich
 from kgenrich.align import PropertyPath
-from kgenrich.resolve import IdTransform, build_mapping
-from kgenrich.retrieve import (follow_path, read_candidates, retrieve,
+from kgenrich.resolve import EntityMapping, IdTransform, build_mapping
+from kgenrich.retrieve import (CandidateStatement, follow_path, read_candidates, retrieve,
                                write_candidates)
-from kgenrich.store import Literal
+from kgenrich.store import Literal, value_sort_key
 
 from conftest import graph_from_edges
 
@@ -37,7 +39,7 @@ def test_follow_path_two_hops_over_one_tuple_and_set_entries():
 
 def test_follow_path_no_outgoing_edge():
     g = graph_from_edges("dbp", [("dbr:Other", "dbp:industry", "dbr:X")])
-    assert follow_path(g, "dbr:WOWIO", PropertyPath(steps=("dbp:industry",))) == set()
+    assert set(follow_path(g, "dbr:WOWIO", PropertyPath(steps=("dbp:industry",)))) == set()
 
 
 def test_follow_path_getty_four_hop():
@@ -197,3 +199,66 @@ def test_candidate_file_roundtrip(tmp_path):
     back = read_candidates(path)
     assert [(c.subject, c.property, c.object, c.unresolved) for c in back] == \
            [(c.subject, c.property, c.object, c.unresolved) for c in candidates]
+
+
+# -- retrieve against the reference loop -----------------------------------------
+
+
+def _reference_walk(graph, start, path):
+    frontier = {start}
+    for step in path.steps:
+        frontier = {obj for value in frontier if isinstance(value, str)
+                    for obj in graph.objects(value, step)}
+    return frontier
+
+
+def _reference_retrieve(graph, unknowns, prop, path, mapping):
+    """Every subject, id, terminal and inverse id sorted; the first hit of a
+    (subject, object) pair wins."""
+    found = {}
+    for subject in sorted(unknowns):
+        for external_id in sorted(set(unknowns[subject])):
+            for terminal in sorted(follow_path(graph, external_id, path), key=value_sort_key):
+                if isinstance(terminal, str):
+                    targets = mapping.inverse.get(terminal)
+                    if not targets:
+                        found.setdefault((subject, terminal), CandidateStatement(
+                            subject, prop, terminal, terminal, path, False, True))
+                        continue
+                    for resolved in sorted(targets):
+                        found.setdefault((subject, resolved), CandidateStatement(
+                            subject, prop, resolved, terminal, path, len(targets) > 1, False))
+                else:
+                    found.setdefault((subject, terminal), CandidateStatement(
+                        subject, prop, terminal, terminal, path, False, False))
+    return list(found.values())
+
+
+_NODES = [f"dbr:N{i}" for i in range(6)]
+# literal objects, also as intermediates that end a branch
+_LITERALS = [Literal.string("x"), Literal.monolingual("x", "en"), Literal.date(1990),
+             Literal.date(1990, 5, 1), Literal.quantity(3)]
+_TARGETS = [f"Q{i}" for i in range(5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=st.lists(st.tuples(st.sampled_from(_NODES), st.sampled_from(["p", "q"]),
+                                st.sampled_from(_NODES + _LITERALS)), max_size=25),
+       steps=st.lists(st.sampled_from(["p", "q"]), min_size=1, max_size=4),
+       # a missing or empty entry leaves a node terminal unresolved; several
+       # targets make it ambiguous, and one target may own several nodes
+       inverse=st.dictionaries(st.sampled_from(_NODES),
+                               st.frozensets(st.sampled_from(_TARGETS), max_size=3)),
+       # subjects share ids; a list may repeat one
+       unknowns=st.dictionaries(
+           st.sampled_from(["S0", "S1", "S2", "S3"]),
+           st.one_of(st.frozensets(st.sampled_from(_NODES + ["dbr:Absent"]), max_size=3),
+                     st.lists(st.sampled_from(_NODES), max_size=3))))
+def test_retrieve_equals_the_reference_loop(edges, steps, inverse, unknowns):
+    graph = graph_from_edges("dbp", edges)
+    path = PropertyPath(tuple(steps), support=2)
+    mapping = EntityMapping("sitelink", forward={}, inverse=inverse)
+    for start in _NODES + ["dbr:Absent"]:
+        assert set(follow_path(graph, start, path)) == _reference_walk(graph, start, path)
+    assert retrieve(graph, unknowns, "P1", path, mapping) == \
+        _reference_retrieve(graph, unknowns, "P1", path, mapping)

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgenrich.align import PropertyPath
 from kgenrich.errors import DataFormatError
 from kgenrich.retrieve import CandidateStatement
-from kgenrich.store import Literal, ValueKind
+from kgenrich.store import Literal, ValueKind, value_kind
 from kgenrich.validate import (RejectReason, RelationMode, ValidationSettings,
-                               ValueTypeConstraint, check_datatype,
+                               ValueTypeConstraint, allowed_class_closure, check_datatype,
                                check_literal_range, check_value_type,
                                infer_expected_datatype, load_constraints,
                                validate_detailed)
@@ -314,3 +316,72 @@ def test_load_constraints_bad_mode(tmp_path):
 def test_constraint_requires_allowed_classes():
     with pytest.raises(ValueError):
         ValueTypeConstraint("P1", frozenset())
+
+
+# -- validate_detailed against the per-check functions -----------------------------
+
+_CLASSES = [f"C{i}" for i in range(4)]
+# O<i> are typed in the graph, C<i> are classes, X is no node of the graph
+_OBJECTS = ["O0", "O1", "O2", "C0", "X", Literal.string("x"), Literal.quantity(4),
+            Literal.date(2021), Literal.date(2022), Literal.date(2023, 1, 5)]
+_SUBJECTS = ["S0", "S1", "S2"]
+
+
+def _reference_verdict(graph, cand, expected, constraint, settings):
+    """A verdict's fields from the public checks, the reasons in the documented order."""
+    dt_ok = check_datatype(cand, expected)
+    vt_ok = None
+    if constraint is not None and value_kind(cand.object) is ValueKind.ITEM \
+            and not cand.unresolved:
+        closure = allowed_class_closure(graph, constraint.allowed_classes,
+                                        settings.subclass_of, settings.depth_cap)
+        vt_ok = check_value_type(graph, cand, constraint, settings.depth_cap,
+                                 instance_of=settings.instance_of,
+                                 subclass_of=settings.subclass_of, closure=closure)
+    rng_ok = None
+    if value_kind(cand.object) is ValueKind.DATE:
+        rng_ok = check_literal_range(cand, settings.cutoff_year)
+    if cand.unresolved:
+        reason = RejectReason.UNRESOLVABLE
+    elif not dt_ok:
+        reason = RejectReason.WRONG_DATATYPE
+    elif vt_ok is False:
+        # a value-type failure on an object outside the graph is unresolvable
+        reason = (RejectReason.WRONG_VALUE_TYPE if graph.has_node(cand.object)
+                  else RejectReason.UNRESOLVABLE)
+    elif rng_ok is False:
+        reason = RejectReason.OUT_OF_RANGE
+    else:
+        reason = None
+    return {"statement": cand, "datatype_ok": dt_ok, "value_type_ok": vt_ok,
+            "range_ok": rng_ok, "accepted": reason is None, "reject_reason": reason}
+
+
+@settings(max_examples=300, deadline=None)
+@given(typing=st.lists(st.tuples(st.sampled_from(["O0", "O1", "O2"] + _CLASSES),
+                                 st.sampled_from(["P31", "P279"]), st.sampled_from(_CLASSES)),
+                       max_size=12),
+       candidates=st.lists(st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from(_OBJECTS),
+                                     st.booleans()), max_size=12),
+       known=st.lists(st.sampled_from(_OBJECTS), min_size=1, max_size=4),
+       constraint=st.none() | st.builds(
+           ValueTypeConstraint, st.just("P1"),
+           st.frozensets(st.sampled_from(_CLASSES), min_size=1),
+           st.sampled_from(list(RelationMode)), st.frozensets(st.sampled_from(_SUBJECTS))),
+       depth_cap=st.integers(0, 3),
+       expected_datatype=st.none() | st.sampled_from(list(ValueKind)))
+def test_validate_detailed_equals_the_per_check_functions(typing, candidates, known,
+                                                          constraint, depth_cap,
+                                                          expected_datatype):
+    graph = graph_from_edges("wd", typing + [("S0", "label", Literal.string("s"))])
+    cands = [cand(subject, "P1", obj, unresolved=unresolved)
+             for subject, obj, unresolved in candidates]
+    settings = ValidationSettings(cutoff_year=2022, depth_cap=depth_cap,
+                                  expected_datatype=expected_datatype)
+    outcome = validate_detailed(graph, cands, pairs(*known), constraint, settings)
+    expected = expected_datatype or infer_expected_datatype(pairs(*known))
+    assert outcome.expected is expected
+    want = [_reference_verdict(graph, c, expected, constraint, settings) for c in cands]
+    assert [v._asdict() for v in outcome.verdicts] == want
+    assert all(v.statement is c for v, c in zip(outcome.verdicts, cands))
+    assert outcome.accepted == [w["statement"] for w in want if w["accepted"]]
