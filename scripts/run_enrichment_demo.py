@@ -9,7 +9,11 @@ date-valued P571 at up to 3 and up to 4 hops, which take the
 literal-terminal last-hop lookup and, at 4, the two-hop join, and exits 1
 unless ``dbp:founded`` is selected at both. For P452 it runs the stage chain
 ``align --out`` -> ``retrieve --path`` -> ``validate`` and exits 1 unless the
-accepted rows equal the statements of ``enrich`` without ``--class``.
+accepted rows equal the statements of ``enrich`` without ``--class``. Last it
+runs ``batch`` over two externals (the external file again under the tag
+``dbp2``, from a second config file) and exits 1 unless each ``(all)`` row's
+``s_e`` is the sum of its graph's rows and the ``(both)`` row's ``s_e`` is the
+number of statements written.
 Inspect the workspace afterwards to see every intermediate file. Exits
 with the first failing command's exit code.
 """
@@ -35,6 +39,14 @@ validation: {constraints: constraints.tsv, cutoff_year: 2022}
 gaps: {type_property: P31}
 output: {format: tsv}
 """
+
+# the same external file a second time, under its own tag
+TWO_EXTERNALS = CONFIG.replace(
+    "    - {path: external.tsv, tag: dbp}\n",
+    "    - {path: external.tsv, tag: dbp}\n    - {path: external.tsv, tag: dbp2}\n").replace(
+    '  dbp: {link_property: sitelink, prefix: "dbr:"}\n',
+    '  dbp: {link_property: sitelink, prefix: "dbr:"}\n'
+    '  dbp2: {link_property: sitelink, prefix: "dbr:"}\n')
 
 CONSTRAINTS = (
     "#mode=both\n"
@@ -74,6 +86,26 @@ def build_external() -> Graph:
     return g
 
 
+def aggregates_add_up(out_dir: Path) -> bool:
+    """Whether each ``(all)`` row's s_e sums its graph's rows and the ``(both)`` row's
+    s_e counts the statement file's rows; prints what disagrees."""
+    lines = [line.split("\t") for line in (out_dir / "report.tsv").read_text().splitlines()
+             if not line.startswith("#")]  # the summary lines
+    rows = [dict(zip(lines[0], cells)) for cells in lines[1:]]
+    s_e: dict[str, int] = {}
+    for row in rows:
+        if row["property"] != "(all)":
+            s_e[row["graph"]] = s_e.get(row["graph"], 0) + int(row["s_e"])
+    s_e["(both)"] = len((out_dir / "statements.tsv").read_text().splitlines()) - 1
+    aggregates = {row["graph"]: int(row["s_e"]) for row in rows if row["property"] == "(all)"}
+    print(f"aggregate s_e {aggregates}, expected {s_e}")
+    if aggregates != s_e:
+        print("expected each (all) row to sum its rows and (both) to count the statements",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workspace", default="demo_workspace")
@@ -85,12 +117,13 @@ def main() -> int:
     write_edge_tsv(build_external(), ws / "external.tsv")
     (ws / "constraints.tsv").write_text(CONSTRAINTS)
     (ws / "config.yaml").write_text(CONFIG)
+    (ws / "config_two_externals.yaml").write_text(TWO_EXTERNALS)
     cfg = str(ws / "config.yaml")
     out = str(ws / "out")
 
-    def run(title: str, *argv: str) -> None:
+    def run(title: str, *argv: str, config: str = cfg) -> None:
         print(f"== {title} ==")
-        code = cli_main([argv[0], "--config", cfg, *argv[1:]])
+        code = cli_main([argv[0], "--config", config, *argv[1:]])
         if code != 0:
             raise SystemExit(code)
 
@@ -133,6 +166,12 @@ def main() -> int:
         "--property", "P571", "--granularity", "year", "--class", "Q783794",
         "--out-dir", str(ws / "out-dates"))
     print((ws / "out-dates" / "scatter.csv").read_text())
+    batch_out = ws / "out-batch"
+    run("batch over two externals, dbp and dbp2", "batch", "--properties", "P452,P571",
+        "--class", "Q783794", "--out-dir", str(batch_out),
+        config=str(ws / "config_two_externals.yaml"))
+    if not aggregates_add_up(batch_out):
+        return 1
 
     print(f"\nworkspace written to {ws}/ (see out/ for reports)")
     return 0

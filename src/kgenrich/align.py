@@ -221,6 +221,9 @@ def _pair_paths(graph: Graph, start_id: str, target: Value, max_len: int,
                     visited.remove(obj)
 
     reach(start_id, (), {start_id, target})  # the target counts as visited: no path passes it
+    # ``reach`` holds its own cell: without this the cycle keeps ``found`` and the
+    # target's maps alive until the cyclic collector runs
+    del reach
     return found
 
 

@@ -9,9 +9,10 @@ The stages are wired once, as the methods of the run context ``Run``: it
 holds the target graph, the config, the entity class and the constraint
 table, and builds each entity mapping and class closure once per run.
 ``enrich_property``, ``batch_enrich``, ``run_consistency`` and the CLI's
-stage commands each build one ``Run``. ``batch_enrich`` folds each row's id
-sets into per-graph tallies as it runs, so a row holds only counts,
-statements and timings.
+stage commands each build one ``Run``. ``batch_enrich`` runs property by
+property, each property's gap partition shared by its rows for every
+external, and folds each row into per-graph tallies of counts and subject
+ids as it runs, so a row holds only counts, statements and timings.
 ``run_consistency`` retrieves and validates once over known and gap subjects
 together; it emits no statements, only agreement counts over the known part.
 """
@@ -128,9 +129,10 @@ def _check_safety(partition: GapPartition, accepted: Sequence[CandidateStatement
 
 class Run:
     """One run's target graph, config, entity class and constraint table (by
-    default the config's). The entity mapping per external tag and the class
-    closure per allowed-class set are built on first use and kept, exact since
-    the graph and settings are fixed within a run. Gap partitions are not kept.
+    default the config's). The entity mapping of every external tag and the
+    class closure per allowed-class set are built on first use and kept, exact
+    since the graph and settings are fixed within a run. Gap partitions are not
+    kept; ``batch_enrich`` passes one property's partition from row to row.
     """
 
     def __init__(self, target: Graph, cfg: PipelineConfig, *,
@@ -139,7 +141,7 @@ class Run:
         self.target, self.cfg, self.entity_class = target, cfg, entity_class
         self.constraints = cfg.load_constraint_table() if constraints is None else constraints
         self.closures = ClassClosures(target, cfg.validation)
-        self._mapping: tuple[str, EntityMapping] | None = None
+        self._mappings: dict[str, EntityMapping] = {}
 
     def gaps(self, prop: str) -> GapPartition:
         """Gap partition for ``prop``, limited to the entity class when the run has one."""
@@ -151,13 +153,15 @@ class Run:
     def mapping(self, tag: str) -> EntityMapping:
         """The configured target -> external entity mapping for the external graph ``tag``.
 
-        Only the latest is kept: a run takes its external graphs one at a time.
+        Every tag's mapping is kept, since a batch takes each property against
+        every external in turn.
         """
-        if self._mapping is None or self._mapping[0] != tag:
+        mapping = self._mappings.get(tag)
+        if mapping is None:
             spec = self.cfg.mapping_for(tag)
-            self._mapping = (tag, build_mapping(self.target, spec.link_property,
-                                                spec.transform()))
-        return self._mapping[1]
+            mapping = self._mappings[tag] = build_mapping(self.target, spec.link_property,
+                                                          spec.transform())
+        return mapping
 
     def align(self, external: Graph, prop: str, partition: GapPartition,
               ) -> tuple[list[PropertyPath], PropertyPath | None]:
@@ -191,16 +195,21 @@ def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConf
     return _enrich_row(run, external, prop)[0]
 
 
-def _enrich_row(run: Run, external: Graph, prop: str,
+def _enrich_row(run: Run, external: Graph, prop: str, partition: GapPartition | None = None,
                 ) -> tuple[EnrichmentResult, GapPartition, list[CandidateStatement],
                            list[CandidateStatement]]:
-    """One enrichment row, with the partition, candidates and accepted candidates behind it."""
+    """One enrichment row, with the partition, candidates and accepted candidates behind it.
+
+    ``partition`` is ``prop``'s gap partition when the caller has it; else the
+    row detects it, and the row's total time includes that.
+    """
     t_start = time.monotonic()
     # built on an external's first row, so that row times the build; a missing
     # mapping is a ConfigError before any gap detection can fail
     run.mapping(external.tag)
     timings = {"entity_align": time.monotonic() - t_start}
-    partition = run.gaps(prop)
+    if partition is None:
+        partition = run.gaps(prop)
     result = EnrichmentResult(property=prop, graph=external.tag, s_w=len(partition.known),
                               n_k=len(partition.known_subjects),
                               n_u=len(partition.unknown_subjects), timings=timings)
@@ -257,36 +266,38 @@ class BatchResult:
 
 
 class _Tally:
-    """Running aggregate of non-error batch rows: s_w once per property, timings, key unions."""
+    """Running aggregate of non-error batch rows: (s_w, s_g, s_e) once per
+    property, timings summed over every row, and the subject-id unions."""
 
     def __init__(self) -> None:
-        self.s_w: dict[str, int] = {}
+        self.counts: dict[str, tuple[int, int, int]] = {}
         self.timings: dict[str, float] = {}
         self.known: set[str] = set()
         self.unknown: set[str] = set()
-        self.candidate_keys: set[tuple[str, str, Value]] = set()
-        self.statement_keys: set[tuple[str, str, Value]] = set()
+        self.flagged: set[str] = set()
+        self.enriched: set[str] = set()
 
     def add(self, row: EnrichmentResult, partition: GapPartition,
             candidates: Sequence[CandidateStatement],
             accepted: Sequence[CandidateStatement]) -> None:
-        self.s_w.setdefault(row.property, row.s_w)
+        """Fold in one row's timings and subject ids; its counts go in by ``count``."""
         for key, seconds in row.timings.items():
             self.timings[key] = self.timings.get(key, 0.0) + seconds
         self.known |= partition.known_subjects
         self.unknown |= partition.unknown_subjects
-        for keys, cands in ((self.candidate_keys, candidates), (self.statement_keys, accepted)):
-            keys.update((c.subject, row.property, c.object) for c in cands)
+        self.flagged.update(c.subject for c in candidates)
+        self.enriched.update(c.subject for c in accepted)
+
+    def count(self, prop: str, s_w: int, s_g: int, s_e: int) -> None:
+        """A property's counts; a repeated property's rows add no statements."""
+        self.counts.setdefault(prop, (s_w, s_g, s_e))
 
     def row(self, graph: str) -> EnrichmentResult:
+        s_w, s_g, s_e = map(sum, zip(*self.counts.values())) if self.counts else (0, 0, 0)
         return EnrichmentResult(
-            property="(all)", graph=graph, status="aggregate",
-            s_w=sum(self.s_w.values()),
-            s_g=len(self.candidate_keys), s_e=len(self.statement_keys),
+            property="(all)", graph=graph, status="aggregate", s_w=s_w, s_g=s_g, s_e=s_e,
             n_k=len(self.known), n_u=len(self.unknown),
-            n_f=len({key[0] for key in self.candidate_keys}),
-            n_c=len({key[0] for key in self.statement_keys}),
-            timings=self.timings)
+            n_f=len(self.flagged), n_c=len(self.enriched), timings=self.timings)
 
 
 def batch_enrich(target: Graph, externals: Sequence[Graph], properties: Sequence[str],
@@ -297,18 +308,27 @@ def batch_enrich(target: Graph, externals: Sequence[Graph], properties: Sequence
 
     Per-property failures become error rows instead of aborting the batch.
     Rows are sorted by enrichment rate, descending, undefined rates last.
-    Each row is folded into its graph's tally (and, with several externals,
-    the ``(both)`` tally) as soon as it is made; the tallies become the
-    appended aggregate rows, so the id sets behind a row are never kept.
+    The outer loop runs over properties and the inner one over externals, so
+    a property's gap partition is detected once, by its first external's row,
+    and shared by the rest. Each row is folded into its graph's tally as soon
+    as it is made. Rows of different properties share no statement, and a
+    row's candidates are distinct by (subject, object), so a graph's counts
+    are sums of its rows' counts. With several externals, the ``(both)``
+    tally counts the union of the externals' (subject, object) pairs of each
+    property, a set dropped before the next property starts.
     """
     run = Run(target, cfg, entity_class=entity_class, constraints=constraints)
     rows: list[EnrichmentResult] = []
     tallies = {ext.tag: _Tally() for ext in externals}
-    both = [_Tally()] if len(externals) > 1 else []
-    for external in externals:
-        for prop in properties:
+    both = _Tally() if len(externals) > 1 else None
+    for prop in properties:
+        partition: GapPartition | None = None  # set by the property's first ok row
+        candidate_pairs: set[tuple[str, Value]] = set()
+        statement_pairs: set[tuple[str, Value]] = set()
+        for external in externals:
             try:
-                row, partition, candidates, accepted = _enrich_row(run, external, prop)
+                row, partition, candidates, accepted = _enrich_row(run, external, prop,
+                                                                   partition)
             except (ConfigError, PipelineInvariantError):
                 raise
             except Exception as exc:  # noqa: BLE001 - batch keeps going
@@ -316,12 +336,20 @@ def batch_enrich(target: Graph, externals: Sequence[Graph], properties: Sequence
                                              status=f"error: {exc}"))
                 continue
             rows.append(row)
-            for tally in [tallies[external.tag], *both]:
-                tally.add(row, partition, candidates, accepted)
+            tally = tallies[external.tag]
+            tally.add(row, partition, candidates, accepted)
+            tally.count(prop, row.s_w, row.s_g, row.s_e)
+            if both is not None:
+                both.add(row, partition, candidates, accepted)
+                candidate_pairs.update((c.subject, c.object) for c in candidates)
+                statement_pairs.update((c.subject, c.object) for c in accepted)
+        if both is not None and partition is not None:
+            both.count(prop, len(partition.known), len(candidate_pairs), len(statement_pairs))
     rows.sort(key=lambda r: (r.r_e is None, -(r.r_e or 0.0), r.property, r.graph))
 
     aggregates = [tallies[ext.tag].row(ext.tag) for ext in externals]
-    aggregates += [tally.row("(both)") for tally in both]
+    if both is not None:
+        aggregates.append(both.row("(both)"))
     median_novel = statistics.median([r.s_e for r in rows]) if rows else None
     return BatchResult(rows=rows, aggregates=aggregates, median_novel=median_novel)
 

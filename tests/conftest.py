@@ -125,7 +125,11 @@ def industry_constraints() -> dict:
         relation_mode=RelationMode.BOTH)}
 
 
-@pytest.fixture
-def company_fixture() -> CompanyFixture:
+def make_company_fixture() -> CompanyFixture:
     return CompanyFixture(target=_company_target(), external=make_company_external(),
                           cfg=make_company_config(), constraints=industry_constraints())
+
+
+@pytest.fixture
+def company_fixture() -> CompanyFixture:
+    return make_company_fixture()

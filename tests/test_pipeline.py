@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgenrich import pipeline, validate
+from kgenrich.align import enumerate_paths
+from kgenrich.config import MappingSpec, load_config, load_graph
 from kgenrich.consistency import Granularity, agreement, literal_agreement
 from kgenrich.errors import ConfigError
 from kgenrich.pipeline import (NO_ALIGNMENT, EnrichmentResult, Run, batch_enrich,
@@ -19,7 +23,8 @@ from kgenrich.store import Literal, load_edge_tsv
 from kgenrich.validate import RelationMode, ValueTypeConstraint
 
 from conftest import (COMPANY_CLASS, INDUSTRY_CLASSES, INDUSTRY_PROP, graph_from_edges,
-                      make_company_config, make_company_external)
+                      make_company_config, make_company_external, make_company_fixture,
+                      perfbench_module)
 
 
 def test_fig1_style_end_to_end(company_fixture):
@@ -155,11 +160,12 @@ def test_batch_rows_aggregates_and_dedup(company_fixture):
     assert batch.median_novel is not None
 
 
-def _reference_row_sets(fx, external, row) -> tuple[set, set, set, set]:
+def _reference_row_sets(fx, external, row, entity_class=COMPANY_CLASS,
+                        ) -> tuple[set, set, set, set]:
     """Known subjects, gap subjects, candidate keys and statement keys behind one batch row."""
     if row.status.startswith("error"):
         return set(), set(), set(), set()
-    run = Run(fx.target, fx.cfg, entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    run = Run(fx.target, fx.cfg, entity_class=entity_class, constraints=fx.constraints)
     partition = run.gaps(row.property)
     _, selected = run.align(external, row.property, partition)
     assert selected == row.selected_path
@@ -218,6 +224,125 @@ def test_batch_aggregates_equal_union_reference(company_fixture, type_property):
     for got, want in zip(batch.aggregates, expected):
         assert [getattr(got, f) for f in counts] == [getattr(want, f) for f in counts]
         assert got.timings == pytest.approx(want.timings)
+
+
+def _assert_aggregates_equal_reference(fx, externals: dict, batch,
+                                       entity_class=COMPANY_CLASS) -> None:
+    """Every aggregate row's counts and timings equal ``_reference_aggregate``'s."""
+    rows_with_sets = [(row, _reference_row_sets(fx, externals[row.graph], row, entity_class))
+                      for row in batch.rows]
+    expected = [_reference_aggregate([rs for rs in rows_with_sets if rs[0].graph == tag], tag)
+                for tag in externals]
+    if len(externals) > 1:
+        expected.append(_reference_aggregate(rows_with_sets, "(both)"))
+    counts = ("property", "graph", "status", "s_w", "s_g", "s_e", "n_k", "n_u", "n_f", "n_c")
+    assert [[getattr(a, f) for f in counts] for a in batch.aggregates] == \
+        [[getattr(a, f) for f in counts] for a in expected]
+    for got, want in zip(batch.aggregates, expected):
+        assert got.timings == pytest.approx(want.timings)
+
+
+def test_batch_aggregates_with_a_row_that_errors_for_one_external_only(company_fixture,
+                                                                      monkeypatch):
+    fx = company_fixture
+    real = pipeline.enumerate_paths
+
+    def failing_for_dbp2_items(graph, pairs, cfg):
+        if graph.tag == "dbp2" and all(isinstance(obj, str) for _, obj in pairs):
+            raise RuntimeError("enumeration failed")
+        return real(graph, pairs, cfg)
+
+    monkeypatch.setattr(pipeline, "enumerate_paths", failing_for_dbp2_items)
+    externals = {"dbp": fx.external, "dbp2": make_company_external("dbp2")}
+    batch = batch_enrich(fx.target, list(externals.values()), [INDUSTRY_PROP, "P571", "P17"],
+                         fx.cfg, entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    statuses = {(r.property, r.graph): r.status for r in batch.rows}
+    assert statuses[(INDUSTRY_PROP, "dbp2")] == "error: enumeration failed"
+    assert [key for key, status in statuses.items() if status.startswith("error")] == \
+        [(INDUSTRY_PROP, "dbp2")]
+    _assert_aggregates_equal_reference(fx, externals, batch)
+    both = batch.aggregates[-1]
+    assert both.s_e == len(batch.statements()) == 3
+
+
+def test_batch_aggregates_over_three_overlapping_externals(company_fixture):
+    fx = company_fixture
+    fx.cfg.mappings["dbp3"] = MappingSpec(link_property="sitelink", prefix="dbr:")
+    dbp2, dbp3 = make_company_external("dbp2"), make_company_external("dbp3")
+    # dbp2 adds one founding date; dbp3 a second industry and another founding date
+    dbp2.add_edge("dbr:CompanyF", "dbp:founded", Literal.date(1995))
+    dbp3.add_edge("dbr:CompanyF", "dbp:industry", "dbr:IndustryC")
+    dbp3.add_edge("dbr:CompanyF", "dbp:founded", Literal.date(1996))
+    externals = {"dbp": fx.external, "dbp2": dbp2, "dbp3": dbp3}
+    batch = batch_enrich(fx.target, list(externals.values()), [INDUSTRY_PROP, "P571", "P17"],
+                         fx.cfg, entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    assert [a.graph for a in batch.aggregates] == ["dbp", "dbp2", "dbp3", "(both)"]
+    _assert_aggregates_equal_reference(fx, externals, batch)
+    per_graph = {a.graph: a for a in batch.aggregates}
+    assert [per_graph[tag].s_e for tag in externals] == [3, 4, 5]
+    # the externals' shared statements count once
+    assert per_graph["(both)"].s_e == len(batch.statements()) == 6
+    assert per_graph["(both)"].s_e < sum(per_graph[tag].s_e for tag in externals)
+
+
+@settings(max_examples=25, deadline=None)
+@given(properties=st.lists(st.sampled_from([INDUSTRY_PROP, "P571", "P17", "P9999"]),
+                           min_size=1, max_size=6))
+def test_batch_aggregates_for_drawn_property_orders_with_repeats(properties):
+    fx = make_company_fixture()
+    externals = {"dbp": fx.external, "dbp2": make_company_external("dbp2")}
+    batch = batch_enrich(fx.target, list(externals.values()), properties, fx.cfg,
+                         entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    assert len(batch.rows) == 2 * len(properties)
+    _assert_aggregates_equal_reference(fx, externals, batch)
+    assert batch.aggregates[-1].s_e == len(batch.statements())
+
+
+def test_batch_aggregates_on_the_wide_l1_workload(tmp_path):
+    # perfbench's two-external workload at a tenth of its size, read back from its files
+    wide = perfbench_module("workloads").wide_l1(99, 0.1)
+    wide.write(tmp_path)
+    cfg = load_config(tmp_path / "config.yaml")
+    target, *graphs = (load_graph(spec, cfg.prefixes) for spec in (cfg.target, *cfg.externals))
+    externals = {graph.tag: graph for graph in graphs}
+    fx = SimpleNamespace(target=target, cfg=cfg, constraints=cfg.load_constraint_table())
+    batch = batch_enrich(target, graphs, wide.properties, cfg, entity_class=wide.entity_class,
+                         constraints=fx.constraints)
+    assert len(externals) == 2 and all(r.status == "ok" for r in batch.rows)
+    _assert_aggregates_equal_reference(fx, externals, batch, wide.entity_class)
+    assert batch.aggregates[-1].s_e == len(batch.statements())
+
+
+@pytest.fixture
+def collector_paused():
+    """The cyclic collector paused for the test."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("max_len", [2, 3, 4])
+def test_enumerate_paths_leaves_no_cyclic_garbage(company_fixture, collector_paused, max_len):
+    fx = company_fixture
+    pairs = {(f"dbr:Company{c}", f"dbr:Industry{c}") for c in "ABCDE"}
+    pairs |= {(f"dbr:Company{c}", "dbr:CountryX") for c in "ABCDE"}
+    config = make_company_config(max_path_length=max_len).alignment
+    gc.collect()
+    assert enumerate_paths(fx.external, pairs, config)
+    assert gc.collect() == 0
+
+
+def test_two_external_batch_leaves_no_cyclic_garbage(company_fixture, collector_paused):
+    fx = company_fixture
+    cfg = make_company_config(max_path_length=3)
+    externals = [fx.external, make_company_external("dbp2")]
+    gc.collect()
+    batch = batch_enrich(fx.target, externals, [INDUSTRY_PROP, "P571", "P17"], cfg,
+                         entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    assert batch.statements()
+    assert gc.collect() == 0
 
 
 def test_run_builds_each_mapping_and_closure_once(company_fixture, monkeypatch):
