@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 from .store import Graph, Literal, Value, ValueKind, value_sort_key
 
 MAX_PATH_LENGTH_CAP = 6
-_DATE_RANK = {"year": 1, "month": 2, "day": 3}
 _TwoHop = dict[str, list[tuple[str, str, list[str]]]]  # see _two_hops
 
 
@@ -116,9 +115,9 @@ def values_match(found: Value, wanted: Value) -> bool:
     if isinstance(found, str) or isinstance(wanted, str):
         return found == wanted
     if found.kind is ValueKind.DATE and wanted.kind is ValueKind.DATE:
-        depth = min(_DATE_RANK[found.precision], _DATE_RANK[wanted.precision])
-        return (found.year, found.month, found.day)[:depth] == \
-            (wanted.year, wanted.month, wanted.day)[:depth]
+        return found.year == wanted.year and (
+            found.month is None or wanted.month is None or (found.month == wanted.month and (
+                found.day is None or wanted.day is None or found.day == wanted.day)))
     return _match_key(found) == _match_key(wanted)
 
 

@@ -2,8 +2,7 @@
 
 Subcommands mirror the pipeline stages (load-check, detect-gaps, resolve,
 align, retrieve, validate) plus the orchestrated runs (enrich, batch,
-consistency, report). Exit codes: 0 success, 1 usage/config error, 2 data
-error.
+consistency). Exit codes: 0 success, 1 usage/config error, 2 data error.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from pathlib import Path
 
 from . import pipeline
 from .align import AlignConfig, PropertyPath, score_candidates
-from .config import MODE_ALIASES, GraphSpec, PipelineConfig, is_number, load_config, load_graph
+from .config import MODE_ALIASES, GraphSpec, PipelineConfig, load_config, load_graph
 from .consistency import Granularity, write_scatter_csv
 from .errors import ConfigError, DataFormatError, UsageError
 from .resolve import inverse_resolve, resolve
@@ -74,7 +73,7 @@ def _write_outputs(args, cfg: PipelineConfig, statements, rows, summary=None) ->
     fmt = cfg.output.format
     pipeline.write_statements(statements, _out(args, "statements.tsv"))
     pipeline.emit_report(rows, fmt, _out(args, f"report.{fmt}"), summary=summary,
-                         include_timings=cfg.output.include_timings and not args.no_timings)
+                         include_timings=not args.no_timings)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -247,45 +246,6 @@ def _cmd_consistency(args) -> int:
     return 0
 
 
-_RESULT_COUNTS = ("s_w", "s_g", "s_e", "n_k", "n_u", "n_f", "n_c")
-
-
-def _result_row(raw, where: str) -> pipeline.EnrichmentResult:
-    """One results-JSON row as a result; a missing or mistyped key is a data error."""
-    if not isinstance(raw, dict) or "property" not in raw or "graph" not in raw:
-        raise DataFormatError(f"{where} is not an object with property and graph")
-    counts = {key: raw.get(key, 0) for key in _RESULT_COUNTS}
-    for key, value in counts.items():
-        if not is_number(value, int):
-            raise DataFormatError(f"{where}: {key} must be an integer, not {value!r}")
-    path = raw.get("path")
-    if path is not None and not isinstance(path, str):
-        raise DataFormatError(f"{where}: path must be a string, not {path!r}")
-    timings = raw.get("timings", {})
-    if not isinstance(timings, dict) or not all(map(is_number, timings.values())):
-        raise DataFormatError(f"{where}: timings must map stage names to seconds")
-    return pipeline.EnrichmentResult(
-        property=raw["property"], graph=raw["graph"], status=raw.get("status", "ok"),
-        selected_path=PropertyPath.parse(path) if path else None,
-        timings=timings, **counts)
-
-
-def _cmd_report(args) -> int:
-    with open(args.results, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    results = doc.get("results") if isinstance(doc, dict) else None
-    if not isinstance(results, list) or not results:
-        raise DataFormatError(f"{args.results}: expected an object with a non-empty results list")
-    summary = doc.get("summary")
-    if summary is not None and not isinstance(summary, dict):
-        raise DataFormatError(f"{args.results}: summary must be an object, not {summary!r}")
-    rows = [_result_row(raw, f"{args.results}: results[{i}]")
-            for i, raw in enumerate(results)]
-    pipeline.emit_report(rows, args.format, args.out or f"report.{args.format}",
-                         include_timings=not args.no_timings, summary=summary)
-    return 0
-
-
 # -- wiring --------------------------------------------------------------------
 
 
@@ -363,11 +323,6 @@ def build_parser() -> _Parser:
     p.add_argument("--class", dest="entity_class")
     p.add_argument("--external")
     p.add_argument("--out-dir")
-
-    p = add("report", _cmd_report, "re-render a JSON report", "--results")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--no-timings", action="store_true")
-    p.add_argument("--out")
 
     return parser
 

@@ -72,7 +72,6 @@ class GapSettings:
 @dataclass
 class OutputSettings:
     format: str = "tsv"  # "tsv" | "json"
-    include_timings: bool = True
 
 
 @dataclass
@@ -151,7 +150,7 @@ def _one_of(*allowed: str):
     return _check(lambda v: v in allowed, f"one of {[a for a in allowed if a]}")
 
 
-# ``str()`` would pass a list or a null as text, and ``bool("false")`` is True
+# ``str()`` would pass a list or a null as text
 _ID = _check(lambda v: isinstance(v, str) and v != "", "a non-empty string")
 _STRING = _check(lambda v: isinstance(v, str), "a string")
 _STRING_OR_NULL = _check(lambda v: v is None or isinstance(v, str), "a string or null")
@@ -248,10 +247,7 @@ _SCHEMA: dict[str, tuple[Callable, dict[str, Callable]]] = {
         "subclass_of": _ID,
     }),
     "gaps": (GapSettings, {"type_property": _ID, "no_value_sentinel": _STRING_OR_NULL}),
-    "output": (OutputSettings, {
-        "format": _one_of("tsv", "json"),
-        "include_timings": _check(lambda v: isinstance(v, bool), "true or false"),
-    }),
+    "output": (OutputSettings, {"format": _one_of("tsv", "json")}),
 }
 
 

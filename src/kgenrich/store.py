@@ -68,8 +68,14 @@ class Literal:
     year: int | None = None
     month: int | None = None
     day: int | None = None
-    precision: str | None = None
     magnitude: float | None = None
+
+    @property
+    def precision(self) -> str | None:
+        """A date's finest field given ("year", "month" or "day"); None for other kinds."""
+        if self.kind is not ValueKind.DATE:
+            return None
+        return "year" if self.month is None else "month" if self.day is None else "day"
 
     @staticmethod
     def string(text: str) -> "Literal":
@@ -91,8 +97,7 @@ class Literal:
             raise ValueError(f"month {month} is not in 1..12")
         if day is not None and not 1 <= day <= _days_in_month(year, month):
             raise ValueError(f"month {month} of {year} has no day {day}")
-        precision = "year" if month is None else "month" if day is None else "day"
-        return Literal(ValueKind.DATE, year=year, month=month, day=day, precision=precision)
+        return Literal(ValueKind.DATE, year=year, month=month, day=day)
 
     @staticmethod
     def quantity(magnitude: float) -> "Literal":
@@ -116,8 +121,7 @@ def value_kind(value: Value) -> ValueKind:
 
 def value_sort_key(value: Value) -> tuple:
     """Sort key of a value; node ids sort first. It only orders: values are
-    identified by equality, and a literal's key holds every field it compares
-    (a date's precision through its month and day, which decide it).
+    identified by equality, and a literal's key holds every field it compares.
     """
     if isinstance(value, str):
         return (0, value)
@@ -582,9 +586,9 @@ def serialize_value(value: Value) -> str:
         return f"'{_escape(value.text or '')}'@{value.language}"
     if value.kind is ValueKind.DATE:
         out = _format_year(value.year or 0)
-        if value.precision in ("month", "day"):
+        if value.month is not None:
             out += f"-{value.month:02d}"
-        if value.precision == "day":
+        if value.day is not None:
             out += f"-{value.day:02d}"
         return out
     if value.kind is ValueKind.QUANTITY:

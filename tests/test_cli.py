@@ -94,8 +94,8 @@ def test_bad_alignment_section_is_config_error(workspace, capsys, alignment):
     ("tag: wd}", "tag: wd, label_properties: label}", "graphs.target.label_properties"),
     ("gaps: {type_property: P31}", "gaps: {type_property: P31, no_value_sentinel: 5}",
      "gaps.no_value_sentinel"),
-    ("output: {format: tsv}", 'output: {format: tsv, include_timings: "false"}',
-     "output.include_timings"),
+    ("output: {format: tsv}", "output: {format: tsv, include_timings: false}",
+     "unknown config key: output.include_timings"),
     ("{path: target.tsv,", "{path: [target.tsv],", "graphs.target.path"),
     ("tag: wd}", "tag: null}", "graphs.target.tag"),
     ("{path: external.tsv, tag: dbp}", "{path: external.tsv, tag: 5}",
@@ -160,7 +160,6 @@ _ARGV = st.sampled_from(sorted(_FLAGS)).flatmap(lambda command: st.lists(
 @example(["batch", "--config", "CONFIG", "--properties", INDUSTRY_PROP, "--out-dir", "DIR"])
 @example(["align", "--config", "CONFIG", "--property", "P571", "--max-len", "-1"])
 @example(["align", "--config", "CONFIG", "--property", "P571", "--threshold", "nan"])
-@example(["report", "--results", "CONFIG"])
 def test_any_argument_vector_exits_0_1_or_2_with_one_stderr_line(company_fixture, capsys,
                                                                  argv):
     cwd = os.getcwd()
@@ -183,6 +182,9 @@ def test_any_argument_vector_exits_0_1_or_2_with_one_stderr_line(company_fixture
 def test_usage_error_exit_code(capsys):
     assert main(["load-check"]) == 1
     assert "usage error" in capsys.readouterr().err
+    assert main(["report", "--results", "report.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "'report'" in err and err.count("\n") == 1
 
 
 def test_detect_gaps_tsv(workspace, capsys):
@@ -526,63 +528,30 @@ def test_consistency_item_property_writes_no_scatter(workspace):
     assert not (out_dir / "scatter.csv").exists()
 
 
-def test_report_rerender(workspace, tmp_path):
-    cfg = str(workspace / "config.yaml")
-    out_dir = workspace / "json_out"
-    (workspace / "config_json.yaml").write_text(CONFIG.replace("format: tsv",
-                                                               "format: json"))
-    assert main(["enrich", "--config", str(workspace / "config_json.yaml"),
-                 "--property", INDUSTRY_PROP, "--class", COMPANY_CLASS,
-                 "--out-dir", str(out_dir)]) == 0
-    rendered = tmp_path / "again.tsv"
-    assert main(["report", "--results", str(out_dir / "report.json"),
-                 "--format", "tsv", "--out", str(rendered), "--no-timings"]) == 0
-    assert "dbp:industry" in rendered.read_text()
-
-
-def test_report_rerender_of_json_equals_batch_tsv(workspace):
+def test_batch_json_report_holds_the_rows_and_summary_of_the_tsv_report(workspace):
     # two externals, so the rows, the per-graph aggregates and the combined row all render
     two = CONFIG.replace("    - {path: external.tsv, tag: dbp}\n",
                          "    - {path: external.tsv, tag: dbp}\n"
                          "    - {path: external.tsv, tag: dbp2}\n")
     two = two.replace("mappings:\n",
                       "mappings:\n  dbp2: {link_property: sitelink, prefix: \"dbr:\"}\n")
-    reports = {}
     for fmt in ("json", "tsv"):
         config = workspace / f"config_{fmt}.yaml"
         config.write_text(two.replace("format: tsv", f"format: {fmt}"))
         assert main(["batch", "--config", str(config),
                      "--properties", f"{INDUSTRY_PROP},P571,P17", "--class", COMPANY_CLASS,
                      "--out-dir", str(workspace / fmt), "--no-timings"]) == 0
-        reports[fmt] = workspace / fmt / f"report.{fmt}"
-    rendered = workspace / "again.tsv"
-    assert main(["report", "--results", str(reports["json"]), "--format", "tsv",
-                 "--no-timings", "--out", str(rendered)]) == 0
-    batch_tsv = reports["tsv"].read_text()
-    assert "(both)" in batch_tsv and "#median_novel_statements=" in batch_tsv
-    assert rendered.read_bytes() == reports["tsv"].read_bytes()
-
-
-@pytest.mark.parametrize("doc", [
-    {"results": [{"graph": "dbp"}]},
-    {"results": [{"property": "P452"}]},
-    {"results": [1]},
-    {"results": {"graph": "dbp", "property": "P452"}},
-    [1],
-    {"results": []},
-    {},
-    {"results": [{"graph": "d", "property": "p", "s_w": "x"}]},
-    {"results": [{"graph": "d", "property": "p", "path": 3}]},
-    {"results": [{"graph": "d", "property": "p"}], "summary": 3},
-    {"results": [{"graph": "d", "property": "p", "timings": {"total": "x"}}]},
-])
-def test_malformed_results_json_is_one_line_data_error(tmp_path, capsys, doc):
-    results = tmp_path / "report.json"
-    results.write_text(json.dumps(doc))
-    assert main(["report", "--results", str(results), "--out", str(tmp_path / "r.tsv")]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert err.startswith(f"data error: {results}: ")
+    doc = json.loads((workspace / "json" / "report.json").read_text())
+    header, *lines = (workspace / "tsv" / "report.tsv").read_text().splitlines()
+    rows = [dict(zip(header.split("\t"), line.split("\t")))
+            for line in lines if not line.startswith("#")]
+    footer = [line[1:].split("=", 1) for line in lines if line.startswith("#")]
+    assert {(row["graph"], row["property"]) for row in rows} >= {
+        ("dbp", "(all)"), ("dbp2", "(all)"), ("(both)", "(all)")}
+    assert [{key: "-" if value is None else str(value) for key, value in row.items()}
+            for row in doc["results"]] == rows
+    assert footer == [[key, str(value)] for key, value in doc["summary"].items()]
+    assert [key for key, _ in footer] == ["median_novel_statements", "properties"]
 
 
 def test_missing_mapping_is_config_error(workspace, capsys):

@@ -151,10 +151,11 @@ def test_config_must_be_mapping(tmp_path):
      "graphs.externals[0].label_properties"),
     ("gaps", {"no_value_sentinel": 5}, "gaps.no_value_sentinel"),
     ("gaps", {"no_value_sentinel": ["Q0"]}, "gaps.no_value_sentinel"),
+    # timings are switched by --no-timings alone: the key is unknown whatever its value
+    ("output", {"include_timings": False}, "output.include_timings"),
+    ("output", {"include_timings": True}, "output.include_timings"),
     ("output", {"include_timings": "false"}, "output.include_timings"),
-    ("output", {"include_timings": "no"}, "output.include_timings"),
-    ("output", {"include_timings": "0"}, "output.include_timings"),
-    ("output", {"include_timings": 0}, "output.include_timings"),
+    ("output", {"format": "json", "include_timings": False}, "output.include_timings"),
     ("gaps", {"type_property": ["P31"]}, "gaps.type_property"),
     ("validation", {"instance_of": 31}, "validation.instance_of"),
     ("validation", {"subclass_of": ""}, "validation.subclass_of"),
@@ -208,7 +209,7 @@ def test_config_must_be_mapping(tmp_path):
     ("validation", {"cutoff": 2020}, "validation.cutoff; did you mean validation.cutoff_year?"),
     ("gaps", {"marker": "Q0"}, "gaps.marker; known keys: gaps.type_property, "
                                "gaps.no_value_sentinel"),
-    ("output", {"timings": False}, "output.timings; did you mean output.include_timings?"),
+    ("output", {"fromat": "json"}, "output.fromat; did you mean output.format?"),
     ("extras", {}, "unknown config key: extras; known keys: graphs, prefixes, mappings"),
     ("alignment", {7: 1}, "unknown config key: alignment[7]"),
 ])
@@ -305,7 +306,7 @@ _DOCUMENT = _sometimes_with(st.fixed_dictionaries({
                            instance_of=_id("P31"), subclass_of=_id("P279"),
                            constraints=_value("c.tsv")),
     "gaps": _section(type_property=_id("P31"), no_value_sentinel=_value("Q0")),
-    "output": _section(format=_value("tsv", "json", "xml"), include_timings=_value(False)),
+    "output": _section(format=_value("tsv", "json", "xml")),
 }), _misspelled(_ROOT_KEYS) | st.text(min_size=1, max_size=8).filter(
     lambda key: key not in _ROOT_KEYS))
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from kgenrich.align import values_match
 from kgenrich.errors import DataFormatError
 from kgenrich.gaps import detect_gaps
 from kgenrich.store import (_NT_LINE, _SPACE_OR_HASH, Graph, Literal, PrefixTable, ValueKind,
@@ -301,6 +302,18 @@ def test_date_precision_invariants():
     assert Literal.date(2000, 5).precision == "month"
     assert Literal.date(2000, 2, 29).precision == "day"
     assert Literal.date(-4, 2, 29).precision == "day"
+
+
+def test_a_directly_built_date_is_the_date_of_its_fields():
+    for fields in [(2000,), (2000, 5), (2000, 5, 3), (-4, 12, 31)]:
+        direct = Literal(ValueKind.DATE, **dict(zip(("year", "month", "day"), fields)))
+        built = Literal.date(*fields)
+        assert direct == built and hash(direct) == hash(built)
+        assert direct.precision == built.precision == ("year", "month", "day")[len(fields) - 1]
+        assert parse_tsv_value(serialize_value(direct)) == direct
+        assert values_match(direct, built) and values_match(Literal.date(fields[0]), direct)
+        assert not values_match(direct, Literal.date(fields[0] + 1, *fields[1:]))
+    assert Literal.string("2000").precision is None
 
 
 # the three date shapes the N-Triples and edge TSV readers accept, written out again
