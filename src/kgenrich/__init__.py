@@ -14,7 +14,7 @@ from .errors import ConfigError, DataFormatError, KgEnrichError, UsageError
 from .gaps import GapPartition, detect_gaps
 from .pipeline import (BatchResult, EnrichmentResult, batch_enrich, emit_report,
                        enrich_property, run_consistency, write_statements)
-from .resolve import (EntityMapping, IdTransform, build_mapping, inverse_resolve,
+from .resolve import (EntityMapping, MappingSpec, build_mapping, inverse_resolve,
                       resolve)
 from .retrieve import CandidateStatement, follow_path, retrieve
 from .store import (Graph, Literal, PrefixTable, Statement, ValueKind,
@@ -36,7 +36,7 @@ __all__ = [
     "GapPartition", "detect_gaps",
     "BatchResult", "EnrichmentResult", "batch_enrich", "emit_report",
     "enrich_property", "run_consistency", "write_statements",
-    "EntityMapping", "IdTransform", "build_mapping", "inverse_resolve", "resolve",
+    "EntityMapping", "MappingSpec", "build_mapping", "inverse_resolve", "resolve",
     "CandidateStatement", "follow_path", "retrieve",
     "Graph", "Literal", "PrefixTable", "Statement",
     "ValueKind", "load_edge_tsv", "load_ntriples", "value_kind", "write_edge_tsv",

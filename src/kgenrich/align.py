@@ -132,14 +132,15 @@ def _match_key(value: Literal) -> object:
     return value
 
 
-def _sample_pairs(pairs: set[tuple[str, Value]], cfg: AlignConfig) -> list[tuple[str, Value]]:
+def _sample_pairs(pairs: set[tuple[str, Value]],
+                  cfg: AlignConfig) -> Iterable[tuple[str, Value]]:
+    """The pairs to walk, in no set order: the ranking is a total order that
+    never sees it. Only dropping pairs needs the sorted order."""
+    if len(pairs) <= cfg.sample_cap:
+        return pairs
     ordered = sorted(pairs, key=lambda p: (p[0], value_sort_key(p[1])))
-    if len(ordered) <= cfg.sample_cap:
-        return ordered
     if cfg.sample_seed is not None:
-        rng = random.Random(cfg.sample_seed)
-        picked = rng.sample(ordered, cfg.sample_cap)
-        return sorted(picked, key=lambda p: (p[0], value_sort_key(p[1])))
+        return random.Random(cfg.sample_seed).sample(ordered, cfg.sample_cap)
     return ordered[:cfg.sample_cap]
 
 

@@ -15,14 +15,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
-from .align import AlignConfig, PropertyPath, score_candidates
+from .align import PropertyPath, score_candidates
 from .config import MODE_ALIASES, GraphSpec, PipelineConfig, load_config, load_graph
 from .consistency import Granularity, write_scatter_csv
 from .errors import ConfigError, DataFormatError, UsageError
 from .resolve import inverse_resolve, resolve
 from .retrieve import read_candidates, write_candidates
 from .store import Graph, read_tsv, write_tsv
-from .validate import load_constraints, write_verdicts
+from .validate import write_verdicts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,26 +30,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _config(args) -> PipelineConfig:
-    """The ``--config`` file with the command's alignment and validation flags applied."""
-    if not getattr(args, "config", None):
-        raise UsageError("this command requires --config")
-    cfg = load_config(args.config)
-    if hasattr(args, "max_len"):
-        cfg.alignment = _align_config(cfg.alignment, args)
-    if getattr(args, "cutoff_year", None) is not None:
-        cfg.validation = replace(cfg.validation, cutoff_year=args.cutoff_year)
+# flag (argparse dest) -> the config key (section, key) it overrides for one command
+_OVERRIDES = {
+    "max_len": ("alignment", "max_path_length"),
+    "sample_cap": ("alignment", "sample_cap"),
+    "threshold": ("alignment", "similarity_threshold"),
+    "mode": ("alignment", "mode"),
+    "cutoff_year": ("validation", "cutoff_year"),
+    "constraints": ("validation", "constraints"),
+    "type_prop": ("gaps", "type_property"),
+}
+
+
+def _override(cfg: PipelineConfig, args) -> PipelineConfig:
+    """``cfg`` with the key of each flag given set to the flag's value; a value that
+    the key's section refuses is a usage error. A path flag is kept as given, so it
+    is read from the working directory, not the config file's."""
+    changes: dict[str, dict] = {}
+    for flag, (section, key) in _OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value not in (None, ""):
+            changes.setdefault(section, {})[key] = MODE_ALIASES[value] if flag == "mode" else value
+    try:
+        for section, keys in changes.items():
+            setattr(cfg, section, replace(getattr(cfg, section), **keys))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return cfg
 
 
-def _align_config(align: AlignConfig, args) -> AlignConfig:
-    """``align`` with the flags given; an out-of-range value is a usage error."""
-    flags = {"max_path_length": args.max_len, "sample_cap": args.sample_cap,
-             "similarity_threshold": args.threshold, "mode": MODE_ALIASES.get(args.mode)}
-    try:
-        return replace(align, **{key: value for key, value in flags.items() if value is not None})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _config(args) -> PipelineConfig:
+    """The ``--config`` file with the command's flags applied."""
+    if not getattr(args, "config", None):
+        raise UsageError("this command requires --config")
+    return _override(load_config(args.config), args)
 
 
 def _graphs(cfg: PipelineConfig, tag: str | None) -> tuple[Graph, Graph]:
@@ -82,7 +96,7 @@ def _write_outputs(args, cfg: PipelineConfig, statements, rows, summary=None) ->
 def _graph_arg(args) -> tuple[PipelineConfig, Graph]:
     """The ``--config`` file, else the defaults, and the ``--graph`` file loaded under it."""
     spec = GraphSpec(args.graph, args.tag, args.format)
-    cfg = load_config(args.config) if args.config else PipelineConfig(target=spec)
+    cfg = _override(load_config(args.config) if args.config else PipelineConfig(spec), args)
     return cfg, load_graph(spec, cfg.prefixes)
 
 
@@ -95,8 +109,6 @@ def _cmd_load_check(args) -> int:
 
 def _cmd_detect_gaps(args) -> int:
     cfg, graph = _graph_arg(args)
-    if args.type_prop:
-        cfg.gaps.type_property = args.type_prop
     run = pipeline.Run(graph, cfg, entity_class=args.entity_class, constraints={})
     partition = run.gaps(args.property)
     rows = [(node, "known") for node in partition.known_subjects]
@@ -173,8 +185,7 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _config(args)
-    constraints = load_constraints(args.constraints) if args.constraints else None
-    run = pipeline.Run(load_graph(cfg.target, cfg.prefixes), cfg, constraints=constraints)
+    run = pipeline.Run(load_graph(cfg.target, cfg.prefixes), cfg)
     partition = run.gaps(args.property)
     if not partition.known:
         raise ConfigError(f"property {args.property} has no known values in "

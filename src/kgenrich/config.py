@@ -23,10 +23,10 @@ import yaml
 
 from .align import AlignConfig, AlignMode
 from .errors import ConfigError
-from .resolve import IdTransform
+from .resolve import MappingSpec
 from .store import (DEFAULT_LABEL_PROPERTIES, DEFAULT_MALFORMED_THRESHOLD,
                     Graph, load_edge_tsv, load_ntriples)
-from .validate import ValidationSettings, ValueTypeConstraint, load_constraints
+from .validate import ValidationSettings
 
 MODE_ALIASES = {
     "hybrid": AlignMode.HYBRID,
@@ -54,16 +54,6 @@ class GraphSpec:
 
 
 @dataclass
-class MappingSpec:
-    link_property: str
-    prefix: str = ""
-    suffix: str = ""
-
-    def transform(self) -> IdTransform:
-        return IdTransform(prefix=self.prefix, suffix=self.suffix)
-
-
-@dataclass
 class GapSettings:
     type_property: str = "P31"
     no_value_sentinel: str | None = None
@@ -82,7 +72,6 @@ class PipelineConfig:
     mappings: dict[str, MappingSpec] = field(default_factory=dict)
     alignment: AlignConfig = field(default_factory=AlignConfig)
     validation: ValidationSettings = field(default_factory=ValidationSettings)
-    constraints_path: str | None = None
     gaps: GapSettings = field(default_factory=GapSettings)
     output: OutputSettings = field(default_factory=OutputSettings)
 
@@ -91,11 +80,6 @@ class PipelineConfig:
             return self.mappings[tag]
         except KeyError:
             raise ConfigError(f"missing config key: mappings.{tag}") from None
-
-    def load_constraint_table(self) -> dict[str, ValueTypeConstraint]:
-        if not self.constraints_path:
-            return {}
-        return load_constraints(self.constraints_path)
 
 
 def _dotted(where: str, key) -> str:
@@ -174,17 +158,9 @@ def _externals(value, where: str) -> list[GraphSpec]:
     return specs
 
 
-def _validation(**keys) -> dict:
-    """The ``validation`` section as PipelineConfig's ``validation`` and, if given,
-    ``constraints_path``."""
-    path = {"constraints_path": keys.pop("constraints")} if "constraints" in keys else {}
-    return {"validation": ValidationSettings(**keys), **path}
-
-
-def _pipeline(graphs: PipelineConfig, validation: dict | None = None,
-              **sections) -> PipelineConfig:
+def _pipeline(graphs: PipelineConfig, **sections) -> PipelineConfig:
     """The config that the ``graphs`` section started, with the other sections."""
-    return replace(graphs, **(validation or {}), **sections)
+    return replace(graphs, **sections)
 
 
 def _section(name: str, raw, where: str):
@@ -239,7 +215,7 @@ _SCHEMA: dict[str, tuple[Callable, dict[str, Callable]]] = {
         "sample_seed": _check(lambda v: v is None or isinstance(v, str) or (
             is_number(v) and not math.isnan(v)), "a number, a string or null"),
     }),
-    "validation": (_validation, {
+    "validation": (ValidationSettings, {
         "constraints": _STRING_OR_NULL,
         "cutoff_year": _number(),
         "depth_cap": _number(low=0),
@@ -266,8 +242,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     base = Path(path).parent
     for spec in [cfg.target, *cfg.externals]:
         spec.path = str(base / spec.path)
-    if cfg.constraints_path:
-        cfg.constraints_path = str(base / cfg.constraints_path)
+    if cfg.validation.constraints:
+        cfg.validation = replace(cfg.validation,
+                                 constraints=str(base / cfg.validation.constraints))
     return cfg
 
 

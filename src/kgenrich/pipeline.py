@@ -37,7 +37,7 @@ from .retrieve import CandidateStatement, retrieve
 from .store import (EDGE_COLUMNS, Graph, Statement, Value, ValueKind, serialize_value,
                     value_sort_key, write_tsv)
 from .validate import (ClassClosures, ValidationOutcome, ValueTypeConstraint,
-                       validate_detailed)
+                       load_constraints, validate_detailed)
 
 TIMING_KEYS = ("entity_align", "property_align", "retrieval",
                "datatype_validation", "valuetype_validation", "total")
@@ -129,17 +129,22 @@ def _check_safety(partition: GapPartition, accepted: Sequence[CandidateStatement
 
 class Run:
     """One run's target graph, config, entity class and constraint table (by
-    default the config's). The entity mapping of every external tag and the
-    class closure per allowed-class set are built on first use and kept, exact
-    since the graph and settings are fixed within a run. Gap partitions are not
-    kept; ``batch_enrich`` passes one property's partition from row to row.
+    default read from ``validation.constraints`` as the run starts, so a missing
+    file fails before any stage runs). The entity mapping of every external tag
+    and the class closure per allowed-class set are built on first use and
+    kept, exact since the graph and settings are fixed within a run. Gap
+    partitions are not kept; ``batch_enrich`` passes one property's partition
+    from row to row.
     """
 
     def __init__(self, target: Graph, cfg: PipelineConfig, *,
                  entity_class: str | None = None,
                  constraints: Mapping[str, ValueTypeConstraint] | None = None) -> None:
         self.target, self.cfg, self.entity_class = target, cfg, entity_class
-        self.constraints = cfg.load_constraint_table() if constraints is None else constraints
+        if constraints is None:
+            path = cfg.validation.constraints
+            constraints = load_constraints(path) if path else {}
+        self.constraints = constraints
         self.closures = ClassClosures(target, cfg.validation)
         self._mappings: dict[str, EntityMapping] = {}
 
@@ -158,9 +163,7 @@ class Run:
         """
         mapping = self._mappings.get(tag)
         if mapping is None:
-            spec = self.cfg.mapping_for(tag)
-            mapping = self._mappings[tag] = build_mapping(self.target, spec.link_property,
-                                                          spec.transform())
+            mapping = self._mappings[tag] = build_mapping(self.target, self.cfg.mapping_for(tag))
         return mapping
 
     def align(self, external: Graph, prop: str, partition: GapPartition,

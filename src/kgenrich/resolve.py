@@ -15,10 +15,12 @@ from typing import Iterable, Mapping
 from .store import Graph, Value, ValueKind
 
 
-@dataclass(frozen=True)
-class IdTransform:
-    """value -> prefix + percent-encoded(value) + suffix."""
+@dataclass
+class MappingSpec:
+    """An external graph's mapping: ``link_property`` values rewritten as
+    prefix + percent-encoded(value) + suffix."""
 
+    link_property: str
     prefix: str = ""
     suffix: str = ""
 
@@ -57,31 +59,29 @@ def _link_value(obj: Value) -> str | None:
     return None
 
 
-def build_mapping(target: Graph, link_property: str,
-                  transform: IdTransform | None = None) -> EntityMapping:
-    """Collect link_property edges into forward/inverse id maps.
+def build_mapping(target: Graph, spec: MappingSpec) -> EntityMapping:
+    """Collect ``spec.link_property`` edges into forward/inverse id maps.
 
-    Values the transform rejects (empty, or non-string-shaped literals) are
+    Values the rewrite rejects (empty, or non-string-shaped literals) are
     skipped and counted, never fatal.
     """
-    transform = transform or IdTransform()
     forward: dict[str, set[str]] = {}
     inverse: dict[str, set[str]] = {}
     skipped = 0
-    for subj, obj in target.statements_for(link_property):
+    for subj, obj in target.statements_for(spec.link_property):
         raw = _link_value(obj)
         if raw is None:
             skipped += 1
             continue
         try:
-            external_id = transform.apply(raw)
+            external_id = spec.apply(raw)
         except ValueError:
             skipped += 1
             continue
         forward.setdefault(subj, set()).add(external_id)
         inverse.setdefault(external_id, set()).add(subj)
     return EntityMapping(
-        link_property=link_property,
+        link_property=spec.link_property,
         forward={n: frozenset(ids) for n, ids in forward.items()},
         inverse={e: frozenset(ids) for e, ids in inverse.items()},
         skipped=skipped,

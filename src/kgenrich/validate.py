@@ -71,6 +71,7 @@ class ValidationSettings:
     instance_of: str = "P31"
     subclass_of: str = "P279"
     expected_datatype: ValueKind | None = None
+    constraints: str | None = None  # path of the constraint table (``load_constraints``)
 
 
 @dataclass

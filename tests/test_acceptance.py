@@ -21,7 +21,7 @@ from kgenrich.pipeline import Run, batch_enrich, enrich_property
 from kgenrich.retrieve import CandidateStatement
 from kgenrich.store import Literal, ValueKind, serialize_value, value_kind, write_edge_tsv
 from kgenrich.validate import (RejectReason, RelationMode, ValidationSettings,
-                               ValueTypeConstraint, validate_detailed)
+                               ValueTypeConstraint, load_constraints, validate_detailed)
 
 from conftest import (COMPANY_CLASS, INDUSTRY_PROP, graph_from_edges,
                       industry_constraints, perfbench_module)
@@ -455,7 +455,7 @@ def _planted(batch):
 
 def test_criterion_10_desk_scale_throughput(tmp_path):
     fx, cfg, target, external = _dbp_l2(tmp_path)
-    properties, constraints = fx.properties, cfg.load_constraint_table()
+    properties, constraints = fx.properties, load_constraints(cfg.validation.constraints)
     assert external.edge_count >= 100_000
     started = time.monotonic()
     batch = batch_enrich(target, [external], properties, cfg,
@@ -475,6 +475,6 @@ def test_dbp_l2_at_path_length_4_finds_the_planted_paths_and_statements(tmp_path
     fx, cfg, target, external = _dbp_l2(tmp_path, scale=0.1)
     cfg = replace(cfg, alignment=replace(cfg.alignment, max_path_length=4))
     batch = batch_enrich(target, [external], fx.properties, cfg,
-                         entity_class=fx.entity_class, constraints=cfg.load_constraint_table())
+                         entity_class=fx.entity_class, constraints=load_constraints(cfg.validation.constraints))
     assert [r.status for r in batch.rows] == ["ok"] * len(fx.properties)
     assert _planted(batch) == (fx.statements, fx.paths)

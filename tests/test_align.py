@@ -420,7 +420,7 @@ def test_alignment_determinism(company_fixture):
     assert runs[0].steps == ("dbp:industry",)
 
 
-def test_align_config_bounds():
+def test_align_settings_bounds():
     with pytest.raises(ValueError):
         AlignConfig(max_path_length=0)
     with pytest.raises(ValueError):

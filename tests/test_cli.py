@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import kgenrich
-from kgenrich.align import PropertyPath
+from kgenrich import pipeline
+from kgenrich.align import AlignMode, PropertyPath
 from kgenrich.cli import build_parser, main
+from kgenrich.config import load_config
 from kgenrich.store import read_tsv, write_edge_tsv
 
 from conftest import COMPANY_CLASS, INDUSTRY_PROP
@@ -676,6 +679,83 @@ def test_validate_cutoff_year_flag_puts_a_date_at_or_after_it_out_of_range(works
                           in read_tsv(out, ("object", "accepted", "reject_reason"))}
     assert verdicts["default"] == {"1999": ("true", "-"), "2010": ("true", "-")}
     assert verdicts["cutoff"] == {"1999": ("true", "-"), "2010": ("false", "out-of-range")}
+
+
+class _RunBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command,flag,text,section,key,value", [
+    ("align", "--max-len", "2", "alignment", "max_path_length", 2),
+    ("align", "--sample-cap", "5", "alignment", "sample_cap", 5),
+    ("align", "--threshold", "0.5", "alignment", "similarity_threshold", 0.5),
+    ("align", "--mode", "freq", "alignment", "mode", AlignMode.FREQUENCY_ONLY),
+    ("validate", "--cutoff-year", "2010", "validation", "cutoff_year", 2010),
+    # a flag's path is kept as given, so it is read from the working directory
+    ("validate", "--constraints", "other.tsv", "validation", "constraints", "other.tsv"),
+    ("detect-gaps", "--type-prop", "P2", "gaps", "type_property", "P2"),
+])
+def test_each_flag_overrides_its_config_key_and_nothing_else(
+        workspace, monkeypatch, command, flag, text, section, key, value):
+    cfg_file = workspace / "config.yaml"
+    required = {"align": ["--config", cfg_file, "--property", INDUSTRY_PROP],
+                "validate": ["--config", cfg_file, "--property", INDUSTRY_PROP,
+                             "--candidates", "cands.tsv"],
+                "detect-gaps": ["--graph", workspace / "target.tsv", "--property",
+                                INDUSTRY_PROP, "--config", cfg_file]}
+    seen = []
+
+    def run(target, cfg, **kwargs):
+        seen.append(cfg)
+        raise _RunBuilt
+
+    monkeypatch.setattr(pipeline, "Run", run)
+    with pytest.raises(_RunBuilt):
+        main([command, *map(str, required[command]), flag, text])
+    expected = load_config(cfg_file)
+    setattr(expected, section, replace(getattr(expected, section), **{key: value}))
+    assert seen == [expected]
+
+
+def test_validate_constraints_flag_overrides_the_config_table_from_the_working_directory(
+        workspace, monkeypatch):
+    cfg = str(workspace / "config.yaml")
+    cands = workspace / "cands.tsv"
+    assert main(["retrieve", "--config", cfg, "--property", INDUSTRY_PROP,
+                 "--path", "dbp:industry", "--out", str(cands)]) == 0
+    # no industry is an instance of Q0; the file is not next to the config
+    elsewhere = workspace / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "other.tsv").write_text(f"property\tallowed_class\n{INDUSTRY_PROP}\tQ0\n")
+    monkeypatch.chdir(elsewhere)
+    verdicts = {}
+    for name, flags in (("config", []), ("flag", ["--constraints", "other.tsv"])):
+        out = workspace / f"{name}.tsv"
+        assert main(["validate", "--config", cfg, "--property", INDUSTRY_PROP,
+                     "--candidates", str(cands), "--out", str(out), *flags]) == 0
+        verdicts[name] = {reason for (reason,) in read_tsv(out, ("reject_reason",))}
+    assert "-" in verdicts["config"] and "wrong-value-type" not in verdicts["config"]
+    assert verdicts["flag"] == {"wrong-value-type"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--property", INDUSTRY_PROP, "--candidates", "CANDS", "--out", "OUT"],
+    ["enrich", "--property", INDUSTRY_PROP, "--out-dir", "OUT"],
+    ["batch", "--properties", INDUSTRY_PROP, "--out-dir", "OUT"],
+], ids=lambda argv: argv[0])
+def test_missing_constraints_file_is_a_data_error_before_any_output(workspace, capsys, argv):
+    missing = workspace / "missing.yaml"
+    missing.write_text(CONFIG.replace("constraints: constraints.tsv", "constraints: nosuch.tsv"))
+    cands = workspace / "cands.tsv"
+    assert main(["retrieve", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--path", "dbp:industry", "--out", str(cands)]) == 0
+    capsys.readouterr()
+    files = {"CANDS": str(cands), "OUT": str(workspace / "out")}
+    assert main([argv[0], "--config", str(missing),
+                 *(files.get(arg, arg) for arg in argv[1:])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "nosuch.tsv" in err and err.count("\n") == 1
+    assert not (workspace / "out").exists()
 
 
 def test_align_with_an_unknown_external_tag_is_config_error(workspace, capsys):

@@ -91,7 +91,7 @@ def test_load_config_resolves_relative_paths(tmp_path):
     cfg = load_config(cfg_file)
     assert cfg.target.path.endswith("cfg/data/t.tsv")
     assert cfg.externals[0].path.endswith("cfg/data/e.tsv")
-    assert cfg.constraints_path.endswith("cfg/data/c.tsv")
+    assert cfg.validation.constraints.endswith("cfg/data/c.tsv")
 
 
 @pytest.mark.parametrize("text,line", [
@@ -115,104 +115,163 @@ def test_config_must_be_mapping(tmp_path):
         load_config(bad)
 
 
-@pytest.mark.parametrize("section,value,named", [
-    ("alignment", [1], "alignment"),
-    ("alignment", {"max_path_length": 9}, "max_path_length"),
-    ("alignment", {"max_path_length": "two"}, "alignment"),
-    ("alignment", {"top_k": [3]}, "alignment"),
-    ("alignment", {"similarity_threshold": "high"}, "alignment"),
-    ("validation", {"cutoff_year": "soon"}, "validation"),
-    ("validation", "strict", "validation"),
-    ("gaps", 3, "gaps"),
-    ("output", ["tsv"], "output"),
-    ("prefixes", ["dbr"], "prefixes"),
-    ("mappings", {"dbp": ["sitelink"]}, "mappings.dbp"),
-    ("graphs", {"target": "t.tsv"}, "graphs.target"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": "x"}},
+# (id, section, value, named). Each id is written out, so deleting a case renames no
+# other; the ids are the ones pytest generated when the cases had none.
+_BAD_VALUES = [
+    ("alignment-value0-alignment", "alignment", [1], "alignment"),
+    ("alignment-value1-max_path_length", "alignment", {"max_path_length": 9}, "max_path_length"),
+    ("alignment-value2-alignment", "alignment", {"max_path_length": "two"}, "alignment"),
+    ("alignment-value3-alignment", "alignment", {"top_k": [3]}, "alignment"),
+    ("alignment-value4-alignment", "alignment", {"similarity_threshold": "high"}, "alignment"),
+    ("validation-value5-validation", "validation", {"cutoff_year": "soon"}, "validation"),
+    ("validation-strict-validation", "validation", "strict", "validation"),
+    ("gaps-3-gaps", "gaps", 3, "gaps"),
+    ("output-value8-output", "output", ["tsv"], "output"),
+    ("prefixes-value9-prefixes", "prefixes", ["dbr"], "prefixes"),
+    ("mappings-value10-mappings.dbp", "mappings", {"dbp": ["sitelink"]}, "mappings.dbp"),
+    ("graphs-value11-graphs.target", "graphs", {"target": "t.tsv"}, "graphs.target"),
+    ("graphs-value12-graphs.target",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": "x"}},
      "graphs.target"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"}, "externals": {"a": 1}},
+    ("graphs-value13-graphs.externals",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd"}, "externals": {"a": 1}},
      "graphs.externals"),
-    ("prefixes", {5: "http://dbpedia.org/resource/"}, "prefixes"),
-    ("prefixes", {"dbr": 5}, "prefixes"),
-    ("validation", {"constraints": 5}, "validation.constraints"),
-    ("alignment", {"sample_seed": [1]}, "alignment.sample_seed"),
-    ("alignment", {"max_path_length": float("inf")}, "alignment"),
-    ("graphs", {"target": {"path": "t.nt", "tag": "wd", "format": "ntriples"}},
+    ("prefixes-value14-prefixes", "prefixes", {5: "http://dbpedia.org/resource/"}, "prefixes"),
+    ("prefixes-value15-prefixes", "prefixes", {"dbr": 5}, "prefixes"),
+    ("validation-value16-validation.constraints",
+     "validation", {"constraints": 5}, "validation.constraints"),
+    ("alignment-value17-alignment.sample_seed",
+     "alignment", {"sample_seed": [1]}, "alignment.sample_seed"),
+    ("alignment-value18-alignment", "alignment", {"max_path_length": float("inf")}, "alignment"),
+    ("graphs-value19-graphs.target.format",
+     "graphs", {"target": {"path": "t.nt", "tag": "wd", "format": "ntriples"}},
      "graphs.target.format"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"},
+    ("graphs-value20-graphs.externals[0].format",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd"},
                 "externals": [{"path": "e.nt", "tag": "dbp", "format": "NT"}]},
      "graphs.externals[0].format"),
-    ("output", {"format": "xml"}, "output.format"),
-    ("mappings", {"db\np": {"prefix": "dbr:"}}, "mappings['db\\np'].link_property"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "label_properties": "label"}},
+    ("output-value21-output.format", "output", {"format": "xml"}, "output.format"),
+    ("mappings-value22-mappings['db\\np'].link_property",
+     "mappings", {"db\np": {"prefix": "dbr:"}}, "mappings['db\\np'].link_property"),
+    ("graphs-value23-graphs.target.label_properties",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd", "label_properties": "label"}},
      "graphs.target.label_properties"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"},
+    ("graphs-value24-graphs.externals[0].label_properties",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd"},
                 "externals": [{"path": "e.tsv", "tag": "dbp", "label_properties": ["", 5]}]},
      "graphs.externals[0].label_properties"),
-    ("gaps", {"no_value_sentinel": 5}, "gaps.no_value_sentinel"),
-    ("gaps", {"no_value_sentinel": ["Q0"]}, "gaps.no_value_sentinel"),
+    ("gaps-value25-gaps.no_value_sentinel",
+     "gaps", {"no_value_sentinel": 5}, "gaps.no_value_sentinel"),
+    ("gaps-value26-gaps.no_value_sentinel",
+     "gaps", {"no_value_sentinel": ["Q0"]}, "gaps.no_value_sentinel"),
     # timings are switched by --no-timings alone: the key is unknown whatever its value
-    ("output", {"include_timings": False}, "output.include_timings"),
-    ("output", {"include_timings": True}, "output.include_timings"),
-    ("output", {"include_timings": "false"}, "output.include_timings"),
-    ("output", {"format": "json", "include_timings": False}, "output.include_timings"),
-    ("gaps", {"type_property": ["P31"]}, "gaps.type_property"),
-    ("validation", {"instance_of": 31}, "validation.instance_of"),
-    ("validation", {"subclass_of": ""}, "validation.subclass_of"),
-    ("mappings", {"dbp": {"link_property": ["sitelink"]}}, "mappings.dbp.link_property"),
-    ("mappings", {"dbp": {"link_property": "P1", "prefix": None}}, "mappings.dbp.prefix"),
-    ("mappings", {"dbp": {"link_property": "P1", "transform": {"suffix": 5}}},
+    ("output-value27-output.include_timings",
+     "output", {"include_timings": False}, "output.include_timings"),
+    ("output-value28-output.include_timings",
+     "output", {"include_timings": True}, "output.include_timings"),
+    ("output-value29-output.include_timings",
+     "output", {"include_timings": "false"}, "output.include_timings"),
+    ("output-value30-output.include_timings",
+     "output", {"format": "json", "include_timings": False}, "output.include_timings"),
+    ("gaps-value31-gaps.type_property", "gaps", {"type_property": ["P31"]}, "gaps.type_property"),
+    ("validation-value32-validation.instance_of",
+     "validation", {"instance_of": 31}, "validation.instance_of"),
+    ("validation-value33-validation.subclass_of",
+     "validation", {"subclass_of": ""}, "validation.subclass_of"),
+    ("mappings-value34-mappings.dbp.link_property",
+     "mappings", {"dbp": {"link_property": ["sitelink"]}}, "mappings.dbp.link_property"),
+    ("mappings-value35-mappings.dbp.prefix",
+     "mappings", {"dbp": {"link_property": "P1", "prefix": None}}, "mappings.dbp.prefix"),
+    ("mappings-value36-mappings.dbp.suffix",
+     "mappings", {"dbp": {"link_property": "P1", "transform": {"suffix": 5}}},
      "mappings.dbp.suffix"),
-    ("graphs", {"target": {"path": ["t.tsv"], "tag": "wd"}}, "graphs.target.path"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": None}}, "graphs.target.tag"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"},
+    ("graphs-value37-graphs.target.path",
+     "graphs", {"target": {"path": ["t.tsv"], "tag": "wd"}}, "graphs.target.path"),
+    ("graphs-value38-graphs.target.tag",
+     "graphs", {"target": {"path": "t.tsv", "tag": None}}, "graphs.target.tag"),
+    ("graphs-value39-graphs.externals[0].path",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd"},
                 "externals": [{"path": "", "tag": "dbp"}]}, "graphs.externals[0].path"),
     # numbers are checked, not coerced by int() or float()
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": -1}},
+    ("graphs-value40-graphs.target.malformed_threshold",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": -1}},
      "graphs.target.malformed_threshold"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": float("nan")}},
+    ("graphs-value41-graphs.target.malformed_threshold",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": float("nan")}},
      "graphs.target.malformed_threshold"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": 1.5}},
+    ("graphs-value42-graphs.target.malformed_threshold",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": 1.5}},
      "graphs.target.malformed_threshold"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": True}},
+    ("graphs-value43-graphs.target.malformed_threshold",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd", "malformed_threshold": True}},
      "graphs.target.malformed_threshold"),
-    ("validation", {"depth_cap": -3}, "validation.depth_cap"),
-    ("validation", {"depth_cap": 2.0}, "validation.depth_cap"),
-    ("alignment", {"max_path_length": 2.7}, "alignment.max_path_length"),
-    ("alignment", {"max_path_length": True}, "alignment.max_path_length"),
-    ("alignment", {"top_k": 2.5}, "alignment.top_k"),
-    ("validation", {"cutoff_year": 1999.9}, "validation.cutoff_year"),
-    ("alignment", {"sample_cap": "12"}, "alignment.sample_cap"),
-    ("alignment", {"similarity_threshold": True}, "alignment.similarity_threshold"),
-    ("alignment", {"similarity_threshold": float("nan")}, "alignment.similarity_threshold"),
+    ("validation-value44-validation.depth_cap",
+     "validation", {"depth_cap": -3}, "validation.depth_cap"),
+    ("validation-value45-validation.depth_cap",
+     "validation", {"depth_cap": 2.0}, "validation.depth_cap"),
+    ("alignment-value46-alignment.max_path_length",
+     "alignment", {"max_path_length": 2.7}, "alignment.max_path_length"),
+    ("alignment-value47-alignment.max_path_length",
+     "alignment", {"max_path_length": True}, "alignment.max_path_length"),
+    ("alignment-value48-alignment.top_k", "alignment", {"top_k": 2.5}, "alignment.top_k"),
+    ("validation-value49-validation.cutoff_year",
+     "validation", {"cutoff_year": 1999.9}, "validation.cutoff_year"),
+    ("alignment-value50-alignment.sample_cap",
+     "alignment", {"sample_cap": "12"}, "alignment.sample_cap"),
+    ("alignment-value51-alignment.similarity_threshold",
+     "alignment", {"similarity_threshold": True}, "alignment.similarity_threshold"),
+    ("alignment-value52-alignment.similarity_threshold",
+     "alignment", {"similarity_threshold": float("nan")}, "alignment.similarity_threshold"),
     # NaN seeds random.Random by object identity, so each process samples differently
-    ("alignment", {"sample_seed": float("nan")}, "alignment.sample_seed"),
-    ("alignment", {"sample_seed": True}, "alignment.sample_seed"),
+    ("alignment-value53-alignment.sample_seed",
+     "alignment", {"sample_seed": float("nan")}, "alignment.sample_seed"),
+    ("alignment-value54-alignment.sample_seed",
+     "alignment", {"sample_seed": True}, "alignment.sample_seed"),
     # batch report rows are keyed by external tag
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"},
+    ("graphs-value55-graphs.externals[1].tag",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd"},
                 "externals": [{"path": "e.tsv", "tag": "dbp"}, {"path": "f.tsv", "tag": "dbp"}]},
      "graphs.externals[1].tag"),
-    ("mappings", {5: {"link_property": "P1"}}, "mappings key must be a string"),
+    ("mappings-value56-mappings key must be a string",
+     "mappings", {5: {"link_property": "P1"}}, "mappings key must be a string"),
     # an unknown key at any level, with the closest known key or the section's keys
-    ("alignment", {"max_path_lenght": 4},
+    ("alignment-value57-unknown config key: alignment.max_path_lenght; "
+     "did you mean alignment.max_path_length?",
+     "alignment", {"max_path_lenght": 4},
      "unknown config key: alignment.max_path_lenght; did you mean alignment.max_path_length?"),
-    ("alignment", {"mod": "string"}, "did you mean alignment.mode?"),
-    ("validaton", {"cutoff_year": 1990}, "unknown config key: validaton; did you mean validation?"),
-    ("graphs", {"target": {"path": "t.nt", "tag": "wd", "fromat": "nt"}},
+    ("alignment-value58-did you mean alignment.mode?",
+     "alignment", {"mod": "string"}, "did you mean alignment.mode?"),
+    ("validaton-value59-unknown config key: validaton; did you mean validation?",
+     "validaton", {"cutoff_year": 1990}, "unknown config key: validaton; did you mean validation?"),
+    ("graphs-value60-unknown config key: graphs.target.fromat; did you mean graphs.target.format?",
+     "graphs", {"target": {"path": "t.nt", "tag": "wd", "fromat": "nt"}},
      "unknown config key: graphs.target.fromat; did you mean graphs.target.format?"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"}, "extrnals": []},
+    ("graphs-value61-did you mean graphs.externals?",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd"}, "extrnals": []},
      "did you mean graphs.externals?"),
-    ("graphs", {"target": {"path": "t.tsv", "tag": "wd"},
+    ("graphs-value62-graphs.externals[0].lable_properties; "
+     "did you mean graphs.externals[0].label_properties?",
+     "graphs", {"target": {"path": "t.tsv", "tag": "wd"},
                 "externals": [{"path": "e.tsv", "tag": "dbp", "lable_properties": ["l"]}]},
      "graphs.externals[0].lable_properties; did you mean graphs.externals[0].label_properties?"),
-    ("mappings", {"dbp": {"link_property": "P1", "prefx": "dbr:"}}, "mappings.dbp.prefx"),
-    ("validation", {"cutoff": 2020}, "validation.cutoff; did you mean validation.cutoff_year?"),
-    ("gaps", {"marker": "Q0"}, "gaps.marker; known keys: gaps.type_property, "
+    ("mappings-value63-mappings.dbp.prefx",
+     "mappings", {"dbp": {"link_property": "P1", "prefx": "dbr:"}}, "mappings.dbp.prefx"),
+    ("validation-value64-validation.cutoff; did you mean validation.cutoff_year?",
+     "validation", {"cutoff": 2020}, "validation.cutoff; did you mean validation.cutoff_year?"),
+    ("gaps-value65-gaps.marker; known keys: gaps.type_property, gaps.no_value_sentinel",
+     "gaps", {"marker": "Q0"}, "gaps.marker; known keys: gaps.type_property, "
                                "gaps.no_value_sentinel"),
-    ("output", {"fromat": "json"}, "output.fromat; did you mean output.format?"),
-    ("extras", {}, "unknown config key: extras; known keys: graphs, prefixes, mappings"),
-    ("alignment", {7: 1}, "unknown config key: alignment[7]"),
-])
+    ("output-value66-output.fromat; did you mean output.format?",
+     "output", {"fromat": "json"}, "output.fromat; did you mean output.format?"),
+    ("extras-value67-unknown config key: extras; known keys: graphs, prefixes, mappings",
+     "extras", {}, "unknown config key: extras; known keys: graphs, prefixes, mappings"),
+    ("alignment-value68-unknown config key: alignment[7]",
+     "alignment", {7: 1}, "unknown config key: alignment[7]"),
+]
+
+
+@pytest.mark.parametrize("section,value,named",
+                         [pytest.param(*case, id=case_id) for case_id, *case in _BAD_VALUES])
 def test_bad_section_or_value_is_config_error(section, value, named):
     data = _minimal()
     data[section] = value
@@ -352,7 +411,7 @@ def test_config_from_dict_returns_config_or_one_line_config_error(document):
     assert all(isinstance(k, str) and isinstance(v, str) for k, v in cfg.prefixes.items())
     assert {spec.format for spec in [cfg.target, *cfg.externals]} <= {"", "nt", "tsv"}
     assert cfg.output.format in ("tsv", "json")
-    assert cfg.constraints_path is None or isinstance(cfg.constraints_path, str)
+    assert cfg.validation.constraints is None or isinstance(cfg.validation.constraints, str)
     ids = [cfg.gaps.type_property, cfg.validation.instance_of, cfg.validation.subclass_of]
     ids += [value for spec in [cfg.target, *cfg.externals] for value in (spec.path, spec.tag)]
     ids += [spec.link_property for spec in cfg.mappings.values()]

@@ -20,7 +20,7 @@ from kgenrich.pipeline import (NO_ALIGNMENT, EnrichmentResult, Run, batch_enrich
                                emit_report, enrich_property, run_consistency,
                                write_statements)
 from kgenrich.store import Literal, load_edge_tsv
-from kgenrich.validate import RelationMode, ValueTypeConstraint
+from kgenrich.validate import RelationMode, ValueTypeConstraint, load_constraints
 
 from conftest import (COMPANY_CLASS, INDUSTRY_CLASSES, INDUSTRY_PROP, graph_from_edges,
                       make_company_config, make_company_external, make_company_fixture,
@@ -90,7 +90,8 @@ def test_enrich_loads_config_constraints_when_none_given(tmp_path, company_fixtu
         "#mode=both\nproperty\tallowed_class\n"
         + "".join(f"{INDUSTRY_PROP}\t{c}\n"
                   for c in sorted(fx.constraints[INDUSTRY_PROP].allowed_classes)))
-    fx.cfg.constraints_path = str(tmp_path / "constraints.tsv")
+    fx.cfg.validation = dataclasses.replace(fx.cfg.validation,
+                                            constraints=str(tmp_path / "constraints.tsv"))
 
     def run(**kwargs):
         result = enrich_property(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
@@ -98,7 +99,7 @@ def test_enrich_loads_config_constraints_when_none_given(tmp_path, company_fixtu
         return result.s_g, result.s_e, result.statements
 
     loaded = run()
-    assert loaded == run(constraints=fx.cfg.load_constraint_table())
+    assert loaded == run(constraints=load_constraints(fx.cfg.validation.constraints))
     assert loaded[:2] == (2, 1)
     assert run(constraints={})[:2] == (2, 2)
 
@@ -305,7 +306,7 @@ def test_batch_aggregates_on_the_wide_l1_workload(tmp_path):
     cfg = load_config(tmp_path / "config.yaml")
     target, *graphs = (load_graph(spec, cfg.prefixes) for spec in (cfg.target, *cfg.externals))
     externals = {graph.tag: graph for graph in graphs}
-    fx = SimpleNamespace(target=target, cfg=cfg, constraints=cfg.load_constraint_table())
+    fx = SimpleNamespace(target=target, cfg=cfg, constraints=load_constraints(cfg.validation.constraints))
     batch = batch_enrich(target, graphs, wide.properties, cfg, entity_class=wide.entity_class,
                          constraints=fx.constraints)
     assert len(externals) == 2 and all(r.status == "ok" for r in batch.rows)
@@ -354,9 +355,9 @@ def test_run_builds_each_mapping_and_closure_once(company_fixture, monkeypatch):
         closures[allowed_classes] += 1
         return closure_of(graph, allowed_classes, *args)
 
-    def counted_mapping(target, link_property, transform=None):
-        mappings.append(link_property)
-        return mapping_of(target, link_property, transform)
+    def counted_mapping(target, spec):
+        mappings.append(spec.link_property)
+        return mapping_of(target, spec)
 
     monkeypatch.setattr(validate, "allowed_class_closure", counted_closure)
     monkeypatch.setattr(pipeline, "build_mapping", counted_mapping)

@@ -3,7 +3,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kgenrich.resolve import (IdTransform, build_mapping, inverse_resolve, resolve)
+from kgenrich.resolve import (MappingSpec, build_mapping, inverse_resolve, resolve)
 from kgenrich.store import Literal
 
 from conftest import graph_from_edges
@@ -17,25 +17,25 @@ def _sitelink_graph(links):
 
 def test_build_mapping_with_prefix_transform():
     g = _sitelink_graph([("Q30185", "Lesburlesque")])
-    mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     assert mapping.forward["Q30185"] == {"dbr:Lesburlesque"}
 
 
 def test_unlinked_node_absent():
     g = _sitelink_graph([("Q30185", "Lesburlesque")])
-    mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     assert "Q999" not in mapping.forward
 
 
 def test_shared_external_id_transposes_to_set_of_two():
     g = _sitelink_graph([("Q1", "Same"), ("Q2", "Same")])
-    mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     assert mapping.inverse["dbr:Same"] == {"Q1", "Q2"}
 
 
 def test_transform_percent_encodes_spaces():
     g = _sitelink_graph([("Q15401730", "Amanda de Andrade")])
-    mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     assert mapping.forward["Q15401730"] == {"dbr:Amanda%20de%20Andrade"}
 
 
@@ -45,7 +45,7 @@ def test_transform_failure_skipped_and_counted():
         ("Q2", "sitelink", Literal.date(1999)),        # not an id-shaped value
         ("Q3", "sitelink", Literal.string("Fine")),
     ])
-    mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     assert mapping.skipped == 2
     assert len(mapping.forward) == 1
 
@@ -53,7 +53,7 @@ def test_transform_failure_skipped_and_counted():
 def test_resolve_coverage():
     g = _sitelink_graph([("Q1", "A"), ("Q2", "B"), ("Q3", "C")])
     g.add_edge("Q4", "P31", "Q5")
-    mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     res = resolve(mapping, {"Q1"})
     assert res.mapped == {"Q1": frozenset({"dbr:A"})}
     assert res.coverage == 1.0
@@ -64,7 +64,7 @@ def test_resolve_coverage():
 
 def test_inverse_resolve():
     g = _sitelink_graph([("Q217117", "Burlesque")])
-    mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     inv = inverse_resolve(mapping, {"dbr:Burlesque", "dbr:NeverLinked"})
     assert inv.mapped == {"dbr:Burlesque": frozenset({"Q217117"})}
     assert inv.ambiguous == frozenset()
@@ -72,7 +72,7 @@ def test_inverse_resolve():
 
 def test_inverse_resolve_flags_ambiguous():
     g = _sitelink_graph([("Q1", "Same"), ("Q2", "Same")])
-    mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     inv = inverse_resolve(mapping, {"dbr:Same"})
     assert len(inv.mapped["dbr:Same"]) == 2
     assert inv.ambiguous == {"dbr:Same"}
@@ -82,7 +82,7 @@ def test_inverse_resolve_flags_ambiguous():
                        min_size=1, max_size=20))
 def test_transpose_property(links):
     g = _sitelink_graph([(f"Q{k}", v) for k, v in links.items()])
-    mapping = build_mapping(g, "sitelink", IdTransform(prefix="x:"))
+    mapping = build_mapping(g, MappingSpec("sitelink", prefix="x:"))
     for node, exts in mapping.forward.items():
         for ext in exts:
             assert node in mapping.inverse[ext]
@@ -93,7 +93,7 @@ def test_transpose_property(links):
 
 def test_roundtrip_identity_on_unambiguous_subset():
     g = _sitelink_graph([("Q1", "A"), ("Q2", "B")])
-    mapping = build_mapping(g, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     nodes = {"Q1", "Q2"}
     forward = resolve(mapping, nodes).mapped
     externals = {e for exts in forward.values() for e in exts}

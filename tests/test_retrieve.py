@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import kgenrich
 from kgenrich.align import PropertyPath
-from kgenrich.resolve import EntityMapping, IdTransform, build_mapping
+from kgenrich.resolve import EntityMapping, MappingSpec, build_mapping
 from kgenrich.retrieve import (CandidateStatement, follow_path, read_candidates, retrieve,
                                write_candidates)
 from kgenrich.store import Literal, value_sort_key
@@ -82,7 +82,7 @@ PATH = PropertyPath(steps=("dbp:industry",))
 def test_retrieve_unique_resolution():
     target = _linked_target([("Q1", "CompanyA"), ("Q2", "IndustryA")])
     external = graph_from_edges("dbp", [("dbr:CompanyA", "dbp:industry", "dbr:IndustryA")])
-    mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(target, MappingSpec("sitelink", prefix="dbr:"))
     unknowns = {"Q1": {"dbr:CompanyA"}}
     candidates = retrieve(external, unknowns, "P452", PATH, mapping)
     assert len(candidates) == 1
@@ -96,7 +96,7 @@ def test_retrieve_unique_resolution():
 def test_retrieve_unresolvable_flagged():
     target = _linked_target([("Q1", "CompanyA")])
     external = graph_from_edges("dbp", [("dbr:CompanyA", "dbp:industry", "dbr:Mystery")])
-    mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(target, MappingSpec("sitelink", prefix="dbr:"))
     candidates = retrieve(external, {"Q1": {"dbr:CompanyA"}},
                           "P452", PATH, mapping)
     assert len(candidates) == 1
@@ -107,7 +107,7 @@ def test_retrieve_unresolvable_flagged():
 def test_retrieve_ambiguous_inverse_propagates_all():
     target = _linked_target([("Q1", "CompanyA"), ("Q2", "IndustryA"), ("Q3", "IndustryA")])
     external = graph_from_edges("dbp", [("dbr:CompanyA", "dbp:industry", "dbr:IndustryA")])
-    mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(target, MappingSpec("sitelink", prefix="dbr:"))
     candidates = retrieve(external, {"Q1": {"dbr:CompanyA"}},
                           "P452", PATH, mapping)
     assert len(candidates) == 2
@@ -123,7 +123,7 @@ def test_retrieve_dedups_same_resolved_object():
         ("dbr:CompanyA", "dbp:industry", "dbr:IndustryA"),
         ("dbr:CompanyA_alias", "dbp:industry", "dbr:IndustryA"),
     ])
-    mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(target, MappingSpec("sitelink", prefix="dbr:"))
     unknowns = {"Q1": {"dbr:CompanyA", "dbr:CompanyA_alias"}}
     candidates = retrieve(external, unknowns, "P452", PATH, mapping)
     assert len(candidates) == 1
@@ -132,7 +132,7 @@ def test_retrieve_dedups_same_resolved_object():
 def test_retrieve_idempotent_and_subject_scoped():
     target = _linked_target([("Q1", "CompanyA"), ("Q2", "IndustryA")])
     external = graph_from_edges("dbp", [("dbr:CompanyA", "dbp:industry", "dbr:IndustryA")])
-    mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(target, MappingSpec("sitelink", prefix="dbr:"))
     unknowns = {"Q1": {"dbr:CompanyA"}}
     first = retrieve(external, unknowns, "P452", PATH, mapping)
     second = retrieve(external, unknowns, "P452", PATH, mapping)
@@ -145,7 +145,7 @@ def test_retrieve_literal_terminal_kept():
     external = graph_from_edges("dbp", [
         ("dbr:CompanyA", "dbp:founded", Literal.date(1885, 1, 1)),
     ])
-    mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(target, MappingSpec("sitelink", prefix="dbr:"))
     candidates = retrieve(external, {"Q1": {"dbr:CompanyA"}},
                           "P571", PropertyPath(steps=("dbp:founded",)), mapping)
     assert len(candidates) == 1
@@ -154,7 +154,7 @@ def test_retrieve_literal_terminal_kept():
 
 LANGUAGE_VARIANTS = """
 from kgenrich.align import PropertyPath
-from kgenrich.resolve import IdTransform, build_mapping
+from kgenrich.resolve import MappingSpec, build_mapping
 from kgenrich.retrieve import retrieve
 from kgenrich.store import Graph, Literal, serialize_value
 
@@ -163,7 +163,7 @@ target.add_edge("Q90", "sitelink", Literal.string("Paris"))
 external = Graph("dbp")
 for language in ("nl", "en", "fr"):
     external.add_edge("dbr:Paris", "dbp:name", Literal.monolingual("Paris", language))
-mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
+mapping = build_mapping(target, MappingSpec("sitelink", prefix="dbr:"))
 candidates = retrieve(external, {"Q90": {"dbr:Paris"}}, "P1448",
                       PropertyPath(steps=("dbp:name",)), mapping)
 print("|".join(serialize_value(c.object) for c in candidates))
@@ -191,7 +191,7 @@ def test_candidate_file_roundtrip(tmp_path):
         ("dbr:CompanyA", "dbp:industry", "dbr:IndustryA"),
         ("dbr:CompanyA", "dbp:industry", "dbr:Mystery"),
     ])
-    mapping = build_mapping(target, "sitelink", IdTransform(prefix="dbr:"))
+    mapping = build_mapping(target, MappingSpec("sitelink", prefix="dbr:"))
     candidates = retrieve(external, {"Q1": {"dbr:CompanyA"}},
                           "P452", PATH, mapping)
     path = tmp_path / "cands.tsv"
