@@ -14,7 +14,8 @@ runs ``batch`` over two externals (the external file again under the tag
 ``dbp2``, from a second config file) and exits 1 unless each ``(all)`` row's
 ``s_e`` is the sum of its graph's rows and the ``(both)`` row's ``s_e`` is the
 number of statements written.
-Inspect the workspace afterwards to see every intermediate file. Exits
+Reports are written without timings, so the workspace's bytes depend only on
+the inputs. Inspect the workspace afterwards to see every intermediate file. Exits
 with the first failing command's exit code.
 """
 
@@ -136,7 +137,7 @@ def main() -> int:
     run("stage chain for P452: validate", "validate", "--property", "P452",
         "--candidates", str(cands), "--out", str(verdicts))
     run("enrich P452 over every subject", "enrich", "--property", "P452",
-        "--out-dir", str(ws / "out-all"))
+        "--out-dir", str(ws / "out-all"), "--no-timings")
     chain = sorted(row[:3] for row in read_tsv(verdicts, ("subject", "property", "object",
                                                           "accepted")) if row[3] == "true")
     enriched = sorted(read_tsv(ws / "out-all" / "statements.tsv", ("node1", "label", "node2")))
@@ -157,7 +158,7 @@ def main() -> int:
                   f"got {selected}", file=sys.stderr)
             return 1
     run("enrich P452 for companies (Q783794)", "enrich", "--property", "P452",
-        "--class", "Q783794", "--out-dir", out)
+        "--class", "Q783794", "--out-dir", out, "--no-timings")
     print("\nvalidated statements:")
     print((ws / "out" / "statements.tsv").read_text())
     run("agreement with existing values (overlap mode)", "consistency",
@@ -168,7 +169,7 @@ def main() -> int:
     print((ws / "out-dates" / "scatter.csv").read_text())
     batch_out = ws / "out-batch"
     run("batch over two externals, dbp and dbp2", "batch", "--properties", "P452,P571",
-        "--class", "Q783794", "--out-dir", str(batch_out),
+        "--class", "Q783794", "--out-dir", str(batch_out), "--no-timings",
         config=str(ws / "config_two_externals.yaml"))
     if not aggregates_add_up(batch_out):
         return 1

@@ -16,10 +16,11 @@ from pathlib import Path
 
 from . import pipeline
 from .align import PropertyPath, score_candidates
-from .config import MODE_ALIASES, GraphSpec, PipelineConfig, load_config, load_graph
+from .config import (GRAPH_LOADERS, MODE_ALIASES, GraphSpec, PipelineConfig, load_config,
+                     load_graph)
 from .consistency import Granularity, write_scatter_csv
 from .errors import ConfigError, DataFormatError, UsageError
-from .resolve import inverse_resolve, resolve
+from .resolve import build_mapping, inverse_resolve, resolve
 from .retrieve import read_candidates, write_candidates
 from .store import Graph, read_tsv, write_tsv
 from .validate import write_verdicts
@@ -66,14 +67,24 @@ def _config(args) -> PipelineConfig:
     return _override(load_config(args.config), args)
 
 
-def _graphs(cfg: PipelineConfig, tag: str | None) -> tuple[Graph, Graph]:
-    """The target and the external graph ``tag`` (else the first), once it has a mapping."""
-    specs = [spec for spec in cfg.externals if tag in (None, spec.tag)]
+def _externals(cfg: PipelineConfig, tag: str | None, every: bool = False) -> list[GraphSpec]:
+    """The external graphs a command uses: the one tagged ``tag`` (else the first), or
+    all of them when ``every``. Each one's mapping is checked before any graph loads."""
+    if not cfg.externals:
+        raise ConfigError("missing config key: graphs.externals")
+    specs = cfg.externals if every else [s for s in cfg.externals if tag in (None, s.tag)][:1]
     if not specs:
-        raise ConfigError(f"no external graph with tag {tag!r} in config" if cfg.externals
-                          else "missing config key: graphs.externals")
-    cfg.mapping_for(specs[0].tag)
-    return load_graph(cfg.target, cfg.prefixes), load_graph(specs[0], cfg.prefixes)
+        raise ConfigError(f"no external graph with tag {tag!r} in config")
+    for spec in specs:
+        cfg.mapping_for(spec.tag)
+    return specs
+
+
+def _graphs(cfg: PipelineConfig, tag: str | None,
+            every: bool = False) -> tuple[Graph, list[Graph]]:
+    """The target and the external graphs ``_externals`` picks, loaded in that order."""
+    specs = _externals(cfg, tag, every)
+    return load_graph(cfg.target, cfg.prefixes), [load_graph(s, cfg.prefixes) for s in specs]
 
 
 def _out(args, default_name: str) -> Path:
@@ -119,9 +130,8 @@ def _cmd_detect_gaps(args) -> int:
 
 def _cmd_resolve(args) -> int:
     cfg = _config(args)
-    cfg.mapping_for(args.external_tag)  # before the target loads
-    target = load_graph(cfg.target, cfg.prefixes)
-    mapping = pipeline.Run(target, cfg, constraints={}).mapping(args.external_tag)
+    (spec,) = _externals(cfg, args.external)
+    mapping = build_mapping(load_graph(cfg.target, cfg.prefixes), cfg.mapping_for(spec.tag))
     ids = [line.strip() for line in Path(args.nodes).read_text(encoding="utf-8").splitlines()
            if line.strip()]
     if args.inverse:
@@ -139,7 +149,7 @@ def _cmd_resolve(args) -> int:
 
 def _cmd_align(args) -> int:
     cfg = _config(args)
-    target, external = _graphs(cfg, args.external)
+    target, (external,) = _graphs(cfg, args.external)
     run = pipeline.Run(target, cfg, constraints={})
     ranked, selected = run.align(external, args.property, run.gaps(args.property))
     scored = score_candidates(external, run.target.label(args.property), ranked)
@@ -163,7 +173,7 @@ def _parse_path_arg(path_arg: str) -> PropertyPath:
         return selected[0]
     if candidate.suffix.lower() == ".tsv":
         raise UsageError(f"--path {path_arg}: no such align file")
-    if candidate.is_dir():
+    if path_arg and candidate.is_dir():  # Path("") is the working directory
         raise UsageError(f"--path {path_arg}: a directory, not an align file or a path")
     try:
         return PropertyPath.parse(path_arg)
@@ -174,7 +184,7 @@ def _parse_path_arg(path_arg: str) -> PropertyPath:
 def _cmd_retrieve(args) -> int:
     cfg = _config(args)
     path = _parse_path_arg(args.path)
-    target, external = _graphs(cfg, args.external)
+    target, (external,) = _graphs(cfg, args.external)
     run = pipeline.Run(target, cfg, constraints={})
     candidates = run.candidates(external, args.property, path,
                                 run.gaps(args.property).unknown_subjects)
@@ -199,7 +209,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_enrich(args) -> int:
     cfg = _config(args)
-    target, external = _graphs(cfg, args.external)
+    target, (external,) = _graphs(cfg, args.external)
     result = pipeline.enrich_property(target, external, args.property, cfg,
                                       entity_class=args.entity_class)
     _write_outputs(args, cfg, result.statements, [result])
@@ -211,12 +221,7 @@ def _cmd_enrich(args) -> int:
 def _cmd_batch(args) -> int:
     properties = _property_list(args)
     cfg = _config(args)
-    if not cfg.externals:
-        raise ConfigError("missing config key: graphs.externals")
-    for spec in cfg.externals:
-        cfg.mapping_for(spec.tag)  # every mapping before any graph loads
-    target = load_graph(cfg.target, cfg.prefixes)
-    externals = [load_graph(spec, cfg.prefixes) for spec in cfg.externals]
+    target, externals = _graphs(cfg, None, every=True)
     batch = pipeline.batch_enrich(target, externals, properties, cfg,
                                   entity_class=args.entity_class)
     statements = batch.statements()
@@ -244,7 +249,7 @@ def _property_list(args) -> list[str]:
 
 def _cmd_consistency(args) -> int:
     cfg = _config(args)
-    target, external = _graphs(cfg, args.external)
+    target, (external,) = _graphs(cfg, args.external)
     granularity = Granularity(args.granularity) if args.granularity else None
     outcome = pipeline.run_consistency(target, external, args.property, cfg,
                                        granularity, entity_class=args.entity_class)
@@ -260,81 +265,60 @@ def _cmd_consistency(args) -> int:
 # -- wiring --------------------------------------------------------------------
 
 
+# flag -> its argparse keywords; the dest is the flag's name unless given
+_FLAGS: dict[str, dict] = {
+    "--config": {}, "--graph": {}, "--property": {}, "--properties-file": {},
+    "--candidates": {}, "--constraints": {}, "--out": {}, "--out-dir": {},
+    "--max-len": {"type": int}, "--sample-cap": {"type": int}, "--cutoff-year": {"type": int},
+    "--threshold": {"type": float},
+    "--inverse": {"action": "store_true"}, "--no-timings": {"action": "store_true"},
+    "--format": {"choices": tuple(GRAPH_LOADERS), "default": ""},
+    "--mode": {"choices": tuple(MODE_ALIASES)},
+    "--granularity": {"choices": tuple(g.value for g in Granularity)},
+    "--tag": {"default": "graph"}, "--class": {"dest": "entity_class"},
+    "--properties": {"help": "comma-separated property ids"},
+    "--type-prop": {"help": "type property (default: the config's, else P31)"},
+    "--external": {"help": "external graph tag (default: the first)"},
+    "--nodes": {"help": "file with one node id per line"},
+    "--path": {"help": "align output file or slash-joined steps"},
+}
+
+# subcommand -> (handler, help, required flags, optional flags)
+_COMMANDS = {
+    "load-check": (_cmd_load_check, "load a graph and print stats",
+                   ("--graph",), ("--format", "--tag", "--config")),
+    "detect-gaps": (_cmd_detect_gaps, "partition subjects into known/unknown",
+                    ("--graph", "--property"),
+                    ("--format", "--tag", "--class", "--type-prop", "--config", "--out")),
+    "resolve": (_cmd_resolve, "map node ids through an entity mapping",
+                ("--config", "--nodes"), ("--external", "--inverse", "--out")),
+    "align": (_cmd_align, "rank and select external property paths",
+              ("--config", "--property"),
+              ("--external", "--max-len", "--sample-cap", "--threshold", "--mode", "--out")),
+    "retrieve": (_cmd_retrieve, "collect candidate statements over a path",
+                 ("--config", "--property", "--path"), ("--external", "--out")),
+    "validate": (_cmd_validate, "validate a candidate file",
+                 ("--config", "--property", "--candidates"),
+                 ("--constraints", "--cutoff-year", "--out")),
+    "enrich": (_cmd_enrich, "run the full pipeline for one property",
+               ("--config", "--property"), ("--class", "--external", "--out-dir", "--no-timings")),
+    "batch": (_cmd_batch, "run the pipeline for many properties", ("--config",),
+              ("--properties", "--properties-file", "--class", "--out-dir", "--no-timings")),
+    "consistency": (_cmd_consistency, "agreement on overlapping subjects",
+                    ("--config", "--property"),
+                    ("--granularity", "--class", "--external", "--out-dir")),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="kgenrich",
                      description="Knowledge-graph enrichment from linked-data sources")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, summary, *required):
+    for name, (handler, summary, required, optional) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
-        for flag in required:
-            p.add_argument(flag, required=True)
-        return p
-
-    p = add("load-check", _cmd_load_check, "load a graph and print stats", "--graph")
-    p.add_argument("--format", choices=("nt", "tsv"), default="")
-    p.add_argument("--tag", default="graph")
-    p.add_argument("--config")
-
-    p = add("detect-gaps", _cmd_detect_gaps, "partition subjects into known/unknown",
-            "--graph", "--property")
-    p.add_argument("--format", choices=("nt", "tsv"), default="")
-    p.add_argument("--tag", default="graph")
-    p.add_argument("--class", dest="entity_class")
-    p.add_argument("--type-prop", help="type property (default: the config's, else P31)")
-    p.add_argument("--config")
-    p.add_argument("--out")
-
-    p = add("resolve", _cmd_resolve, "map node ids through an entity mapping", "--config")
-    p.add_argument("--graph-tag", dest="external_tag", required=True)
-    p.add_argument("--nodes", required=True, help="file with one node id per line")
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("--out")
-
-    p = add("align", _cmd_align, "rank and select external property paths",
-            "--config", "--property")
-    p.add_argument("--external", help="external graph tag (default: first)")
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--sample-cap", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--mode", choices=("hybrid", "freq", "frequency", "string"))
-    p.add_argument("--out")
-
-    p = add("retrieve", _cmd_retrieve, "collect candidate statements over a path",
-            "--config", "--property")
-    p.add_argument("--path", required=True,
-                   help="align output file or slash-joined steps")
-    p.add_argument("--external")
-    p.add_argument("--out")
-
-    p = add("validate", _cmd_validate, "validate a candidate file",
-            "--config", "--property", "--candidates")
-    p.add_argument("--constraints")
-    p.add_argument("--cutoff-year", type=int)
-    p.add_argument("--out")
-
-    p = add("enrich", _cmd_enrich, "run the full pipeline for one property",
-            "--config", "--property")
-    p.add_argument("--class", dest="entity_class")
-    p.add_argument("--external")
-    p.add_argument("--out-dir")
-    p.add_argument("--no-timings", action="store_true")
-
-    p = add("batch", _cmd_batch, "run the pipeline for many properties", "--config")
-    p.add_argument("--properties", help="comma-separated property ids")
-    p.add_argument("--properties-file")
-    p.add_argument("--class", dest="entity_class")
-    p.add_argument("--out-dir")
-    p.add_argument("--no-timings", action="store_true")
-
-    p = add("consistency", _cmd_consistency, "agreement on overlapping subjects",
-            "--config", "--property")
-    p.add_argument("--granularity", choices=("year", "day"))
-    p.add_argument("--class", dest="entity_class")
-    p.add_argument("--external")
-    p.add_argument("--out-dir")
-
+        for flag in (*required, *optional):
+            p.add_argument(flag, required=flag in required, **_FLAGS[flag])
     return parser
 
 

@@ -35,12 +35,15 @@ MODE_ALIASES = {
     "string": AlignMode.STRING_ONLY,
 }
 
+# graph format -> its loader; the ``format`` key, ``--format`` and ``load_graph`` read it
+GRAPH_LOADERS = {"nt": load_ntriples, "tsv": load_edge_tsv}
+
 
 @dataclass
 class GraphSpec:
     path: str
     tag: str
-    format: str = ""  # "nt" | "tsv"; inferred from the suffix when empty
+    format: str = ""  # a key of GRAPH_LOADERS; inferred from the suffix when empty
     label_properties: tuple[str, ...] = DEFAULT_LABEL_PROPERTIES
     malformed_threshold: float = DEFAULT_MALFORMED_THRESHOLD
 
@@ -198,7 +201,7 @@ _SCHEMA: dict[str, tuple[Callable, dict[str, Callable]]] = {
     "graph": (GraphSpec, {
         "path": _ID,
         "tag": _ID,
-        "format": _one_of("", "nt", "tsv"),
+        "format": _one_of("", *GRAPH_LOADERS),
         "label_properties": _check(lambda v: isinstance(v, (list, tuple)) and all(
             isinstance(item, str) and item for item in v), "a list of non-empty strings", tuple),
         "malformed_threshold": _number(real=True, low=0, high=1),
@@ -259,7 +262,7 @@ def load_graph(spec: GraphSpec, prefixes: Mapping[str, str] | None = None) -> Gr
     that is dropped is still freed by refcounting. The caller's
     ``gc.isenabled()`` state is restored whether or not the load succeeds.
     """
-    loader = load_ntriples if spec.resolved_format() == "nt" else load_edge_tsv
+    loader = GRAPH_LOADERS[spec.resolved_format()]
     was_enabled = gc.isenabled()
     gc.disable()
     try:

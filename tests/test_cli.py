@@ -270,20 +270,24 @@ def test_retrieve_missing_align_file_is_usage_error(workspace, capsys):
     assert not cands.exists()
 
 
-@pytest.mark.parametrize("path", ["dbp:industry/", "/dbp:industry", "dbp:industry//dbp:x",
-                                  "", "/", "{workspace}", "{workspace}/", "sub", "sub/"])
+_EMPTY_STEP_PATHS = ("dbp:industry/", "/dbp:industry", "dbp:industry//dbp:x", "")
+
+
+@pytest.mark.parametrize("path", [*_EMPTY_STEP_PATHS,
+                                  "/", "{workspace}", "{workspace}/", "sub", "sub/"])
 def test_retrieve_path_with_an_empty_step_or_a_directory_is_usage_error(
         workspace, capsys, monkeypatch, path):
-    # an empty step or a directory used to give 0 candidates or an OSError (exit 2)
+    # an empty step or a directory used to give 0 candidates or an OSError (exit 2);
+    # "" is path text, not the working directory
     monkeypatch.chdir(workspace)
     (workspace / "sub").mkdir()
     cands = workspace / "cands.tsv"
+    arg = path.format(workspace=workspace)
     assert main(["retrieve", "--config", str(workspace / "config.yaml"),
-                 "--property", INDUSTRY_PROP, "--path", path.format(workspace=workspace),
-                 "--out", str(cands)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: --path ")
-    assert len(err.splitlines()) == 1
+                 "--property", INDUSTRY_PROP, "--path", arg, "--out", str(cands)]) == 1
+    cause = (f"{arg!r}: a path step is empty or has a stray backslash"
+             if path in _EMPTY_STEP_PATHS else f"{arg}: a directory, not an align file or a path")
+    assert capsys.readouterr().err == f"usage error: --path {cause}\n"
     assert not cands.exists()
 
 
@@ -341,6 +345,17 @@ def test_candidate_of_another_property_is_a_data_error_naming_its_line(workspace
                  "--out", str(verdicts)]) == 2
     assert capsys.readouterr().err == (f"data error: {cands}:3: a candidate of property "
                                        f"P571, not {INDUSTRY_PROP}\n")
+    assert not verdicts.exists()
+
+
+def test_candidate_without_a_subject_is_a_data_error_naming_its_line(workspace, capsys):
+    cands = workspace / "cands.tsv"
+    cands.write_text(CANDIDATE_HEADER + GOOD_CANDIDATE + "\t" + GOOD_CANDIDATE.split("\t", 1)[1])
+    verdicts = workspace / "v.tsv"
+    assert main(["validate", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--candidates", str(cands),
+                 "--out", str(verdicts)]) == 2
+    assert capsys.readouterr().err == f"data error: {cands}:3: a candidate row has no subject\n"
     assert not verdicts.exists()
 
 
@@ -495,14 +510,14 @@ def test_resolve_forward_and_inverse(workspace, capsys):
     cfg = str(workspace / "config.yaml")
     nodes = workspace / "nodes.txt"
     nodes.write_text("Q1001\nQ1006\nQ9999\n")
-    assert main(["resolve", "--config", cfg, "--graph-tag", "dbp",
+    assert main(["resolve", "--config", cfg, "--external", "dbp",
                  "--nodes", str(nodes)]) == 0
     out = capsys.readouterr().out
     assert "Q1001\tdbr:CompanyA" in out
     assert "#coverage=0.6667" in out
     externals = workspace / "ext.txt"
     externals.write_text("dbr:IndustryB\n")
-    assert main(["resolve", "--config", cfg, "--graph-tag", "dbp",
+    assert main(["resolve", "--config", cfg, "--external", "dbp",
                  "--nodes", str(externals), "--inverse"]) == 0
     assert "dbr:IndustryB\tQ2002" in capsys.readouterr().out
 
@@ -566,6 +581,22 @@ def test_missing_mapping_is_config_error(workspace, capsys):
     assert "mappings.dbp" in capsys.readouterr().err
 
 
+def test_load_check_format_flag_reads_a_txt_file_as_ntriples(workspace, capsys):
+    path = workspace / "g.txt"
+    path.write_text("<http://ex/a> <http://ex/p> <http://ex/b> .\n"
+                    '<http://ex/a> <http://ex/q> "x"@en .\n')
+    assert main(["load-check", "--graph", str(path), "--format", "nt"]) == 0
+    assert "2 edges, 2 nodes, 0 malformed" in capsys.readouterr().out
+    # by its suffix the file is an edge TSV, which needs a header line
+    assert main(["load-check", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_empty_config_flag_is_usage_error(workspace, capsys):
+    assert main(["align", "--config", "", "--property", INDUSTRY_PROP]) == 1
+    assert capsys.readouterr().err == "usage error: this command requires --config\n"
+
+
 def test_load_check_malformed_escape_is_skipped(workspace, capsys):
     path = workspace / "escapes.tsv"
     rows = "".join(f"Q{i}\tP1\tQ{i + 1}\n" for i in range(20))
@@ -625,7 +656,7 @@ def test_stage_chain_with_an_unprefixed_property_iri_equals_enrich(workspace):
 
 
 @pytest.mark.parametrize("argv", [
-    ["resolve", "--graph-tag", "dbp", "--nodes", "NODES"],
+    ["resolve", "--external", "dbp", "--nodes", "NODES"],
     ["align", "--property", INDUSTRY_PROP],
     ["retrieve", "--property", INDUSTRY_PROP, "--path", "dbp:industry"],
     ["enrich", "--property", INDUSTRY_PROP],
@@ -772,6 +803,17 @@ def test_batch_without_externals_is_config_error(workspace, capsys):
     assert main(["batch", "--config", str(bare), "--properties", INDUSTRY_PROP,
                  "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err == "config error: missing config key: graphs.externals\n"
+    # so does every command that takes --external
+    (workspace / "nodes.txt").write_text("Q1001\n")
+    out = str(out_dir / "out.tsv")
+    for argv in (["resolve", "--nodes", str(workspace / "nodes.txt"), "--out", out],
+                 ["align", "--property", INDUSTRY_PROP, "--out", out],
+                 ["retrieve", "--property", INDUSTRY_PROP, "--path", "dbp:industry", "--out", out],
+                 ["enrich", "--property", INDUSTRY_PROP, "--out-dir", str(out_dir)],
+                 ["consistency", "--property", INDUSTRY_PROP, "--out-dir", str(out_dir)]):
+        assert main([argv[0], "--config", str(bare), *argv[1:]]) == 1
+        assert capsys.readouterr().err == \
+            "config error: missing config key: graphs.externals\n", argv[0]
     assert not out_dir.exists()
 
 
@@ -799,3 +841,48 @@ def test_readme_cli_block_parses_and_names_every_subcommand_once():
     subparsers = next(action for action in parser._actions
                       if isinstance(action, argparse._SubParsersAction))
     assert sorted(commands) == sorted(subparsers.choices)
+
+
+def test_parser_has_each_commands_flags_and_choices():
+    # written out here, not read from the cli tables, so a change to either shows
+    expected = {
+        "load-check": ({"--graph"}, {"--format", "--tag", "--config"}),
+        "detect-gaps": ({"--graph", "--property"},
+                        {"--format", "--tag", "--class", "--type-prop", "--config", "--out"}),
+        "resolve": ({"--config", "--nodes"}, {"--external", "--inverse", "--out"}),
+        "align": ({"--config", "--property"}, {"--external", "--max-len", "--sample-cap",
+                                               "--threshold", "--mode", "--out"}),
+        "retrieve": ({"--config", "--property", "--path"}, {"--external", "--out"}),
+        "validate": ({"--config", "--property", "--candidates"},
+                     {"--constraints", "--cutoff-year", "--out"}),
+        "enrich": ({"--config", "--property"},
+                   {"--class", "--external", "--out-dir", "--no-timings"}),
+        "batch": ({"--config"},
+                  {"--properties", "--properties-file", "--class", "--out-dir", "--no-timings"}),
+        "consistency": ({"--config", "--property"},
+                        {"--granularity", "--class", "--external", "--out-dir"}),
+    }
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    actions = {name: [action for action in parser._actions
+                      if not isinstance(action, argparse._HelpAction)]
+               for name, parser in sub.choices.items()}
+    assert {name: ({a.option_strings[0] for a in acts if a.required},
+                   {a.option_strings[0] for a in acts if not a.required})
+            for name, acts in actions.items()} == expected
+    assert {(name, a.option_strings[0]): tuple(a.choices)
+            for name, acts in actions.items() for a in acts if a.choices} == {
+        ("load-check", "--format"): ("nt", "tsv"),
+        ("detect-gaps", "--format"): ("nt", "tsv"),
+        ("align", "--mode"): ("hybrid", "freq", "frequency", "string"),
+        ("consistency", "--granularity"): ("year", "day"),
+    }
+
+
+def test_resolve_graph_tag_flag_is_a_one_line_usage_error(workspace, capsys):
+    # resolve names its external graph with --external, as align does
+    (workspace / "nodes.txt").write_text("Q1001\n")
+    assert main(["resolve", "--config", str(workspace / "config.yaml"), "--graph-tag", "dbp",
+                 "--nodes", str(workspace / "nodes.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: unrecognized arguments: --graph-tag dbp\n"

@@ -21,6 +21,15 @@ def test_build_mapping_with_prefix_transform():
     assert mapping.forward["Q30185"] == {"dbr:Lesburlesque"}
 
 
+def test_build_mapping_rewrites_a_node_id_link_value():
+    # a link edge may point at a node id rather than a string literal
+    g = graph_from_edges("wd", [("Q1", "P1", "Lesburlesque"), ("Q2", "P1", Literal.quantity(3))])
+    mapping = build_mapping(g, MappingSpec("P1", prefix="dbr:"))
+    assert mapping.forward == {"Q1": {"dbr:Lesburlesque"}}
+    assert mapping.inverse == {"dbr:Lesburlesque": {"Q1"}}
+    assert mapping.skipped == 1
+
+
 def test_unlinked_node_absent():
     g = _sitelink_graph([("Q30185", "Lesburlesque")])
     mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))

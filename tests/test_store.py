@@ -36,6 +36,14 @@ def test_empty_file(tmp_path):
     assert g.edge_count == 0
 
 
+def test_empty_tsv_without_a_header_loads_an_empty_graph(tmp_path):
+    # as an empty N-Triples file does
+    path = tmp_path / "g.tsv"
+    path.write_text("")
+    g = load_edge_tsv(path, "t")
+    assert (g.edge_count, g.node_count, g.stats.skipped) == (0, 0, 0)
+
+
 def test_malformed_lines_skipped_under_threshold(tmp_path):
     path = tmp_path / "g.nt"
     path.write_text(
@@ -395,6 +403,14 @@ def test_prefix_table_empty_prefix():
     assert table.shorten("http://www.wikidata.org/entity/Q42") == "Q42"
     assert table.shorten("http://dbpedia.org/resource/WOWIO") == "dbr:WOWIO"
     assert table.shorten("http://nowhere/x") == "http://nowhere/x"
+
+
+def test_prefix_table_keeps_an_iri_equal_to_a_namespace_whole():
+    # an empty local name would shorten it to "" or to a bare "dbr:"
+    table = PrefixTable({"": "http://www.wikidata.org/entity/",
+                         "dbr": "http://dbpedia.org/resource/"})
+    assert table.shorten("http://www.wikidata.org/entity/") == "http://www.wikidata.org/entity/"
+    assert table.shorten("http://dbpedia.org/resource/") == "http://dbpedia.org/resource/"
 
 
 def test_local_name():
