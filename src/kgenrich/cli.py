@@ -131,18 +131,18 @@ def _cmd_detect_gaps(args) -> int:
 def _cmd_resolve(args) -> int:
     cfg = _config(args)
     (spec,) = _externals(cfg, args.external)
-    mapping = build_mapping(load_graph(cfg.target, cfg.prefixes), cfg.mapping_for(spec.tag))
     ids = [line.strip() for line in Path(args.nodes).read_text(encoding="utf-8").splitlines()
            if line.strip()]
+    mapping = build_mapping(load_graph(cfg.target, cfg.prefixes), cfg.mapping_for(spec.tag))
     if args.inverse:
         inv = inverse_resolve(mapping, ids)
         write_tsv(args.out, ("external", "targets", "flags"), [
-            (ext, ",".join(sorted(nodes)), "ambiguous" if ext in inv.ambiguous else "-")
+            (ext, ",".join(nodes), "ambiguous" if ext in inv.ambiguous else "-")
             for ext, nodes in sorted(inv.mapped.items())])
     else:
         res = resolve(mapping, ids)
         write_tsv(args.out, ("node", "externals"), [
-            *((node, ",".join(sorted(exts))) for node, exts in sorted(res.mapped.items())),
+            *((node, ",".join(exts)) for node, exts in sorted(res.mapped.items())),
             (f"#coverage={res.coverage:.4f}",)])
     return 0
 
@@ -195,12 +195,12 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _config(args)
+    candidates = read_candidates(args.candidates, args.property)
     run = pipeline.Run(load_graph(cfg.target, cfg.prefixes), cfg)
     partition = run.gaps(args.property)
     if not partition.known:
         raise ConfigError(f"property {args.property} has no known values in "
                           f"{run.target.tag} to infer a datatype from")
-    candidates = read_candidates(args.candidates, args.property)
     outcome = run.validate(args.property, partition.known, candidates)
     write_verdicts(outcome.verdicts, args.out or "verdicts.tsv")
     print(f"{len(outcome.accepted)} of {len(candidates)} candidates accepted")

@@ -7,9 +7,12 @@ here with hard checks, not just asserted in tests.
 
 The stages are wired once, as the methods of the run context ``Run``: it
 holds the target graph, the config, the entity class and the constraint
-table, and builds each entity mapping and class closure once per run.
-``enrich_property``, ``batch_enrich``, ``run_consistency`` and the CLI's
-stage commands each build one ``Run``. ``batch_enrich`` runs property by
+table. ``enrich_property``, ``batch_enrich``, ``run_consistency`` and the
+CLI's stage commands each build one ``Run``. An entity mapping and a class
+closure depend only on the target graph and their settings, so they are kept
+on the graph (``Graph.derived``), built once per target graph and spec and
+shared by every run on that graph: a ``run_consistency`` call after a batch
+reuses what the batch built. ``batch_enrich`` runs property by
 property, each property's gap partition shared by its rows for every
 external, and folds each row into per-graph tallies of counts and subject
 ids as it runs, so a row holds only counts, statements and timings.
@@ -36,8 +39,8 @@ from .resolve import EntityMapping, build_mapping, resolve
 from .retrieve import CandidateStatement, retrieve
 from .store import (EDGE_COLUMNS, Graph, Statement, Value, ValueKind, serialize_value,
                     value_sort_key, write_tsv)
-from .validate import (ClassClosures, ValidationOutcome, ValueTypeConstraint,
-                       load_constraints, validate_detailed)
+from .validate import (ValidationOutcome, ValueTypeConstraint, load_constraints,
+                       validate_detailed)
 
 TIMING_KEYS = ("entity_align", "property_align", "retrieval",
                "datatype_validation", "valuetype_validation", "total")
@@ -130,11 +133,10 @@ def _check_safety(partition: GapPartition, accepted: Sequence[CandidateStatement
 class Run:
     """One run's target graph, config, entity class and constraint table (by
     default read from ``validation.constraints`` as the run starts, so a missing
-    file fails before any stage runs). The entity mapping of every external tag
-    and the class closure per allowed-class set are built on first use and
-    kept, exact since the graph and settings are fixed within a run. Gap
-    partitions are not kept; ``batch_enrich`` passes one property's partition
-    from row to row.
+    file fails before any stage runs). A run keeps nothing itself: entity
+    mappings and class closures are kept on the target graph, per spec, and
+    gap partitions are not kept; ``batch_enrich`` passes one property's
+    partition from row to row.
     """
 
     def __init__(self, target: Graph, cfg: PipelineConfig, *,
@@ -145,8 +147,6 @@ class Run:
             path = cfg.validation.constraints
             constraints = load_constraints(path) if path else {}
         self.constraints = constraints
-        self.closures = ClassClosures(target, cfg.validation)
-        self._mappings: dict[str, EntityMapping] = {}
 
     def gaps(self, prop: str) -> GapPartition:
         """Gap partition for ``prop``, limited to the entity class when the run has one."""
@@ -156,15 +156,10 @@ class Run:
                            no_value_sentinel=gaps.no_value_sentinel)
 
     def mapping(self, tag: str) -> EntityMapping:
-        """The configured target -> external entity mapping for the external graph ``tag``.
-
-        Every tag's mapping is kept, since a batch takes each property against
-        every external in turn.
-        """
-        mapping = self._mappings.get(tag)
-        if mapping is None:
-            mapping = self._mappings[tag] = build_mapping(self.target, self.cfg.mapping_for(tag))
-        return mapping
+        """The configured target -> external entity mapping for the external graph ``tag``,
+        built on the target graph's first use of its spec and kept on the graph."""
+        target, spec = self.target, self.cfg.mapping_for(tag)
+        return target.derived(("mapping", spec), lambda: build_mapping(target, spec))
 
     def align(self, external: Graph, prop: str, partition: GapPartition,
               ) -> tuple[list[PropertyPath], PropertyPath | None]:
@@ -186,7 +181,7 @@ class Run:
                  candidates: Sequence[CandidateStatement]) -> ValidationOutcome:
         """``candidates`` validated against the ``known`` pairs and the constraint on ``prop``."""
         return validate_detailed(self.target, candidates, known, self.constraints.get(prop),
-                                 self.cfg.validation, self.closures)
+                                 self.cfg.validation)
 
 
 def enrich_property(target: Graph, external: Graph, prop: str, cfg: PipelineConfig, *,
@@ -207,8 +202,8 @@ def _enrich_row(run: Run, external: Graph, prop: str, partition: GapPartition | 
     row detects it, and the row's total time includes that.
     """
     t_start = time.monotonic()
-    # built on an external's first row, so that row times the build; a missing
-    # mapping is a ConfigError before any gap detection can fail
+    # built on the first row that needs its spec, so that row times the build; a
+    # missing mapping is a ConfigError before any gap detection can fail
     run.mapping(external.tag)
     timings = {"entity_align": time.monotonic() - t_start}
     if partition is None:

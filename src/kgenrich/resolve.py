@@ -4,7 +4,9 @@ Mappings are built from identifier-link edges in the target graph (an
 external-id property or a sitelink pseudo-property). Link values are turned
 into external node ids by a literal prefix/suffix rewrite with
 percent-encoded spaces. Both sides of a mapping are node ids; the external
-side is resolved against the external graph only at query time.
+side is resolved against the external graph only at query time. A mapping
+depends only on the target graph and its ``MappingSpec``; each id maps to a
+sorted tuple of ids, most often a 1-tuple (48 B, against 216 B for a frozenset).
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from typing import Iterable, Mapping
 from .store import Graph, Value, ValueKind
 
 
-@dataclass
+@dataclass(frozen=True)
 class MappingSpec:
     """An external graph's mapping: ``link_property`` values rewritten as
-    prefix + percent-encoded(value) + suffix."""
+    prefix + percent-encoded(value) + suffix. Frozen, so that it can key the
+    mapping kept on a target graph."""
 
     link_property: str
     prefix: str = ""
@@ -34,20 +37,20 @@ class MappingSpec:
 @dataclass(frozen=True)
 class EntityMapping:
     link_property: str
-    forward: Mapping[str, frozenset[str]]
-    inverse: Mapping[str, frozenset[str]]
+    forward: Mapping[str, tuple[str, ...]]
+    inverse: Mapping[str, tuple[str, ...]]
     skipped: int = 0
 
 
 @dataclass(frozen=True)
 class Resolution:
-    mapped: Mapping[str, frozenset[str]]
+    mapped: Mapping[str, tuple[str, ...]]
     coverage: float
 
 
 @dataclass(frozen=True)
 class InverseResolution:
-    mapped: Mapping[str, frozenset[str]]
+    mapped: Mapping[str, tuple[str, ...]]
     ambiguous: frozenset[str] = field(default_factory=frozenset)
 
 
@@ -60,7 +63,8 @@ def _link_value(obj: Value) -> str | None:
 
 
 def build_mapping(target: Graph, spec: MappingSpec) -> EntityMapping:
-    """Collect ``spec.link_property`` edges into forward/inverse id maps.
+    """Collect ``spec.link_property`` edges into forward/inverse id maps, each
+    id's ids a sorted tuple.
 
     Values the rewrite rejects (empty, or non-string-shaped literals) are
     skipped and counted, never fatal.
@@ -82,8 +86,8 @@ def build_mapping(target: Graph, spec: MappingSpec) -> EntityMapping:
         inverse.setdefault(external_id, set()).add(subj)
     return EntityMapping(
         link_property=spec.link_property,
-        forward={n: frozenset(ids) for n, ids in forward.items()},
-        inverse={e: frozenset(ids) for e, ids in inverse.items()},
+        forward={n: tuple(sorted(ids)) for n, ids in forward.items()},
+        inverse={e: tuple(sorted(ids)) for e, ids in inverse.items()},
         skipped=skipped,
     )
 

@@ -10,6 +10,8 @@ arrives, since most entries never get one. ``statements_for`` (all pairs of
 one property) is a scan over the subject index, and the edge counter is the
 one in ``Graph.stats``. Graphs are treated as immutable once a loader returns
 them; pipeline stages only ever read them and emit separate statement sets.
+What depends only on a graph (an entity mapping, a class closure) is built
+once per key through ``Graph.derived`` and kept on the graph.
 
 IRIs are shortened through a configurable prefix table (unknown namespaces
 keep the full IRI). Edge-TSV carries no datatypes, so literal kinds are
@@ -34,13 +36,15 @@ from __future__ import annotations
 
 import calendar
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, Union
+from typing import (Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence,
+                    TypeVar, Union)
 
 from .errors import DataFormatError
 
@@ -189,6 +193,8 @@ class LoadStats:
             self.first_bad_text = text
 
 
+_T = TypeVar("_T")
+
 # what a query returns on a miss; shared, and read-only like every query result
 _NO_VALUES: tuple = ()
 _NO_EDGES: Mapping = MappingProxyType({})
@@ -207,6 +213,11 @@ class Graph:
     methods return the stored entries, or a shared empty constant on a miss,
     so callers get read-only collections: iterate them, test membership or
     copy them, never mutate them.
+
+    ``derived`` keeps results computed from the graph alone, one per key, for
+    as long as the graph lives; ``add_edge`` drops them all, so none is ever
+    stale. A kept result must not refer to its graph: a ``Graph`` holds no
+    reference cycles, so a dropped graph is freed by refcounting alone.
     """
 
     def __init__(self, tag: str, label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES):
@@ -216,6 +227,7 @@ class Graph:
         self._spo: dict[str, dict[str, tuple[Value] | set[Value]]] = {}
         self._osp: dict[Value, dict[str, tuple[str] | set[str]]] = {}
         self._labels: dict[str, str] = {}
+        self._derived: dict[Hashable, object] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -255,9 +267,20 @@ class Graph:
             else:
                 subjs.add(subject)
         self.stats.edges += 1
+        if self._derived:
+            self._derived.clear()
         if prop in self.label_properties and isinstance(obj, Literal) and obj.text:
             self._labels.setdefault(subject, obj.text)
         return True
+
+    def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The result kept under ``key``: ``build()``, called the first time ``key``
+        is asked for since the graph last changed. ``key`` must name everything
+        besides the graph that the result depends on."""
+        derived = self._derived
+        if key not in derived:
+            derived[key] = build()
+        return derived[key]
 
     # -- queries -----------------------------------------------------------
 
@@ -622,7 +645,11 @@ def write_tsv(path: str | Path | None, columns: Sequence[str],
               rows: Iterable[Sequence[str]]) -> None:
     """Write a header of ``columns``, then one line per row (``None`` writes to stdout;
     a one-cell row such as ``#coverage=0.5000`` is a footer). A cell holding a tab,
-    a newline or a carriage return is a DataFormatError, and nothing is written."""
+    a newline or a carriage return is a DataFormatError, and nothing is written.
+
+    A file is written whole or not at all: the text goes to a temporary file
+    beside ``path``, which then replaces ``path`` in one ``os.replace``, so a
+    failed or interrupted write leaves what was there before."""
     table = [columns, *rows]
     text = "\n".join(map("\t".join, table)) + "\n"
     if (text.count("\t") + len(table) != sum(map(len, table))
@@ -630,10 +657,16 @@ def write_tsv(path: str | Path | None, columns: Sequence[str],
         column, cell = next((columns[index], cell) for row in table
                             for index, cell in enumerate(row) if {"\t", "\n", "\r"} & set(cell))
         raise DataFormatError(f"{path or '<stdout>'}: column {column}: {cell!r} splits its row")
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def read_tsv(path: str | Path, columns: Sequence[str],

@@ -124,20 +124,6 @@ def allowed_class_closure(graph: Graph, allowed_classes: frozenset[str],
     return frozenset(closure)
 
 
-class ClassClosures(dict):
-    """Closures by allowed-class set, each computed on first lookup, for one graph
-    and one ``subclass_of`` and ``depth_cap``."""
-
-    def __init__(self, graph: Graph, settings: ValidationSettings) -> None:
-        super().__init__()
-        self.graph, self.settings = graph, settings
-
-    def __missing__(self, allowed_classes: frozenset[str]) -> frozenset[str]:
-        closure = self[allowed_classes] = allowed_class_closure(
-            self.graph, allowed_classes, self.settings.subclass_of, self.settings.depth_cap)
-        return closure
-
-
 def _object_in_graph(graph: Graph, obj: Value) -> bool:
     return isinstance(obj, str) and graph.has_node(obj)
 
@@ -196,16 +182,16 @@ def check_literal_range(candidate: CandidateStatement,
 def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
                       known: Iterable[tuple[str, Value]],
                       constraint: ValueTypeConstraint | None = None,
-                      settings: ValidationSettings | None = None,
-                      closures: ClassClosures | None = None) -> ValidationOutcome:
+                      settings: ValidationSettings | None = None) -> ValidationOutcome:
     """Run all applicable checks and assemble per-candidate verdicts, in candidate order.
 
     The checks are those of ``check_datatype``, ``check_value_type`` (on a
     resolved item, given a constraint) and ``check_literal_range`` (on a
     date), so the accepted set is exactly the intersection of the per-check
     pass sets. Verdicts carry the first failing reason in the order
-    unresolvable -> datatype -> value type -> range. ``closures``, built for
-    ``graph`` and ``settings``, keeps class closures across calls.
+    unresolvable -> datatype -> value type -> range. The allowed classes'
+    closure is kept on ``graph`` (``Graph.derived``), one per allowed-class set,
+    ``subclass_of`` and ``depth_cap``, and shared by every later call.
     """
     settings = settings or ValidationSettings()
     t0 = time.monotonic()
@@ -216,9 +202,8 @@ def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
     t1 = time.monotonic()
 
     if constraint is not None:
-        if closures is None:
-            closures = ClassClosures(graph, settings)
-        closure = closures[constraint.allowed_classes]
+        key = ("closure", constraint.allowed_classes, settings.subclass_of, settings.depth_cap)
+        closure = graph.derived(key, lambda: allowed_class_closure(graph, *key[1:]))
         exceptions = constraint.exceptions
         relations = _relations(constraint.relation_mode, settings.instance_of,
                                settings.subclass_of)

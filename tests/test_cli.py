@@ -18,6 +18,7 @@ from kgenrich import pipeline
 from kgenrich.align import AlignMode, PropertyPath
 from kgenrich.cli import build_parser, main
 from kgenrich.config import load_config
+from kgenrich.retrieve import write_candidates
 from kgenrich.store import read_tsv, write_edge_tsv
 
 from conftest import COMPANY_CLASS, INDUSTRY_PROP
@@ -407,6 +408,8 @@ def test_property_without_known_values_is_config_error(workspace, capsys):
     assert main(["retrieve", "--config", cfg, "--property", INDUSTRY_PROP,
                  "--path", "dbp:industry", "--out", str(cands)]) == 0
     capsys.readouterr()
+    # validate reads its candidates before the graph, so they are P9999's
+    cands.write_text(cands.read_text().replace(f"\t{INDUSTRY_PROP}\t", "\tP9999\t"))
     assert main(["validate", "--config", cfg, "--property", "P9999",
                  "--candidates", str(cands), "--out", str(workspace / "v.tsv")]) == 1
     err = capsys.readouterr().err.splitlines()[-1]
@@ -682,6 +685,21 @@ def test_missing_mapping_is_refused_before_any_graph_loads(workspace, capsys, mo
     assert loaded == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--nodes", "absent.txt"],
+    ["validate", "--property", INDUSTRY_PROP, "--candidates", "absent.tsv"],
+])
+def test_missing_input_file_is_a_data_error_before_any_graph_loads(workspace, capsys,
+                                                                  monkeypatch, argv):
+    loaded = []
+    monkeypatch.setattr("kgenrich.cli.load_graph", lambda spec, *rest: loaded.append(spec))
+    monkeypatch.chdir(workspace)
+    assert main([argv[0], "--config", "config.yaml", *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "absent." in err
+    assert loaded == []
+
+
 def test_align_file_with_a_short_row_is_a_data_error_naming_its_line(workspace, capsys):
     # the short row used to be skipped and the selected row after it used
     aligned = workspace / "aligned.tsv"
@@ -731,9 +749,10 @@ def test_each_flag_overrides_its_config_key_and_nothing_else(
     cfg_file = workspace / "config.yaml"
     required = {"align": ["--config", cfg_file, "--property", INDUSTRY_PROP],
                 "validate": ["--config", cfg_file, "--property", INDUSTRY_PROP,
-                             "--candidates", "cands.tsv"],
+                             "--candidates", workspace / "cands.tsv"],
                 "detect-gaps": ["--graph", workspace / "target.tsv", "--property",
                                 INDUSTRY_PROP, "--config", cfg_file]}
+    write_candidates([], workspace / "cands.tsv")  # validate reads it before the graph
     seen = []
 
     def run(target, cfg, **kwargs):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import json
 import time
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
@@ -346,6 +348,15 @@ def test_two_external_batch_leaves_no_cyclic_garbage(company_fixture, collector_
     assert gc.collect() == 0
 
 
+def _external_with_its_own_spec(fx, tag: str):
+    """An external graph ``tag`` whose mapping spec differs from dbp's: the same links
+    under the link property ``sitelink-<tag>``, copied onto the target."""
+    for subject, link in fx.target.statements_for("sitelink"):
+        fx.target.add_edge(subject, f"sitelink-{tag}", link)
+    fx.cfg.mappings[tag] = MappingSpec(link_property=f"sitelink-{tag}", prefix="dbr:")
+    return make_company_external(tag)
+
+
 def test_run_builds_each_mapping_and_closure_once(company_fixture, monkeypatch):
     fx = company_fixture
     closures, mappings = Counter(), []
@@ -364,12 +375,60 @@ def test_run_builds_each_mapping_and_closure_once(company_fixture, monkeypatch):
     # two constrained properties share one allowed-class set, under different modes
     constraints = {**fx.constraints, "P571": ValueTypeConstraint(
         "P571", INDUSTRY_CLASSES, relation_mode=RelationMode.INSTANCE_OF)}
-    batch = batch_enrich(fx.target, [fx.external, make_company_external("dbp2")],
-                         [INDUSTRY_PROP, "P571", "P17", INDUSTRY_PROP], fx.cfg,
-                         entity_class=COMPANY_CLASS, constraints=constraints)
-    assert sum(row.s_g > 0 for row in batch.rows) == 6  # every validated row ran the check
+    externals = [fx.external, _external_with_its_own_spec(fx, "dbp2"),
+                 make_company_external("dbp3")]
+    fx.cfg.mappings["dbp3"] = MappingSpec(link_property="sitelink", prefix="dbr:")
+    batch = batch_enrich(fx.target, externals, [INDUSTRY_PROP, "P571", "P17", INDUSTRY_PROP],
+                         fx.cfg, entity_class=COMPANY_CLASS, constraints=constraints)
+    assert sum(row.s_g > 0 for row in batch.rows) == 9  # every validated row ran the check
     assert closures == Counter({INDUSTRY_CLASSES: 1})
-    assert mappings == ["sitelink", "sitelink"]  # one per external graph
+    # one per distinct spec: dbp3's spec equals dbp's
+    assert mappings == ["sitelink", "sitelink-dbp2"]
+
+
+def test_consistency_after_a_batch_builds_no_mapping_or_closure(company_fixture,
+                                                                monkeypatch):
+    fx = company_fixture
+    batch_enrich(fx.target, [fx.external], [INDUSTRY_PROP, "P571"], fx.cfg,
+                 entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    builds = []
+    closure_of, mapping_of = validate.allowed_class_closure, pipeline.build_mapping
+    monkeypatch.setattr(validate, "allowed_class_closure",
+                        lambda *args: builds.append("closure") or closure_of(*args))
+    monkeypatch.setattr(pipeline, "build_mapping",
+                        lambda *args: builds.append("mapping") or mapping_of(*args))
+    # a config read again holds equal specs, not the same objects
+    cfg = copy.deepcopy(fx.cfg)
+    assert cfg.mapping_for("dbp") is not fx.cfg.mapping_for("dbp")
+    for prop in (INDUSTRY_PROP, "P571"):
+        outcome = run_consistency(fx.target, fx.external, prop, cfg, Granularity.YEAR,
+                                  entity_class=COMPANY_CLASS, constraints=fx.constraints)
+        assert outcome.report.s_overlap > 0
+    assert builds == []
+
+
+def test_add_edge_after_a_run_drops_the_kept_mapping(company_fixture):
+    fx = company_fixture
+    run = Run(fx.target, fx.cfg, constraints=fx.constraints)
+    before = run.mapping("dbp")
+    assert run.mapping("dbp") is before
+    fx.target.add_edge("Q1007", "sitelink", Literal.string("CompanyG"))
+    after = Run(fx.target, fx.cfg, constraints=fx.constraints).mapping("dbp")
+    assert after.forward["Q1007"] == ("dbr:CompanyG",) and "Q1007" not in before.forward
+    fresh = graph_from_edges("wd", fx.target.edges())
+    assert after == pipeline.build_mapping(fresh, fx.cfg.mapping_for("dbp"))
+
+
+def test_graph_used_by_a_batch_and_a_consistency_call_is_freed_by_refcounting(
+        collector_paused):
+    fx = make_company_fixture()
+    batch_enrich(fx.target, [fx.external], [INDUSTRY_PROP, "P571"], fx.cfg,
+                 entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    run_consistency(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
+                    entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    target = weakref.ref(fx.target)
+    del fx
+    assert target() is None
 
 
 def test_safety_check_takes_only_the_retrieved_candidate_objects(company_fixture,
@@ -398,7 +457,7 @@ def test_batch_times_each_mapping_build_in_its_first_row(company_fixture, monkey
 
     monkeypatch.setattr(pipeline, "build_mapping", slow_mapping)
     fx = company_fixture
-    batch = batch_enrich(fx.target, [fx.external, make_company_external("dbp2")],
+    batch = batch_enrich(fx.target, [fx.external, _external_with_its_own_spec(fx, "dbp2")],
                          [INDUSTRY_PROP, "P571"], fx.cfg,
                          entity_class=COMPANY_CLASS, constraints=fx.constraints)
     per_graph = {a.graph: a for a in batch.aggregates}

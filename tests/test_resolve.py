@@ -18,15 +18,15 @@ def _sitelink_graph(links):
 def test_build_mapping_with_prefix_transform():
     g = _sitelink_graph([("Q30185", "Lesburlesque")])
     mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
-    assert mapping.forward["Q30185"] == {"dbr:Lesburlesque"}
+    assert mapping.forward["Q30185"] == ("dbr:Lesburlesque",)
 
 
 def test_build_mapping_rewrites_a_node_id_link_value():
     # a link edge may point at a node id rather than a string literal
     g = graph_from_edges("wd", [("Q1", "P1", "Lesburlesque"), ("Q2", "P1", Literal.quantity(3))])
     mapping = build_mapping(g, MappingSpec("P1", prefix="dbr:"))
-    assert mapping.forward == {"Q1": {"dbr:Lesburlesque"}}
-    assert mapping.inverse == {"dbr:Lesburlesque": {"Q1"}}
+    assert mapping.forward == {"Q1": ("dbr:Lesburlesque",)}
+    assert mapping.inverse == {"dbr:Lesburlesque": ("Q1",)}
     assert mapping.skipped == 1
 
 
@@ -39,13 +39,13 @@ def test_unlinked_node_absent():
 def test_shared_external_id_transposes_to_set_of_two():
     g = _sitelink_graph([("Q1", "Same"), ("Q2", "Same")])
     mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
-    assert mapping.inverse["dbr:Same"] == {"Q1", "Q2"}
+    assert mapping.inverse["dbr:Same"] == ("Q1", "Q2")
 
 
 def test_transform_percent_encodes_spaces():
     g = _sitelink_graph([("Q15401730", "Amanda de Andrade")])
     mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
-    assert mapping.forward["Q15401730"] == {"dbr:Amanda%20de%20Andrade"}
+    assert mapping.forward["Q15401730"] == ("dbr:Amanda%20de%20Andrade",)
 
 
 def test_transform_failure_skipped_and_counted():
@@ -64,7 +64,7 @@ def test_resolve_coverage():
     g.add_edge("Q4", "P31", "Q5")
     mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     res = resolve(mapping, {"Q1"})
-    assert res.mapped == {"Q1": frozenset({"dbr:A"})}
+    assert res.mapped == {"Q1": ("dbr:A",)}
     assert res.coverage == 1.0
     assert resolve(mapping, {"Q4"}).coverage == 0.0
     mixed = resolve(mapping, {q for q in ("Q1", "Q2", "Q3", "Q4")})
@@ -75,7 +75,7 @@ def test_inverse_resolve():
     g = _sitelink_graph([("Q217117", "Burlesque")])
     mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     inv = inverse_resolve(mapping, {"dbr:Burlesque", "dbr:NeverLinked"})
-    assert inv.mapped == {"dbr:Burlesque": frozenset({"Q217117"})}
+    assert inv.mapped == {"dbr:Burlesque": ("Q217117",)}
     assert inv.ambiguous == frozenset()
 
 
@@ -92,6 +92,8 @@ def test_inverse_resolve_flags_ambiguous():
 def test_transpose_property(links):
     g = _sitelink_graph([(f"Q{k}", v) for k, v in links.items()])
     mapping = build_mapping(g, MappingSpec("sitelink", prefix="x:"))
+    for ids in (*mapping.forward.values(), *mapping.inverse.values()):
+        assert list(ids) == sorted(set(ids))
     for node, exts in mapping.forward.items():
         for ext in exts:
             assert node in mapping.inverse[ext]

@@ -756,6 +756,27 @@ def test_write_tsv_refuses_a_cell_that_would_split_its_row(tmp_path, cell):
     assert not path.exists()
 
 
+def _fail_to_replace(*args):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("rows,patch", [
+    ([("x", "a\tb")], None),  # refused before anything is written
+    ([("x", "y")], _fail_to_replace),  # written, then the replace fails
+])
+def test_failed_write_tsv_leaves_the_file_it_would_replace_as_it_was(tmp_path, monkeypatch,
+                                                                     rows, patch):
+    path = tmp_path / "t.tsv"
+    write_tsv(path, ("left", "right"), [("old", "row")])
+    before = path.read_bytes()
+    if patch is not None:
+        monkeypatch.setattr("os.replace", patch)
+    with pytest.raises((DataFormatError, OSError)):
+        write_tsv(path, ("left", "right"), rows)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]  # no temporary file left
+
+
 def test_other_literal_with_a_tab_is_refused_not_written_split(tmp_path):
     # written raw, the tab split the node2 cell and the literal read back as node "a"
     source = tmp_path / "g.nt"
@@ -767,3 +788,25 @@ def test_other_literal_with_a_tab_is_refused_not_written_split(tmp_path):
         write_edge_tsv(graph, out)
     assert str(err.value) == f"{out}: column node2: 'a\\tb' splits its row"
     assert not out.exists()
+
+
+# -- results kept on a graph ------------------------------------------------------
+
+
+def test_derived_builds_once_per_key_until_the_graph_changes():
+    graph = Graph("g")
+    graph.add_edge("a", "p", "b")
+    builds = []
+
+    def build(name):
+        return lambda: builds.append(name) or (name, graph.edge_count)
+
+    assert graph.derived("k", build("k")) == ("k", 1)
+    assert graph.derived("k", build("k")) == ("k", 1)
+    assert graph.derived(("k", 2), build("k2")) == ("k2", 1)
+    assert builds == ["k", "k2"]
+    assert not graph.add_edge("a", "p", "b")  # a duplicate edge changes nothing
+    assert graph.derived("k", build("k")) == ("k", 1) and builds == ["k", "k2"]
+    graph.add_edge("a", "p", "c")
+    assert graph.derived("k", build("k")) == ("k", 2)
+    assert builds == ["k", "k2", "k"]
