@@ -8,14 +8,13 @@ between the target property label and the path label, with a threshold
 deciding whether the lexical winner overrides the frequency winner.
 
 Enumeration has one rule for item and literal targets alike. At L = 1 it
-scans the start's out-edges. At L >= 2 it walks forward by node id and takes
-the last hop backwards, through the target's predecessor map (from
-``Graph.in_edges`` of the target, or of every literal matching it). At L = 2
-and 3 the walk goes to depth L-1, so a pair costs about degree^(L-1) edge
-visits instead of degree^L. At L >= 4 it goes to depth L-2 and joins the
-last two hops from a per-target two-hop map built from the predecessor map,
-so a pair costs about degree^(L-2) forward edge visits plus the map. Pairs
-are walked target by target, so a call holds one target's maps at a time.
+scans the start's out-edges. At L >= 2 it walks forward by node id to depth
+D (L-1 at L <= 3, L-2 at L >= 4, joined to a two-hop map) and takes the last
+hop backwards through the target's ``{prop: subjects}`` map. A node at depth
+D-1 takes its last forward step a set at a time: one C-level intersection of
+its objects with the nodes the maps start from. So a pair costs Python work
+per edge above depth D-1, C work per edge out of depth D-1 and Python work per
+hit. Pairs are walked target by target: a call holds one target's maps.
 """
 
 from __future__ import annotations
@@ -26,12 +25,14 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .store import Graph, Literal, Value, ValueKind, value_sort_key
 
 MAX_PATH_LENGTH_CAP = 6
-_TwoHop = dict[str, list[tuple[str, str, list[str]]]]  # see _two_hops
+_LastHop = Mapping[str, Collection[str]]  # see _last_hop
+_TwoHop = dict[str, list[tuple[str, str, str]]]  # see _two_hops
 
 
 class AlignMode(Enum):
@@ -144,75 +145,72 @@ def _sample_pairs(pairs: set[tuple[str, Value]],
     return ordered[:cfg.sample_cap]
 
 
-def _predecessors(graph: Graph, target: Value,
-                  buckets: dict[object, list[Literal]]) -> dict[str, list[str]]:
-    """``{predecessor id: [props]}`` over the edges into ``target``.
-
-    A literal target's map joins the ``in_edges`` of every literal that
-    ``values_match`` accepts, found in ``buckets`` (literals by ``_match_key``).
-    """
-    sources = [target] if isinstance(target, str) else \
-        [found for found in buckets.get(_match_key(target), ()) if values_match(found, target)]
-    preds: dict[str, list[str]] = {}
-    for obj in sources:
-        for prop, subjects in graph.in_edges(obj).items():
-            for subj in subjects:
-                props = preds.setdefault(subj, [])
-                if prop not in props:  # two matching literals, one property
-                    props.append(prop)
-    return preds
+def _last_hop(graph: Graph, target: Value, buckets: dict[object, list[Literal]]) -> _LastHop:
+    """``{prop: subjects}`` over the edges into ``target``: an item's own ``in_edges``, or
+    per property the union over every literal in ``buckets`` that ``values_match`` accepts."""
+    if isinstance(target, str):
+        return graph.in_edges(target)
+    last: dict[str, set[str]] = {}
+    for found in buckets.get(_match_key(target), ()):
+        if values_match(found, target):
+            for prop, subjects in graph.in_edges(found).items():
+                last.setdefault(prop, set()).update(subjects)
+    return last
 
 
-def _two_hops(graph: Graph, target: Value, preds: dict[str, list[str]]) -> _TwoHop:
-    """``{meeting id m: [(p1, middle id b, props b -> target)]}`` for the edges m -p1-> b.
-
-    Built from the ``in_edges`` of every predecessor b in the target's map
-    ``preds``. A suffix is left out when b or m is the target or m is b;
-    the walk still has to check that b is not on its own path.
-    """
+def _two_hops(graph: Graph, target: Value, last: _LastHop) -> _TwoHop:
+    """``{meeting id m: [(p1, middle id b, p_last)]}`` for the paths m -p1-> b -p_last-> target
+    with b, m not the target and m not b, from ``in_edges`` of every subject b in ``last``;
+    the walk still has to check that b is not on its own path."""
     suffixes: _TwoHop = {}
-    for mid, props in preds.items():
-        if mid == target:
-            continue
-        for prop, subjects in graph.in_edges(mid).items():
-            for meet in subjects:
-                if meet != mid and meet != target:
-                    suffixes.setdefault(meet, []).append((prop, mid, props))
+    for p_last, mids in last.items():
+        for mid in mids:
+            if mid == target:
+                continue
+            for p1, subjects in graph.in_edges(mid).items():
+                for meet in subjects:
+                    if meet != mid and meet != target:
+                        suffixes.setdefault(meet, []).append((p1, mid, p_last))
     return suffixes
 
 
 def _pair_paths(graph: Graph, start_id: str, target: Value, max_len: int,
-                preds: dict[str, list[str]], two_hop: _TwoHop) -> set[tuple[str, ...]]:
+                last: _LastHop, ends: set[str], two_hop: _TwoHop) -> set[tuple[str, ...]]:
     """Property sequences of every simple path start -> target of 2..L hops.
 
-    ``preds`` and ``two_hop`` are the target's maps, alive only while
-    ``enumerate_paths`` walks its pairs. A branch never revisits a node, so
-    a sequence counts once per pair however many node paths realize it;
-    intermediate literals end a branch, and no path passes through the
-    target. At every node the walk reaches, the start included, the last
-    hop is a lookup in ``preds``. At L = 2 and 3 the walk stops at depth
-    L-1, so a pair costs about degree^(L-1) edge visits. At L >= 4 it stops
-    at depth L-2, and each node there also joins ``two_hop``, keeping a
-    suffix whose middle node is off the walk's path: about degree^(L-2)
-    forward edge visits per pair. Nodes nearer the start need no two-hop
-    lookup, since the walk goes on through the middle node and finds the
-    same sequence by its one-hop lookup.
+    ``last`` and ``two_hop`` are the target's maps and ``ends`` every node
+    they start from. A branch never revisits a node, so a sequence counts
+    once per pair however many node paths realize it; intermediate literals
+    end a branch, and no path passes through the target. Every node the walk
+    steps on closes paths by ``last``. At depth D-1 (see the module docstring)
+    ``ends`` meets the node's objects less the walk's path in C, and each hit
+    closes by ``last`` and, at L >= 4, by the ``two_hop`` suffixes whose
+    middle node is off the path (nearer nodes go on through the middle node).
     """
     out_edges = graph.out_edges
     found: set[tuple[str, ...]] = set()
-    depth = max_len - 2 if max_len >= 4 else max_len - 1
+    inner = (max_len - 2 if max_len >= 4 else max_len - 1) - 1  # the depth D-1
+
+    def close(node_id: str, seq: tuple[str, ...]) -> None:
+        for prop, subjects in last.items():
+            if node_id in subjects:
+                found.add(seq + (prop,))
 
     def reach(node_id: str, seq: tuple[str, ...], visited: set[Value]) -> None:
-        for prop in preds.get(node_id, ()):
-            found.add(seq + (prop,))
-        if len(seq) == depth:
-            if two_hop:  # L >= 4
-                for prop, mid, props in two_hop.get(node_id, ()):
-                    if mid not in visited:
-                        for last in props:
-                            found.add(seq + (prop, last))
+        if node_id in ends:
+            close(node_id, seq)
+        out = out_edges(node_id)
+        if len(seq) == inner:
+            for hit in ends.intersection(chain.from_iterable(out.values())) - visited:
+                for prop, objs in out.items():
+                    if hit in objs:
+                        step = seq + (prop,)
+                        close(hit, step)
+                        for p1, mid, p_last in two_hop.get(hit, ()):
+                            if mid not in visited:
+                                found.add(step + (p1, p_last))
             return
-        for prop, objs in out_edges(node_id).items():
+        for prop, objs in out.items():
             step = seq + (prop,)
             for obj in objs:
                 if isinstance(obj, str) and obj not in visited:
@@ -234,7 +232,7 @@ def enumerate_paths(graph: Graph, pairs: Iterable[tuple[str, Value]],
     Pairs beyond ``sample_cap`` are dropped deterministically (sorted by
     subject id, first N; or a seeded random sample when configured) before
     the rest are grouped by target. Support is a sum over pairs, so they are
-    walked target by target: a target's predecessor map (and at L >= 4 its
+    walked target by target: a target's last-hop map (and at L >= 4 its
     two-hop map) lives only while its pairs are walked, so a call holds one
     target's maps at a time. Output is sorted by (support desc, steps asc).
     """
@@ -256,12 +254,13 @@ def enumerate_paths(graph: Graph, pairs: Iterable[tuple[str, Value]],
                             if (target in objs if by_id
                                 else any(values_match(obj, target) for obj in objs))])
             continue
-        preds = _predecessors(graph, target, buckets)
-        two_hop = _two_hops(graph, target, preds) if max_len >= 4 else {}
-        if preds:
+        last = _last_hop(graph, target, buckets)
+        two_hop = _two_hops(graph, target, last) if max_len >= 4 else {}
+        ends = set().union(*last.values(), two_hop)
+        if last:
             for start_id in starts:
-                support.update(_pair_paths(graph, start_id, target, max_len, preds, two_hop))
-        del preds, two_hop  # freed before the next target's maps are built
+                support.update(_pair_paths(graph, start_id, target, max_len, last, ends, two_hop))
+        del last, ends, two_hop  # freed before the next target's maps are built
     ranked = [PropertyPath(steps=seq, support=count) for seq, count in support.items()]
     ranked.sort(key=lambda p: (-p.support, p.steps))
     return ranked

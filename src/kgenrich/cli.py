@@ -22,7 +22,7 @@ from .consistency import Granularity, write_scatter_csv
 from .errors import ConfigError, DataFormatError, UsageError
 from .resolve import build_mapping, inverse_resolve, resolve
 from .retrieve import read_candidates, write_candidates
-from .store import Graph, read_tsv, write_tsv
+from .store import Graph, read_tsv, write_atomic, write_tsv
 from .validate import write_verdicts
 
 
@@ -253,9 +253,8 @@ def _cmd_consistency(args) -> int:
     granularity = Granularity(args.granularity) if args.granularity else None
     outcome = pipeline.run_consistency(target, external, args.property, cfg,
                                        granularity, entity_class=args.entity_class)
-    report_path = _out(args, "consistency.json")
-    report_path.write_text(json.dumps(outcome.report_dict(), indent=2, sort_keys=True)
-                           + "\n", encoding="utf-8")
+    write_atomic(_out(args, "consistency.json"),
+                 json.dumps(outcome.report_dict(), indent=2, sort_keys=True) + "\n")
     if outcome.report.granularity is not None:
         write_scatter_csv(outcome.report, _out(args, "scatter.csv"))
     print(json.dumps(outcome.report_dict(), sort_keys=True))

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Sequence
 
 from .retrieve import CandidateStatement
-from .store import Graph, Literal, ValueKind, value_kind
+from .store import Graph, Literal, ValueKind, value_kind, write_atomic
 
 
 def format_rate(numerator: float | int | None, denominator: float | int | None) -> str:
@@ -111,7 +111,5 @@ def literal_agreement(target: Graph, overlap_candidates: Sequence[CandidateState
 
 
 def write_scatter_csv(report: AgreementReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("target_year,external_year\n")
-        for wanted, got in report.scatter:
-            fh.write(f"{wanted.year},{got.year}\n")
+    write_atomic(path, "target_year,external_year\n" + "".join(
+        f"{wanted.year},{got.year}\n" for wanted, got in report.scatter))

@@ -38,7 +38,7 @@ from .gaps import GapPartition, detect_gaps
 from .resolve import EntityMapping, build_mapping, resolve
 from .retrieve import CandidateStatement, retrieve
 from .store import (EDGE_COLUMNS, Graph, Statement, Value, ValueKind, serialize_value,
-                    value_sort_key, write_tsv)
+                    value_sort_key, write_atomic, write_tsv)
 from .validate import (ValidationOutcome, ValueTypeConstraint, load_constraints,
                        validate_detailed)
 
@@ -441,8 +441,7 @@ def emit_report(results: Sequence[EnrichmentResult], fmt: str, path: str | Path,
         doc = {"results": rows}
         if summary:
             doc["summary"] = dict(sorted(summary.items()))
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     elif fmt == "tsv":
         columns = list(rows[0]) + ([f"t_{key}" for key in TIMING_KEYS] if include_timings else [])
         write_tsv(path, columns, [

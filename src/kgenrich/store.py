@@ -646,10 +646,7 @@ def write_tsv(path: str | Path | None, columns: Sequence[str],
     """Write a header of ``columns``, then one line per row (``None`` writes to stdout;
     a one-cell row such as ``#coverage=0.5000`` is a footer). A cell holding a tab,
     a newline or a carriage return is a DataFormatError, and nothing is written.
-
-    A file is written whole or not at all: the text goes to a temporary file
-    beside ``path``, which then replaces ``path`` in one ``os.replace``, so a
-    failed or interrupted write leaves what was there before."""
+    A file is written by ``write_atomic``."""
     table = [columns, *rows]
     text = "\n".join(map("\t".join, table)) + "\n"
     if (text.count("\t") + len(table) != sum(map(len, table))
@@ -660,6 +657,13 @@ def write_tsv(path: str | Path | None, columns: Sequence[str],
     if not path:
         sys.stdout.write(text)
         return
+    write_atomic(path, text)
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: it goes to a temporary file
+    beside ``path``, which then replaces ``path`` in one ``os.replace``, so a
+    failed or interrupted write leaves what was there before and no temporary file."""
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

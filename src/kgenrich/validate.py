@@ -11,7 +11,7 @@ logically consistent but factually wrong statements pass.
 from __future__ import annotations
 
 import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -85,13 +85,16 @@ class ValidationOutcome:
 
 def infer_expected_datatype(known: Iterable[tuple[str, Value]]) -> ValueKind:
     """Modal object kind of the known pairs; ties break by kind precedence."""
-    counts = Counter(value_kind(obj) for _, obj in known)
-    if not counts:
+    # ``value_kind`` inlined, and a list, not a Counter: ``list.count`` compares members
+    # by identity in C, where a Counter calls the Python-level ``Enum.__hash__`` per pair
+    item = ValueKind.ITEM
+    kinds = [item if isinstance(obj, str) else obj.kind for _, obj in known]
+    if not kinds:
         raise ValueError("no known statements to infer a datatype from; "
                          "set the pipeline config's validation to "
                          "ValidationSettings(expected_datatype=...)")
     # max keeps the first of equal counts: the precedence breaks the tie
-    return max(KIND_PRECEDENCE, key=counts.__getitem__)
+    return max(KIND_PRECEDENCE, key=kinds.count)
 
 
 def _datatype_ok(kind: ValueKind, unresolved: bool, expected: ValueKind) -> bool:

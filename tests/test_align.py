@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgenrich.align import (MAX_PATH_LENGTH_CAP, AlignConfig, AlignMode, PropertyPath,
-                            _match_key, _predecessors, _two_hops, enumerate_paths,
+                            _last_hop, _match_key, _two_hops, enumerate_paths,
                             gestalt_similarity, normalize_label, select_path, values_match)
 from kgenrich.store import Graph, Literal, value_sort_key
 
@@ -244,7 +244,7 @@ def test_last_hop_lists_a_property_once_per_predecessor():
     buckets = {}
     for literal in g.literals():
         buckets.setdefault(_match_key(literal), []).append(literal)
-    assert _predecessors(g, Literal.date(1900), buckets) == {"A": ["P1"]}
+    assert _last_hop(g, Literal.date(1900), buckets) == {"P1": {"A"}}
     for max_len in (1, 2):
         paths = enumerate_paths(g, {("A", Literal.date(1900))}, _cfg(max_len))
         assert paths == [PropertyPath(steps=("P1",), support=1)]
@@ -263,9 +263,9 @@ def test_two_hop_join_keeps_only_suffixes_off_the_walked_path():
              ("M", "e", "S"), ("S", "f", "T"), ("T", "g", "T"), ("T", "h", "B"),
              ("B", "k", "B")]
     g = graph_from_edges("x", edges)
-    suffixes = _two_hops(g, "T", _predecessors(g, "T", {}))
+    suffixes = _two_hops(g, "T", _last_hop(g, "T", {}))
     assert {meet: sorted(entries) for meet, entries in suffixes.items()} == {
-        "S": [("a", "B", ["d"])], "M": [("c", "B", ["d"]), ("e", "S", ["f"])]}
+        "S": [("a", "B", "d")], "M": [("c", "B", "d"), ("e", "S", "f")]}
     for max_len in range(1, MAX_PATH_LENGTH_CAP + 1):
         got = {p.steps for p in enumerate_paths(g, {("S", "T")}, _cfg(max_len))}
         assert got == simple_path_sequences(edges, "S", "T", max_len)
@@ -292,6 +292,43 @@ def test_sample_cap_takes_the_first_pairs_before_grouping_by_target(seed, max_le
         for seq in simple_path_sequences(edges, subj, obj, max_len, same_value):
             want[seq] = want.get(seq, 0) + 1
     assert got == want
+
+
+def _hub_edges(fan):
+    """One hub H with ``fan`` out-edges over four properties, most to nodes X_i
+    that lead on to item targets T_j and to year literals; starts S_j reach H.
+    It also points back at the starts, at the targets, at a literal and at
+    itself, and one start is a predecessor of its own target."""
+    edges = [("H", f"h{i % 4}", f"X{i}") for i in range(fan)]
+    edges += [("H", "back", f"S{j}") for j in range(12)]
+    edges += [("H", "direct", "T1"), ("H", "self", "H"), ("H", "year", Literal.date(1903, 4))]
+    for i in range(fan):
+        edges.append((f"X{i}", "q", f"T{i % 7}"))
+        if i % 3 == 0:
+            edges.append((f"X{i}", "born", Literal.date(1900 + i % 5, 1 + i % 12, 1)))
+        if i % 5 == 0:
+            edges.append((f"X{i}", "next", f"X{(i * 7 + 1) % fan}"))
+    for j in range(12):
+        edges += [(f"S{j}", "link", "H"), (f"T{j % 7}", "sees", f"S{j}")]
+    edges += [("S0", "p", "T0"), ("T0", "loop", "T0"), ("T3", "to", "H")]
+    return edges
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+def test_enumerate_through_a_hub_matches_exhaustive_oracle(max_len):
+    edges = _hub_edges(300)
+    g = graph_from_edges("x", edges)
+    pairs = {(f"S{j}", f"T{j % 7}") for j in range(12)}
+    pairs |= {(f"S{j}", Literal.date(1900 + j % 5)) for j in range(0, 12, 2)}
+    pairs |= {("H", "T3"), ("S5", "S0"), ("X0", Literal.date(1903))}
+    got = {p.steps: p.support for p in enumerate_paths(g, pairs, _cfg(max_len))}
+    want = {}
+    for subj, obj in pairs:
+        for seq in simple_path_sequences(edges, subj, obj, max_len, same_value):
+            want[seq] = want.get(seq, 0) + 1
+    assert got == want
+    if max_len >= 3:  # paths through the hub are found
+        assert got[("link", "h0", "q")] >= 1 and ("link", "h1", "born") in got
 
 
 def _fan_edges(n_targets, fan):

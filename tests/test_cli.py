@@ -549,6 +549,34 @@ def test_consistency_item_property_writes_no_scatter(workspace):
     assert not (out_dir / "scatter.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["consistency.json", "scatter.csv", "report.json"])
+def test_failed_rewrite_leaves_the_previous_file_and_no_temporary_file(workspace, monkeypatch,
+                                                                       name):
+    json_config = workspace / "config_json.yaml"
+    json_config.write_text(CONFIG.replace("format: tsv", "format: json"))
+    out_dir = workspace / "out"
+    argv = (["batch", "--config", str(json_config), "--properties", "P571",
+             "--class", COMPANY_CLASS, "--out-dir", str(out_dir), "--no-timings"]
+            if name == "report.json" else
+            ["consistency", "--config", str(workspace / "config.yaml"), "--property", "P571",
+             "--granularity", "year", "--class", COMPANY_CLASS, "--out-dir", str(out_dir)])
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert name in before
+    replace_file = os.replace
+
+    def fail_on_name(source, destination):
+        if Path(destination).name == name:
+            raise OSError("disk full")
+        replace_file(source, destination)
+
+    monkeypatch.setattr("os.replace", fail_on_name)
+    (out_dir / name).write_bytes(b"previous\n")
+    before[name] = b"previous\n"
+    assert main(argv) == 2
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
 def test_batch_json_report_holds_the_rows_and_summary_of_the_tsv_report(workspace):
     # two externals, so the rows, the per-graph aggregates and the combined row all render
     two = CONFIG.replace("    - {path: external.tsv, tag: dbp}\n",

@@ -8,8 +8,9 @@ from kgenrich.align import PropertyPath
 from kgenrich.errors import DataFormatError
 from kgenrich.retrieve import CandidateStatement
 from kgenrich.store import Literal, ValueKind, value_kind
-from kgenrich.validate import (RejectReason, RelationMode, ValidationSettings,
-                               ValueTypeConstraint, allowed_class_closure, check_datatype,
+from kgenrich.validate import (KIND_PRECEDENCE, RejectReason, RelationMode,
+                               ValidationSettings, ValueTypeConstraint,
+                               allowed_class_closure, check_datatype,
                                check_literal_range, check_value_type,
                                infer_expected_datatype, load_constraints,
                                validate_detailed)
@@ -47,6 +48,21 @@ def test_infer_tie_breaks_by_precedence_both_orders():
     assert infer_expected_datatype(b) is ValueKind.ITEM
     c = pairs(Literal.date(1999), Literal.quantity(4))
     assert infer_expected_datatype(c) is ValueKind.DATE
+
+
+_ONE_OF_EACH_KIND = {ValueKind.ITEM: "Q1", ValueKind.DATE: Literal.date(1999),
+                     ValueKind.QUANTITY: Literal.quantity(4),
+                     ValueKind.MONOLINGUAL: Literal.monolingual("x", "en"),
+                     ValueKind.STRING: Literal.string("x"), ValueKind.OTHER: Literal.other("x")}
+
+
+def test_infer_every_tie_goes_to_the_earlier_kind_and_a_lead_wins():
+    assert list(_ONE_OF_EACH_KIND) == list(KIND_PRECEDENCE)
+    for i, first in enumerate(KIND_PRECEDENCE):
+        for later in KIND_PRECEDENCE[i + 1:]:
+            one, two = _ONE_OF_EACH_KIND[first], _ONE_OF_EACH_KIND[later]
+            assert infer_expected_datatype(pairs(two, one, two, one)) is first
+            assert infer_expected_datatype(pairs(one, two, two)) is later
 
 
 def test_infer_empty_errors_pointing_at_config():
