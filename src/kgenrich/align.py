@@ -8,13 +8,14 @@ between the target property label and the path label, with a threshold
 deciding whether the lexical winner overrides the frequency winner.
 
 Enumeration has one rule for item and literal targets alike. At L = 1 it
-scans the start's out-edges. At L >= 2 it walks forward by node id to depth
-D (L-1 at L <= 3, L-2 at L >= 4, joined to a two-hop map) and takes the last
-hop backwards through the target's ``{prop: subjects}`` map. A node at depth
-D-1 takes its last forward step a set at a time: one C-level intersection of
-its objects with the nodes the maps start from. So a pair costs Python work
-per edge above depth D-1, C work per edge out of depth D-1 and Python work per
-hit. Pairs are walked target by target: a call holds one target's maps.
+scans each pair's start's out-edges, in one pass over the pairs. At L >= 2 it
+walks forward by node id to depth D (L-1 at L <= 3, L-2 at L >= 4, joined to
+a two-hop map) and takes the last hop backwards through the target's
+``{prop: subjects}`` map. A node at depth D-1 takes its last forward step a
+set at a time: one C-level intersection of its objects with the nodes the
+maps start from. So a pair costs Python work per edge above depth D-1, C work
+per edge out of depth D-1 and Python work per hit. Pairs are walked target by
+target: a call holds one target's maps.
 """
 
 from __future__ import annotations
@@ -230,30 +231,32 @@ def enumerate_paths(graph: Graph, pairs: Iterable[tuple[str, Value]],
     """Rank property paths by the number of known pairs they connect.
 
     Pairs beyond ``sample_cap`` are dropped deterministically (sorted by
-    subject id, first N; or a seeded random sample when configured) before
-    the rest are grouped by target. Support is a sum over pairs, so they are
-    walked target by target: a target's last-hop map (and at L >= 4 its
-    two-hop map) lives only while its pairs are walked, so a call holds one
-    target's maps at a time. Output is sorted by (support desc, steps asc).
+    subject id, first N; or a seeded random sample when configured). At
+    L = 1 each kept pair counts the properties of its start's out-edges that
+    reach its target, in one pass over the pairs. At L >= 2 the pairs are
+    grouped by target. Support is a sum over pairs, so they are walked target
+    by target: a target's last-hop map (and at L >= 4 its two-hop map) lives
+    only while its pairs are walked, so a call holds one target's maps at a
+    time. Output is sorted by (support desc, steps asc).
     """
     max_len = cfg.max_path_length
+    sampled = _sample_pairs(set(pairs), cfg)
+    if max_len == 1:  # each pair's start's out-edges, by id or by value
+        out_edges = graph.out_edges
+        return _ranked(Counter((prop,) for start_id, target in sampled if start_id != target
+                               for prop, objs in out_edges(start_id).items()
+                               if (target in objs if isinstance(target, str)
+                                   else any(values_match(obj, target) for obj in objs))))
     by_target: dict[Value, list[str]] = {}
-    for subject_id, target in _sample_pairs(set(pairs), cfg):
+    for subject_id, target in sampled:
         if subject_id != target:
             by_target.setdefault(target, []).append(subject_id)
     buckets: dict[object, list[Literal]] = {}
-    if max_len >= 2 and not all(isinstance(target, str) for target in by_target):
+    if not all(isinstance(target, str) for target in by_target):
         for literal in graph.literals():
             buckets.setdefault(_match_key(literal), []).append(literal)
     support: Counter[tuple[str, ...]] = Counter()
     for target, starts in by_target.items():
-        if max_len == 1:  # the start's out-edges, by id or by value
-            by_id = isinstance(target, str)
-            support.update([(prop,) for start_id in starts
-                            for prop, objs in graph.out_edges(start_id).items()
-                            if (target in objs if by_id
-                                else any(values_match(obj, target) for obj in objs))])
-            continue
         last = _last_hop(graph, target, buckets)
         two_hop = _two_hops(graph, target, last) if max_len >= 4 else {}
         ends = set().union(*last.values(), two_hop)
@@ -261,6 +264,10 @@ def enumerate_paths(graph: Graph, pairs: Iterable[tuple[str, Value]],
             for start_id in starts:
                 support.update(_pair_paths(graph, start_id, target, max_len, last, ends, two_hop))
         del last, ends, two_hop  # freed before the next target's maps are built
+    return _ranked(support)
+
+
+def _ranked(support: Counter[tuple[str, ...]]) -> list[PropertyPath]:
     ranked = [PropertyPath(steps=seq, support=count) for seq, count in support.items()]
     ranked.sort(key=lambda p: (-p.support, p.steps))
     return ranked

@@ -11,8 +11,10 @@ table. ``enrich_property``, ``batch_enrich``, ``run_consistency`` and the
 CLI's stage commands each build one ``Run``. An entity mapping and a class
 closure depend only on the target graph and their settings, so they are kept
 on the graph (``Graph.derived``), built once per target graph and spec and
-shared by every run on that graph: a ``run_consistency`` call after a batch
-reuses what the batch built. ``batch_enrich`` runs property by
+shared by every run on that graph. A property's path ranking is kept there
+too, keyed also by its external graph (see ``Run.align``): a
+``run_consistency`` call after a batch in the same process reuses the
+batch's mappings, closures and rankings. ``batch_enrich`` runs property by
 property, each property's gap partition shared by its rows for every
 external, and folds each row into per-graph tallies of counts and subject
 ids as it runs, so a row holds only counts, statements and timings.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -133,10 +136,19 @@ def _check_safety(partition: GapPartition, accepted: Sequence[CandidateStatement
 class Run:
     """One run's target graph, config, entity class and constraint table (by
     default read from ``validation.constraints`` as the run starts, so a missing
-    file fails before any stage runs). A run keeps nothing itself: entity
-    mappings and class closures are kept on the target graph, per spec, and
-    gap partitions are not kept; ``batch_enrich`` passes one property's
-    partition from row to row.
+    file fails before any stage runs).
+
+    A run keeps nothing itself. What it builds is kept on the target graph
+    (``Graph.derived``): an entity mapping per mapping spec, a class closure
+    per allowed-class set and settings, and a path ranking (the
+    ``enumerate_paths`` result) per external graph, property, entity class,
+    gap settings, mapping spec and alignment config, the external named by a
+    weak reference and its edge count (see ``align``). So a later run on the
+    same graphs in the same process reuses them: repeated ``enrich_property``
+    calls, or ``run_consistency`` after a batch. A separate ``kgenrich
+    consistency`` process loads its graphs anew and reuses nothing. Gap
+    partitions are not kept; ``batch_enrich`` passes one property's partition
+    from row to row.
     """
 
     def __init__(self, target: Graph, cfg: PipelineConfig, *,
@@ -162,14 +174,41 @@ class Run:
         return target.derived(("mapping", spec), lambda: build_mapping(target, spec))
 
     def align(self, external: Graph, prop: str, partition: GapPartition,
-              ) -> tuple[list[PropertyPath], PropertyPath | None]:
-        """Ranked candidate paths for ``prop`` and the selected one; ``([], None)``
-        when no known pair maps into the external graph."""
-        pairs = alignment_pairs(partition, self.mapping(external.tag))
-        if not pairs:
-            return [], None
-        ranked = enumerate_paths(external, pairs, self.cfg.alignment)
-        return ranked, select_path(ranked, self.target.label(prop), external, self.cfg.alignment)
+              ) -> tuple[tuple[PropertyPath, ...], PropertyPath | None]:
+        """Ranked candidate paths for ``prop`` and the selected one; ``((), None)``
+        when no known pair maps into the external graph.
+
+        ``partition`` must be ``self.gaps(prop)``, which every caller in the
+        package passes (batch rows, ``run_consistency``, ``kgenrich align``): the
+        ranking, the ``enumerate_paths`` result as a read-only tuple, is kept on
+        the target graph (``Graph.derived``) under a key that names what the
+        partition, the pairs and ``enumerate_paths`` read besides the target,
+        not the partition itself. The key names the external graph by a weak
+        reference and its edge count (graphs only grow, so an external that
+        gained edges misses), then ``prop``, the entity class,
+        ``gaps.type_property``, ``gaps.no_value_sentinel``, the external's
+        mapping spec and the alignment config. The weak reference keeps a
+        dropped external from living on through its target. So a later call
+        for the same property and external on the same graphs in the same
+        process (another ``enrich_property`` call, or ``run_consistency``
+        after a batch) builds no pairs and walks no pair; a separate process
+        gains nothing. ``select_path`` still runs on every call. A call that
+        raises keeps nothing.
+        """
+        cfg, target = self.cfg, self.target
+        gaps = cfg.gaps
+
+        def rank() -> tuple[PropertyPath, ...] | None:  # None: no known pair maps
+            pairs = alignment_pairs(partition, self.mapping(external.tag))
+            return tuple(enumerate_paths(external, pairs, cfg.alignment)) if pairs else None
+
+        ranked = target.derived(
+            ("ranking", weakref.ref(external), external.edge_count, prop, self.entity_class,
+             gaps.type_property, gaps.no_value_sentinel, cfg.mapping_for(external.tag),
+             cfg.alignment), rank)
+        if ranked is None:
+            return (), None
+        return ranked, select_path(ranked, target.label(prop), external, cfg.alignment)
 
     def candidates(self, external: Graph, prop: str, path: PropertyPath,
                    subjects: Iterable[str]) -> list[CandidateStatement]:

@@ -10,8 +10,9 @@ arrives, since most entries never get one. ``statements_for`` (all pairs of
 one property) is a scan over the subject index, and the edge counter is the
 one in ``Graph.stats``. Graphs are treated as immutable once a loader returns
 them; pipeline stages only ever read them and emit separate statement sets.
-What depends only on a graph (an entity mapping, a class closure) is built
-once per key through ``Graph.derived`` and kept on the graph.
+What is computed from a graph (an entity mapping, a class closure, or a path
+ranking, which also reads an external graph) is built once per key through
+``Graph.derived`` and kept on the graph.
 
 IRIs are shortened through a configurable prefix table (unknown namespaces
 keep the full IRI). Edge-TSV carries no datatypes, so literal kinds are
@@ -214,10 +215,16 @@ class Graph:
     so callers get read-only collections: iterate them, test membership or
     copy them, never mutate them.
 
-    ``derived`` keeps results computed from the graph alone, one per key, for
-    as long as the graph lives; ``add_edge`` drops them all, so none is ever
-    stale. A kept result must not refer to its graph: a ``Graph`` holds no
-    reference cycles, so a dropped graph is freed by refcounting alone.
+    ``derived`` keeps results computed from the graph, one per key, for as
+    long as the graph lives; ``add_edge`` drops them all, so none is ever
+    stale. A key names everything besides the graph that its result depends
+    on. A path ranking (``pipeline.Run.align``) also depends on an external
+    graph: its key names that graph by a weak reference, so the target does
+    not keep it alive, and by its edge count, so the ranking misses once the
+    external gains an edge. A dropped external's ranking stays until the
+    target changes or is freed, since no later key equals a dead reference.
+    A kept result must not refer to its graph: a ``Graph`` holds no reference
+    cycles, so a dropped graph is freed by refcounting alone.
     """
 
     def __init__(self, tag: str, label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES):

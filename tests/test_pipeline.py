@@ -386,25 +386,125 @@ def test_run_builds_each_mapping_and_closure_once(company_fixture, monkeypatch):
     assert mappings == ["sitelink", "sitelink-dbp2"]
 
 
+def _counted(monkeypatch, *names: str) -> Counter:
+    """Calls of the named ``pipeline`` globals from here on, by name."""
+    calls: Counter[str] = Counter()
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(pipeline, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+_CONSISTENCY_CALLS = [(INDUSTRY_PROP, None), ("P571", Granularity.YEAR),
+                      ("P571", Granularity.DAY)]
+
+
+def _consistency_reports(fx, cfg) -> list[dict]:
+    return [run_consistency(fx.target, fx.external, prop, cfg, granularity,
+                            entity_class=COMPANY_CLASS, constraints=fx.constraints).report_dict()
+            for prop, granularity in _CONSISTENCY_CALLS]
+
+
 def test_consistency_after_a_batch_builds_no_mapping_or_closure(company_fixture,
                                                                 monkeypatch):
+    # nor pairs or a ranking: the calls reuse what the batch kept on the target graph
     fx = company_fixture
     batch_enrich(fx.target, [fx.external], [INDUSTRY_PROP, "P571"], fx.cfg,
                  entity_class=COMPANY_CLASS, constraints=fx.constraints)
-    builds = []
-    closure_of, mapping_of = validate.allowed_class_closure, pipeline.build_mapping
+    closures = []
+    closure_of = validate.allowed_class_closure
     monkeypatch.setattr(validate, "allowed_class_closure",
-                        lambda *args: builds.append("closure") or closure_of(*args))
-    monkeypatch.setattr(pipeline, "build_mapping",
-                        lambda *args: builds.append("mapping") or mapping_of(*args))
-    # a config read again holds equal specs, not the same objects
+                        lambda *args: closures.append(args) or closure_of(*args))
+    calls = _counted(monkeypatch, "build_mapping", "alignment_pairs", "enumerate_paths",
+                     "select_path")
+    # a config read again holds equal settings, not the same objects
     cfg = copy.deepcopy(fx.cfg)
     assert cfg.mapping_for("dbp") is not fx.cfg.mapping_for("dbp")
-    for prop in (INDUSTRY_PROP, "P571"):
-        outcome = run_consistency(fx.target, fx.external, prop, cfg, Granularity.YEAR,
-                                  entity_class=COMPANY_CLASS, constraints=fx.constraints)
-        assert outcome.report.s_overlap > 0
-    assert builds == []
+    assert cfg.alignment is not fx.cfg.alignment and cfg.gaps is not fx.cfg.gaps
+    reports = _consistency_reports(fx, cfg)
+    assert all(report["s_overlap"] > 0 for report in reports)
+    assert closures == [] and calls == Counter(select_path=len(_CONSISTENCY_CALLS))
+    fresh = make_company_fixture()
+    assert reports == _consistency_reports(fresh, fresh.cfg)
+
+
+def _ranking(fx, external=None) -> tuple:
+    run = Run(fx.target, fx.cfg, entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    return run.align(external or fx.external, INDUSTRY_PROP, run.gaps(INDUSTRY_PROP))[0]
+
+
+def _supports(ranked) -> dict:
+    return {path.steps: path.support for path in ranked}
+
+
+def test_another_external_with_the_same_tag_misses_the_kept_ranking(company_fixture,
+                                                                     monkeypatch):
+    fx = company_fixture
+    calls = _counted(monkeypatch, "enumerate_paths")
+    kept = _ranking(fx)
+    # as many edges, two of them different
+    other = graph_from_edges("dbp", [
+        *(edge for edge in fx.external.edges() if edge[1] != "dbp:product"),
+        ("dbr:CompanyC", "dbp:owner", "dbr:IndustryC"),
+        ("dbr:CompanyD", "dbp:owner", "dbr:IndustryD")])
+    assert other.edge_count == fx.external.edge_count
+    assert _supports(_ranking(fx, other)) == {("dbp:industry",): 5, ("dbp:owner",): 2}
+    assert calls["enumerate_paths"] == 2
+    assert _ranking(fx) is kept and _ranking(fx, other) is not kept
+    assert calls["enumerate_paths"] == 2
+    assert _supports(kept) == {("dbp:industry",): 5, ("dbp:product",): 2}
+
+
+@pytest.mark.parametrize("graph, duplicate, new, supports", [
+    ("external", ("dbr:CompanyA", "dbp:product", "dbr:IndustryA"),
+     ("dbr:CompanyC", "dbp:product", "dbr:IndustryC"),
+     {("dbp:industry",): 5, ("dbp:product",): 3}),
+    ("target", ("Q1001", INDUSTRY_PROP, "Q2001"), ("Q1006", INDUSTRY_PROP, "Q2002"),
+     {("dbp:industry",): 6, ("dbp:product",): 2}),
+])
+def test_a_new_edge_misses_the_kept_ranking_and_a_duplicate_does_not(
+        company_fixture, monkeypatch, graph, duplicate, new, supports):
+    fx = company_fixture
+    calls = _counted(monkeypatch, "enumerate_paths")
+    kept = _ranking(fx)
+    grown = getattr(fx, graph)
+    assert not grown.add_edge(*duplicate)
+    assert _ranking(fx) is kept and calls["enumerate_paths"] == 1
+    assert grown.add_edge(*new)
+    assert _supports(_ranking(fx)) == supports
+    assert calls["enumerate_paths"] == 2
+
+
+def test_an_external_dropped_while_the_target_lives_is_freed(company_fixture):
+    fx = company_fixture
+    external = make_company_external()
+    assert _ranking(fx, external)
+    dropped = weakref.ref(external)
+    del external
+    gc.collect()
+    assert dropped() is None
+
+
+def test_a_row_whose_enumeration_raises_keeps_no_ranking(company_fixture, monkeypatch):
+    fx = company_fixture
+    enumerate_of, attempts = pipeline.enumerate_paths, []
+
+    def failing_once(*args):
+        attempts.append(args[0].tag)
+        if len(attempts) == 1:
+            raise RuntimeError("walk failed")
+        return enumerate_of(*args)
+
+    monkeypatch.setattr(pipeline, "enumerate_paths", failing_once)
+    batch = batch_enrich(fx.target, [fx.external], [INDUSTRY_PROP], fx.cfg,
+                         entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    assert [row.status for row in batch.rows] == ["error: walk failed"]
+    retried = enrich_property(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
+                              entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    assert attempts == ["dbp", "dbp"]
+    assert retried.status == "ok" and retried.selected_path.steps == ("dbp:industry",)
 
 
 def test_add_edge_after_a_run_drops_the_kept_mapping(company_fixture):
