@@ -11,15 +11,16 @@ table. ``enrich_property``, ``batch_enrich``, ``run_consistency`` and the
 CLI's stage commands each build one ``Run``. An entity mapping and a class
 closure depend only on the target graph and their settings, so they are kept
 on the graph (``Graph.derived``), built once per target graph and spec and
-shared by every run on that graph. A property's path ranking is kept there
-too, keyed also by its external graph (see ``Run.align``): a
-``run_consistency`` call after a batch in the same process reuses the
-batch's mappings, closures and rankings. ``batch_enrich`` runs property by
-property, each property's gap partition shared by its rows for every
-external, and folds each row into per-graph tallies of counts and subject
-ids as it runs, so a row holds only counts, statements and timings.
-``run_consistency`` retrieves and validates once over known and gap subjects
-together; it emits no statements, only agreement counts over the known part.
+shared by every run on that graph. A property's path ranking and a row's
+novel count are kept there too, keyed also by their external graph (see
+``Run.row_key``): a ``run_consistency`` call after a batch in the same
+process reuses the batch's mappings, closures, rankings and counts.
+``batch_enrich`` runs property by property, each property's gap partition
+shared by its rows for every external, and folds each row into per-graph
+tallies of counts and subject ids as it runs, so a row holds only counts,
+statements and timings. ``run_consistency`` retrieves and validates the
+known subjects only; it emits no statements, only agreement counts over
+them and the novel count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .align import PropertyPath, enumerate_paths, select_path
 from .config import PipelineConfig
@@ -140,15 +141,14 @@ class Run:
 
     A run keeps nothing itself. What it builds is kept on the target graph
     (``Graph.derived``): an entity mapping per mapping spec, a class closure
-    per allowed-class set and settings, and a path ranking (the
-    ``enumerate_paths`` result) per external graph, property, entity class,
-    gap settings, mapping spec and alignment config, the external named by a
-    weak reference and its edge count (see ``align``). So a later run on the
-    same graphs in the same process reuses them: repeated ``enrich_property``
-    calls, or ``run_consistency`` after a batch. A separate ``kgenrich
-    consistency`` process loads its graphs anew and reuses nothing. Gap
-    partitions are not kept; ``batch_enrich`` passes one property's partition
-    from row to row.
+    per allowed-class set and settings, and per external graph and property a
+    path ranking (the ``enumerate_paths`` result, see ``align``) and a novel
+    count (see ``novel``), under keys built by ``row_key``. So a later run on
+    the same graphs in the same process reuses them: repeated
+    ``enrich_property`` calls, or ``run_consistency`` after a batch. A
+    separate ``kgenrich consistency`` process loads its graphs anew and
+    reuses nothing. Gap partitions are not kept; ``batch_enrich`` passes one
+    property's partition from row to row.
     """
 
     def __init__(self, target: Graph, cfg: PipelineConfig, *,
@@ -173,6 +173,24 @@ class Run:
         target, spec = self.target, self.cfg.mapping_for(tag)
         return target.derived(("mapping", spec), lambda: build_mapping(target, spec))
 
+    def row_key(self, external: Graph, prop: str) -> tuple:
+        """What a row's path ranking reads besides the target graph: the part of the
+        ``Graph.derived`` key that the ranking and the novel count share.
+
+        It names the external graph by a weak reference and its edge count
+        (graphs only grow, so an external that gained edges misses), then
+        ``prop``, the entity class, ``gaps.type_property``,
+        ``gaps.no_value_sentinel``, the external's mapping spec and the
+        alignment config. The weak reference keeps a dropped external from
+        living on through its target. These also fix the selected path, which
+        reads only the ranking, the target, the external and the alignment
+        config.
+        """
+        cfg, gaps = self.cfg, self.cfg.gaps
+        return (weakref.ref(external), external.edge_count, prop, self.entity_class,
+                gaps.type_property, gaps.no_value_sentinel, cfg.mapping_for(external.tag),
+                cfg.alignment)
+
     def align(self, external: Graph, prop: str, partition: GapPartition,
               ) -> tuple[tuple[PropertyPath, ...], PropertyPath | None]:
         """Ranked candidate paths for ``prop`` and the selected one; ``((), None)``
@@ -181,34 +199,41 @@ class Run:
         ``partition`` must be ``self.gaps(prop)``, which every caller in the
         package passes (batch rows, ``run_consistency``, ``kgenrich align``): the
         ranking, the ``enumerate_paths`` result as a read-only tuple, is kept on
-        the target graph (``Graph.derived``) under a key that names what the
-        partition, the pairs and ``enumerate_paths`` read besides the target,
-        not the partition itself. The key names the external graph by a weak
-        reference and its edge count (graphs only grow, so an external that
-        gained edges misses), then ``prop``, the entity class,
-        ``gaps.type_property``, ``gaps.no_value_sentinel``, the external's
-        mapping spec and the alignment config. The weak reference keeps a
-        dropped external from living on through its target. So a later call
-        for the same property and external on the same graphs in the same
-        process (another ``enrich_property`` call, or ``run_consistency``
-        after a batch) builds no pairs and walks no pair; a separate process
-        gains nothing. ``select_path`` still runs on every call. A call that
-        raises keeps nothing.
+        the target graph (``Graph.derived``) under ``row_key``, which names what
+        the partition, the pairs and ``enumerate_paths`` read besides the
+        target, not the partition itself. So a later call for the same property
+        and external on the same graphs in the same process (another
+        ``enrich_property`` call, or ``run_consistency`` after a batch) builds
+        no pairs and walks no pair; a separate process gains nothing.
+        ``select_path`` still runs on every call. A call that raises keeps
+        nothing.
         """
         cfg, target = self.cfg, self.target
-        gaps = cfg.gaps
 
         def rank() -> tuple[PropertyPath, ...] | None:  # None: no known pair maps
             pairs = alignment_pairs(partition, self.mapping(external.tag))
             return tuple(enumerate_paths(external, pairs, cfg.alignment)) if pairs else None
 
-        ranked = target.derived(
-            ("ranking", weakref.ref(external), external.edge_count, prop, self.entity_class,
-             gaps.type_property, gaps.no_value_sentinel, cfg.mapping_for(external.tag),
-             cfg.alignment), rank)
+        ranked = target.derived(("ranking", *self.row_key(external, prop)), rank)
         if ranked is None:
             return (), None
         return ranked, select_path(ranked, target.label(prop), external, cfg.alignment)
+
+    def novel(self, external: Graph, prop: str, count: Callable[[], int]) -> int:
+        """The number of candidates accepted on ``prop``'s gap subjects along the
+        selected path in ``external``: ``count()``, called when the target graph
+        keeps no such number yet.
+
+        The number is kept under ``row_key`` plus the validation settings and
+        the constraint on ``prop``, which is all that validation reads besides
+        the target graph and the candidates. An enrichment row stores its
+        ``s_e`` here once its safety check has passed, so ``run_consistency``
+        after a batch or an ``enrich_property`` call on the same graphs
+        retrieves and validates no gap subject. A row that raises keeps nothing.
+        """
+        return self.target.derived(
+            ("novel", *self.row_key(external, prop), self.cfg.validation,
+             self.constraints.get(prop)), count)
 
     def candidates(self, external: Graph, prop: str, path: PropertyPath,
                    subjects: Iterable[str]) -> list[CandidateStatement]:
@@ -273,6 +298,7 @@ def _enrich_row(run: Run, external: Graph, prop: str, partition: GapPartition | 
         (Statement(c.subject, prop, c.object, external.tag) for c in accepted),
         key=_statement_order))
     result.s_g, result.s_e = len(candidates), len(accepted)
+    run.novel(external, prop, lambda: result.s_e)  # kept for run_consistency's s_e
     result.n_f = len({c.subject for c in candidates})
     result.n_c = len({c.subject for c in accepted})
 
@@ -421,25 +447,32 @@ def run_consistency(target: Graph, external: Graph, prop: str, cfg: PipelineConf
                     ) -> ConsistencyOutcome:
     """Overlap-mode run: compare validated values on known subjects with the target's.
 
-    One retrieval and validation pass covers known and gap subjects alike;
-    each candidate is checked on its own, so the known part is the overlap
-    and the size of the gap part is s_e, exactly as two passes would give.
+    Retrieval and validation cover the known subjects only, and the accepted
+    ones are the overlap. ``s_e``, the number accepted on gap subjects, is the
+    enrichment row's novel count (``Run.novel``): kept on the target graph by
+    a batch or an ``enrich_property`` call on the same graphs, else counted by
+    a second pass over the gap subjects. Each candidate is retrieved and
+    checked on its own, so the two passes give what one pass over both would.
     """
     run = Run(target, cfg, entity_class=entity_class, constraints=constraints)
     partition = run.gaps(prop)
     _, selected = run.align(external, prop, partition)
     if selected is None:
         raise ConfigError(f"property {prop} has no alignable path in {external.tag}")
-    validated = run.validate(prop, partition.known,
-                             run.candidates(external, prop, selected, partition.entities))
-    overlap = [c for c in validated.accepted if c.subject in partition.known_subjects]
-    if validated.expected is ValueKind.DATE:
+
+    def validated(subjects: frozenset[str]) -> ValidationOutcome:
+        return run.validate(prop, partition.known,
+                            run.candidates(external, prop, selected, subjects))
+
+    outcome = validated(partition.known_subjects)
+    overlap = outcome.accepted
+    if outcome.expected is ValueKind.DATE:
         report = literal_agreement(target, overlap, granularity or Granularity.YEAR)
     else:
         report = agreement(target, overlap)
-    return ConsistencyOutcome(property=prop, expected_kind=validated.expected,
-                              s_w=len(partition.known),
-                              s_e=len(validated.accepted) - len(overlap), report=report)
+    s_e = run.novel(external, prop, lambda: len(validated(partition.unknown_subjects).accepted))
+    return ConsistencyOutcome(property=prop, expected_kind=outcome.expected,
+                              s_w=len(partition.known), s_e=s_e, report=report)
 
 
 # -- reporting ----------------------------------------------------------------

@@ -543,6 +543,8 @@ def _nt_term_id(token: str, table: PrefixTable) -> str:
 _TSV_NODE_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*(?::[^\s]+)?$")
 # a year of more than four digits is a date only with a month: alone it is a quantity
 _TSV_DATE = re.compile(r"^-?(?:\d{4}|\d{4,}-\d{2}(?:-\d{2})?)$")
+# after the KGTK date marker a date's year has any width
+_TSV_MARKED_DATE = re.compile(r"^\^-?\d{4,}(?:-\d{2}){0,2}$")
 _TSV_NUMBER = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 _TSV_MONOLINGUAL = re.compile(r"^'(?P<text>(?:[^'\\]|\\.)*)'@(?P<lang>[A-Za-z][A-Za-z0-9-]*)$")
 
@@ -550,16 +552,18 @@ _TSV_MONOLINGUAL = re.compile(r"^'(?P<text>(?:[^'\\]|\\.)*)'@(?P<lang>[A-Za-z][A
 def _tsv_literal(text: str) -> Literal | None:
     """Classify a ``node2`` field by lexical shape; None when it names a node.
 
-    Quoted -> string, 'x'@lang -> monolingual, ISO date -> date, numeric ->
-    quantity, id-shaped -> None; anything else becomes an Other literal.
+    Quoted -> string, 'x'@lang -> monolingual, ISO date (or ``^`` and an ISO
+    date) -> date, numeric -> quantity, id-shaped -> None; anything else
+    becomes an Other literal.
     """
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
         return Literal.string(_unescape(text[1:-1]))
     m = _TSV_MONOLINGUAL.match(text)
     if m:
         return Literal.monolingual(_unescape(m.group("text")), m.group("lang"))
-    if _TSV_DATE.match(text):
-        parsed = _parse_date_lexical(text)
+    marked = text.startswith("^")
+    if (_TSV_MARKED_DATE if marked else _TSV_DATE).match(text):
+        parsed = _parse_date_lexical(text[1:] if marked else text)
         if parsed is not None:
             return parsed
     if _TSV_NUMBER.match(text):
@@ -603,10 +607,10 @@ def serialize_value(value: Value) -> str:
     """Render a value into the edge-TSV ``node2`` lexicon.
 
     Inverse of parse_tsv_value up to value equality: quantities always carry
-    a decimal point so integral magnitudes cannot be re-read as dates. One
-    case is ambiguous: a year-precision date whose year has more than four
-    digits (``12345``, ``-12345``) reads back as a quantity, since a bare
-    integer of that width is one. With a month it stays a date at any width.
+    a decimal point so integral magnitudes cannot be re-read as dates. A
+    year-precision date whose year has more than four digits is written with
+    the KGTK date marker (``^12345``, ``^-12345``), since a bare integer of
+    that width reads as a quantity; every other date is written bare.
     """
     if isinstance(value, str):
         return value
@@ -616,8 +620,9 @@ def serialize_value(value: Value) -> str:
         return f"'{_escape(value.text or '')}'@{value.language}"
     if value.kind is ValueKind.DATE:
         out = _format_year(value.year or 0)
-        if value.month is not None:
-            out += f"-{value.month:02d}"
+        if value.month is None:
+            return out if len(out.lstrip("-")) == 4 else f"^{out}"
+        out += f"-{value.month:02d}"
         if value.day is not None:
             out += f"-{value.day:02d}"
         return out

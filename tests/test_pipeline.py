@@ -401,15 +401,38 @@ _CONSISTENCY_CALLS = [(INDUSTRY_PROP, None), ("P571", Granularity.YEAR),
                       ("P571", Granularity.DAY)]
 
 
-def _consistency_reports(fx, cfg) -> list[dict]:
-    return [run_consistency(fx.target, fx.external, prop, cfg, granularity,
-                            entity_class=COMPANY_CLASS, constraints=fx.constraints).report_dict()
+def _consistency_reports(fx, cfg=None, *, entity_class=COMPANY_CLASS,
+                         constraints=None) -> list[dict]:
+    return [run_consistency(fx.target, fx.external, prop, cfg or fx.cfg, granularity,
+                            entity_class=entity_class,
+                            constraints=fx.constraints if constraints is None else constraints,
+                            ).report_dict()
             for prop, granularity in _CONSISTENCY_CALLS]
+
+
+def _recorded_subjects(monkeypatch) -> tuple[list[frozenset], list[frozenset]]:
+    """The subjects of each ``pipeline.retrieve`` call and of the candidates of each
+    ``pipeline.validate_detailed`` call from here on."""
+    retrieved, validated = [], []
+    retrieve_of, validate_of = pipeline.retrieve, pipeline.validate_detailed
+
+    def recorded_retrieve(graph, unknowns, *args):
+        retrieved.append(frozenset(unknowns))
+        return retrieve_of(graph, unknowns, *args)
+
+    def recorded_validate(graph, candidates, *args):
+        validated.append(frozenset(c.subject for c in candidates))
+        return validate_of(graph, candidates, *args)
+
+    monkeypatch.setattr(pipeline, "retrieve", recorded_retrieve)
+    monkeypatch.setattr(pipeline, "validate_detailed", recorded_validate)
+    return retrieved, validated
 
 
 def test_consistency_after_a_batch_builds_no_mapping_or_closure(company_fixture,
                                                                 monkeypatch):
-    # nor pairs or a ranking: the calls reuse what the batch kept on the target graph
+    # nor pairs or a ranking, nor candidates on gap subjects: the calls reuse what
+    # the batch kept on the target graph
     fx = company_fixture
     batch_enrich(fx.target, [fx.external], [INDUSTRY_PROP, "P571"], fx.cfg,
                  entity_class=COMPANY_CLASS, constraints=fx.constraints)
@@ -419,15 +442,88 @@ def test_consistency_after_a_batch_builds_no_mapping_or_closure(company_fixture,
                         lambda *args: closures.append(args) or closure_of(*args))
     calls = _counted(monkeypatch, "build_mapping", "alignment_pairs", "enumerate_paths",
                      "select_path")
+    retrieved, validated = _recorded_subjects(monkeypatch)
     # a config read again holds equal settings, not the same objects
     cfg = copy.deepcopy(fx.cfg)
     assert cfg.mapping_for("dbp") is not fx.cfg.mapping_for("dbp")
     assert cfg.alignment is not fx.cfg.alignment and cfg.gaps is not fx.cfg.gaps
+    assert cfg.validation is not fx.cfg.validation
     reports = _consistency_reports(fx, cfg)
-    assert all(report["s_overlap"] > 0 for report in reports)
+    assert all(report["s_overlap"] > 0 and report["s_e"] > 0 for report in reports)
     assert closures == [] and calls == Counter(select_path=len(_CONSISTENCY_CALLS))
+    run = Run(fx.target, cfg, entity_class=COMPANY_CLASS)
+    known = [run.gaps(prop).known_subjects for prop, _ in _CONSISTENCY_CALLS]
+    assert len(retrieved) == len(validated) == len(known)
+    assert all(r <= k and v <= k for r, v, k in zip(retrieved, validated, known))
     fresh = make_company_fixture()
-    assert reports == _consistency_reports(fresh, fresh.cfg)
+    assert reports == _consistency_reports(fresh)
+
+
+# a company class of its own: three companies with an inception, and the gap company
+_NARROW_CLASS = "Q999"
+
+
+def _narrow_class_fixture():
+    fx = make_company_fixture()
+    for company in ("Q1001", "Q1002", "Q1003", fx.gap_subject):
+        fx.target.add_edge(company, "P31", _NARROW_CLASS)
+    return fx
+
+
+def _later_cutoff(fx) -> dict:
+    validation = dataclasses.replace(fx.cfg.validation, cutoff_year=2000)
+    return {"cfg": dataclasses.replace(fx.cfg, validation=validation)}
+
+
+def _grown_external(fx) -> dict:
+    fx.external.add_edge("dbr:CompanyF", "dbp:founded", Literal.date(1950))
+    return {}
+
+
+# each changes one input of a kept count, and the count with it
+_CHANGES = {
+    "cutoff_year": _later_cutoff,
+    "constraints": lambda fx: {"constraints": {INDUSTRY_PROP: ValueTypeConstraint(
+        INDUSTRY_PROP, frozenset({"Q30"}))}},
+    "entity_class": lambda fx: {"entity_class": _NARROW_CLASS},
+    "external_edge": _grown_external,
+}
+
+
+@pytest.mark.parametrize("change", list(_CHANGES))
+def test_a_changed_input_misses_the_kept_novel_count(change):
+    fx = _narrow_class_fixture()
+    batch = batch_enrich(fx.target, [fx.external], [INDUSTRY_PROP, "P571"], fx.cfg,
+                         entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    kept = {row.property: row.s_e for row in batch.rows}
+    reports = _consistency_reports(fx, **_CHANGES[change](fx))
+    assert {report["property"]: report["s_e"] for report in reports} != kept
+    fresh = _narrow_class_fixture()
+    assert reports == _consistency_reports(fresh, **_CHANGES[change](fresh))
+
+
+def test_a_row_whose_validation_raises_keeps_no_count(company_fixture, monkeypatch):
+    fx = company_fixture
+    validate_of, attempts = pipeline.validate_detailed, []
+
+    def failing_once(*args):
+        attempts.append(args[1])
+        if len(attempts) == 1:
+            raise RuntimeError("validation failed")
+        return validate_of(*args)
+
+    monkeypatch.setattr(pipeline, "validate_detailed", failing_once)
+    batch = batch_enrich(fx.target, [fx.external], [INDUSTRY_PROP], fx.cfg,
+                         entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    assert [row.status for row in batch.rows] == ["error: validation failed"]
+    retried = run_consistency(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
+                              entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    # the overlap pass, then a second pass that counts on the gap subject
+    assert [{c.subject for c in candidates} for candidates in attempts[1:]] == [
+        {"Q1001", "Q1002", "Q1003", "Q1004", "Q1005"}, {fx.gap_subject}]
+    fresh = make_company_fixture()
+    assert retried.report_dict() == _consistency_reports(fresh)[0]
+    assert retried.s_e == 1
 
 
 def _ranking(fx, external=None) -> tuple:

@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kgenrich.align import values_match
@@ -440,14 +440,55 @@ def test_date_serialization_roundtrip_at_any_year_width(value):
 
 @pytest.mark.parametrize("year", [12345, -12345])
 def test_wide_year_alone_reads_back_as_a_quantity(year):
-    # a bare integer wider than four digits is a quantity, whatever wrote it
-    assert parse_tsv_value(serialize_value(Literal.date(year))) == Literal.quantity(year)
+    # a bare integer wider than four digits is a quantity, whatever wrote it;
+    # the date marker is what keeps a wide year alone a date
+    text = serialize_value(Literal.date(year))
+    assert text == f"^{year}"
+    assert parse_tsv_value(text[1:]) == Literal.quantity(year)
+    assert parse_tsv_value(text) == Literal.date(year)
+
+
+@st.composite
+def _dates(draw) -> Literal:
+    """A date of any precision whose year has 1 to 7 digits, either sign."""
+    digits = draw(st.integers(1, 7))
+    year = draw(st.integers(10 ** (digits - 1) if digits > 1 else 0, 10 ** digits - 1))
+    year = -year if draw(st.booleans()) else year
+    precision = draw(st.sampled_from(["year", "month", "day"]))
+    if precision == "year":
+        return Literal.date(year)
+    month = draw(st.integers(1, 12))
+    if precision == "month":
+        return Literal.date(year, month)
+    return Literal.date(year, month, draw(st.integers(1, calendar.monthrange(
+        year % 400 or 400, month)[1])))
+
+
+@given(_dates())
+def test_a_date_of_any_precision_and_year_width_reads_back_equal(value):
+    text = serialize_value(value)
+    assert parse_tsv_value(text) == value
+    # only a year alone wider than four digits needs the date marker: a bare
+    # integer of that width is a quantity
+    wide_year_alone = value.month is None and abs(value.year) >= 10000
+    assert text.startswith("^") == wide_year_alone
+    if wide_year_alone:
+        assert parse_tsv_value(text[1:]) == Literal.quantity(value.year)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("^2020", Literal.date(2020)), ("^2020-05", Literal.date(2020, 5)),
+    ("^-12345-01-02", Literal.date(-12345, 1, 2)), ("^0999", Literal.date(999)),
+    ("^2020-13", Literal.other("^2020-13")), ("^12", Literal.other("^12")),
+    ("^2020-01-01T00:00:00Z", Literal.other("^2020-01-01T00:00:00Z")),
+])
+def test_the_date_marker_reads_an_iso_date_only(text, value):
+    assert parse_tsv_value(text) == value
 
 
 @given(st.one_of(st.integers(-9999, 9999), st.integers(-10**6, 10**6)),
        st.none() | st.integers(0, 13), st.none() | st.integers(0, 32))
 def test_every_date_that_builds_reads_back_equal(year, month, day):
-    assume(month is not None or -10000 < year < 10000)  # a wide year alone: see above
     try:
         value = Literal.date(year, month, day)
     except ValueError:
