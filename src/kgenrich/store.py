@@ -2,16 +2,20 @@
 
 A node is its id: a plain string, the same in every graph, so nodes of two
 graphs compare and hash as their ids do and every index key hashes in C. A
-value is a node id or a ``Literal``. A graph stores a deduplicated edge set
-once in each of two indexes kept in lockstep by ``add_edge``: subject->
-property->objects and object->property->subjects. An index entry with one
-member is a 1-tuple and becomes a set only when a second distinct member
-arrives, since most entries never get one. ``statements_for`` (all pairs of
-one property) is a scan over the subject index, and the edge counter is the
-one in ``Graph.stats``. Graphs are treated as immutable once a loader returns
-them; pipeline stages only ever read them and emit separate statement sets.
-What is computed from a graph (an entity mapping, a class closure, or a path
-ranking, which also reads an external graph) is built once per key through
+value is a node id or a ``Literal``. ``add_edge`` stores a deduplicated edge
+set in a subject->property->objects index, and each edge into a node id once
+more in a node->property->subjects index. An edge into a literal is in the
+subject index only: a literal's in-edges are built by one scan of it on the
+graph's first literal query and kept, since most graphs are never asked
+about a literal. An index entry with one member is a 1-tuple and becomes a
+set only when a second distinct member arrives, since most entries never get
+one. ``statements_for`` (all pairs of one property) is a scan over the
+subject index, and the edge counter is the one in ``Graph.stats``. A node's
+label is read from its label edges when asked for, by a rule that no edge
+order changes. Graphs are treated as immutable once a loader returns them;
+pipeline stages emit separate statement sets. What is computed from a graph
+(the literal in-edges, an entity mapping, a class closure, or a path ranking,
+which also reads an external graph) is built once per key through
 ``Graph.derived`` and kept on the graph.
 
 IRIs are shortened through a configurable prefix table (unknown namespaces
@@ -199,21 +203,34 @@ _T = TypeVar("_T")
 # what a query returns on a miss; shared, and read-only like every query result
 _NO_VALUES: tuple = ()
 _NO_EDGES: Mapping = MappingProxyType({})
+# the ``Graph.derived`` key of a graph's literal in-edges
+_LITERAL_IN_EDGES = ("literal in-edges",)
+
+
+def _label_rank(literal: Literal) -> tuple:
+    """Untagged text first, then the tag ``en``, then the other tags in order; then the text."""
+    language = literal.language
+    return (language is not None, language != "en", language or "", literal.text)
 
 
 class Graph:
     """Indexed, deduplicated edge set over node ids.
 
-    Two indexes hold each edge: ``_spo`` maps subject -> property -> objects
-    and ``_osp`` maps object -> property -> subjects. The first member of an
-    entry is stored as a 1-tuple (48 B, against 216 B for a set); a second
-    distinct member turns the entry into a set. Most entries keep one member.
+    ``_spo`` maps subject -> property -> objects and holds every edge.
+    ``_osp`` maps node id -> property -> subjects and holds every edge into a
+    node id, so it also answers which ids are nodes. An edge into a literal
+    is not in ``_osp``: the literal in-edges, with the same layout, are built
+    by one scan of ``_spo`` on the first ``in_edges``, ``subjects_with`` or
+    ``literals`` call about a literal, and kept through ``derived``. The
+    first member of an entry is stored as a 1-tuple (48 B, against 216 B for
+    a set); a second distinct member turns the entry into a set. Most entries
+    keep one member.
 
     Built by the loaders (or test fixtures) through ``add_edge`` and treated
-    as immutable afterwards; every pipeline stage only reads it. The query
-    methods return the stored entries, or a shared empty constant on a miss,
-    so callers get read-only collections: iterate them, test membership or
-    copy them, never mutate them.
+    as immutable afterwards; pipeline stages add no edge. The query methods
+    return the stored entries, or a shared empty constant on a miss, so
+    callers get read-only collections: iterate them, test membership or copy
+    them, never mutate them.
 
     ``derived`` keeps results computed from the graph, one per key, for as
     long as the graph lives; ``add_edge`` drops them all, so none is ever
@@ -224,7 +241,9 @@ class Graph:
     external gains an edge. A dropped external's ranking stays until the
     target changes or is freed, since no later key equals a dead reference.
     A kept result must not refer to its graph: a ``Graph`` holds no reference
-    cycles, so a dropped graph is freed by refcounting alone.
+    cycles, so a dropped graph is freed by refcounting alone. Threads that
+    share a graph may each build a result on its first use; the builds are
+    equal, and the last one is kept.
     """
 
     def __init__(self, tag: str, label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES):
@@ -232,14 +251,13 @@ class Graph:
         self.label_properties = tuple(label_properties)
         self.stats = LoadStats()
         self._spo: dict[str, dict[str, tuple[Value] | set[Value]]] = {}
-        self._osp: dict[Value, dict[str, tuple[str] | set[str]]] = {}
-        self._labels: dict[str, str] = {}
+        self._osp: dict[str, dict[str, tuple[str] | set[str]]] = {}
         self._derived: dict[Hashable, object] = {}
 
     # -- construction ------------------------------------------------------
 
     def add_edge(self, subject: str, prop: str, obj: Value) -> bool:
-        """Insert one edge into both indexes and count it in ``stats.edges``.
+        """Insert one edge and count it in ``stats.edges``.
 
         Returns False when the edge was already present. A string object is
         a node id; pass a ``Literal`` for literal values.
@@ -262,22 +280,21 @@ class Graph:
             by_prop[prop] = {objs[0], obj}
         else:
             objs.add(obj)
-        into = self._osp.get(obj)
-        if into is None:
-            self._osp[obj] = {prop: (subject,)}
-        else:
-            subjs = into.get(prop)
-            if subjs is None:
-                into[prop] = (subject,)
-            elif type(subjs) is tuple:
-                into[prop] = {subjs[0], subject}
+        if isinstance(obj, str):
+            into = self._osp.get(obj)
+            if into is None:
+                self._osp[obj] = {prop: (subject,)}
             else:
-                subjs.add(subject)
+                subjs = into.get(prop)
+                if subjs is None:
+                    into[prop] = (subject,)
+                elif type(subjs) is tuple:
+                    into[prop] = {subjs[0], subject}
+                else:
+                    subjs.add(subject)
         self.stats.edges += 1
         if self._derived:
             self._derived.clear()
-        if prop in self.label_properties and isinstance(obj, Literal) and obj.text:
-            self._labels.setdefault(subject, obj.text)
         return True
 
     def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
@@ -289,6 +306,27 @@ class Graph:
             derived[key] = build()
         return derived[key]
 
+    def _literal_in_edges(self) -> Mapping[Literal, Mapping[str, Collection[str]]]:
+        return self.derived(_LITERAL_IN_EDGES, self._index_literals)
+
+    def _index_literals(self) -> dict[Literal, dict[str, tuple[str] | set[str]]]:
+        """Literal -> property -> subjects, in ``_osp``'s layout, by one scan of ``_spo``."""
+        index: dict[Literal, dict[str, tuple[str] | set[str]]] = {}
+        for subject, by_prop in self._spo.items():
+            for prop, objs in by_prop.items():
+                for obj in objs:
+                    if isinstance(obj, str):
+                        continue
+                    into = index.setdefault(obj, {})
+                    subjs = into.get(prop)  # _spo holds each edge once: no repeats
+                    if subjs is None:
+                        into[prop] = (subject,)
+                    elif type(subjs) is tuple:
+                        into[prop] = {subjs[0], subject}
+                    else:
+                        subjs.add(subject)
+        return index
+
     # -- queries -----------------------------------------------------------
 
     @property
@@ -299,7 +337,7 @@ class Graph:
     def node_count(self) -> int:
         """Distinct node ids that are a subject or an object of some edge."""
         spo = self._spo
-        return len(spo) + sum(1 for obj in self._osp if isinstance(obj, str) and obj not in spo)
+        return len(spo) + sum(1 for obj in self._osp if obj not in spo)
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._spo or node_id in self._osp
@@ -314,7 +352,8 @@ class Graph:
 
     def in_edges(self, obj: Value) -> Mapping[str, Collection[str]]:
         """Property -> subjects with an edge into ``obj``, read-only; empty if none."""
-        return self._osp.get(obj, _NO_EDGES)
+        index = self._osp if isinstance(obj, str) else self._literal_in_edges()
+        return index.get(obj, _NO_EDGES)
 
     def subjects(self) -> Iterator[str]:
         """All node ids appearing as subject of at least one edge."""
@@ -322,7 +361,7 @@ class Graph:
 
     def literals(self) -> Iterator[Literal]:
         """Each distinct literal object of some edge, once."""
-        return (obj for obj in self._osp if not isinstance(obj, str))
+        return iter(self._literal_in_edges())
 
     def statements_for(self, prop: str) -> list[tuple[str, Value]]:
         """Every (subject, object) pair of ``prop``, by one scan of the subject index."""
@@ -334,7 +373,7 @@ class Graph:
 
     def subjects_with(self, prop: str, obj: Value) -> Collection[str]:
         """Subjects with a ``prop`` edge into ``obj``, read-only; empty if none."""
-        return self._osp.get(obj, _NO_EDGES).get(prop, _NO_VALUES)
+        return self.in_edges(obj).get(prop, _NO_VALUES)
 
     def edges(self) -> Iterator[tuple[str, str, Value]]:
         for subject, by_prop in self._spo.items():
@@ -343,10 +382,17 @@ class Graph:
                     yield subject, prop, obj
 
     def label(self, node_id: str) -> str:
-        """Display label, falling back to the id's local name, then the id."""
-        got = self._labels.get(node_id)
-        if got is not None:
-            return got
+        """Display label, else the id's local name, else the id.
+
+        The label is the text of a literal with text under the first of
+        ``label_properties`` that ``node_id`` has one under; of several, the
+        first by ``_label_rank``. So no edge order changes it.
+        """
+        out = self._spo.get(node_id, _NO_EDGES)
+        for prop in self.label_properties:
+            texts = [obj for obj in out.get(prop, ()) if isinstance(obj, Literal) and obj.text]
+            if texts:
+                return min(texts, key=_label_rank).text
         return local_name(node_id)
 
 

@@ -21,7 +21,7 @@ from kgenrich.errors import ConfigError
 from kgenrich.pipeline import (NO_ALIGNMENT, EnrichmentResult, Run, batch_enrich,
                                emit_report, enrich_property, run_consistency,
                                write_statements)
-from kgenrich.store import Literal, load_edge_tsv
+from kgenrich.store import _LITERAL_IN_EDGES, Literal, load_edge_tsv
 from kgenrich.validate import RelationMode, ValueTypeConstraint, load_constraints
 
 from conftest import (COMPANY_CLASS, INDUSTRY_CLASSES, INDUSTRY_PROP, graph_from_edges,
@@ -314,6 +314,26 @@ def test_batch_aggregates_on_the_wide_l1_workload(tmp_path):
     assert len(externals) == 2 and all(r.status == "ok" for r in batch.rows)
     _assert_aggregates_equal_reference(fx, externals, batch, wide.entity_class)
     assert batch.aggregates[-1].s_e == len(batch.statements())
+
+
+@pytest.mark.parametrize("workload, indexed", [
+    ("wide-l1", set()), ("dbp-l2", set()), ("getty-l4", {"getty"})])
+def test_only_a_literal_last_hop_builds_literal_in_edges(tmp_path, workload, indexed):
+    # a batch and its consistency calls on perfbench's workloads at a tenth of their
+    # size; only getty-l4's L = 4 literal last hop asks an external about a literal
+    fixture = perfbench_module("workloads").WORKLOADS[workload](99, 0.1)
+    fixture.write(tmp_path)
+    cfg = load_config(tmp_path / "config.yaml")
+    target, *graphs = (load_graph(spec, cfg.prefixes) for spec in (cfg.target, *cfg.externals))
+    externals = {graph.tag: graph for graph in graphs}
+    batch = batch_enrich(target, graphs, fixture.properties, cfg,
+                         entity_class=fixture.entity_class)
+    assert all(row.status == "ok" for row in batch.rows)
+    for call in fixture.consistency:
+        run_consistency(target, externals[call.external], call.property, cfg,
+                        Granularity(call.granularity), entity_class=fixture.entity_class)
+    assert {graph.tag for graph in [target, *graphs]
+            if _LITERAL_IN_EDGES in graph._derived} == indexed
 
 
 @pytest.fixture

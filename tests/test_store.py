@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from kgenrich.align import values_match
 from kgenrich.errors import DataFormatError
 from kgenrich.gaps import detect_gaps
-from kgenrich.store import (_NT_LINE, _SPACE_OR_HASH, Graph, Literal, PrefixTable, ValueKind,
-                            _nt_literal, _nt_term_id, _parse_date_lexical, _unescape,
+from kgenrich.store import (_LITERAL_IN_EDGES, _NT_LINE, _SPACE_OR_HASH, Graph, Literal,
+                            PrefixTable, ValueKind, _nt_literal, _nt_term_id,
+                            _parse_date_lexical, _unescape,
                             load_edge_tsv, load_ntriples, local_name,
                             parse_tsv_value, read_tsv, serialize_value, value_kind,
                             write_edge_tsv, write_tsv)
@@ -164,6 +165,53 @@ def test_label_edge_fallback_and_raw_id():
     assert g.label("Q42") == "Q42"
 
 
+def test_label_does_not_depend_on_line_order(tmp_path):
+    path = tmp_path / "g.tsv"
+    lines = ["dbp:x\tlabel\t'industry'@en", "dbp:x\tlabel\t'zzz'@de"]
+    for body in (lines, lines[::-1]):
+        path.write_text("\n".join(["node1\tlabel\tnode2", *body]) + "\n")
+        assert load_edge_tsv(path, "dbp").label("dbp:x") == "industry"
+
+
+@pytest.mark.parametrize("objects, expected", [
+    # the first of label_properties with a label wins, whatever the text
+    ([("rdfs:label", Literal.string("a")), ("label", Literal.string("b"))], "b"),
+    ([("label", Literal.monolingual("a", "en")), ("label", Literal.string("x"))], "x"),
+    ([("label", Literal.other("y")), ("label", Literal.monolingual("a", "en"))], "y"),
+    ([("label", Literal.monolingual("a", "de")), ("label", Literal.monolingual("b", "en"))], "b"),
+    ([("label", Literal.monolingual("a", "fr")), ("label", Literal.monolingual("b", "de"))], "b"),
+    ([("label", Literal.monolingual("b", "en")), ("label", Literal.monolingual("a", "en"))], "a"),
+    ([("label", Literal.string("b")), ("label", Literal.string("a"))], "a"),
+    # an object without text is no label
+    ([("label", Literal.string("")), ("label", Literal.monolingual("a", "de"))], "a"),
+    ([("label", "Q5"), ("label", Literal.date(1990)), ("rdfs:label", Literal.string("y"))], "y"),
+    ([("label", "Q5")], "x"),
+])
+def test_label_rule(objects, expected):
+    g = Graph("t", label_properties=("label", "rdfs:label"))
+    for prop, obj in objects:
+        g.add_edge("dbp:x", prop, obj)
+    assert g.label("dbp:x") == expected
+
+
+_LABEL_EDGES = st.tuples(
+    st.sampled_from(["Q1", "Q2"]), st.sampled_from(["label", "rdfs:label", "P1"]),
+    st.one_of(st.sampled_from(["Q1", "Q3"]),
+              st.builds(Literal.string, st.sampled_from(["", "a", "b"])),
+              st.builds(Literal.monolingual, st.sampled_from(["a", "b"]),
+                        st.sampled_from(["en", "de", "fr"]))))
+
+
+@given(edges=st.lists(_LABEL_EDGES, max_size=12).flatmap(
+    lambda edges: st.tuples(st.just(edges), st.permutations(edges))))
+def test_permuted_edges_give_equal_labels(edges):
+    first, second = (Graph("t", label_properties=("rdfs:label", "label")) for _ in range(2))
+    for graph, order in zip((first, second), edges):
+        for edge in order:
+            graph.add_edge(*edge)
+    assert all(first.label(node) == second.label(node) for node in ("Q1", "Q2", "Q3"))
+
+
 @pytest.mark.parametrize("edge", [("", "P1", "Q2"), ("Q1", "", "Q2"), ("Q1", "P1", "")])
 def test_add_edge_rejects_empty_ids(edge):
     with pytest.raises(ValueError):
@@ -181,8 +229,8 @@ def test_duplicate_edges_collapse():
 
 
 def _assert_compact_layout(g: Graph) -> None:
-    entries = [entry for index in (g._spo, g._osp) for by_prop in index.values()
-               for entry in by_prop.values()]
+    entries = [entry for index in (g._spo, g._osp, g._literal_in_edges())
+               for by_prop in index.values() for entry in by_prop.values()]
     for entry in entries:
         if len(entry) == 1:
             assert type(entry) is tuple
@@ -220,7 +268,8 @@ def test_repeat_of_a_lone_value_keeps_the_one_tuple():
     assert not g.add_edge("Q1", "P1", Literal.date(1990))
     assert g.stats.duplicates == 1 and g.edge_count == 1
     assert g._spo["Q1"]["P1"] == (Literal.date(1990),)
-    assert g._osp[Literal.date(1990)]["P1"] == ("Q1",)
+    assert g.in_edges(Literal.date(1990))["P1"] == ("Q1",)
+    assert Literal.date(1990) not in g._osp
     _assert_compact_layout(g)
 
 
@@ -244,6 +293,49 @@ def test_misses_return_shared_read_only_empties():
     assert g.out_edges("Q9") is g.in_edges("Q9")
     with pytest.raises(TypeError):
         g.in_edges("Q9")["P1"] = ("Q1",)
+
+
+def _assert_in_edges_equal_a_scan(g: Graph) -> None:
+    expected: dict = {}
+    for subject, prop, obj in g.edges():
+        expected.setdefault(obj, {}).setdefault(prop, set()).add(subject)
+    literals = list(g.literals())
+    assert len(literals) == len(set(literals))
+    assert set(literals) == {obj for obj in expected if isinstance(obj, Literal)}
+    for obj in [*expected, "Q9", Literal.date(2000)]:
+        by_prop = expected.get(obj, {})
+        assert {prop: set(subjects) for prop, subjects in g.in_edges(obj).items()} == by_prop
+        for prop in ("P1", "P2"):
+            assert set(g.subjects_with(prop, obj)) == by_prop.get(prop, set())
+    nodes = {s for s, _, _ in g.edges()} | {o for o in expected if isinstance(o, str)}
+    assert g.node_count == len(nodes) and all(g.has_node(node) for node in nodes)
+    assert not any(g.has_node(node) for node in {"Q1", "Q2", "Q3", "Q4"} - nodes)
+    _assert_compact_layout(g)
+
+
+_NODE_IDS = st.sampled_from(["Q1", "Q2", "Q3", "Q4"])
+_SOME_LITERALS = st.sampled_from([Literal.date(1990), Literal.date(1990, 5), Literal.string("x"),
+                                  Literal.monolingual("x", "en"), Literal.quantity(3)])
+_MIXED_EDGES = st.tuples(_NODE_IDS, st.sampled_from(["P1", "P2"]),
+                         st.one_of(_NODE_IDS, _SOME_LITERALS))
+
+
+@given(edges=st.lists(_MIXED_EDGES, max_size=25),
+       later=st.tuples(_NODE_IDS, st.sampled_from(["P1", "P2"]), _SOME_LITERALS))
+def test_in_edge_queries_equal_a_scan_of_the_edges(edges, later):
+    g = Graph("t")
+    for edge in edges:
+        g.add_edge(*edge)
+    assert _LITERAL_IN_EDGES not in g._derived
+    _assert_in_edges_equal_a_scan(g)
+    kept = g._derived[_LITERAL_IN_EDGES]
+    assert not any(isinstance(obj, Literal) for obj in g._osp)
+    if g.add_edge(*later):  # a new edge drops the kept index, a repeated one keeps it
+        assert _LITERAL_IN_EDGES not in g._derived
+    else:
+        assert g._derived[_LITERAL_IN_EDGES] is kept
+    _assert_in_edges_equal_a_scan(g)
+    assert later[0] in g.subjects_with(later[1], later[2])
 
 
 def test_index_consistency_full_scan(company_fixture):
@@ -686,20 +778,20 @@ def _snapshot(g: Graph):
     # the per-property scan and the object index agree up to value equality
     by_property = {(s, p, o) for p in {p for _, p, _ in g.edges()}
                    for s, o in g.statements_for(p)}
-    by_object = {(s, p, o) for o in g._osp for p, subjects in g.in_edges(o).items()
-                 for s in subjects}
+    by_object = {(s, p, o) for o in [*g._osp, *g.literals()]
+                 for p, subjects in g.in_edges(o).items() for s in subjects}
     assert set(g.edges()) == by_property == by_object
     edges = sorted((s, p, repr(o)) for s, p, o in g.edges())
-    nodes = set(g._spo) | {o for o in g._osp if isinstance(o, str)}
+    nodes = set(g._spo) | set(g._osp)
     assert g.node_count == len(nodes)
-    return edges, sorted(nodes), g._labels, vars(g.stats)
+    return edges, sorted(nodes), {s: g.label(s) for s in g._spo}, vars(g.stats)
 
 
 def _assert_one_string_per_property(g: Graph) -> None:
     # every property key and every node id, as index key or index member
     keys = [p for by_prop in g._spo.values() for p in by_prop]
     keys += [p for by_prop in g._osp.values() for p in by_prop]
-    keys += list(g._spo) + [o for o in g._osp if isinstance(o, str)]
+    keys += list(g._spo) + list(g._osp)
     keys += [o for by_prop in g._spo.values() for objs in by_prop.values()
              for o in objs if isinstance(o, str)]
     keys += [s for by_prop in g._osp.values() for subjects in by_prop.values()
