@@ -114,7 +114,8 @@ def _graph_arg(args) -> tuple[PipelineConfig, Graph]:
 def _cmd_load_check(args) -> int:
     graph = _graph_arg(args)[1]
     print(f"graph {graph.tag}: {graph.edge_count} edges, {graph.node_count} nodes, "
-          f"{graph.stats.skipped} malformed lines skipped")
+          f"{graph.stats.skipped} malformed lines skipped, "
+          f"{graph.stats.duplicates} duplicate lines")
     return 0
 
 

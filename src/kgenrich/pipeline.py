@@ -182,9 +182,9 @@ class Run:
         ``prop``, the entity class, ``gaps.type_property``,
         ``gaps.no_value_sentinel``, the external's mapping spec and the
         alignment config. The weak reference keeps a dropped external from
-        living on through its target. These also fix the selected path, which
-        reads only the ranking, the target, the external and the alignment
-        config.
+        living on through its target. These do not fix the selected path:
+        ``select_path`` also reads both graphs' ``label_properties``, which no
+        edge count sees, so ``novel`` adds the selected path to its key.
         """
         cfg, gaps = self.cfg, self.cfg.gaps
         return (weakref.ref(external), external.edge_count, prop, self.entity_class,
@@ -219,20 +219,22 @@ class Run:
             return (), None
         return ranked, select_path(ranked, target.label(prop), external, cfg.alignment)
 
-    def novel(self, external: Graph, prop: str, count: Callable[[], int]) -> int:
+    def novel(self, external: Graph, prop: str, selected: PropertyPath,
+              count: Callable[[], int]) -> int:
         """The number of candidates accepted on ``prop``'s gap subjects along the
-        selected path in ``external``: ``count()``, called when the target graph
+        ``selected`` path in ``external``: ``count()``, called when the target graph
         keeps no such number yet.
 
-        The number is kept under ``row_key`` plus the validation settings and
-        the constraint on ``prop``, which is all that validation reads besides
-        the target graph and the candidates. An enrichment row stores its
+        The number is kept under ``row_key`` and the selected path's steps, which
+        together fix the candidates, plus the validation settings and the
+        constraint on ``prop``, which is all that validation reads besides the
+        target graph and the candidates. An enrichment row stores its
         ``s_e`` here once its safety check has passed, so ``run_consistency``
         after a batch or an ``enrich_property`` call on the same graphs
         retrieves and validates no gap subject. A row that raises keeps nothing.
         """
         return self.target.derived(
-            ("novel", *self.row_key(external, prop), self.cfg.validation,
+            ("novel", *self.row_key(external, prop), selected.steps, self.cfg.validation,
              self.constraints.get(prop)), count)
 
     def candidates(self, external: Graph, prop: str, path: PropertyPath,
@@ -298,7 +300,7 @@ def _enrich_row(run: Run, external: Graph, prop: str, partition: GapPartition | 
         (Statement(c.subject, prop, c.object, external.tag) for c in accepted),
         key=_statement_order))
     result.s_g, result.s_e = len(candidates), len(accepted)
-    run.novel(external, prop, lambda: result.s_e)  # kept for run_consistency's s_e
+    run.novel(external, prop, selected, lambda: result.s_e)  # kept for run_consistency's s_e
     result.n_f = len({c.subject for c in candidates})
     result.n_c = len({c.subject for c in accepted})
 
@@ -470,7 +472,8 @@ def run_consistency(target: Graph, external: Graph, prop: str, cfg: PipelineConf
         report = literal_agreement(target, overlap, granularity or Granularity.YEAR)
     else:
         report = agreement(target, overlap)
-    s_e = run.novel(external, prop, lambda: len(validated(partition.unknown_subjects).accepted))
+    s_e = run.novel(external, prop, selected,
+                    lambda: len(validated(partition.unknown_subjects).accepted))
     return ConsistencyOutcome(property=prop, expected_kind=outcome.expected,
                               s_w=len(partition.known), s_e=s_e, report=report)
 

@@ -34,7 +34,10 @@ dropped when the call returns. Interpreter string interning is not used:
 interned strings are immortal on Python 3.12, so a dropped graph's ids
 would never be freed.
 
-``Literal`` is a frozen, slotted dataclass: no per-instance ``__dict__``.
+``Literal`` is a named tuple of its seven fields: construction, equality and
+hashing run in C, and there is no per-instance ``__dict__``. A literal
+equals the plain tuple of its fields, so no index mixes the two, and
+literals are ordered only through ``value_sort_key``.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import (Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence,
-                    TypeVar, Union)
+from typing import (Callable, Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence, TypeVar, Union)
 
 from .errors import DataFormatError
 
@@ -67,8 +70,7 @@ class ValueKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     """A typed literal value; value-equal literals from different serializations are equal."""
 
     kind: ValueKind
@@ -88,13 +90,13 @@ class Literal:
 
     @staticmethod
     def string(text: str) -> "Literal":
-        return Literal(ValueKind.STRING, text=text)
+        return Literal(ValueKind.STRING, text)
 
     @staticmethod
     def monolingual(text: str, language: str) -> "Literal":
         if not language:
             raise ValueError("monolingual text requires a language tag")
-        return Literal(ValueKind.MONOLINGUAL, text=text, language=language)
+        return Literal(ValueKind.MONOLINGUAL, text, language)
 
     @staticmethod
     def date(year: int, month: int | None = None, day: int | None = None) -> "Literal":
@@ -106,18 +108,18 @@ class Literal:
             raise ValueError(f"month {month} is not in 1..12")
         if day is not None and not 1 <= day <= _days_in_month(year, month):
             raise ValueError(f"month {month} of {year} has no day {day}")
-        return Literal(ValueKind.DATE, year=year, month=month, day=day)
+        return Literal(ValueKind.DATE, None, None, year, month, day)
 
     @staticmethod
     def quantity(magnitude: float) -> "Literal":
         magnitude = float(magnitude)
         if not math.isfinite(magnitude):
             raise ValueError("quantity magnitude must be finite")
-        return Literal(ValueKind.QUANTITY, magnitude=magnitude)
+        return Literal(ValueKind.QUANTITY, None, None, None, None, None, magnitude)
 
     @staticmethod
     def other(text: str) -> "Literal":
-        return Literal(ValueKind.OTHER, text=text)
+        return Literal(ValueKind.OTHER, text)
 
 
 # a str is a node id
@@ -226,8 +228,9 @@ class Graph:
     a set); a second distinct member turns the entry into a set. Most entries
     keep one member.
 
-    Built by the loaders (or test fixtures) through ``add_edge`` and treated
-    as immutable afterwards; pipeline stages add no edge. The query methods
+    Built by the loaders, whose line loop inlines ``add_edge``'s insert, or
+    through ``add_edge`` (test fixtures, other callers), and treated as
+    immutable afterwards; pipeline stages add no edge. The query methods
     return the stored entries, or a shared empty constant on a miss, so
     callers get read-only collections: iterate them, test membership or copy
     them, never mutate them.
@@ -526,12 +529,17 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
     other line is considered, and malformed (counted and skipped) if it has no cells or
     too few, an empty subject, property or object, or an object that does not parse.
     Over ``malformed_threshold`` of the considered lines malformed is a DataFormatError.
+
+    ``graph`` is new. Each edge goes into its indexes as ``Graph.add_edge`` would put
+    it, by the same insert written out in the loop, and the edge and duplicate counts
+    are added to ``graph.stats`` once at the end. A new graph keeps nothing in
+    ``derived``, so there is nothing to drop.
     """
-    stats = graph.stats
+    stats, spo, osp = graph.stats, graph._spo, graph._osp
     ids = _Terms(lambda text: text)
     terms = _Terms(lambda token: ids[term_id(token)])
     values = _Terms(lambda token: terms[token] if (parsed := literal(token)) is None else parsed)
-    considered = lineno = 0
+    considered = lineno = edges = duplicates = 0
     with open(path, encoding="utf-8") as fh:
         keys = ("s", "p", "o")
         if columns is not None:
@@ -559,8 +567,37 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
             if obj is None:
                 stats.skip(lineno, text)
                 continue
-            graph.add_edge(terms[subject], terms[prop], obj)
+            # ``add_edge``'s insert; its emptiness checks hold here already
+            subject, prop = terms[subject], terms[prop]
+            by_prop = spo.get(subject)
+            if by_prop is None:
+                by_prop = spo[subject] = {}
+            objs = by_prop.get(prop)
+            if objs is None:
+                by_prop[prop] = (obj,)
+            elif obj in objs:
+                duplicates += 1
+                continue
+            elif type(objs) is tuple:
+                by_prop[prop] = {objs[0], obj}
+            else:
+                objs.add(obj)
+            edges += 1
+            if isinstance(obj, str):
+                into = osp.get(obj)
+                if into is None:
+                    osp[obj] = {prop: (subject,)}
+                else:
+                    subjs = into.get(prop)
+                    if subjs is None:
+                        into[prop] = (subject,)
+                    elif type(subjs) is tuple:
+                        into[prop] = {subjs[0], subject}
+                    else:
+                        subjs.add(subject)
     stats.lines = lineno
+    stats.edges += edges
+    stats.duplicates += duplicates
     if considered and stats.skipped / considered > malformed_threshold:
         raise DataFormatError(f"{path}: {stats.skipped} of {considered} lines malformed "
                               f"(> {malformed_threshold:.0%} threshold); first at line "

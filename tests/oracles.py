@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from dataclasses import astuple
 
 
 def brute_longest_match(a: str, b: str) -> tuple[int, int, int]:
@@ -59,7 +58,10 @@ def same_value(found, wanted) -> bool:
         return found.magnitude == wanted.magnitude
     if kinds <= {"string", "monolingual"}:
         return found.text == wanted.text
-    return astuple(found) == astuple(wanted)
+    return ((found.kind, found.text, found.language, found.year, found.month, found.day,
+             found.magnitude)
+            == (wanted.kind, wanted.text, wanted.language, wanted.year, wanted.month,
+                wanted.day, wanted.magnitude))
 
 
 def simple_path_sequences(edges, start, target, max_len, matches=operator.eq):

@@ -83,6 +83,15 @@ def test_load_check_ntriples_suffix(workspace, capsys):
     assert "2 edges, 2 nodes, 0 malformed" in capsys.readouterr().out
 
 
+def test_load_check_counts_duplicate_lines(workspace, capsys):
+    path = workspace / "dup.tsv"
+    path.write_text("node1\tlabel\tnode2\nQ1\tP1\tQ2\nQ1\tP1\tQ2\nQ1\tP1\t\"x\"\n"
+                    "Q1\tP1\tQ2\nQ1\tP1\t\"x\"\n")
+    assert main(["load-check", "--graph", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "graph graph: 2 edges, 2 nodes, 0 malformed lines skipped, 3 duplicate lines\n")
+
+
 @pytest.mark.parametrize("alignment", ["[1]", "{max_path_length: 9}"])
 def test_bad_alignment_section_is_config_error(workspace, capsys, alignment):
     (workspace / "config.yaml").write_text(

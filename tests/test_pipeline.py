@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgenrich import pipeline, validate
-from kgenrich.align import enumerate_paths
+from kgenrich.align import AlignMode, enumerate_paths
 from kgenrich.config import MappingSpec, load_config, load_graph
 from kgenrich.consistency import Granularity, agreement, literal_agreement
 from kgenrich.errors import ConfigError
@@ -520,6 +520,35 @@ def test_a_changed_input_misses_the_kept_novel_count(change):
     assert {report["property"]: report["s_e"] for report in reports} != kept
     fresh = _narrow_class_fixture()
     assert reports == _consistency_reports(fresh, **_CHANGES[change](fresh))
+
+
+def _named_fixture():
+    """String mode; the external names ``dbp:industry`` ``zzz`` and ``dbp:product``
+    ``industry`` under a second label property, ``name``."""
+    fx = make_company_fixture()
+    fx.cfg = make_company_config(mode=AlignMode.STRING_ONLY)
+    fx.external.add_edge("dbp:industry", "name", Literal.string("zzz"))
+    fx.external.add_edge("dbp:product", "name", Literal.string("industry"))
+    return fx
+
+
+def _named_consistency(fx):
+    fx.external.label_properties = ("name",)
+    return run_consistency(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
+                           entity_class=COMPANY_CLASS, constraints=fx.constraints)
+
+
+def test_a_changed_selected_path_misses_the_kept_novel_count():
+    # label_properties is read by select_path, and no edge count sees it change
+    fx = _named_fixture()
+    batch = batch_enrich(fx.target, [fx.external], [INDUSTRY_PROP], fx.cfg,
+                         entity_class=COMPANY_CLASS, constraints=fx.constraints)
+    assert [(row.selected_path.steps, row.s_e) for row in batch.rows] == [
+        (("dbp:industry",), 1)]
+    kept = _named_consistency(fx)
+    fresh = _named_consistency(_named_fixture())
+    assert fresh.s_e == 0
+    assert kept.report_dict() == fresh.report_dict()
 
 
 def test_a_row_whose_validation_raises_keeps_no_count(company_fixture, monkeypatch):
