@@ -322,12 +322,33 @@ class BatchResult:
         return self.rows + self.aggregates
 
     def statements(self) -> tuple[Statement, ...]:
-        """Union of validated statements, deduplicated across graphs."""
-        merged: dict[tuple[str, str, Value], Statement] = {}
+        """Union of validated statements, deduplicated across graphs, in
+        ``_statement_order``; of equal statements, the first in row order is kept.
+
+        It is merged one property at a time. A row's statements are of its
+        property, sorted and distinct, so a property with statements from one
+        row takes them as they are; one with statements from several rows is
+        deduplicated on (subject, object) and sorted alone. Statements of
+        different properties never collide, and ``_statement_order`` sorts by
+        property first, so the properties concatenated in sorted order give
+        the tuple that one dict over every statement and one global sort give.
+        """
+        by_prop: dict[str, list[tuple[Statement, ...]]] = {}
         for row in self.rows:
-            for stmt in row.statements:
-                merged.setdefault((stmt.subject, stmt.property, stmt.object), stmt)
-        return tuple(sorted(merged.values(), key=_statement_order))
+            if row.statements:
+                by_prop.setdefault(row.property, []).append(row.statements)
+        merged: list[Statement] = []
+        for prop in sorted(by_prop):
+            parts = by_prop[prop]
+            if len(parts) == 1:
+                merged += parts[0]
+                continue
+            firsts: dict[tuple[str, Value], Statement] = {}
+            for part in parts:
+                for stmt in part:
+                    firsts.setdefault((stmt.subject, stmt.object), stmt)
+            merged += sorted(firsts.values(), key=_statement_order)
+        return tuple(merged)
 
 
 class _Tally:
@@ -531,6 +552,6 @@ def emit_report(results: Sequence[EnrichmentResult], fmt: str, path: str | Path,
 
 def write_statements(statements: Iterable[Statement], path: str | Path) -> None:
     """Validated statements as edge TSV plus source and provenance (always validated) columns."""
-    write_tsv(path, EDGE_COLUMNS + ("source", "provenance"), [
+    write_tsv(path, EDGE_COLUMNS + ("source", "provenance"), (
         (stmt.subject, stmt.property, serialize_value(stmt.object), stmt.source_graph,
-         "validated") for stmt in statements])
+         "validated") for stmt in statements))

@@ -96,11 +96,11 @@ CANDIDATE_COLUMNS = ("subject", "property", "object", "external_object", "path",
 
 
 def write_candidates(candidates: Iterable[CandidateStatement], path: str | Path) -> None:
-    write_tsv(path, CANDIDATE_COLUMNS, [
+    write_tsv(path, CANDIDATE_COLUMNS, (
         (cand.subject, cand.property, serialize_value(cand.object),
          serialize_value(cand.external_object), cand.path.path_str, ",".join(
              name for name in ("ambiguous", "unresolved") if getattr(cand, name)) or "-")
-        for cand in candidates])
+        for cand in candidates))
 
 
 def read_candidates(path: str | Path, prop: str | None = None) -> list[CandidateStatement]:

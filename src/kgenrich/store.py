@@ -29,10 +29,14 @@ field to its ``Value``. The prefix scan and the lexical classification
 therefore run once per distinct term, and equal literals share one
 ``Literal``. One more table maps every node id and property id to the first
 string object seen with that text, so all index keys and members that spell
-one id are one shared string rather than a copy per edge. All the tables are
-dropped when the call returns. Interpreter string interning is not used:
-interned strings are immortal on Python 3.12, so a dropped graph's ids
-would never be freed.
+one id are one shared string rather than a copy per edge. Each table hands
+out its term inside a 1-tuple made once per distinct term, and every lone
+index entry of that term is that one tuple, not a 1-tuple per entry
+(hash-consing): a tuple is immutable, and a second member replaces the entry
+with a set rather than changing the tuple. ``add_edge`` and the literal
+in-edges build their own 1-tuples. All the tables are dropped when the call
+returns. Interpreter string interning is not used: interned strings are
+immortal on Python 3.12, so a dropped graph's ids would never be freed.
 
 ``Literal`` is a named tuple of its seven fields: construction, equality and
 hashing run in C, and there is no per-instance ``__dict__``. A literal
@@ -49,6 +53,7 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
 from typing import (Callable, Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple,
@@ -226,7 +231,9 @@ class Graph:
     ``literals`` call about a literal, and kept through ``derived``. The
     first member of an entry is stored as a 1-tuple (48 B, against 216 B for
     a set); a second distinct member turns the entry into a set. Most entries
-    keep one member.
+    keep one member. A loaded graph's lone entries of one term are one shared
+    1-tuple (see the module docstring), so an entry's identity means nothing;
+    ``add_edge`` and the literal in-edges make a 1-tuple per entry.
 
     Built by the loaders, whose line loop inlines ``add_edge``'s insert, or
     through ``add_edge`` (test fixtures, other callers), and treated as
@@ -531,14 +538,17 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
     Over ``malformed_threshold`` of the considered lines malformed is a DataFormatError.
 
     ``graph`` is new. Each edge goes into its indexes as ``Graph.add_edge`` would put
-    it, by the same insert written out in the loop, and the edge and duplicate counts
-    are added to ``graph.stats`` once at the end. A new graph keeps nothing in
+    it, by the same insert written out in the loop, except that a new lone entry is
+    the term table's shared 1-tuple of its member. The edge and duplicate counts are
+    added to ``graph.stats`` once at the end. A new graph keeps nothing in
     ``derived``, so there is nothing to drop.
     """
     stats, spo, osp = graph.stats, graph._spo, graph._osp
-    ids = _Terms(lambda text: text)
+    # every table hands out a 1-tuple of the term, shared by each lone entry of the term
+    ids = _Terms(lambda text: (text,))
     terms = _Terms(lambda token: ids[term_id(token)])
-    values = _Terms(lambda token: terms[token] if (parsed := literal(token)) is None else parsed)
+    values = _Terms(lambda token: terms[token] if (parsed := literal(token)) is None
+                    else (parsed,))
     considered = lineno = edges = duplicates = 0
     with open(path, encoding="utf-8") as fh:
         keys = ("s", "p", "o")
@@ -561,20 +571,21 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
             except (TypeError, IndexError):
                 subject = prop = token = ""
             try:
-                obj = values[token] if subject and prop and token else None
+                one = values[token] if subject and prop and token else None
             except ValueError:
-                obj = None
-            if obj is None:
+                one = None
+            if one is None:
                 stats.skip(lineno, text)
                 continue
             # ``add_edge``'s insert; its emptiness checks hold here already
-            subject, prop = terms[subject], terms[prop]
+            subject_one, (prop,) = terms[subject], terms[prop]
+            subject, obj = subject_one[0], one[0]
             by_prop = spo.get(subject)
             if by_prop is None:
                 by_prop = spo[subject] = {}
             objs = by_prop.get(prop)
             if objs is None:
-                by_prop[prop] = (obj,)
+                by_prop[prop] = one
             elif obj in objs:
                 duplicates += 1
                 continue
@@ -586,11 +597,11 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
             if isinstance(obj, str):
                 into = osp.get(obj)
                 if into is None:
-                    osp[obj] = {prop: (subject,)}
+                    osp[obj] = {prop: subject_one}
                 else:
                     subjs = into.get(prop)
                     if subjs is None:
-                        into[prop] = (subject,)
+                        into[prop] = subject_one
                     elif type(subjs) is tuple:
                         into[prop] = {subjs[0], subject}
                     else:
@@ -736,33 +747,61 @@ def _column_indexes(path, header_line: str, columns: Sequence[str]) -> tuple[int
                               f"found {header}") from None
 
 
+# rows checked, joined and written at a time
+_BLOCK_ROWS = 4096
+
+
 def write_tsv(path: str | Path | None, columns: Sequence[str],
               rows: Iterable[Sequence[str]]) -> None:
-    """Write a header of ``columns``, then one line per row (``None`` writes to stdout;
-    a one-cell row such as ``#coverage=0.5000`` is a footer). A cell holding a tab,
-    a newline or a carriage return is a DataFormatError, and nothing is written.
-    A file is written by ``write_atomic``."""
-    table = [columns, *rows]
-    text = "\n".join(map("\t".join, table)) + "\n"
-    if (text.count("\t") + len(table) != sum(map(len, table))
-            or text.count("\n") != len(table) or "\r" in text):
-        column, cell = next((columns[index], cell) for row in table
-                            for index, cell in enumerate(row) if {"\t", "\n", "\r"} & set(cell))
-        raise DataFormatError(f"{path or '<stdout>'}: column {column}: {cell!r} splits its row")
+    """Write a header of ``columns``, then one line per row (``None`` writes to stdout).
+
+    Every row has one cell per column, or is one cell starting with ``#``, a
+    footer such as ``#coverage=0.5000``. A row of any other width, or a cell
+    holding a tab, a newline or a carriage return, is a DataFormatError, and
+    nothing is written. ``rows`` may be a generator: it is read, checked and
+    joined one block of ``_BLOCK_ROWS`` rows at a time, so no more than one
+    block's rows and text are held at once. A file is written block by block
+    by ``write_atomic``; stdout gets the whole text once every block passed.
+    """
+    blocks = _tsv_blocks(path or "<stdout>", columns, rows)
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(blocks))
         return
-    write_atomic(path, text)
+    write_atomic(path, blocks)
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all: it goes to a temporary file
-    beside ``path``, which then replaces ``path`` in one ``os.replace``, so a
-    failed or interrupted write leaves what was there before and no temporary file."""
+def _tsv_blocks(where: str, columns: Sequence[str],
+                rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    """The text of ``write_tsv``'s table, one checked block at a time."""
+    rows, width, start = iter(rows), len(columns), 0
+    block = [columns, *islice(rows, _BLOCK_ROWS - 1)]  # row 0 is the header
+    while block:
+        if set(map(len, block)) != {width}:  # a footer, or a row of another width
+            for number, row in enumerate(block, start):
+                if len(row) != width and not (len(row) == 1 and row[0].startswith("#")):
+                    raise DataFormatError(f"{where}: row {number} has {len(row)} cells "
+                                          f"for {width} columns: {tuple(row)!r}")
+        text = "\n".join(map("\t".join, block)) + "\n"
+        if (text.count("\t") + len(block) != sum(map(len, block))
+                or text.count("\n") != len(block) or "\r" in text):
+            column, cell = next((columns[index], cell) for row in block for index, cell
+                                in enumerate(row) if {"\t", "\n", "\r"} & set(cell))
+            raise DataFormatError(f"{where}: column {column}: {cell!r} splits its row")
+        yield text
+        start += len(block)
+        block = list(islice(rows, _BLOCK_ROWS))
+
+
+def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each of its pieces in turn, to ``path`` whole or not at all:
+    it goes to a temporary file beside ``path``, which then replaces ``path`` in one
+    ``os.replace``. So a failed or interrupted write, or a piece that raises, leaves
+    what was there before and no temporary file."""
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temporary.write_text(text, encoding="utf-8")
+        with open(temporary, "w", encoding="utf-8") as fh:
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)

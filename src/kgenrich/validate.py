@@ -284,9 +284,9 @@ def load_constraints(path: str | Path) -> dict[str, ValueTypeConstraint]:
 
 def write_verdicts(verdicts: Iterable[ValidationVerdict], path: str | Path) -> None:
     write_tsv(path, ("subject", "property", "object", "datatype_ok", "value_type_ok",
-                     "range_ok", "accepted", "reject_reason"), [
+                     "range_ok", "accepted", "reject_reason"), (
         (v.statement.subject, v.statement.property, serialize_value(v.statement.object),
          *("-" if ok is None else str(ok).lower()
            for ok in (v.datatype_ok, v.value_type_ok, v.range_ok, v.accepted)),
          v.reject_reason.value if v.reject_reason else "-")
-        for v in verdicts])
+        for v in verdicts))

@@ -21,7 +21,8 @@ from kgenrich.errors import ConfigError
 from kgenrich.pipeline import (NO_ALIGNMENT, EnrichmentResult, Run, batch_enrich,
                                emit_report, enrich_property, run_consistency,
                                write_statements)
-from kgenrich.store import _LITERAL_IN_EDGES, Literal, load_edge_tsv
+from kgenrich.store import (_LITERAL_IN_EDGES, Literal, Statement, load_edge_tsv,
+                            value_sort_key)
 from kgenrich.validate import RelationMode, ValueTypeConstraint, load_constraints
 
 from conftest import (COMPANY_CLASS, INDUSTRY_CLASSES, INDUSTRY_PROP, graph_from_edges,
@@ -160,7 +161,58 @@ def test_batch_rows_aggregates_and_dedup(company_fixture):
     assert per_graph["(both)"].s_w == by_key[(INDUSTRY_PROP, "dbp")].s_w \
         + by_key[("P571", "dbp")].s_w + by_key[("P17", "dbp")].s_w
     assert len(batch.statements()) == 3
+    assert batch.statements() == _merged_statements_reference(batch.rows)
+    assert {s.source_graph for s in batch.statements()} == {"dbp"}  # dbp's rows rank first
     assert batch.median_novel is not None
+
+
+def _statement_sort_key(stmt: Statement) -> tuple:
+    return (stmt.property, stmt.subject, value_sort_key(stmt.object))
+
+
+def _merged_statements_reference(rows) -> tuple[Statement, ...]:
+    """One dict over every row's statements, the first in row order kept, then one sort."""
+    merged: dict = {}
+    for row in rows:
+        for stmt in row.statements:
+            merged.setdefault((stmt.subject, stmt.property, stmt.object), stmt)
+    return tuple(sorted(merged.values(), key=_statement_sort_key))
+
+
+_OBJECTS = ["Q1", "Q2", "Q10", Literal.date(1990), Literal.date(1990, 5),
+            Literal.string("x"), Literal.quantity(2.0)]
+
+
+@st.composite
+def _batch_rows(draw) -> list[EnrichmentResult]:
+    """Rows of 1-3 externals over 1-3 properties, as ``batch_enrich`` leaves them: each
+    ok row's statements sorted and distinct, error rows without any, in rate order."""
+    tags = draw(st.lists(st.sampled_from(["dbp", "getty", "wd"]), min_size=1, max_size=3,
+                         unique=True))
+    props = draw(st.lists(st.sampled_from(["P17", "P31", "P571"]), min_size=1, max_size=3,
+                          unique=True))
+    rows = []
+    for prop in props:
+        for tag in tags:
+            if draw(st.booleans()) and draw(st.booleans()):
+                rows.append(EnrichmentResult(property=prop, graph=tag, status="error: x"))
+                continue
+            pairs = draw(st.sets(st.tuples(st.sampled_from(["S1", "S2", "S3"]),
+                                           st.sampled_from(_OBJECTS)), max_size=8))
+            statements = tuple(sorted((Statement(subject, prop, obj, tag)
+                                       for subject, obj in pairs), key=_statement_sort_key))
+            rows.append(EnrichmentResult(property=prop, graph=tag, s_w=draw(st.integers(0, 6)),
+                                         s_e=len(statements), statements=statements))
+    rows.sort(key=lambda r: (r.r_e is None, -(r.r_e or 0.0), r.property, r.graph))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batch_rows())
+def test_statements_merged_per_property_equal_one_global_merge(rows):
+    batch = pipeline.BatchResult(rows=rows, aggregates=[], median_novel=None)
+    # equal statements also have equal sources: the row that comes first is kept
+    assert batch.statements() == _merged_statements_reference(rows)
 
 
 def _reference_row_sets(fx, external, row, entity_class=COMPANY_CLASS,
@@ -285,6 +337,7 @@ def test_batch_aggregates_over_three_overlapping_externals(company_fixture):
     assert [per_graph[tag].s_e for tag in externals] == [3, 4, 5]
     # the externals' shared statements count once
     assert per_graph["(both)"].s_e == len(batch.statements()) == 6
+    assert batch.statements() == _merged_statements_reference(batch.rows)
     assert per_graph["(both)"].s_e < sum(per_graph[tag].s_e for tag in externals)
 
 
@@ -314,6 +367,7 @@ def test_batch_aggregates_on_the_wide_l1_workload(tmp_path):
     assert len(externals) == 2 and all(r.status == "ok" for r in batch.rows)
     _assert_aggregates_equal_reference(fx, externals, batch, wide.entity_class)
     assert batch.aggregates[-1].s_e == len(batch.statements())
+    assert batch.statements() == _merged_statements_reference(batch.rows)
 
 
 @pytest.mark.parametrize("workload, indexed", [

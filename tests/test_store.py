@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from kgenrich.align import values_match
 from kgenrich.errors import DataFormatError
 from kgenrich.gaps import detect_gaps
-from kgenrich.store import (_LITERAL_IN_EDGES, _NT_LINE, _SPACE_OR_HASH, Graph, Literal,
-                            PrefixTable, ValueKind, _nt_literal, _nt_term_id,
+from kgenrich.store import (_BLOCK_ROWS, _LITERAL_IN_EDGES, _NT_LINE, _SPACE_OR_HASH, Graph,
+                            Literal, PrefixTable, ValueKind, _nt_literal, _nt_term_id,
                             _parse_date_lexical, _unescape,
                             load_edge_tsv, load_ntriples, local_name,
                             parse_tsv_value, read_tsv, serialize_value, value_kind,
-                            write_edge_tsv, write_tsv)
+                            write_atomic, write_edge_tsv, write_tsv)
 
 
 def test_single_wellformed_triple(tmp_path):
@@ -260,6 +260,12 @@ def test_lone_index_entries_are_one_tuples(tmp_path, fmt):
     assert type(g._osp["Q3"]["P2"]) is set and set(g.subjects_with("P2", "Q3")) == {"Q1", "Q4"}
     assert g._osp["Q3"]["P1"] == ("Q1",)
     assert g._spo["Q2"]["label"] == (Literal.string("two"),)
+    # the loader's term table hands both lone Q3 entries one shared 1-tuple
+    assert g._spo["Q1"]["P2"] is g._spo["Q4"]["P2"]
+    # growing one of them to a set replaces that entry and leaves the other as it was
+    assert g.add_edge("Q1", "P2", "Q5")
+    assert g._spo["Q1"]["P2"] == {"Q3", "Q5"} and g._spo["Q4"]["P2"] == ("Q3",)
+    _assert_compact_layout(g)
 
 
 def test_repeat_of_a_lone_value_keeps_the_one_tuple():
@@ -802,6 +808,17 @@ def _assert_one_string_per_property(g: Graph) -> None:
     assert all(len(ids) == 1 for ids in objects.values())
 
 
+def _assert_one_tuple_per_lone_member(g: Graph) -> None:
+    # every lone entry of one member object, in either index, is one 1-tuple object
+    tuples: dict[int, set[int]] = {}
+    for index in (g._spo, g._osp):
+        for by_prop in index.values():
+            for entry in by_prop.values():
+                if type(entry) is tuple:
+                    tuples.setdefault(id(entry[0]), set()).add(id(entry))
+    assert all(len(ids) == 1 for ids in tuples.values())
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "nt"])
 @given(data=st.data())
 def test_loaders_match_line_by_line_reference(fmt, data):
@@ -820,6 +837,7 @@ def test_loaders_match_line_by_line_reference(fmt, data):
     assert g._spo == reference._spo and g._osp == reference._osp
     _assert_compact_layout(g)
     _assert_one_string_per_property(g)
+    _assert_one_tuple_per_lone_member(g)
 
 
 # -- slotted values ---------------------------------------------------------------
@@ -937,6 +955,58 @@ def test_failed_write_tsv_leaves_the_file_it_would_replace_as_it_was(tmp_path, m
         write_tsv(path, ("left", "right"), rows)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]  # no temporary file left
+
+
+@pytest.mark.parametrize("row, cells", [((), 0), (("1",), 1), (("1", "2", "3"), 3),
+                                         (("#x", "y", "z"), 3)])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_write_tsv_refuses_a_row_of_another_width(tmp_path, capsys, row, cells, to_file):
+    # one cell starting with "#" is a footer; any other width would not read back
+    path = tmp_path / "t.tsv" if to_file else None
+    with pytest.raises(DataFormatError) as err:
+        write_tsv(path, ("a", "b"), [("x", "y"), ("#footer=1",), row])
+    assert str(err.value) == \
+        f"{path or '<stdout>'}: row 3 has {cells} cells for 2 columns: {row!r}"
+    assert list(tmp_path.iterdir()) == [] and capsys.readouterr().out == ""
+
+
+def test_a_one_column_table_takes_one_cell_rows(tmp_path, capsys):
+    write_tsv(None, ("a",), [("x",), ("#n=1",)])
+    assert capsys.readouterr().out == "a\nx\n#n=1\n"
+    with pytest.raises(DataFormatError, match="row 1 has 0 cells for 1 columns"):
+        write_tsv(None, ("a",), [()])
+
+
+def _rows(count: int):
+    return ((str(number), f"cell {number}") for number in range(count))
+
+
+def test_rows_written_in_blocks_give_the_bytes_of_one_join(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_tsv(path, ("n", "text"), _rows(10_000))  # a generator, read block by block
+    table = [("n", "text"), *_rows(10_000)]
+    assert path.read_bytes() == ("\n".join(map("\t".join, table)) + "\n").encode()
+
+
+def test_a_bad_cell_after_the_first_block_leaves_the_old_file(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_tsv(path, ("n", "text"), [("old", "row")])
+    before = path.read_bytes()
+    rows = [*_rows(_BLOCK_ROWS + 10), ("x", "a\tb")]
+    with pytest.raises(DataFormatError) as err:
+        write_tsv(path, ("n", "text"), rows)
+    assert str(err.value) == f"{path}: column text: 'a\\tb' splits its row"
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]  # no temporary file left
+
+
+def test_write_atomic_writes_a_list_of_pieces_or_one_text(tmp_path):
+    path = tmp_path / "out.txt"
+    write_atomic(path, ["a,", "b\n", "", "c\n"])
+    assert path.read_text(encoding="utf-8") == "a,b\nc\n"
+    write_atomic(path, "one\n")
+    assert path.read_text(encoding="utf-8") == "one\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_other_literal_with_a_tab_is_refused_not_written_split(tmp_path):
