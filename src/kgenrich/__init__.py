@@ -20,8 +20,7 @@ from .retrieve import CandidateStatement, follow_path, retrieve
 from .store import (Graph, Literal, PrefixTable, Statement, ValueKind,
                     load_edge_tsv, load_ntriples, value_kind, write_edge_tsv)
 from .validate import (RejectReason, RelationMode, ValidationSettings,
-                       ValidationVerdict, ValueTypeConstraint, check_datatype,
-                       check_literal_range, check_value_type,
+                       ValidationVerdict, ValueTypeConstraint,
                        infer_expected_datatype, load_constraints)
 
 __version__ = "0.1.0"
@@ -41,6 +40,5 @@ __all__ = [
     "Graph", "Literal", "PrefixTable", "Statement",
     "ValueKind", "load_edge_tsv", "load_ntriples", "value_kind", "write_edge_tsv",
     "RejectReason", "RelationMode", "ValidationSettings", "ValidationVerdict",
-    "ValueTypeConstraint", "check_datatype", "check_literal_range",
-    "check_value_type", "infer_expected_datatype", "load_constraints",
+    "ValueTypeConstraint", "infer_expected_datatype", "load_constraints",
 ]

@@ -93,6 +93,8 @@ def retrieve(graph: Graph, unknowns: Mapping[str, Collection[str]], prop: str,
 # -- candidate files ----------------------------------------------------------
 
 CANDIDATE_COLUMNS = ("subject", "property", "object", "external_object", "path", "flags")
+# what a flags cell lists, comma-separated
+_FLAGS = frozenset({"-", "ambiguous", "unresolved"})
 
 
 def write_candidates(candidates: Iterable[CandidateStatement], path: str | Path) -> None:
@@ -105,8 +107,9 @@ def write_candidates(candidates: Iterable[CandidateStatement], path: str | Path)
 
 def read_candidates(path: str | Path, prop: str | None = None) -> list[CandidateStatement]:
     """Parse a candidate TSV written by write_candidates. A row ``read_tsv`` refuses, or one
-    without a subject, with a malformed path or value or, given ``prop``, of another
-    property, is a DataFormatError naming its line."""
+    without a subject, with a malformed path or value, with a flag other than ``-``,
+    ``ambiguous`` and ``unresolved`` or, given ``prop``, of another property, is a
+    DataFormatError naming its line."""
 
     def candidate(subject, row_prop, obj, external, steps, flags) -> CandidateStatement:
         if not subject:
@@ -114,6 +117,8 @@ def read_candidates(path: str | Path, prop: str | None = None) -> list[Candidate
         if prop is not None and row_prop != prop:
             raise ValueError(f"a candidate of property {row_prop}, not {prop}")
         flags = set(flags.split(","))
+        if unknown := flags - _FLAGS:
+            raise ValueError(f"unknown candidate flag {min(unknown)!r}")
         return CandidateStatement(
             subject=subject, property=row_prop, object=parse_tsv_value(obj),
             external_object=parse_tsv_value(external), path=PropertyPath.parse(steps),

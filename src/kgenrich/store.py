@@ -220,6 +220,26 @@ def _label_rank(literal: Literal) -> tuple:
     return (language is not None, language != "en", language or "", literal.text)
 
 
+def _insert(index: dict, key: Hashable, prop: str, member: Hashable) -> bool:
+    """Put ``member`` into ``index[key][prop]``, a 1-tuple until a second distinct
+    member makes it a set; False when it was there already. Get-then-insert: an
+    insert allocates only the containers it keeps."""
+    by_prop = index.get(key)
+    if by_prop is None:
+        index[key] = {prop: (member,)}
+        return True
+    members = by_prop.get(prop)
+    if members is None:
+        by_prop[prop] = (member,)
+    elif member in members:
+        return False
+    elif type(members) is tuple:
+        by_prop[prop] = {members[0], member}
+    else:
+        members.add(member)
+    return True
+
+
 class Graph:
     """Indexed, deduplicated edge set over node ids.
 
@@ -276,32 +296,11 @@ class Graph:
             raise ValueError("property must be non-empty")
         if not subject or not obj:
             raise ValueError("node id must be non-empty")
-        # get-then-insert: an edge allocates only the containers it keeps
-        by_prop = self._spo.get(subject)
-        if by_prop is None:
-            by_prop = self._spo[subject] = {}
-        objs = by_prop.get(prop)
-        if objs is None:
-            by_prop[prop] = (obj,)
-        elif obj in objs:
+        if not _insert(self._spo, subject, prop, obj):
             self.stats.duplicates += 1
             return False
-        elif type(objs) is tuple:
-            by_prop[prop] = {objs[0], obj}
-        else:
-            objs.add(obj)
         if isinstance(obj, str):
-            into = self._osp.get(obj)
-            if into is None:
-                self._osp[obj] = {prop: (subject,)}
-            else:
-                subjs = into.get(prop)
-                if subjs is None:
-                    into[prop] = (subject,)
-                elif type(subjs) is tuple:
-                    into[prop] = {subjs[0], subject}
-                else:
-                    subjs.add(subject)
+            _insert(self._osp, obj, prop, subject)
         self.stats.edges += 1
         if self._derived:
             self._derived.clear()
@@ -325,16 +324,8 @@ class Graph:
         for subject, by_prop in self._spo.items():
             for prop, objs in by_prop.items():
                 for obj in objs:
-                    if isinstance(obj, str):
-                        continue
-                    into = index.setdefault(obj, {})
-                    subjs = into.get(prop)  # _spo holds each edge once: no repeats
-                    if subjs is None:
-                        into[prop] = (subject,)
-                    elif type(subjs) is tuple:
-                        into[prop] = {subjs[0], subject}
-                    else:
-                        subjs.add(subject)
+                    if not isinstance(obj, str):
+                        _insert(index, obj, prop, subject)
         return index
 
     # -- queries -----------------------------------------------------------
@@ -577,7 +568,9 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
             if one is None:
                 stats.skip(lineno, text)
                 continue
-            # ``add_edge``'s insert; its emptiness checks hold here already
+            # ``_insert`` written out twice, as ``add_edge`` calls it, but with the term
+            # tables' shared 1-tuples. Kept inline for the cold-load time it saves
+            # (ROADMAP item 7, BENCH_31.json). ``add_edge``'s emptiness checks hold here
             subject_one, (prop,) = terms[subject], terms[prop]
             subject, obj = subject_one[0], one[0]
             by_prop = spo.get(subject)

@@ -1,11 +1,12 @@
 """Semantic validation of candidate statements.
 
-Three independent filters: datatype conformance against the modal kind of
-the known objects, value-type constraints (allowed classes reached through
-instance-of / subclass-of closure), and a literal range rule for dates.
-A candidate is accepted iff every applicable check passes and its object
-resolved into the target graph; veracity is explicitly not checked, so
-logically consistent but factually wrong statements pass.
+Three independent filters, all run by ``validate_detailed``: datatype
+conformance against the modal kind of the known objects, value-type
+constraints (allowed classes reached through instance-of / subclass-of
+closure), and a literal range rule for dates. A candidate is accepted iff
+every applicable check passes and its object resolved into the target graph;
+veracity is explicitly not checked, so logically consistent but factually
+wrong statements pass.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DataFormatError
 from .retrieve import CandidateStatement
-from .store import Graph, Literal, Value, ValueKind, serialize_value, value_kind, write_tsv
+from .store import Graph, Value, ValueKind, serialize_value, value_kind, write_tsv
 
 # modal-kind tie break, most specific first
 KIND_PRECEDENCE = (ValueKind.ITEM, ValueKind.DATE, ValueKind.QUANTITY,
@@ -70,7 +70,6 @@ class ValidationSettings:
     depth_cap: int = DEFAULT_DEPTH_CAP
     instance_of: str = "P31"
     subclass_of: str = "P279"
-    expected_datatype: ValueKind | None = None
     constraints: str | None = None  # path of the constraint table (``load_constraints``)
 
 
@@ -90,20 +89,9 @@ def infer_expected_datatype(known: Iterable[tuple[str, Value]]) -> ValueKind:
     item = ValueKind.ITEM
     kinds = [item if isinstance(obj, str) else obj.kind for _, obj in known]
     if not kinds:
-        raise ValueError("no known statements to infer a datatype from; "
-                         "set the pipeline config's validation to "
-                         "ValidationSettings(expected_datatype=...)")
+        raise ValueError("no known statements to infer a datatype from")
     # max keeps the first of equal counts: the precedence breaks the tie
     return max(KIND_PRECEDENCE, key=kinds.count)
-
-
-def _datatype_ok(kind: ValueKind, unresolved: bool, expected: ValueKind) -> bool:
-    return not unresolved and kind is expected
-
-
-def check_datatype(candidate: CandidateStatement, expected: ValueKind) -> bool:
-    """Kind equality; an expected item additionally requires inverse resolution."""
-    return _datatype_ok(value_kind(candidate.object), candidate.unresolved, expected)
 
 
 def allowed_class_closure(graph: Graph, allowed_classes: frozenset[str],
@@ -131,18 +119,6 @@ def _object_in_graph(graph: Graph, obj: Value) -> bool:
     return isinstance(obj, str) and graph.has_node(obj)
 
 
-# which of (instance_of, subclass_of) each mode follows from the object
-_RELATIONS = {
-    RelationMode.INSTANCE_OF: (True, False),
-    RelationMode.SUBCLASS_OF: (False, True),
-    RelationMode.BOTH: (True, True),
-}
-
-
-def _relations(mode: RelationMode, instance_of: str, subclass_of: str) -> tuple[str, ...]:
-    return tuple(compress((instance_of, subclass_of), _RELATIONS[mode]))
-
-
 def _value_type_ok(graph: Graph, subject: str, obj: Value, exceptions: frozenset[str],
                    closure: frozenset[str], relations: tuple[str, ...]) -> bool:
     if subject in exceptions:
@@ -155,52 +131,33 @@ def _value_type_ok(graph: Graph, subject: str, obj: Value, exceptions: frozenset
     return False
 
 
-def check_value_type(graph: Graph, candidate: CandidateStatement,
-                     constraint: ValueTypeConstraint,
-                     depth_cap: int = DEFAULT_DEPTH_CAP, *,
-                     instance_of: str = "P31", subclass_of: str = "P279",
-                     closure: frozenset[str] | None = None) -> bool:
-    """True iff the subject is exempt or the object's type chain reaches an allowed
-    class. ``closure``, when given, is the allowed classes' closure; else it is
-    computed here."""
-    if closure is None:
-        closure = allowed_class_closure(graph, constraint.allowed_classes, subclass_of,
-                                        depth_cap)
-    return _value_type_ok(graph, candidate.subject, candidate.object, constraint.exceptions,
-                          closure, _relations(constraint.relation_mode, instance_of,
-                                              subclass_of))
-
-
-def _before_cutoff(date: Literal, cutoff_year: int) -> bool:
-    return date.year < cutoff_year
-
-
-def check_literal_range(candidate: CandidateStatement,
-                        cutoff_year: int = DEFAULT_CUTOFF_YEAR) -> bool:
-    if value_kind(candidate.object) is not ValueKind.DATE:
-        raise ValueError("range check applies to date objects only")
-    return _before_cutoff(candidate.object, cutoff_year)
-
-
 def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
                       known: Iterable[tuple[str, Value]],
                       constraint: ValueTypeConstraint | None = None,
                       settings: ValidationSettings | None = None) -> ValidationOutcome:
     """Run all applicable checks and assemble per-candidate verdicts, in candidate order.
 
-    The checks are those of ``check_datatype``, ``check_value_type`` (on a
-    resolved item, given a constraint) and ``check_literal_range`` (on a
-    date), so the accepted set is exactly the intersection of the per-check
-    pass sets. Verdicts carry the first failing reason in the order
-    unresolvable -> datatype -> value type -> range. The allowed classes'
+    - Datatype, on every candidate: the object's kind is the modal kind of
+      ``known`` (``infer_expected_datatype``) and the candidate is resolved.
+    - Value type, given a constraint, on a resolved item: the subject is one of
+      the constraint's exceptions, or the object is a node of ``graph`` with an
+      edge of the mode's relations (instance-of, subclass-of or both) into the
+      allowed classes' closure (``allowed_class_closure``).
+    - Range, on a date: its year is before ``cutoff_year``.
+
+    A check that does not apply is None in the verdict. A candidate is accepted
+    iff it is resolved and every applicable check passes, so the accepted set is
+    the intersection of the per-check pass sets. Verdicts carry the first
+    failing reason in the order unresolvable -> datatype -> value type -> range;
+    a failed value type on an object outside ``graph`` is unresolvable. The
     closure is kept on ``graph`` (``Graph.derived``), one per allowed-class set,
     ``subclass_of`` and ``depth_cap``, and shared by every later call.
     """
     settings = settings or ValidationSettings()
     t0 = time.monotonic()
-    expected = settings.expected_datatype or infer_expected_datatype(known)
+    expected = infer_expected_datatype(known)
     kinds = [value_kind(cand.object) for cand in candidates]
-    datatype_ok = [_datatype_ok(kind, cand.unresolved, expected)
+    datatype_ok = [kind is expected and not cand.unresolved
                    for cand, kind in zip(candidates, kinds)]
     t1 = time.monotonic()
 
@@ -208,8 +165,10 @@ def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
         key = ("closure", constraint.allowed_classes, settings.subclass_of, settings.depth_cap)
         closure = graph.derived(key, lambda: allowed_class_closure(graph, *key[1:]))
         exceptions = constraint.exceptions
-        relations = _relations(constraint.relation_mode, settings.instance_of,
-                               settings.subclass_of)
+        instance_of, subclass_of = settings.instance_of, settings.subclass_of
+        relations = {RelationMode.INSTANCE_OF: (instance_of,),
+                     RelationMode.SUBCLASS_OF: (subclass_of,),
+                     RelationMode.BOTH: (instance_of, subclass_of)}[constraint.relation_mode]
     cutoff_year = settings.cutoff_year
     accepted = []
     verdicts = []
@@ -218,7 +177,7 @@ def validate_detailed(graph: Graph, candidates: Sequence[CandidateStatement],
         vt_ok: bool | None = None
         if constraint is not None and kind is ValueKind.ITEM and not unresolved:
             vt_ok = _value_type_ok(graph, cand.subject, obj, exceptions, closure, relations)
-        rng_ok = _before_cutoff(obj, cutoff_year) if kind is ValueKind.DATE else None
+        rng_ok = obj.year < cutoff_year if kind is ValueKind.DATE else None
 
         if unresolved:
             reason = RejectReason.UNRESOLVABLE
@@ -248,7 +207,8 @@ def load_constraints(path: str | Path) -> dict[str, ValueTypeConstraint]:
     """Read a constraint TSV: rows (property, allowed_class).
 
     ``#mode=instance|subclass|both`` and ``#exception=<node>`` header
-    directives apply to every property in the file.
+    directives apply to every property in the file; spaces around the name,
+    the ``=`` and the value are allowed. Any other ``#`` line is a comment.
     """
     mode = RelationMode.BOTH
     exceptions: set[str] = set()
@@ -259,15 +219,17 @@ def load_constraints(path: str | Path) -> dict[str, ValueTypeConstraint]:
             if not stripped:
                 continue
             if stripped.startswith("#"):
-                directive = stripped[1:].strip()
-                if directive.startswith("mode="):
+                name, equals, value = (part.strip() for part in stripped[1:].partition("="))
+                if equals and name == "mode":
                     try:
-                        mode = RelationMode(directive[len("mode="):].strip())
+                        mode = RelationMode(value)
                     except ValueError:
                         raise DataFormatError(
-                            f"{path}:{lineno}: unknown mode {directive!r}") from None
-                elif directive.startswith("exception="):
-                    exceptions.add(directive[len("exception="):].strip())
+                            f"{path}:{lineno}: unknown mode {value!r}") from None
+                elif equals and name == "exception":
+                    if not value:
+                        raise DataFormatError(f"{path}:{lineno}: an exception needs a node id")
+                    exceptions.add(value)
                 continue
             fields = stripped.split("\t")
             if fields[:2] == ["property", "allowed_class"]:

@@ -314,7 +314,7 @@ def _hub_edges(fan):
     return edges
 
 
-@pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5, 6])
 def test_enumerate_through_a_hub_matches_exhaustive_oracle(max_len):
     edges = _hub_edges(300)
     g = graph_from_edges("x", edges)

@@ -369,6 +369,20 @@ def test_candidate_without_a_subject_is_a_data_error_naming_its_line(workspace, 
     assert not verdicts.exists()
 
 
+def test_unknown_candidate_flag_is_a_data_error_naming_its_line(workspace, capsys):
+    # such a row used to load as a resolved candidate, and its object was validated
+    cands = workspace / "cands.tsv"
+    cands.write_text(CANDIDATE_HEADER + GOOD_CANDIDATE.replace("\t-\n", "\tambiguous\n")
+                     + GOOD_CANDIDATE.replace("\t-\n", "\tunresolvd\n"))
+    verdicts = workspace / "v.tsv"
+    assert main(["validate", "--config", str(workspace / "config.yaml"),
+                 "--property", INDUSTRY_PROP, "--candidates", str(cands),
+                 "--out", str(verdicts)]) == 2
+    assert capsys.readouterr().err == (f"data error: {cands}:3: unknown candidate flag "
+                                       "'unresolvd'\n")
+    assert not verdicts.exists()
+
+
 @pytest.mark.parametrize("column,cell", [("path", "dbp:industry//x"), ("object", '"\\uZZ"')])
 def test_malformed_candidate_cell_is_a_data_error_naming_its_line(workspace, capsys,
                                                                    column, cell):
@@ -423,7 +437,7 @@ def test_property_without_known_values_is_config_error(workspace, capsys):
                  "--candidates", str(cands), "--out", str(workspace / "v.tsv")]) == 1
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.startswith("config error") and "P9999" in err
-    assert "expected_datatype" not in err
+    assert "ValidationSettings" not in err
     # consistency reports the same property with the same exit code
     assert main(["consistency", "--config", cfg, "--property", "P9999",
                  "--out-dir", str(workspace / "cons")]) == 1

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgenrich.align import PropertyPath
@@ -10,8 +12,6 @@ from kgenrich.retrieve import CandidateStatement
 from kgenrich.store import Literal, ValueKind, value_kind
 from kgenrich.validate import (KIND_PRECEDENCE, RejectReason, RelationMode,
                                ValidationSettings, ValueTypeConstraint,
-                               allowed_class_closure, check_datatype,
-                               check_literal_range, check_value_type,
                                infer_expected_datatype, load_constraints,
                                validate_detailed)
 
@@ -28,6 +28,13 @@ def cand(subject_id, prop, obj, *, unresolved=False, ambiguous=False, external=N
 
 def pairs(*objs):
     return [(f"Qs{i}", obj) for i, obj in enumerate(objs)]
+
+
+def verdict(graph, candidate, known, constraint=None, **settings):
+    """``validate_detailed``'s verdict on one candidate."""
+    outcome = validate_detailed(graph, [candidate], pairs(*known), constraint,
+                                ValidationSettings(**settings))
+    return outcome.verdicts[0]
 
 
 # -- datatype inference ---------------------------------------------------------
@@ -65,28 +72,32 @@ def test_infer_every_tie_goes_to_the_earlier_kind_and_a_lead_wins():
             assert infer_expected_datatype(pairs(one, two, two)) is later
 
 
-def test_infer_empty_errors_pointing_at_config():
-    with pytest.raises(ValueError) as err:
+def test_infer_empty_is_a_value_error():
+    with pytest.raises(ValueError, match="^no known statements to infer a datatype from$"):
         infer_expected_datatype([])
-    assert "config" in str(err.value)
-    # the YAML config has no expected_datatype key; only code can set one
-    assert "ValidationSettings(expected_datatype=...)" in str(err.value)
-    assert "validation config" not in str(err.value)
+    with pytest.raises(ValueError, match="no known statements"):
+        validate_detailed(graph_from_edges("wd", []), [cand("Q1", "P1", "Q2")], [])
 
 
 # -- datatype check -------------------------------------------------------------
 
+# known objects whose modal kind is an item, and a date
+ITEMS = ("Q483",)
+DATES = (Literal.date(2000),)
+
+
 def test_check_datatype_table1_examples():
+    g = graph_from_edges("wd", [])
     left_back = cand("Q15401730", "P413", Literal.monolingual("Left back", "en"))
-    assert not check_datatype(left_back, ValueKind.ITEM)
+    assert verdict(g, left_back, ITEMS).datatype_ok is False
     genre = cand("Q6530279", "P136", "Q217117")
-    assert check_datatype(genre, ValueKind.ITEM)
-    assert not check_datatype(cand("Q1", "P1", Literal.quantity(4000000)), ValueKind.DATE)
+    assert verdict(g, genre, ITEMS).datatype_ok is True
+    assert verdict(g, cand("Q1", "P1", Literal.quantity(4000000)), DATES).datatype_ok is False
 
 
 def test_check_datatype_requires_resolution_for_items():
     unresolved = cand("Q1", "P1", "dbr:Mystery", unresolved=True)
-    assert not check_datatype(unresolved, ValueKind.ITEM)
+    assert verdict(graph_from_edges("wd", []), unresolved, ITEMS).datatype_ok is False
 
 
 # -- value-type check -----------------------------------------------------------
@@ -97,14 +108,18 @@ INDUSTRY = ValueTypeConstraint(
     relation_mode=RelationMode.BOTH)
 
 
+def value_type_ok(graph, candidate, constraint, **settings):
+    return verdict(graph, candidate, ITEMS, constraint, **settings).value_type_ok
+
+
 def test_value_type_direct_instance():
     g = graph_from_edges("wd", [("Q2001", "P31", "Q8148")])
-    assert check_value_type(g, cand("Q1", "P452", "Q2001"), INDUSTRY)
+    assert value_type_ok(g, cand("Q1", "P452", "Q2001"), INDUSTRY) is True
 
 
 def test_value_type_one_step_subclass_closure():
     g = graph_from_edges("wd", [("Q2001", "P31", "X1"), ("X1", "P279", "Q8148")])
-    assert check_value_type(g, cand("Q1", "P452", "Q2001"), INDUSTRY)
+    assert value_type_ok(g, cand("Q1", "P452", "Q2001"), INDUSTRY) is True
 
 
 def test_value_type_wrong_chain_rejected():
@@ -112,7 +127,7 @@ def test_value_type_wrong_chain_rejected():
     g = graph_from_edges("wd", [("Q9764", "P31", "Q188451"), ("Q188451", "P279", "Q2088357")])
     languages = ValueTypeConstraint(property="P2701",
                                     allowed_classes=frozenset({"Q34770"}))
-    assert not check_value_type(g, cand("Q704160", "P2701", "Q9764"), languages)
+    assert value_type_ok(g, cand("Q704160", "P2701", "Q9764"), languages) is False
 
 
 def test_value_type_instance_mode_ignores_subclass_edges():
@@ -122,8 +137,8 @@ def test_value_type_instance_mode_ignores_subclass_edges():
                                         relation_mode=RelationMode.INSTANCE_OF)
     both = ValueTypeConstraint(property="P452", allowed_classes=frozenset({"Q8148"}),
                                relation_mode=RelationMode.BOTH)
-    assert not check_value_type(g, cand("Q1", "P452", "Q2001"), only_instance)
-    assert check_value_type(g, cand("Q1", "P452", "Q2001"), both)
+    assert value_type_ok(g, cand("Q1", "P452", "Q2001"), only_instance) is False
+    assert value_type_ok(g, cand("Q1", "P452", "Q2001"), both) is True
 
 
 def test_value_type_exception_bypasses():
@@ -131,8 +146,8 @@ def test_value_type_exception_bypasses():
     constraint = ValueTypeConstraint(property="P452",
                                      allowed_classes=frozenset({"Q8148"}),
                                      exceptions=frozenset({"Q1"}))
-    assert check_value_type(g, cand("Q1", "P452", "Q2001"), constraint)
-    assert not check_value_type(g, cand("Q2", "P452", "Q2001"), constraint)
+    assert value_type_ok(g, cand("Q1", "P452", "Q2001"), constraint) is True
+    assert value_type_ok(g, cand("Q2", "P452", "Q2001"), constraint) is False
 
 
 def test_value_type_cycle_safe():
@@ -140,7 +155,7 @@ def test_value_type_cycle_safe():
         ("Q2001", "P31", "A"), ("A", "P279", "B"), ("B", "P279", "A"),
     ])
     constraint = ValueTypeConstraint(property="P452", allowed_classes=frozenset({"Q8148"}))
-    assert not check_value_type(g, cand("Q1", "P452", "Q2001"), constraint)
+    assert value_type_ok(g, cand("Q1", "P452", "Q2001"), constraint) is False
 
 
 def test_value_type_monotone_in_depth():
@@ -149,24 +164,27 @@ def test_value_type_monotone_in_depth():
     g = graph_from_edges("wd", chain)
     constraint = ValueTypeConstraint(property="P452", allowed_classes=frozenset({"C6"}))
     accepted_at = [depth for depth in range(0, 10)
-                   if check_value_type(g, cand("Q1", "P452", "Q2001"), constraint,
-                                       depth_cap=depth)]
+                   if value_type_ok(g, cand("Q1", "P452", "Q2001"), constraint,
+                                    depth_cap=depth)]
     assert accepted_at == list(range(6, 10))
 
 
 def test_value_type_object_not_in_graph():
     g = graph_from_edges("wd", [("Q2001", "P31", "Q8148")])
-    assert not check_value_type(g, cand("Q1", "P452", "Q9999"), INDUSTRY)
+    outcome = verdict(g, cand("Q1", "P452", "Q9999"), ITEMS, INDUSTRY)
+    assert outcome.value_type_ok is False
+    assert outcome.reject_reason is RejectReason.UNRESOLVABLE
 
 
 # -- literal range ----------------------------------------------------------------
 
 def test_literal_range_examples():
-    assert check_literal_range(cand("Q1", "P570", Literal.date(2015)))
-    assert not check_literal_range(cand("Q1", "P570", Literal.date(2022)))
-    assert check_literal_range(cand("Q1", "P571", Literal.date(1885, 1, 1)))
-    with pytest.raises(ValueError):
-        check_literal_range(cand("Q1", "P1", Literal.quantity(5)))
+    g = graph_from_edges("wd", [])
+    assert verdict(g, cand("Q1", "P570", Literal.date(2015)), DATES).range_ok is True
+    assert verdict(g, cand("Q1", "P570", Literal.date(2022)), DATES).range_ok is False
+    assert verdict(g, cand("Q1", "P571", Literal.date(1885, 1, 1)), DATES).range_ok is True
+    # the range check applies to dates only
+    assert verdict(g, cand("Q1", "P1", Literal.quantity(5)), DATES).range_ok is None
 
 
 # -- validate ---------------------------------------------------------------------
@@ -257,15 +275,6 @@ def test_no_constraint_skips_value_type():
     assert verdicts[0].value_type_ok is None
 
 
-def test_expected_datatype_override():
-    g = _table1_graph()
-    settings = ValidationSettings(expected_datatype=ValueKind.DATE)
-    candidate = cand("Q1", "P571", Literal.date(1999))
-    outcome = validate_detailed(g, [candidate], [], None, settings)
-    accepted = outcome.accepted
-    assert accepted == [candidate]
-
-
 def test_intersection_law_small():
     g = _table1_graph()
     known = pairs("Q483", "Q484")
@@ -308,6 +317,35 @@ def test_load_constraints_with_directives(tmp_path):
     assert table["P136"].allowed_classes == {"Q483394"}
 
 
+def test_load_constraints_directives_with_spaces(tmp_path):
+    # both used to be read as comments: mode both, no exception
+    path = tmp_path / "constraints.tsv"
+    path.write_text("#mode = instance\n# exception =  Q9\nP452\tQ8148\n")
+    constraint = load_constraints(path)["P452"]
+    assert constraint.relation_mode is RelationMode.INSTANCE_OF
+    assert constraint.exceptions == {"Q9"}
+
+
+def test_load_constraints_other_hash_lines_are_comments(tmp_path):
+    path = tmp_path / "constraints.tsv"
+    path.write_text("# mode: see below\n#modes=subclass\n#exceptions=Q9\n#mode\n"
+                    "#exception Q9\nP452\tQ8148\n")
+    constraint = load_constraints(path)["P452"]
+    assert constraint.relation_mode is RelationMode.BOTH
+    assert constraint.exceptions == frozenset()
+
+
+@pytest.mark.parametrize("directive", ["#exception=", "# exception = "])
+def test_load_constraints_empty_exception_is_a_data_error_naming_its_line(tmp_path,
+                                                                          directive):
+    # "#exception=" used to add the empty id
+    path = tmp_path / "constraints.tsv"
+    path.write_text(f"#mode=both\n{directive}\nP452\tQ8148\n")
+    with pytest.raises(DataFormatError) as err:
+        load_constraints(path)
+    assert str(err.value) == f"{path}:2: an exception needs a node id"
+
+
 def test_load_constraints_skips_blank_lines(tmp_path):
     path = tmp_path / "constraints.tsv"
     path.write_text("property\tallowed_class\n\nP452\tQ8148\n  \n\nP452\tQ268592\n")
@@ -334,7 +372,7 @@ def test_constraint_requires_allowed_classes():
         ValueTypeConstraint("P1", frozenset())
 
 
-# -- validate_detailed against the per-check functions -----------------------------
+# -- validate_detailed against a test-side reference -------------------------------
 
 _CLASSES = [f"C{i}" for i in range(4)]
 # O<i> are typed in the graph, C<i> are classes, X is no node of the graph
@@ -342,29 +380,58 @@ _OBJECTS = ["O0", "O1", "O2", "C0", "X", Literal.string("x"), Literal.quantity(4
             Literal.date(2021), Literal.date(2022), Literal.date(2023, 1, 5)]
 _SUBJECTS = ["S0", "S1", "S2"]
 
+# the modal kind's tie break, most specific first, written out here
+_KIND_ORDER = [ValueKind.ITEM, ValueKind.DATE, ValueKind.QUANTITY,
+               ValueKind.MONOLINGUAL, ValueKind.STRING, ValueKind.OTHER]
 
-def _reference_verdict(graph, cand, expected, constraint, settings):
-    """A verdict's fields from the public checks, the reasons in the documented order."""
-    dt_ok = check_datatype(cand, expected)
+
+def _test_side_modal(known):
+    counts = Counter(value_kind(obj) for _, obj in known)
+    best = max(counts.values())
+    return next(k for k in _KIND_ORDER if counts.get(k) == best)
+
+
+def _test_side_reaches(graph, obj_id, allowed, mode, cap):
+    """Whether a class of ``obj_id`` (by the mode's relations) reaches an allowed class
+    in at most ``cap`` subclass-of hops, by a breadth-first walk up from the object."""
+    relations = {"instance": ("P31",), "subclass": ("P279",),
+                 "both": ("P31", "P279")}[mode.value]
+    seeds = [o for rel in relations for o in graph.objects(obj_id, rel)
+             if isinstance(o, str)]
+    frontier, seen, depth = seeds, set(seeds), 0
+    while frontier:
+        if any(t in allowed for t in frontier):
+            return True
+        if depth >= cap:
+            return False
+        nxt = []
+        for t in frontier:
+            for parent in graph.objects(t, "P279"):
+                if isinstance(parent, str) and parent not in seen:
+                    seen.add(parent)
+                    nxt.append(parent)
+        frontier, depth = nxt, depth + 1
+    return False
+
+
+def _reference_verdict(graph, cand, expected, constraint, depth_cap, cutoff_year):
+    """A verdict's fields by the documented rules, the reasons in the documented order."""
+    kind = value_kind(cand.object)
+    dt_ok = kind is expected and not cand.unresolved
+    in_graph = kind is ValueKind.ITEM and graph.has_node(cand.object)
     vt_ok = None
-    if constraint is not None and value_kind(cand.object) is ValueKind.ITEM \
-            and not cand.unresolved:
-        closure = allowed_class_closure(graph, constraint.allowed_classes,
-                                        settings.subclass_of, settings.depth_cap)
-        vt_ok = check_value_type(graph, cand, constraint, settings.depth_cap,
-                                 instance_of=settings.instance_of,
-                                 subclass_of=settings.subclass_of, closure=closure)
-    rng_ok = None
-    if value_kind(cand.object) is ValueKind.DATE:
-        rng_ok = check_literal_range(cand, settings.cutoff_year)
+    if constraint is not None and kind is ValueKind.ITEM and not cand.unresolved:
+        vt_ok = cand.subject in constraint.exceptions or (in_graph and _test_side_reaches(
+            graph, cand.object, constraint.allowed_classes, constraint.relation_mode,
+            depth_cap))
+    rng_ok = cand.object.year < cutoff_year if kind is ValueKind.DATE else None
     if cand.unresolved:
         reason = RejectReason.UNRESOLVABLE
     elif not dt_ok:
         reason = RejectReason.WRONG_DATATYPE
     elif vt_ok is False:
         # a value-type failure on an object outside the graph is unresolvable
-        reason = (RejectReason.WRONG_VALUE_TYPE if graph.has_node(cand.object)
-                  else RejectReason.UNRESOLVABLE)
+        reason = RejectReason.WRONG_VALUE_TYPE if in_graph else RejectReason.UNRESOLVABLE
     elif rng_ok is False:
         reason = RejectReason.OUT_OF_RANGE
     else:
@@ -384,20 +451,23 @@ def _reference_verdict(graph, cand, expected, constraint, settings):
            ValueTypeConstraint, st.just("P1"),
            st.frozensets(st.sampled_from(_CLASSES), min_size=1),
            st.sampled_from(list(RelationMode)), st.frozensets(st.sampled_from(_SUBJECTS))),
-       depth_cap=st.integers(0, 3),
-       expected_datatype=st.none() | st.sampled_from(list(ValueKind)))
-def test_validate_detailed_equals_the_per_check_functions(typing, candidates, known,
-                                                          constraint, depth_cap,
-                                                          expected_datatype):
+       depth_cap=st.integers(0, 3))
+# a class one subclass hop short of the allowed class, at the cap and one above it
+@example(typing=[("O0", "P31", "C1"), ("C1", "P279", "C0")], candidates=[("S1", "O0", False)],
+         known=["O1"], constraint=ValueTypeConstraint("P1", frozenset({"C0"})), depth_cap=0)
+@example(typing=[("O0", "P31", "C1"), ("C1", "P279", "C0")], candidates=[("S1", "O0", False)],
+         known=["O1"], constraint=ValueTypeConstraint("P1", frozenset({"C0"})), depth_cap=1)
+def test_validate_detailed_equals_a_test_side_reference(typing, candidates, known,
+                                                        constraint, depth_cap):
     graph = graph_from_edges("wd", typing + [("S0", "label", Literal.string("s"))])
     cands = [cand(subject, "P1", obj, unresolved=unresolved)
              for subject, obj, unresolved in candidates]
-    settings = ValidationSettings(cutoff_year=2022, depth_cap=depth_cap,
-                                  expected_datatype=expected_datatype)
+    settings = ValidationSettings(cutoff_year=2022, depth_cap=depth_cap)
     outcome = validate_detailed(graph, cands, pairs(*known), constraint, settings)
-    expected = expected_datatype or infer_expected_datatype(pairs(*known))
+    expected = _test_side_modal(pairs(*known))
     assert outcome.expected is expected
-    want = [_reference_verdict(graph, c, expected, constraint, settings) for c in cands]
+    want = [_reference_verdict(graph, c, expected, constraint, depth_cap, 2022)
+            for c in cands]
     assert [v._asdict() for v in outcome.verdicts] == want
     assert all(v.statement is c for v, c in zip(outcome.verdicts, cands))
     assert outcome.accepted == [w["statement"] for w in want if w["accepted"]]
