@@ -58,33 +58,36 @@ CONSTRAINTS = (
 
 
 def build_target() -> Graph:
-    g = Graph("wd")
     companies = [f"Q100{i}" for i in range(1, 7)]
+    edges = []
     for i, company in enumerate(companies):
-        g.add_edge(company, "P31", "Q783794")
-        g.add_edge(company, "sitelink", Literal.string(f"Company{'ABCDEF'[i]}"))
+        edges.append((company, "P31", "Q783794"))
+        edges.append((company, "sitelink", Literal.string(f"Company{'ABCDEF'[i]}")))
     for i in range(1, 6):
         industry = f"Q200{i}"
-        g.add_edge(industry, "P31", "Q8148")
-        g.add_edge(industry, "sitelink", Literal.string(f"Industry{'ABCDE'[i - 1]}"))
-        g.add_edge(companies[i - 1], "P452", industry)
+        edges.append((industry, "P31", "Q8148"))
+        edges.append((industry, "sitelink", Literal.string(f"Industry{'ABCDE'[i - 1]}")))
+        edges.append((companies[i - 1], "P452", industry))
     for company, year in zip(companies[:3], (1990, 1985, 2001)):
-        g.add_edge(company, "P571", Literal.date(year))
-    g.add_edge("P452", "label", Literal.string("industry"))
-    g.add_edge("P571", "label", Literal.string("inception"))
-    g.add_edge("Q783794", "label", Literal.string("company"))
-    return g
+        edges.append((company, "P571", Literal.date(year)))
+    edges += [
+        ("P452", "label", Literal.string("industry")),
+        ("P571", "label", Literal.string("inception")),
+        ("Q783794", "label", Literal.string("company")),
+    ]
+    return Graph("wd", edges)
 
 
 def build_external() -> Graph:
-    g = Graph("dbp")
-    for company, industry in zip("ABCDEF", "ABCDEB"):
-        g.add_edge(f"dbr:Company{company}", "dbp:industry", f"dbr:Industry{industry}")
-    for company, year in zip("ABC", (1990, 1985, 2001)):
-        g.add_edge(f"dbr:Company{company}", "dbp:founded", Literal.date(year))
-    g.add_edge("dbr:CompanyA", "dbp:product", "dbr:IndustryA")
-    g.add_edge("dbp:industry", "label", Literal.string("industry"))
-    return g
+    edges = [(f"dbr:Company{company}", "dbp:industry", f"dbr:Industry{industry}")
+             for company, industry in zip("ABCDEF", "ABCDEB")]
+    edges += [(f"dbr:Company{company}", "dbp:founded", Literal.date(year))
+              for company, year in zip("ABC", (1990, 1985, 2001))]
+    edges += [
+        ("dbr:CompanyA", "dbp:product", "dbr:IndustryA"),
+        ("dbp:industry", "label", Literal.string("industry")),
+    ]
+    return Graph("dbp", edges)
 
 
 def aggregates_add_up(out_dir: Path) -> bool:

@@ -177,19 +177,16 @@ class Run:
         """What a row's path ranking reads besides the target graph: the part of the
         ``Graph.derived`` key that the ranking and the novel count share.
 
-        It names the external graph by a weak reference and its edge count
-        (graphs only grow, so an external that gained edges misses), then
-        ``prop``, the entity class, ``gaps.type_property``,
-        ``gaps.no_value_sentinel``, the external's mapping spec and the
-        alignment config. The weak reference keeps a dropped external from
-        living on through its target. These do not fix the selected path:
-        ``select_path`` also reads both graphs' ``label_properties``, which no
-        edge count sees, so ``novel`` adds the selected path to its key.
+        It names the external graph by a weak reference, then ``prop``, the
+        entity class, ``gaps.type_property``, ``gaps.no_value_sentinel``, the
+        external's mapping spec and the alignment config. The weak reference
+        keeps a dropped external from living on through its target. These do
+        not fix the selected path: ``select_path`` also reads both graphs'
+        ``label_properties``, so ``novel`` adds the selected path to its key.
         """
         cfg, gaps = self.cfg, self.cfg.gaps
-        return (weakref.ref(external), external.edge_count, prop, self.entity_class,
-                gaps.type_property, gaps.no_value_sentinel, cfg.mapping_for(external.tag),
-                cfg.alignment)
+        return (weakref.ref(external), prop, self.entity_class, gaps.type_property,
+                gaps.no_value_sentinel, cfg.mapping_for(external.tag), cfg.alignment)
 
     def align(self, external: Graph, prop: str, partition: GapPartition,
               ) -> tuple[tuple[PropertyPath, ...], PropertyPath | None]:

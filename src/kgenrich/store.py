@@ -2,8 +2,9 @@
 
 A node is its id: a plain string, the same in every graph, so nodes of two
 graphs compare and hash as their ids do and every index key hashes in C. A
-value is a node id or a ``Literal``. ``add_edge`` stores a deduplicated edge
-set in a subject->property->objects index, and each edge into a node id once
+value is a node id or a ``Literal``. A graph's edges are fixed when it is
+built, by a loader or by ``Graph(tag, edges)``. It stores them deduplicated
+in a subject->property->objects index, and each edge into a node id once
 more in a node->property->subjects index. An edge into a literal is in the
 subject index only: a literal's in-edges are built by one scan of it on the
 graph's first literal query and kept, since most graphs are never asked
@@ -12,11 +13,10 @@ set only when a second distinct member arrives, since most entries never get
 one. ``statements_for`` (all pairs of one property) is a scan over the
 subject index, and the edge counter is the one in ``Graph.stats``. A node's
 label is read from its label edges when asked for, by a rule that no edge
-order changes. Graphs are treated as immutable once a loader returns them;
-pipeline stages emit separate statement sets. What is computed from a graph
-(the literal in-edges, an entity mapping, a class closure, or a path ranking,
-which also reads an external graph) is built once per key through
-``Graph.derived`` and kept on the graph.
+order changes. Pipeline stages emit separate statement sets. What is computed
+from a graph (the literal in-edges, an entity mapping, a class closure, or a
+path ranking, which also reads an external graph) is built once per key
+through ``Graph.derived`` and kept on the graph.
 
 IRIs are shortened through a configurable prefix table (unknown namespaces
 keep the full IRI). Edge-TSV carries no datatypes, so literal kinds are
@@ -33,10 +33,10 @@ one id are one shared string rather than a copy per edge. Each table hands
 out its term inside a 1-tuple made once per distinct term, and every lone
 index entry of that term is that one tuple, not a 1-tuple per entry
 (hash-consing): a tuple is immutable, and a second member replaces the entry
-with a set rather than changing the tuple. ``add_edge`` and the literal
-in-edges build their own 1-tuples. All the tables are dropped when the call
-returns. Interpreter string interning is not used: interned strings are
-immortal on Python 3.12, so a dropped graph's ids would never be freed.
+with a set rather than changing the tuple. ``Graph(tag, edges)`` and the
+literal in-edges build their own 1-tuples. All the tables are dropped when
+the call returns. Interpreter string interning is not used: interned strings
+are immortal on Python 3.12, so a dropped graph's ids would never be freed.
 
 ``Literal`` is a named tuple of its seven fields: construction, equality and
 hashing run in C, and there is no per-instance ``__dict__``. A literal
@@ -253,63 +253,56 @@ class Graph:
     a set); a second distinct member turns the entry into a set. Most entries
     keep one member. A loaded graph's lone entries of one term are one shared
     1-tuple (see the module docstring), so an entry's identity means nothing;
-    ``add_edge`` and the literal in-edges make a 1-tuple per entry.
+    the constructor and the literal in-edges make a 1-tuple per entry.
 
-    Built by the loaders, whose line loop inlines ``add_edge``'s insert, or
-    through ``add_edge`` (test fixtures, other callers), and treated as
-    immutable afterwards; pipeline stages add no edge. The query methods
-    return the stored entries, or a shared empty constant on a miss, so
-    callers get read-only collections: iterate them, test membership or copy
-    them, never mutate them.
+    The edges are fixed when the graph is built: by the loaders, whose line
+    loop inlines the constructor's insert, or by ``Graph(tag, edges)``. No
+    method adds or removes one. The query methods return the stored entries,
+    or a shared empty constant on a miss, so callers get read-only
+    collections: iterate them, test membership or copy them, never mutate
+    them.
 
     ``derived`` keeps results computed from the graph, one per key, for as
-    long as the graph lives; ``add_edge`` drops them all, so none is ever
-    stale. A key names everything besides the graph that its result depends
-    on. A path ranking (``pipeline.Run.align``) also depends on an external
-    graph: its key names that graph by a weak reference, so the target does
-    not keep it alive, and by its edge count, so the ranking misses once the
-    external gains an edge. A dropped external's ranking stays until the
-    target changes or is freed, since no later key equals a dead reference.
+    long as the graph lives. A key names everything besides the graph that
+    its result depends on. A path ranking (``pipeline.Run.align``) also
+    depends on an external graph: its key names that graph by a weak
+    reference, so the target does not keep it alive. A dropped external's
+    ranking stays until the target is freed, since no later key equals a
+    dead reference.
     A kept result must not refer to its graph: a ``Graph`` holds no reference
     cycles, so a dropped graph is freed by refcounting alone. Threads that
     share a graph may each build a result on its first use; the builds are
     equal, and the last one is kept.
     """
 
-    def __init__(self, tag: str, label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES):
+    def __init__(self, tag: str, edges: Iterable[tuple[str, str, Value]] = (),
+                 label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES):
+        """A graph of ``edges``, each (subject, property, object): a string object is
+        a node id, a ``Literal`` a literal value. A repeated edge is counted in
+        ``stats.duplicates``, every other one in ``stats.edges``; an empty subject,
+        property or object is a ValueError."""
         self.tag = tag
         self.label_properties = tuple(label_properties)
-        self.stats = LoadStats()
+        self.stats = stats = LoadStats()
         self._spo: dict[str, dict[str, tuple[Value] | set[Value]]] = {}
         self._osp: dict[str, dict[str, tuple[str] | set[str]]] = {}
         self._derived: dict[Hashable, object] = {}
-
-    # -- construction ------------------------------------------------------
-
-    def add_edge(self, subject: str, prop: str, obj: Value) -> bool:
-        """Insert one edge and count it in ``stats.edges``.
-
-        Returns False when the edge was already present. A string object is
-        a node id; pass a ``Literal`` for literal values.
-        """
-        if not prop:
-            raise ValueError("property must be non-empty")
-        if not subject or not obj:
-            raise ValueError("node id must be non-empty")
-        if not _insert(self._spo, subject, prop, obj):
-            self.stats.duplicates += 1
-            return False
-        if isinstance(obj, str):
-            _insert(self._osp, obj, prop, subject)
-        self.stats.edges += 1
-        if self._derived:
-            self._derived.clear()
-        return True
+        for subject, prop, obj in edges:
+            if not prop:
+                raise ValueError("property must be non-empty")
+            if not subject or not obj:
+                raise ValueError("node id must be non-empty")
+            if not _insert(self._spo, subject, prop, obj):
+                stats.duplicates += 1
+                continue
+            if isinstance(obj, str):
+                _insert(self._osp, obj, prop, subject)
+            stats.edges += 1
 
     def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
         """The result kept under ``key``: ``build()``, called the first time ``key``
-        is asked for since the graph last changed. ``key`` must name everything
-        besides the graph that the result depends on."""
+        is asked for. ``key`` must name everything besides the graph that the
+        result depends on."""
         derived = self._derived
         if key not in derived:
             derived[key] = build()
@@ -528,11 +521,10 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
     too few, an empty subject, property or object, or an object that does not parse.
     Over ``malformed_threshold`` of the considered lines malformed is a DataFormatError.
 
-    ``graph`` is new. Each edge goes into its indexes as ``Graph.add_edge`` would put
-    it, by the same insert written out in the loop, except that a new lone entry is
-    the term table's shared 1-tuple of its member. The edge and duplicate counts are
-    added to ``graph.stats`` once at the end. A new graph keeps nothing in
-    ``derived``, so there is nothing to drop.
+    ``graph`` is new and empty. Each edge goes into its indexes as ``Graph(tag, edges)``
+    would put it, by the same insert written out in the loop, except that a new lone
+    entry is the term table's shared 1-tuple of its member. The edge and duplicate
+    counts are added to ``graph.stats`` once at the end.
     """
     stats, spo, osp = graph.stats, graph._spo, graph._osp
     # every table hands out a 1-tuple of the term, shared by each lone entry of the term
@@ -568,9 +560,9 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
             if one is None:
                 stats.skip(lineno, text)
                 continue
-            # ``_insert`` written out twice, as ``add_edge`` calls it, but with the term
-            # tables' shared 1-tuples. Kept inline for the cold-load time it saves
-            # (ROADMAP item 7, BENCH_31.json). ``add_edge``'s emptiness checks hold here
+            # ``_insert`` written out twice, as ``Graph.__init__`` calls it, but with the
+            # term tables' shared 1-tuples. Kept inline for the cold-load time it saves
+            # (ROADMAP item 7, BENCH_31.json). The constructor's emptiness checks hold here
             subject_one, (prop,) = terms[subject], terms[prop]
             subject, obj = subject_one[0], one[0]
             by_prop = spo.get(subject)
@@ -610,13 +602,13 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
 
 
 def load_ntriples(path: str | Path, tag: str, *,
-                  prefixes: Mapping[str, str] | PrefixTable | None = None,
+                  prefixes: Mapping[str, str] | None = None,
                   label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES,
                   malformed_threshold: float = DEFAULT_MALFORMED_THRESHOLD) -> Graph:
     """Load a UTF-8 N-Triples file into a fully indexed graph (see ``_load``)."""
-    table = prefixes if isinstance(prefixes, PrefixTable) else PrefixTable(prefixes)
-    return _load(path, Graph(tag, label_properties), malformed_threshold, None,
-                 lambda token: _nt_term_id(token, table), _nt_literal)
+    table = PrefixTable(prefixes)
+    return _load(path, Graph(tag, label_properties=label_properties), malformed_threshold,
+                 None, lambda token: _nt_term_id(token, table), _nt_literal)
 
 
 def _nt_term_id(token: str, table: PrefixTable) -> str:
@@ -667,7 +659,7 @@ def parse_tsv_value(text: str) -> Value:
 
 
 def load_edge_tsv(path: str | Path, tag: str, *,
-                  prefixes: Mapping[str, str] | PrefixTable | None = None,
+                  prefixes: Mapping[str, str] | None = None,
                   label_properties: Iterable[str] = DEFAULT_LABEL_PROPERTIES,
                   malformed_threshold: float = DEFAULT_MALFORMED_THRESHOLD) -> Graph:
     """Load a header-first edge TSV (columns node1, label, node2, id optional; see ``_load``).
@@ -676,9 +668,8 @@ def load_edge_tsv(path: str | Path, tag: str, *,
     shortened form looks like a date is still a node; only the shortened id
     is stored.
     """
-    table = prefixes if isinstance(prefixes, PrefixTable) else PrefixTable(prefixes)
-    return _load(path, Graph(tag, label_properties), malformed_threshold, EDGE_COLUMNS,
-                 table.shorten, _tsv_literal)
+    return _load(path, Graph(tag, label_properties=label_properties), malformed_threshold,
+                 EDGE_COLUMNS, PrefixTable(prefixes).shorten, _tsv_literal)
 
 
 def _escape(text: str) -> str:

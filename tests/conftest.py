@@ -33,10 +33,12 @@ def perfbench_module(name: str):
 
 
 def graph_from_edges(tag, edges, label_properties=("label",)):
-    g = Graph(tag, label_properties=label_properties)
-    for subj, prop, obj in edges:
-        g.add_edge(subj, prop, obj)
-    return g
+    return Graph(tag, edges, label_properties)
+
+
+def with_edges(graph: Graph, *edges) -> Graph:
+    """A new graph of ``graph``'s edges and ``edges``, with its tag and label properties."""
+    return Graph(graph.tag, [*graph.edges(), *edges], graph.label_properties)
 
 
 @dataclass

@@ -365,10 +365,7 @@ def test_enumerate_holds_one_targets_maps_at_a_time():
 # -- selection ------------------------------------------------------------------
 
 def _label_graph(labels):
-    g = Graph("dbp")
-    for prop, text in labels.items():
-        g.add_edge(prop, "label", Literal.string(text))
-    return g
+    return Graph("dbp", [(prop, "label", Literal.string(text)) for prop, text in labels.items()])
 
 
 def _paths(*specs):

@@ -27,7 +27,7 @@ from kgenrich.validate import RelationMode, ValueTypeConstraint, load_constraint
 
 from conftest import (COMPANY_CLASS, INDUSTRY_CLASSES, INDUSTRY_PROP, graph_from_edges,
                       make_company_config, make_company_external, make_company_fixture,
-                      perfbench_module)
+                      perfbench_module, with_edges)
 
 
 def test_fig1_style_end_to_end(company_fixture):
@@ -88,7 +88,7 @@ def test_unalignable_object_property_yields_no_alignment(company_fixture):
 def test_enrich_loads_config_constraints_when_none_given(tmp_path, company_fixture):
     fx = company_fixture
     # a second candidate for the gap company resolves to a company, not an industry
-    fx.external.add_edge("dbr:CompanyF", "dbp:industry", "dbr:CompanyA")
+    fx.external = with_edges(fx.external, ("dbr:CompanyF", "dbp:industry", "dbr:CompanyA"))
     (tmp_path / "constraints.tsv").write_text(
         "#mode=both\nproperty\tallowed_class\n"
         + "".join(f"{INDUSTRY_PROP}\t{c}\n"
@@ -323,11 +323,12 @@ def test_batch_aggregates_with_a_row_that_errors_for_one_external_only(company_f
 def test_batch_aggregates_over_three_overlapping_externals(company_fixture):
     fx = company_fixture
     fx.cfg.mappings["dbp3"] = MappingSpec(link_property="sitelink", prefix="dbr:")
-    dbp2, dbp3 = make_company_external("dbp2"), make_company_external("dbp3")
     # dbp2 adds one founding date; dbp3 a second industry and another founding date
-    dbp2.add_edge("dbr:CompanyF", "dbp:founded", Literal.date(1995))
-    dbp3.add_edge("dbr:CompanyF", "dbp:industry", "dbr:IndustryC")
-    dbp3.add_edge("dbr:CompanyF", "dbp:founded", Literal.date(1996))
+    dbp2 = with_edges(make_company_external("dbp2"),
+                      ("dbr:CompanyF", "dbp:founded", Literal.date(1995)))
+    dbp3 = with_edges(make_company_external("dbp3"),
+                      ("dbr:CompanyF", "dbp:industry", "dbr:IndustryC"),
+                      ("dbr:CompanyF", "dbp:founded", Literal.date(1996)))
     externals = {"dbp": fx.external, "dbp2": dbp2, "dbp3": dbp3}
     batch = batch_enrich(fx.target, list(externals.values()), [INDUSTRY_PROP, "P571", "P17"],
                          fx.cfg, entity_class=COMPANY_CLASS, constraints=fx.constraints)
@@ -424,9 +425,10 @@ def test_two_external_batch_leaves_no_cyclic_garbage(company_fixture, collector_
 
 def _external_with_its_own_spec(fx, tag: str):
     """An external graph ``tag`` whose mapping spec differs from dbp's: the same links
-    under the link property ``sitelink-<tag>``, copied onto the target."""
-    for subject, link in fx.target.statements_for("sitelink"):
-        fx.target.add_edge(subject, f"sitelink-{tag}", link)
+    under the link property ``sitelink-<tag>``, copied onto a new target."""
+    links = fx.target.statements_for("sitelink")
+    fx.target = with_edges(fx.target, *((subject, f"sitelink-{tag}", link)
+                                        for subject, link in links))
     fx.cfg.mappings[tag] = MappingSpec(link_property=f"sitelink-{tag}", prefix="dbr:")
     return make_company_external(tag)
 
@@ -539,8 +541,8 @@ _NARROW_CLASS = "Q999"
 
 def _narrow_class_fixture():
     fx = make_company_fixture()
-    for company in ("Q1001", "Q1002", "Q1003", fx.gap_subject):
-        fx.target.add_edge(company, "P31", _NARROW_CLASS)
+    companies = ("Q1001", "Q1002", "Q1003", fx.gap_subject)
+    fx.target = with_edges(fx.target, *((company, "P31", _NARROW_CLASS) for company in companies))
     return fx
 
 
@@ -549,18 +551,12 @@ def _later_cutoff(fx) -> dict:
     return {"cfg": dataclasses.replace(fx.cfg, validation=validation)}
 
 
-def _grown_external(fx) -> dict:
-    fx.external.add_edge("dbr:CompanyF", "dbp:founded", Literal.date(1950))
-    return {}
-
-
 # each changes one input of a kept count, and the count with it
 _CHANGES = {
     "cutoff_year": _later_cutoff,
     "constraints": lambda fx: {"constraints": {INDUSTRY_PROP: ValueTypeConstraint(
         INDUSTRY_PROP, frozenset({"Q30"}))}},
     "entity_class": lambda fx: {"entity_class": _NARROW_CLASS},
-    "external_edge": _grown_external,
 }
 
 
@@ -581,8 +577,8 @@ def _named_fixture():
     ``industry`` under a second label property, ``name``."""
     fx = make_company_fixture()
     fx.cfg = make_company_config(mode=AlignMode.STRING_ONLY)
-    fx.external.add_edge("dbp:industry", "name", Literal.string("zzz"))
-    fx.external.add_edge("dbp:product", "name", Literal.string("industry"))
+    fx.external = with_edges(fx.external, ("dbp:industry", "name", Literal.string("zzz")),
+                             ("dbp:product", "name", Literal.string("industry")))
     return fx
 
 
@@ -593,7 +589,7 @@ def _named_consistency(fx):
 
 
 def test_a_changed_selected_path_misses_the_kept_novel_count():
-    # label_properties is read by select_path, and no edge count sees it change
+    # label_properties is read by select_path, and the ranking's key does not see it change
     fx = _named_fixture()
     batch = batch_enrich(fx.target, [fx.external], [INDUSTRY_PROP], fx.cfg,
                          entity_class=COMPANY_CLASS, constraints=fx.constraints)
@@ -656,26 +652,6 @@ def test_another_external_with_the_same_tag_misses_the_kept_ranking(company_fixt
     assert _supports(kept) == {("dbp:industry",): 5, ("dbp:product",): 2}
 
 
-@pytest.mark.parametrize("graph, duplicate, new, supports", [
-    ("external", ("dbr:CompanyA", "dbp:product", "dbr:IndustryA"),
-     ("dbr:CompanyC", "dbp:product", "dbr:IndustryC"),
-     {("dbp:industry",): 5, ("dbp:product",): 3}),
-    ("target", ("Q1001", INDUSTRY_PROP, "Q2001"), ("Q1006", INDUSTRY_PROP, "Q2002"),
-     {("dbp:industry",): 6, ("dbp:product",): 2}),
-])
-def test_a_new_edge_misses_the_kept_ranking_and_a_duplicate_does_not(
-        company_fixture, monkeypatch, graph, duplicate, new, supports):
-    fx = company_fixture
-    calls = _counted(monkeypatch, "enumerate_paths")
-    kept = _ranking(fx)
-    grown = getattr(fx, graph)
-    assert not grown.add_edge(*duplicate)
-    assert _ranking(fx) is kept and calls["enumerate_paths"] == 1
-    assert grown.add_edge(*new)
-    assert _supports(_ranking(fx)) == supports
-    assert calls["enumerate_paths"] == 2
-
-
 def test_an_external_dropped_while_the_target_lives_is_freed(company_fixture):
     fx = company_fixture
     external = make_company_external()
@@ -704,18 +680,6 @@ def test_a_row_whose_enumeration_raises_keeps_no_ranking(company_fixture, monkey
                               entity_class=COMPANY_CLASS, constraints=fx.constraints)
     assert attempts == ["dbp", "dbp"]
     assert retried.status == "ok" and retried.selected_path.steps == ("dbp:industry",)
-
-
-def test_add_edge_after_a_run_drops_the_kept_mapping(company_fixture):
-    fx = company_fixture
-    run = Run(fx.target, fx.cfg, constraints=fx.constraints)
-    before = run.mapping("dbp")
-    assert run.mapping("dbp") is before
-    fx.target.add_edge("Q1007", "sitelink", Literal.string("CompanyG"))
-    after = Run(fx.target, fx.cfg, constraints=fx.constraints).mapping("dbp")
-    assert after.forward["Q1007"] == ("dbr:CompanyG",) and "Q1007" not in before.forward
-    fresh = graph_from_edges("wd", fx.target.edges())
-    assert after == pipeline.build_mapping(fresh, fx.cfg.mapping_for("dbp"))
 
 
 def test_graph_used_by_a_batch_and_a_consistency_call_is_freed_by_refcounting(
@@ -908,7 +872,7 @@ def test_statement_file_loads_back(tmp_path, company_fixture):
 
 def test_run_consistency_item_property(company_fixture):
     fx = company_fixture
-    fx.external.add_edge("dbr:CompanyE", "dbp:industry", "dbr:IndustryA")
+    fx.external = with_edges(fx.external, ("dbr:CompanyE", "dbp:industry", "dbr:IndustryA"))
     outcome = run_consistency(fx.target, fx.external, INDUSTRY_PROP, fx.cfg,
                               entity_class=COMPANY_CLASS, constraints=fx.constraints)
     report = outcome.report
@@ -939,7 +903,7 @@ def test_run_consistency_literal_property(company_fixture):
 def test_run_consistency_equals_two_pass_reference(company_fixture, prop, granularity):
     # the reference retrieves and validates known and gap subjects separately
     fx = company_fixture
-    fx.external.add_edge("dbr:CompanyE", "dbp:industry", "dbr:IndustryA")
+    fx.external = with_edges(fx.external, ("dbr:CompanyE", "dbp:industry", "dbr:IndustryA"))
     run = Run(fx.target, fx.cfg, entity_class=COMPANY_CLASS, constraints=fx.constraints)
     partition = run.gaps(prop)
     _, selected = run.align(fx.external, prop, partition)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from kgenrich.resolve import (MappingSpec, build_mapping, inverse_resolve, resolve)
 from kgenrich.store import Literal
 
-from conftest import graph_from_edges
+from conftest import graph_from_edges, with_edges
 
 
 def _sitelink_graph(links):
@@ -60,8 +60,7 @@ def test_transform_failure_skipped_and_counted():
 
 
 def test_resolve_coverage():
-    g = _sitelink_graph([("Q1", "A"), ("Q2", "B"), ("Q3", "C")])
-    g.add_edge("Q4", "P31", "Q5")
+    g = with_edges(_sitelink_graph([("Q1", "A"), ("Q2", "B"), ("Q3", "C")]), ("Q4", "P31", "Q5"))
     mapping = build_mapping(g, MappingSpec("sitelink", prefix="dbr:"))
     res = resolve(mapping, {"Q1"})
     assert res.mapped == {"Q1": ("dbr:A",)}

@@ -16,7 +16,7 @@ from kgenrich.retrieve import (CandidateStatement, follow_path, read_candidates,
                                write_candidates)
 from kgenrich.store import Literal, value_sort_key
 
-from conftest import graph_from_edges
+from conftest import graph_from_edges, with_edges
 
 
 def test_follow_path_single_step():
@@ -117,8 +117,8 @@ def test_retrieve_ambiguous_inverse_propagates_all():
 
 def test_retrieve_dedups_same_resolved_object():
     # two external ids for one subject reach the same resolved object
-    target = _linked_target([("Q1", "CompanyA"), ("Q2", "IndustryA")])
-    target.add_edge("Q1", "extid", Literal.string("CompanyA_alias"))
+    target = with_edges(_linked_target([("Q1", "CompanyA"), ("Q2", "IndustryA")]),
+                        ("Q1", "extid", Literal.string("CompanyA_alias")))
     external = graph_from_edges("dbp", [
         ("dbr:CompanyA", "dbp:industry", "dbr:IndustryA"),
         ("dbr:CompanyA_alias", "dbp:industry", "dbr:IndustryA"),
@@ -158,11 +158,9 @@ from kgenrich.resolve import MappingSpec, build_mapping
 from kgenrich.retrieve import retrieve
 from kgenrich.store import Graph, Literal, serialize_value
 
-target = Graph("wd")
-target.add_edge("Q90", "sitelink", Literal.string("Paris"))
-external = Graph("dbp")
-for language in ("nl", "en", "fr"):
-    external.add_edge("dbr:Paris", "dbp:name", Literal.monolingual("Paris", language))
+target = Graph("wd", [("Q90", "sitelink", Literal.string("Paris"))])
+external = Graph("dbp", [("dbr:Paris", "dbp:name", Literal.monolingual("Paris", language))
+                         for language in ("nl", "en", "fr")])
 mapping = build_mapping(target, MappingSpec("sitelink", prefix="dbr:"))
 candidates = retrieve(external, {"Q90": {"dbr:Paris"}}, "P1448",
                       PropertyPath(steps=("dbp:name",)), mapping)

@@ -149,17 +149,14 @@ def test_tsv_extra_and_id_column(tmp_path):
 
 
 def test_objects_of_unknown_subject_and_multivalue(tmp_path):
-    g = Graph("t")
-    g.add_edge("Q1", "P452", "Q8148")
-    g.add_edge("Q1", "P452", "Q268592")
+    g = Graph("t", [("Q1", "P452", "Q8148"), ("Q1", "P452", "Q268592")])
     assert set(g.objects("nope", "P452")) == set()
     assert len(g.objects("Q1", "P452")) == 2
 
 
 def test_label_edge_fallback_and_raw_id():
-    g = Graph("t")
-    g.add_edge("P452", "label", Literal.string("industry"))
-    g.add_edge("dbp:architecturalStyle", "P1", "Q1")
+    g = Graph("t", [("P452", "label", Literal.string("industry")),
+                    ("dbp:architecturalStyle", "P1", "Q1")])
     assert g.label("P452") == "industry"
     assert g.label("dbp:architecturalStyle") == "architecturalStyle"
     assert g.label("Q42") == "Q42"
@@ -188,9 +185,8 @@ def test_label_does_not_depend_on_line_order(tmp_path):
     ([("label", "Q5")], "x"),
 ])
 def test_label_rule(objects, expected):
-    g = Graph("t", label_properties=("label", "rdfs:label"))
-    for prop, obj in objects:
-        g.add_edge("dbp:x", prop, obj)
+    g = Graph("t", [("dbp:x", prop, obj) for prop, obj in objects],
+              label_properties=("label", "rdfs:label"))
     assert g.label("dbp:x") == expected
 
 
@@ -205,23 +201,20 @@ _LABEL_EDGES = st.tuples(
 @given(edges=st.lists(_LABEL_EDGES, max_size=12).flatmap(
     lambda edges: st.tuples(st.just(edges), st.permutations(edges))))
 def test_permuted_edges_give_equal_labels(edges):
-    first, second = (Graph("t", label_properties=("rdfs:label", "label")) for _ in range(2))
-    for graph, order in zip((first, second), edges):
-        for edge in order:
-            graph.add_edge(*edge)
+    first, second = (Graph("t", order, label_properties=("rdfs:label", "label"))
+                     for order in edges)
     assert all(first.label(node) == second.label(node) for node in ("Q1", "Q2", "Q3"))
 
 
 @pytest.mark.parametrize("edge", [("", "P1", "Q2"), ("Q1", "", "Q2"), ("Q1", "P1", "")])
 def test_add_edge_rejects_empty_ids(edge):
     with pytest.raises(ValueError):
-        Graph("t").add_edge(*edge)
+        Graph("t", [("Q1", "P1", "Q3"), edge])
 
 
 def test_duplicate_edges_collapse():
-    g = Graph("t")
-    assert g.add_edge("Q1", "P1", "Q2")
-    assert not g.add_edge("Q1", "P1", "Q2")
+    g = Graph("t", [("Q1", "P1", "Q2"), ("Q1", "P1", "Q2")])
+    assert g.stats.duplicates == 1
     assert g.edge_count == 1
 
 
@@ -262,16 +255,10 @@ def test_lone_index_entries_are_one_tuples(tmp_path, fmt):
     assert g._spo["Q2"]["label"] == (Literal.string("two"),)
     # the loader's term table hands both lone Q3 entries one shared 1-tuple
     assert g._spo["Q1"]["P2"] is g._spo["Q4"]["P2"]
-    # growing one of them to a set replaces that entry and leaves the other as it was
-    assert g.add_edge("Q1", "P2", "Q5")
-    assert g._spo["Q1"]["P2"] == {"Q3", "Q5"} and g._spo["Q4"]["P2"] == ("Q3",)
-    _assert_compact_layout(g)
 
 
 def test_repeat_of_a_lone_value_keeps_the_one_tuple():
-    g = Graph("t")
-    assert g.add_edge("Q1", "P1", Literal.date(1990))
-    assert not g.add_edge("Q1", "P1", Literal.date(1990))
+    g = Graph("t", [("Q1", "P1", Literal.date(1990))] * 2)
     assert g.stats.duplicates == 1 and g.edge_count == 1
     assert g._spo["Q1"]["P1"] == (Literal.date(1990),)
     assert g.in_edges(Literal.date(1990))["P1"] == ("Q1",)
@@ -280,20 +267,16 @@ def test_repeat_of_a_lone_value_keeps_the_one_tuple():
 
 
 def test_second_distinct_value_promotes_to_a_set():
-    g = Graph("t")
-    g.add_edge("Q1", "P1", "Q2")
-    g.add_edge("Q3", "P1", "Q2")
-    assert g.add_edge("Q1", "P1", "Q4")
+    g = Graph("t", [("Q1", "P1", "Q2"), ("Q3", "P1", "Q2"), ("Q1", "P1", "Q4"),
+                    ("Q1", "P1", "Q4")])
     assert g._spo["Q1"]["P1"] == {"Q2", "Q4"}
     assert g._osp["Q2"]["P1"] == {"Q1", "Q3"}
-    assert not g.add_edge("Q1", "P1", "Q4")
-    assert g._spo["Q1"]["P1"] == {"Q2", "Q4"} and g.stats.duplicates == 1
+    assert g.stats.duplicates == 1 and g.edge_count == 3
     _assert_compact_layout(g)
 
 
 def test_misses_return_shared_read_only_empties():
-    g = Graph("t")
-    g.add_edge("Q1", "P1", "Q2")
+    g = Graph("t", [("Q1", "P1", "Q2")])
     assert g.objects("Q1", "P9") is g.objects("Q9", "P1") == ()
     assert g.subjects_with("P9", "Q2") is g.subjects_with("P1", "Q9") == ()
     assert g.out_edges("Q9") is g.in_edges("Q9")
@@ -326,22 +309,15 @@ _MIXED_EDGES = st.tuples(_NODE_IDS, st.sampled_from(["P1", "P2"]),
                          st.one_of(_NODE_IDS, _SOME_LITERALS))
 
 
-@given(edges=st.lists(_MIXED_EDGES, max_size=25),
-       later=st.tuples(_NODE_IDS, st.sampled_from(["P1", "P2"]), _SOME_LITERALS))
-def test_in_edge_queries_equal_a_scan_of_the_edges(edges, later):
-    g = Graph("t")
-    for edge in edges:
-        g.add_edge(*edge)
+@given(edges=st.lists(_MIXED_EDGES, max_size=25))
+def test_in_edge_queries_equal_a_scan_of_the_edges(edges):
+    g = Graph("t", edges)
     assert _LITERAL_IN_EDGES not in g._derived
     _assert_in_edges_equal_a_scan(g)
     kept = g._derived[_LITERAL_IN_EDGES]
     assert not any(isinstance(obj, Literal) for obj in g._osp)
-    if g.add_edge(*later):  # a new edge drops the kept index, a repeated one keeps it
-        assert _LITERAL_IN_EDGES not in g._derived
-    else:
-        assert g._derived[_LITERAL_IN_EDGES] is kept
     _assert_in_edges_equal_a_scan(g)
-    assert later[0] in g.subjects_with(later[1], later[2])
+    assert g._derived[_LITERAL_IN_EDGES] is kept
 
 
 def test_index_consistency_full_scan(company_fixture):
@@ -373,9 +349,7 @@ def test_roundtrip_tsv(tmp_path, company_fixture):
 
 
 def test_roundtrip_quantity_vs_date(tmp_path):
-    g = Graph("t")
-    g.add_edge("Q1", "P1", Literal.quantity(1885))
-    g.add_edge("Q1", "P2", Literal.date(1885))
+    g = Graph("t", [("Q1", "P1", Literal.quantity(1885)), ("Q1", "P2", Literal.date(1885))])
     out = tmp_path / "q.tsv"
     write_edge_tsv(g, out)
     g2 = load_edge_tsv(out, "t")
@@ -386,9 +360,8 @@ def test_roundtrip_quantity_vs_date(tmp_path):
 
 
 def test_string_escaping_roundtrip(tmp_path):
-    g = Graph("t")
-    g.add_edge("Q1", "P1", Literal.string('tricky "quote"\tand\ttabs'))
-    g.add_edge("Q1", "P2", Literal.monolingual("left back", "en"))
+    g = Graph("t", [("Q1", "P1", Literal.string('tricky "quote"\tand\ttabs')),
+                    ("Q1", "P2", Literal.monolingual("left back", "en"))])
     out = tmp_path / "esc.tsv"
     write_edge_tsv(g, out)
     g2 = load_edge_tsv(out, "t")
@@ -735,49 +708,56 @@ _NT_LINES = st.one_of(
                      "<http://ex.org/a> <http://ex.org/p> ."]))
 
 
+def _reference_graph(rows: list[str], edges: list, skipped: list) -> Graph:
+    """The graph of ``edges``, with the line count of ``rows`` and each skipped line."""
+    g = Graph("t", edges)
+    g.stats.lines = len(rows)
+    for lineno, row in skipped:
+        g.stats.skip(lineno, row)
+    return g
+
+
 def _reference_tsv(rows: list[str], table: PrefixTable) -> Graph:
     """Load edge-TSV rows one by one, with a fresh parse of every field."""
-    g = Graph("t")
-    g.stats.lines = len(rows)
+    edges, skipped = [], []
     for lineno, row in enumerate(rows[1:], 2):
         stripped = row.strip()
         if not stripped or stripped.startswith("#"):
             continue
         fields = row.split("\t")
         if len(fields) < 3 or not fields[0] or not fields[1] or not fields[2]:
-            g.stats.skip(lineno, row)
+            skipped.append((lineno, row))
             continue
         try:
             obj = parse_tsv_value(fields[2])
         except ValueError:
-            g.stats.skip(lineno, row)
+            skipped.append((lineno, row))
             continue
         if isinstance(obj, str):
             obj = table.shorten(obj)
-        g.add_edge(table.shorten(fields[0]), table.shorten(fields[1]), obj)
-    return g
+        edges.append((table.shorten(fields[0]), table.shorten(fields[1]), obj))
+    return _reference_graph(rows, edges, skipped)
 
 
 def _reference_nt(rows: list[str], table: PrefixTable) -> Graph:
     """Load N-Triples rows one by one, with a fresh parse of every term."""
-    g = Graph("t")
-    g.stats.lines = len(rows)
+    edges, skipped = [], []
     for lineno, row in enumerate(rows, 1):
         stripped = row.strip()
         if not stripped or stripped.startswith("#"):
             continue
         m = _NT_LINE.match(row)
         if m is None:
-            g.stats.skip(lineno, row)
+            skipped.append((lineno, row))
             continue
         token = m.group("o")
         try:
             obj = _nt_literal(token) if token.startswith('"') else _nt_term_id(token, table)
         except ValueError:
-            g.stats.skip(lineno, row)
+            skipped.append((lineno, row))
             continue
-        g.add_edge(_nt_term_id(m.group("s"), table), _nt_term_id(m.group("p"), table), obj)
-    return g
+        edges.append((_nt_term_id(m.group("s"), table), _nt_term_id(m.group("p"), table), obj))
+    return _reference_graph(rows, edges, skipped)
 
 
 def _snapshot(g: Graph):
@@ -830,10 +810,10 @@ def test_loaders_match_line_by_line_reference(fmt, data):
         path = Path(tmp) / f"g.{fmt}"
         path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
         loader = load_edge_tsv if fmt == "tsv" else load_ntriples
-        g = loader(path, "t", prefixes=table, malformed_threshold=1.0)
+        g = loader(path, "t", prefixes=_PREFIXES, malformed_threshold=1.0)
     reference = _reference_tsv(rows, table) if fmt == "tsv" else _reference_nt(rows, table)
     assert _snapshot(g) == _snapshot(reference)
-    # the loader's inlined insert builds add_edge's entries: a 1-tuple never equals a set
+    # the loader's inlined insert builds the constructor's entries: a 1-tuple never equals a set
     assert g._spo == reference._spo and g._osp == reference._osp
     _assert_compact_layout(g)
     _assert_one_string_per_property(g)
@@ -1025,9 +1005,8 @@ def test_other_literal_with_a_tab_is_refused_not_written_split(tmp_path):
 # -- results kept on a graph ------------------------------------------------------
 
 
-def test_derived_builds_once_per_key_until_the_graph_changes():
-    graph = Graph("g")
-    graph.add_edge("a", "p", "b")
+def test_derived_builds_once_per_key():
+    graph = Graph("g", [("a", "p", "b")])
     builds = []
 
     def build(name):
@@ -1036,9 +1015,5 @@ def test_derived_builds_once_per_key_until_the_graph_changes():
     assert graph.derived("k", build("k")) == ("k", 1)
     assert graph.derived("k", build("k")) == ("k", 1)
     assert graph.derived(("k", 2), build("k2")) == ("k2", 1)
+    assert graph.derived("k", build("k")) == ("k", 1)
     assert builds == ["k", "k2"]
-    assert not graph.add_edge("a", "p", "b")  # a duplicate edge changes nothing
-    assert graph.derived("k", build("k")) == ("k", 1) and builds == ["k", "k2"]
-    graph.add_edge("a", "p", "c")
-    assert graph.derived("k", build("k")) == ("k", 2)
-    assert builds == ["k", "k2", "k"]
