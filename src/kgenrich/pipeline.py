@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import statistics
 import time
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -180,12 +179,14 @@ class Run:
         It names the external graph by a weak reference, then ``prop``, the
         entity class, ``gaps.type_property``, ``gaps.no_value_sentinel``, the
         external's mapping spec and the alignment config. The weak reference
-        keeps a dropped external from living on through its target. These do
-        not fix the selected path: ``select_path`` also reads both graphs'
-        ``label_properties``, so ``novel`` adds the selected path to its key.
+        (``Graph.key_ref``) keeps a dropped external from living on through
+        its target, and once the external is freed the target drops what it
+        kept for it. These do not fix the selected path: ``select_path`` also
+        reads both graphs' ``label_properties``, so ``novel`` adds the selected
+        path to its key.
         """
         cfg, gaps = self.cfg, self.cfg.gaps
-        return (weakref.ref(external), prop, self.entity_class, gaps.type_property,
+        return (self.target.key_ref(external), prop, self.entity_class, gaps.type_property,
                 gaps.no_value_sentinel, cfg.mapping_for(external.tag), cfg.alignment)
 
     def align(self, external: Graph, prop: str, partition: GapPartition,

@@ -21,22 +21,29 @@ through ``Graph.derived`` and kept on the graph.
 IRIs are shortened through a configurable prefix table (unknown namespaces
 keep the full IRI). Edge-TSV carries no datatypes, so literal kinds are
 inferred from the lexical shape of the ``node2`` field; N-Triples literals
-are classified by their explicit datatype.
+are classified by their explicit datatype. An N-Triples IRI's ``\\uXXXX``
+and ``\\UXXXXXXXX`` escapes are decoded, so an escaped and an unescaped
+spelling are one id. An N-Triples line written ``S P O .`` with single
+spaces is split at its spaces, and each distinct term is checked once for
+its place; any other line is read by the whole-line pattern ``_NT_LINE``.
+Both ways accept the same lines as the same edges (see ``_load``).
 
 Each load call keeps term tables that map the raw text of a term to its
 parsed form: a subject, property or IRI token to its shortened id, an object
-field to its ``Value``. The prefix scan and the lexical classification
-therefore run once per distinct term, and equal literals share one
-``Literal``. One more table maps every node id and property id to the first
-string object seen with that text, so all index keys and members that spell
-one id are one shared string rather than a copy per edge. Each table hands
-out its term inside a 1-tuple made once per distinct term, and every lone
-index entry of that term is that one tuple, not a 1-tuple per entry
-(hash-consing): a tuple is immutable, and a second member replaces the entry
-with a set rather than changing the tuple. ``Graph(tag, edges)`` and the
-literal in-edges build their own 1-tuples. All the tables are dropped when
-the call returns. Interpreter string interning is not used: interned strings
-are immortal on Python 3.12, so a dropped graph's ids would never be freed.
+field to its ``Value``, and an N-Triples token to that form or to None when
+it cannot stand in its place. The prefix scan, the escape decoding, the
+place check and the lexical classification therefore run once per distinct
+term, and equal literals share one ``Literal``. One more table maps every
+node id and property id to the first string object seen with that text, so
+all index keys and members that spell one id are one shared string rather
+than a copy per edge. Each table hands out its term inside a 1-tuple made
+once per distinct term, and every lone index entry of that term is that one
+tuple, not a 1-tuple per entry (hash-consing): a tuple is immutable, and a
+second member replaces the entry with a set rather than changing the tuple.
+``Graph(tag, edges)`` and the literal in-edges build their own 1-tuples.
+All the tables are dropped when the call returns. Interpreter string
+interning is not used: interned strings are immortal on Python 3.12, so a
+dropped graph's ids would never be freed.
 
 ``Literal`` is a named tuple of its seven fields: construction, equality and
 hashing run in C, and there is no per-instance ``__dict__``. A literal
@@ -51,8 +58,10 @@ import math
 import os
 import re
 import sys
+import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
@@ -240,6 +249,15 @@ def _insert(index: dict, key: Hashable, prop: str, member: Hashable) -> bool:
     return True
 
 
+def _drop_kept(graph: weakref.ref, dead: weakref.ref) -> None:
+    """Drop what ``graph``, if it lives, keeps under a tuple key holding ``dead``."""
+    graph = graph()
+    if graph is not None:
+        derived = graph._derived
+        for key in [key for key in derived if type(key) is tuple and dead in key]:
+            del derived[key]
+
+
 class Graph:
     """Indexed, deduplicated edge set over node ids.
 
@@ -265,10 +283,10 @@ class Graph:
     ``derived`` keeps results computed from the graph, one per key, for as
     long as the graph lives. A key names everything besides the graph that
     its result depends on. A path ranking (``pipeline.Run.align``) also
-    depends on an external graph: its key names that graph by a weak
-    reference, so the target does not keep it alive. A dropped external's
-    ranking stays until the target is freed, since no later key equals a
-    dead reference.
+    depends on an external graph: its key names that graph by ``key_ref``, a
+    weak reference, so the target does not keep it alive, and when the
+    external is freed every result kept under a key that holds the reference
+    is dropped with it.
     A kept result must not refer to its graph: a ``Graph`` holds no reference
     cycles, so a dropped graph is freed by refcounting alone. Threads that
     share a graph may each build a result on its first use; the builds are
@@ -307,6 +325,12 @@ class Graph:
         if key not in derived:
             derived[key] = build()
         return derived[key]
+
+    def key_ref(self, other: Graph) -> weakref.ref:
+        """A weak reference that names ``other`` in a ``derived`` key. When ``other``
+        is freed, each result kept under a key holding the reference is dropped.
+        The reference reaches this graph only weakly, so no reference cycle forms."""
+        return weakref.ref(other, partial(_drop_kept, weakref.ref(self)))
 
     def _literal_in_edges(self) -> Mapping[Literal, Mapping[str, Collection[str]]]:
         return self.derived(_LITERAL_IN_EDGES, self._index_literals)
@@ -410,6 +434,9 @@ _NT_LINE = re.compile(
 _NT_LITERAL = re.compile(
     r'^"(?P<lex>(?:[^"\\]|\\.)*)"(?:@(?P<lang>[A-Za-z][A-Za-z0-9-]*)|\^\^<(?P<dt>[^<>\s]+)>)?$'
 )
+# ``_NT_LINE``'s subject form (an IRI or a blank node) and property form (an IRI), to fullmatch
+_NT_NODE = re.compile(r"<[^<>\s]+>|_:\S+")
+_NT_IRI = re.compile(r"<[^<>\s]+>")
 
 # a year of four or more digits, then an optional month, then an optional day and time
 _DATE = re.compile(r"^(-?\d{4,})(?:-(\d{2})(?:-(\d{2})(?:T\S*)?)?)?$")
@@ -443,6 +470,25 @@ def _unescape(text: str) -> str:
     return _ESCAPE.sub(_unescape_match, text) if "\\" in text else text
 
 
+# what an IRIREF may not hold: U+0000 to U+0020 and <>"{}|^`\
+_IRI_EXCLUDED = frozenset(map(chr, range(0x21))) | frozenset('<>"{}|^`\\')
+
+
+def _unescape_iri_match(m: re.Match) -> str:
+    if m.group(3) is None:  # a \u or \U escape, or a lone backslash, which raises
+        char = _unescape_match(m)
+        if char not in _IRI_EXCLUDED:
+            return char
+    raise ValueError(f"{m.group()!r} cannot stand in the IRI {m.string!r}")
+
+
+def _unescape_iri(iri: str) -> str:
+    """Decode an IRI's \\uXXXX and \\UXXXXXXXX escapes; ValueError on any other
+    backslash (a malformed escape, or one such as \\n that only a literal may
+    hold) and on an escape of a character an IRI may not hold."""
+    return _ESCAPE.sub(_unescape_iri_match, iri) if "\\" in iri else iri
+
+
 def _days_in_month(year: int, month: int) -> int:
     if month == 2:
         return 29 if calendar.isleap(year) else 28
@@ -462,13 +508,15 @@ def _parse_date_lexical(lex: str) -> Literal | None:
 
 
 def _nt_literal(token: str) -> Literal | None:
-    """The literal an N-Triples object token denotes, classified by its datatype;
-    None when the token is an IRI or a blank node."""
+    """The literal an N-Triples object token denotes, classified by its datatype
+    (escapes decoded as in any IRI); None when the token is an IRI or a blank node."""
     m = _NT_LITERAL.match(token)
     if m is None:
         return None
     lex, lang, datatype = m.group("lex"), m.group("lang"), m.group("dt")
     text = _unescape(lex)
+    if datatype is not None:
+        datatype = _unescape_iri(datatype)
     if lang:
         return Literal.monolingual(text, lang)
     if datatype is None or datatype == _XSD + "string":
@@ -512,14 +560,24 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
           columns: Sequence[str] | None, term_id: Callable[[str], str],
           literal: Callable[[str], Literal | None]) -> Graph:
     """The line loop of both loaders. A line's cells are an edge TSV's tab-separated
-    fields under the header's ``columns``, or ``_NT_LINE``'s groups when ``columns`` is
-    None. ``term_id`` maps a subject or property token to its id, ``literal`` an object
-    token to its literal, or to None for a node.
+    fields under the header's ``columns``, or, when ``columns`` is None, the subject,
+    property and object of an N-Triples line. ``term_id`` maps a subject or property
+    token to its id, ``literal`` an object token to its literal, or to None for a node.
+
+    An N-Triples line of the usual shape, ``S P O .`` with single spaces, is split at
+    its spaces. Each token is looked up in a table of its place, which checks each
+    distinct token once against ``_NT_LINE``'s form for that place: an IRI or a blank
+    node as subject, an IRI as property, a literal or a subject form as object. Any
+    other line, or one with a token that cannot stand in its place, is read by
+    ``_NT_LINE``. For a line that the split reads, ``_NT_LINE`` gives the same three
+    tokens, so both ways accept the same lines as the same edges, and a token that
+    does not parse (``ValueError``) makes its line malformed either way.
 
     A blank line, or one whose first non-space character is ``#``, is ignored. Any
     other line is considered, and malformed (counted and skipped) if it has no cells or
-    too few, an empty subject, property or object, or an object that does not parse.
-    Over ``malformed_threshold`` of the considered lines malformed is a DataFormatError.
+    too few, an empty subject, property or object, or a term that does not parse (a
+    bad escape in a literal or an IRI). Over ``malformed_threshold`` of the considered
+    lines malformed is a DataFormatError.
 
     ``graph`` is new and empty. Each edge goes into its indexes as ``Graph(tag, edges)``
     would put it, by the same insert written out in the loop, except that a new lone
@@ -530,7 +588,12 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
     # every table hands out a 1-tuple of the term, shared by each lone entry of the term
     ids = _Terms(lambda text: (text,))
     terms = _Terms(lambda token: ids[term_id(token)])
-    values = _Terms(lambda token: terms[token] if (parsed := literal(token)) is None
+    nodes = iris = terms
+    if columns is None:
+        # a token of a split line, checked for its place once: None if it cannot stand there
+        nodes = _Terms(lambda token: terms[token] if _NT_NODE.fullmatch(token) else None)
+        iris = _Terms(lambda token: terms[token] if _NT_IRI.fullmatch(token) else None)
+    values = _Terms(lambda token: nodes[token] if (parsed := literal(token)) is None
                     else (parsed,))
     considered = lineno = edges = duplicates = 0
     with open(path, encoding="utf-8") as fh:
@@ -548,14 +611,26 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
                 if not stripped or stripped[0] == "#":
                     continue
             considered += 1
-            cells = _NT_LINE.match(text) if columns is None else text.split("\t")
-            try:  # no match is None, a TypeError to subscript; a short row an IndexError
-                subject, prop, token = cells[subject_key], cells[prop_key], cells[object_key]
-            except (TypeError, IndexError):
-                subject = prop = token = ""
+            # no match is None, a TypeError to subscript; a short row an IndexError; a
+            # term that does not parse a ValueError
             try:
-                one = values[token] if subject and prop and token else None
-            except ValueError:
+                if columns is None:
+                    cells = text.split(" ", 2)
+                    if (len(cells) != 3 or cells[2][-2:] != " ."
+                            or (subject_one := nodes[cells[0]]) is None
+                            or (prop_one := iris[cells[1]]) is None
+                            or (one := values[cells[2][:-2]]) is None):
+                        cells = _NT_LINE.match(text)
+                        subject_one, prop_one, one = (
+                            terms[cells[subject_key]], terms[cells[prop_key]],
+                            values[cells[object_key]])
+                else:
+                    cells = text.split("\t")
+                    subject, prop, token = cells[subject_key], cells[prop_key], cells[object_key]
+                    one = values[token] if subject and prop and token else None
+                    if one is not None:
+                        subject_one, prop_one = terms[subject], terms[prop]
+            except (TypeError, IndexError, ValueError):
                 one = None
             if one is None:
                 stats.skip(lineno, text)
@@ -563,8 +638,7 @@ def _load(path: str | Path, graph: Graph, malformed_threshold: float,
             # ``_insert`` written out twice, as ``Graph.__init__`` calls it, but with the
             # term tables' shared 1-tuples. Kept inline for the cold-load time it saves
             # (ROADMAP item 7, BENCH_31.json). The constructor's emptiness checks hold here
-            subject_one, (prop,) = terms[subject], terms[prop]
-            subject, obj = subject_one[0], one[0]
+            subject, (prop,), obj = subject_one[0], prop_one, one[0]
             by_prop = spo.get(subject)
             if by_prop is None:
                 by_prop = spo[subject] = {}
@@ -612,9 +686,11 @@ def load_ntriples(path: str | Path, tag: str, *,
 
 
 def _nt_term_id(token: str, table: PrefixTable) -> str:
+    """An IRI token's shortened IRI, its escapes decoded (ValueError on a bad one),
+    or a blank node label as it is."""
     if token.startswith("<"):
-        return table.shorten(token[1:-1])
-    return token  # blank node label, kept verbatim
+        return table.shorten(_unescape_iri(token[1:-1]))
+    return token
 
 
 # -- edge TSV ----------------------------------------------------------------

@@ -662,6 +662,24 @@ def test_an_external_dropped_while_the_target_lives_is_freed(company_fixture):
     assert dropped() is None
 
 
+def test_a_freed_external_takes_what_the_target_kept_for_it(collector_paused):
+    # each call keeps a ranking and a novel count under its external, and freeing the
+    # external drops both, by refcounting alone; the mapping and the closure stay
+    fx = make_company_fixture()
+    kept = fx.target._derived
+    for _ in range(50):
+        external = make_company_external()
+        row = enrich_property(fx.target, external, INDUSTRY_PROP, fx.cfg,
+                              entity_class=COMPANY_CLASS, constraints=fx.constraints)
+        assert row.status == "ok"
+        assert sorted(key[0] for key in kept) == ["closure", "mapping", "novel", "ranking"]
+        del external
+        assert sorted(key[0] for key in kept) == ["closure", "mapping"]
+    target = weakref.ref(fx.target)
+    del fx, kept
+    assert target() is None
+
+
 def test_a_row_whose_enumeration_raises_keeps_no_ranking(company_fixture, monkeypatch):
     fx = company_fixture
     enumerate_of, attempts = pipeline.enumerate_paths, []

@@ -5,11 +5,13 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kgenrich import store
 from kgenrich.align import values_match
 from kgenrich.errors import DataFormatError
 from kgenrich.gaps import detect_gaps
@@ -599,6 +601,69 @@ def test_nt_malformed_escape_is_counted_skip(tmp_path, lex):
     assert {o.text for o in g.objects("http://ex/a", "http://ex/r")} == {"AB"}
 
 
+def test_nt_iri_escapes_decode_to_the_iri_they_spell(tmp_path):
+    path = tmp_path / "g.nt"
+    # one node written escaped and unescaped, as subject, property and object
+    path.write_text("<http://ex/a\\u00E9> <http://ex/p> <http://dbr/Z\\u00FCrich> .\n"
+                    "<http://ex/aé> <http://ex/\\u0070> <http://dbr/Zürich> .\n"
+                    "<http://ex/aé> <http://ex/p> <http://ex/\\U0001F600> .\n"
+                    f'<http://ex/aé> <http://ex/q> "5"^^<{_XSD[:-1]}\\u0023integer> .\n',
+                    encoding="utf-8")
+    g = load_ntriples(path, "t", prefixes={"dbr": "http://dbr/"})
+    assert (g.edge_count, g.stats.duplicates, g.stats.skipped) == (3, 1, 0)
+    assert set(g.objects("http://ex/aé", "http://ex/p")) == {
+        "dbr:Zürich", "http://ex/\U0001F600"}
+    assert set(g.objects("http://ex/aé", "http://ex/q")) == {Literal.quantity(5)}
+
+
+@pytest.mark.parametrize("place", range(4))
+@pytest.mark.parametrize("iri", [
+    "http://ex/a\\u00", "http://ex/a\\uZZZZ", "http://ex/a\\U0000004", "http://ex/a\\",
+    "http://ex/a\\n", "http://ex/a\\t", "http://ex/a\\u0020b", "http://ex/a\\u003E",
+    "http://ex/a\\u005C", "http://ex/a\\u007B", "http://ex/\\uD800", "http://ex/\\U00110000"])
+def test_nt_bad_iri_escape_is_counted_skip(tmp_path, place, iri):
+    # a malformed escape, an escape only a literal may hold, or an escaped character
+    # an IRI may not hold, as subject, property, object or datatype
+    terms = ["<http://ex/a>", "<http://ex/p>", "<http://ex/b>"]
+    terms[min(place, 2)] = f"<{iri}>" if place < 3 else f'"x"^^<{iri}>'
+    path = tmp_path / "g.nt"
+    bad = " ".join(terms) + " ."
+    path.write_text("<http://ex/a> <http://ex/p> <http://ex/c> .\n" + bad + "\n")
+    g = load_ntriples(path, "t", malformed_threshold=0.5)
+    assert g.edge_count == 1
+    assert (g.stats.skipped, g.stats.first_bad_lineno, g.stats.first_bad_text) == (1, 2, bad)
+
+
+def test_nt_lines_of_both_shapes_load_as_the_reference_reads_them(tmp_path, monkeypatch):
+    rows = ["<http://ex/a> <http://ex/p> <http://ex/b> .",
+            "<http://ex/a>\t<http://ex/p>\t<http://ex/c> .",
+            ' <http://ex/b> <http://ex/p> "x y ." .',
+            '<http://ex/b> <http://ex/p> "x y ."@en .',
+            "<http://ex/c> <http://ex/p> _:b1.",
+            "<http://ex/c> <http://ex/q> <http://ex/a> . # c",
+            "_:b1 <http://ex/q> <http://ex/a>  .",
+            "<http://ex/a> _:b1 <http://ex/b> .",
+            '"x" <http://ex/p> <http://ex/b> .',
+            "<http://ex/a> <http://ex/p>  .",
+            "<http://ex/a\tb> <http://ex/p> <http://ex/b> .",
+            "_:b\u00a0c <http://ex/p> <http://ex/b> .",
+            "<http://ex/a> <http://ex/p> <http://ex/a\u00a0b> .",
+            "<http://ex/a> <http://ex/p> <http://ex/b> ."]
+    path = tmp_path / "g.nt"
+    path.write_text("".join(row + "\n" for row in rows))
+    matched = []
+    monkeypatch.setattr(store, "_NT_LINE", SimpleNamespace(
+        match=lambda text: matched.append(text) or _NT_LINE.match(text)))
+    g = load_ntriples(path, "t", malformed_threshold=0.5)
+    reference = _reference_nt(rows, PrefixTable())
+    assert _snapshot(g) == _snapshot(reference)
+    assert (g.stats.edges, g.stats.duplicates, g.stats.skipped) == (7, 1, 6)
+    assert (g.stats.first_bad_lineno, g.stats.first_bad_text) == (8, rows[7])
+    # only the lines not written "S P O ." with single spaces, or with a term that
+    # cannot stand in its place, reach the line regex
+    assert matched == [rows[i] for i in (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12)]
+
+
 def test_malformed_escapes_count_toward_threshold(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text('node1\tlabel\tnode2\nQ1\tP1\t"a\\"\nQ1\tP2\t"\\uZZZZ"\nQ1\tP3\tQ2\n')
@@ -694,18 +759,41 @@ _TSV_LINES = st.one_of(
                      "Q1\tP1\t"]))
 
 _NT_NODES = ["<http://dbpedia.org/resource/A>", "<http://dbpedia.org/resource/B>",
-             "<http://ex.org/y/C>", "<http://other.org/D>", "_:b1"]
+             "<http://ex.org/y/C>", "<http://other.org/D>", "_:b1",
+             # one node written escaped and unescaped
+             "<http://dbpedia.org/resource/Z\\u00FCrich>", "<http://dbpedia.org/resource/Zürich>",
+             "<http://ex.org/y/\\U0001F600>"]
 _NT_PROPS = ["<http://dbpedia.org/property/p>", "<http://www.w3.org/2000/01/rdf-schema#label>",
-             "<http://other.org/q>"]
+             "<http://other.org/q>", "<http://other.org/\\u0071>"]
+# terms no place takes, IRIs with escapes an IRI may not hold, and tokens that only
+# _NT_LINE can split off
+_NT_ODD = ["<>", '"x"', "_:b\"q", "_:b<q", "<http://ex.org/y/a\tb>", "_:b\u00a0c",
+           "<http://ex.org/y/a\u00a0b>", "<http://ex.org/y/a b>", "_:b c",
+           "<http://ex.org/y/a\\u00>", "<http://ex.org/y/a\\n>", "<http://ex.org/y/a\\u0020b>",
+           "<http://ex.org/y/\\u003E>", "<http://ex.org/y/\\uD800>"]
 _NT_OBJECTS = _NT_NODES + [
     '"x"', '"x"@en', '"x"@fr', f'"2020-01-02"^^<{_XSD}date>', f'"2020-13-45"^^<{_XSD}date>',
     f'"1.5"^^<{_XSD}decimal>', f'"1.50"^^<{_XSD}decimal>', f'"abc"^^<{_XSD}integer>',
-    '"\\uZZZZ"', '"x\\u00"@en']
+    '"\\uZZZZ"', '"x\\u00"@en', '""', '"a ."', '"a . "@en', '"a \\" ."', '"a\tb"', '"\\t"']
+_NT_SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t", ""])
 _NT_LINES = st.one_of(
+    # "S P O ." with single spaces, which the loader splits, of good terms and then of any
     st.tuples(st.sampled_from(_NT_NODES), st.sampled_from(_NT_PROPS),
               st.sampled_from(_NT_OBJECTS)).map(lambda t: " ".join(t) + " ."),
+    st.tuples(st.sampled_from(_NT_NODES + _NT_ODD),
+              st.sampled_from(_NT_PROPS + _NT_ODD + ["_:b1"]),
+              st.sampled_from(_NT_OBJECTS + _NT_ODD)).map(lambda t: " ".join(t) + " ."),
+    # other whitespace, a dot without a space, a comment: only _NT_LINE reads these
+    st.tuples(st.sampled_from(_NT_NODES), st.sampled_from(_NT_PROPS),
+              st.sampled_from(_NT_OBJECTS), st.sampled_from([".", "  .", " . # c", " .\t", " . ."])
+              ).map(lambda t: " ".join(t[:3]) + t[3]),
+    st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(_NT_NODES), _NT_SEPARATORS,
+              st.sampled_from(_NT_PROPS), _NT_SEPARATORS, st.sampled_from(_NT_OBJECTS),
+              _NT_SEPARATORS, st.sampled_from([".", ". # c", ".# c", ". ", ". ."])).map("".join),
     st.sampled_from(["", "# comment", "  ", "  # c", "garbage",
-                     "<http://ex.org/a> <http://ex.org/p> ."]))
+                     "<http://ex.org/a> <http://ex.org/p> .",
+                     "<http://ex.org/a> <http://ex.org/p>  .",
+                     '<http://ex.org/a> <http://ex.org/p> "x" "y" .']))
 
 
 def _reference_graph(rows: list[str], edges: list, skipped: list) -> Graph:
@@ -751,12 +839,12 @@ def _reference_nt(rows: list[str], table: PrefixTable) -> Graph:
             skipped.append((lineno, row))
             continue
         token = m.group("o")
-        try:
+        try:  # a bad escape, in a literal or an IRI, makes the line malformed
             obj = _nt_literal(token) if token.startswith('"') else _nt_term_id(token, table)
+            edges.append((_nt_term_id(m.group("s"), table), _nt_term_id(m.group("p"), table),
+                          obj))
         except ValueError:
             skipped.append((lineno, row))
-            continue
-        edges.append((_nt_term_id(m.group("s"), table), _nt_term_id(m.group("p"), table), obj))
     return _reference_graph(rows, edges, skipped)
 
 
